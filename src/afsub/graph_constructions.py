@@ -84,13 +84,34 @@ class SequenceSubdivisionLabels:
     thirds: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
 
 
+def _sequence_ranks(g: BaseGraph, bipartition: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Vertex and edge ranks of a sequence-subdivision, both 1-based.
+
+    Black vertices take ranks 1..#black in id order, whites the rest; edge
+    ranks follow (white-endpoint rank, black-endpoint rank).
+    """
+    blacks = [v for v in range(g.vertex_count) if bipartition[v] == 0]
+    whites = [v for v in range(g.vertex_count) if bipartition[v] == 1]
+    rank = [0] * g.vertex_count
+    for i, v in enumerate(blacks + whites, start=1):
+        rank[v] = i
+
+    def key(i: int) -> tuple[int, int]:
+        u, v = g.edges[i]
+        return (rank[u], rank[v]) if bipartition[u] == 1 else (rank[v], rank[u])
+
+    edge_rank = [0] * len(g.edges)
+    for r, i in enumerate(sorted(range(len(g.edges)), key=key), start=1):
+        edge_rank[i] = r
+    return rank, edge_rank
+
+
 def build_sequence_subdivision(
     g: BaseGraph, bipartition: Sequence[int], t: Sequence[int]
 ) -> tuple[SubdividedGraph, SequenceSubdivisionLabels]:
     """Subdivide edge e of a properly 2-coloured graph 3 * t[rank(e) - 1] times.
 
-    Black vertices take ranks 1..#black in id order, whites the rest; edge
-    ranks follow (white rank, black rank).  Each division path is split into
+    Ranks are those of _sequence_ranks.  Each division path is split into
     consecutive thirds with X adjacent to the white end and Z to the black.
     """
     bipartition = tuple(bipartition)
@@ -105,25 +126,7 @@ def build_sequence_subdivision(
     if any(x < 1 for x in t[:m]):
         raise ValueError("sequence terms must be positive")
 
-    blacks = [v for v in range(g.vertex_count) if bipartition[v] == 0]
-    whites = [v for v in range(g.vertex_count) if bipartition[v] == 1]
-    rank = [0] * g.vertex_count
-    for i, v in enumerate(blacks, start=1):
-        rank[v] = i
-    for i, v in enumerate(whites, start=len(blacks) + 1):
-        rank[v] = i
-
-    def white_end(e: tuple[int, int]) -> int:
-        return e[0] if bipartition[e[0]] == 1 else e[1]
-
-    def black_end(e: tuple[int, int]) -> int:
-        return e[0] if bipartition[e[0]] == 0 else e[1]
-
-    order = sorted(range(m), key=lambda i: (rank[white_end(g.edges[i])], rank[black_end(g.edges[i])]))
-    edge_rank = [0] * m
-    for r, i in enumerate(order, start=1):
-        edge_rank[i] = r
-
+    rank, edge_rank = _sequence_ranks(g, bipartition)
     counts = [3 * t[edge_rank[i] - 1] for i in range(m)]
     s = subdivide(g, counts)
 
@@ -155,16 +158,43 @@ class SequenceConstruction:
     one_sub: OneSubdivision
 
 
-def _x_block(offset: int) -> tuple[int, ...]:
-    return tuple(range(2 + offset, 6 + offset))
+def _original_colours(s: SubdividedGraph, one: OneSubdivision) -> list[int]:
+    """Colour list with the originals black or white by colour class and
+    every division vertex still 0, to be coloured by the caller."""
+    colours = [0] * s.vertex_count
+    for v in range(one.graph.vertex_count):
+        colours[v] = WHITE_COLOUR if one.colour_class[v] == 1 else BLACK_COLOUR
+    return colours
 
 
-def _y_block(offset: int) -> tuple[int, ...]:
-    return tuple(range(6 + offset, 10 + offset))
+def _doubling_colouring(
+    one: OneSubdivision, groups: Sequence[Sequence[int]]
+) -> tuple[SubdividedGraph, SequenceSubdivisionLabels, list[int]]:
+    """Sequence-subdivision of one.graph with a doubling sequence per group.
 
-
-def _z_block(offset: int) -> tuple[int, ...]:
-    return tuple(range(10 + offset, 14 + offset))
+    groups partitions the subdivided edges.  Within group j the edges take
+    1, 2, 4, ... in edge-rank order.  Each X, Y, Z third of a group-j edge
+    gets a fresh prefix of the anagram-free 4-symbol word over its own
+    4-colour block, 12j + 2..5, 6..9 or 10..13; black and white are shared.
+    """
+    # Ordering a group's edges by the global edge rank is the same as ranking
+    # the group's subgraph on its own: both order vertices black before
+    # white, then by id.
+    _rank, edge_rank = _sequence_ranks(one.graph, one.colour_class)
+    t = [0] * len(one.graph.edges)
+    for group in groups:
+        ordered = sorted(group, key=edge_rank.__getitem__)
+        for ei, term in zip(ordered, doubling_sequence(len(ordered))):
+            t[edge_rank[ei] - 1] = term
+    s, labels = build_sequence_subdivision(one.graph, one.colour_class, t)
+    colours = _original_colours(s, one)
+    for j, group in enumerate(groups):
+        for ei in group:
+            for q, third in enumerate(labels.thirds[ei]):
+                word = keranen_symbols(len(third))
+                for dv, sym in zip(third, word):
+                    colours[dv] = 12 * j + 4 * q + 2 + sym
+    return s, labels, colours
 
 
 def colour_14(g_prime: BaseGraph) -> SequenceConstruction:
@@ -178,19 +208,7 @@ def colour_14(g_prime: BaseGraph) -> SequenceConstruction:
     if not g_prime.edges:
         raise ValueError("need at least one edge")
     one = one_subdivision(g_prime)
-    m = len(one.graph.edges)
-    t = doubling_sequence(m)
-    s, labels = build_sequence_subdivision(one.graph, one.colour_class, t)
-
-    colours = [0] * s.vertex_count
-    for v in range(one.graph.vertex_count):
-        colours[v] = WHITE_COLOUR if one.colour_class[v] == 1 else BLACK_COLOUR
-    blocks = (_x_block(0), _y_block(0), _z_block(0))
-    for i in range(m):
-        for third, block in zip(labels.thirds[i], blocks):
-            word = keranen_symbols(len(third))
-            for dv, sym in zip(third, word):
-                colours[dv] = block[sym]
+    s, labels, colours = _doubling_colouring(one, [range(len(one.graph.edges))])
 
     e_src = len(g_prime.edges)
     cs = coloured_subdivision(
@@ -221,9 +239,7 @@ def colour_8(g_prime: BaseGraph) -> SequenceConstruction:
     t = density_sequence(m)
     s, labels = build_sequence_subdivision(one.graph, one.colour_class, t)
 
-    colours = [0] * s.vertex_count
-    for v in range(one.graph.vertex_count):
-        colours[v] = WHITE_COLOUR if one.colour_class[v] == 1 else BLACK_COLOUR
+    colours = _original_colours(s, one)
     for i in range(m):
         path = oriented_division_path(s, labels, i)
         ti = len(path) // 3
@@ -273,51 +289,8 @@ def colour_merged(g: BaseGraph, k: int) -> MergedConstruction:
         groups.append(tuple(range(at, at + size)))
         at += size
 
-    counts = [0] * len(one.graph.edges)
-    group_edge_indices = []
-    colour_jobs = []  # (group offset, edge ranks, sub-edge indices)
-    for j, group in enumerate(groups):
-        sub_edges = []
-        for i in group:
-            sub_edges.extend((2 * i, 2 * i + 1))
-        verts = sorted({w for ei in sub_edges for w in one.graph.edges[ei]})
-        blacks = [v for v in verts if one.colour_class[v] == 0]
-        whites = [v for v in verts if one.colour_class[v] == 1]
-        rank = {}
-        for r, v in enumerate(blacks, start=1):
-            rank[v] = r
-        for r, v in enumerate(whites, start=len(blacks) + 1):
-            rank[v] = r
-
-        def ends(ei):
-            a, b = one.graph.edges[ei]
-            return (a, b) if one.colour_class[a] == 1 else (b, a)  # (white, black)
-
-        order = sorted(sub_edges, key=lambda ei: (rank[ends(ei)[0]], rank[ends(ei)[1]]))
-        t = doubling_sequence(len(sub_edges))
-        edge_rank = {ei: r for r, ei in enumerate(order, start=1)}
-        for ei in sub_edges:
-            counts[ei] = 3 * t[edge_rank[ei] - 1]
-        colour_jobs.append((12 * j, edge_rank, sub_edges))
-        group_edge_indices.append(tuple(sub_edges))
-
-    s = subdivide(one.graph, counts)
-
-    colours = [0] * s.vertex_count
-    for v in range(one.graph.vertex_count):
-        colours[v] = WHITE_COLOUR if one.colour_class[v] == 1 else BLACK_COLOUR
-    for offset, edge_rank, sub_edges in colour_jobs:
-        blocks = (_x_block(offset), _y_block(offset), _z_block(offset))
-        for ei in sub_edges:
-            u, v = one.graph.edges[ei]
-            path = s.division_paths[ei]
-            oriented = path if one.colour_class[u] == 1 else path[::-1]
-            ti = len(oriented) // 3
-            thirds = (oriented[:ti], oriented[ti : 2 * ti], oriented[2 * ti :])
-            for third, block in zip(thirds, blocks):
-                word = keranen_symbols(len(third))
-                for dv, sym in zip(third, word):
-                    colours[dv] = block[sym]
+    group_edge_indices = tuple(tuple(e for i in group for e in (2 * i, 2 * i + 1)) for group in groups)
+    s, _labels, colours = _doubling_colouring(one, group_edge_indices)
 
     cs = coloured_subdivision(
         s,
@@ -329,4 +302,4 @@ def colour_merged(g: BaseGraph, k: int) -> MergedConstruction:
             "per_edge_division_bound": 3 * 4 ** (-(-m // k)),
         },
     )
-    return MergedConstruction(cs, tuple(groups), tuple(group_edge_indices), g, one)
+    return MergedConstruction(cs, tuple(groups), group_edge_indices, g, one)

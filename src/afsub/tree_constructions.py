@@ -220,9 +220,12 @@ def build_dary_tree_10(d: int, h: int) -> LabelledTreeSubdivision:
     return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_label[e] for e in edges), tree)
 
 
-def embed_by_child_order(t: RootedTree, host: RootedTree) -> dict[int, int]:
-    """Map t's vertices into host root-to-root, i-th child to i-th child."""
-    image = {t.root: host.root}
+def embed_by_child_order(t: RootedTree, host: RootedTree, at: Optional[int] = None) -> dict[int, int]:
+    """Map t's vertices into host, i-th child to i-th child.
+
+    t's root goes to host vertex at, which defaults to the host root.
+    """
+    image = {t.root: host.root if at is None else at}
     stack = [t.root]
     while stack:
         v = stack.pop()
@@ -347,7 +350,7 @@ def build_dary_banded(d: int, hprime: int, k: int) -> BandedConstruction:
         assert tree.depth[r] == i * band
         depth_index.append(i)
 
-    # per-component construction, mapped back by parallel traversal
+    # per-component construction, mapped back by child-order embedding
     counts = [0] * len(edges)
     edge_index = {e: i for i, e in enumerate(edges)}
     colour_of: dict[int, int] = {}
@@ -359,14 +362,7 @@ def build_dary_banded(d: int, hprime: int, k: int) -> BandedConstruction:
             colour_of[r] = offset
             continue
         local = build_dary_tree_10(d, hc)
-        mapping = {local.tree.root: r}
-        order = [local.tree.root]
-        for lv in order:
-            gv = mapping[lv]
-            for i, lc in enumerate(local.tree.children[lv]):
-                gc = tree.children[gv][i]
-                mapping[lc] = gc
-                order.append(lc)
+        mapping = embed_by_child_order(local.tree, tree, r)
         for lv, gv in mapping.items():
             colour_of[gv] = offset + local.coloured.colour[lv]
         local_edges = _tree_edges(local.tree)

@@ -2,11 +2,12 @@
 
 find_anagram exhaustively scans every even-order simple path of a coloured
 graph; every simple path is a contiguous window of some maximal simple
-path, so it enumerates maximal paths and slides rolling multiset-difference
-counters over their windows.  find_anagram_sampled trades certainty for
-scale.  check_restriction applies the colour-restriction operator as a
-refutation accelerator, and check_discriminating audits the four structural
-conditions that make a sequence-subdivision colouring anagram-free.
+path, so it enumerates maximal paths and tests each of their even windows
+with one exact prefix-count comparison (words.find_abelian_square).
+find_anagram_sampled trades certainty for scale.  check_restriction
+applies the colour-restriction operator as a refutation accelerator, and
+check_discriminating audits the four structural conditions that make a
+sequence-subdivision colouring anagram-free.
 """
 
 from __future__ import annotations
@@ -27,19 +28,33 @@ from .words import find_abelian_square
 
 DEFAULT_MAX_WINDOWS = 10_000_000
 
+# Most distinct sampled walks find_anagram_sampled remembers, to bound its
+# memory on long runs.
+SAMPLED_SEEN_CAP = 200_000
+
 Colourable = Union[ColouredSubdivision, ColouredGraph]
 
 
 class WindowCeilingExceeded(Exception):
-    """Raised when exhaustive verification would exceed the window ceiling."""
+    """Raised when exhaustive verification would exceed the window ceiling.
 
-    def __init__(self, windows: int, ceiling: int):
-        super().__init__(
-            f"verification needs more than {ceiling} path-windows "
-            f"(reached {windows}); raise the ceiling or use sampling"
-        )
+    The ceiling caps path-windows scanned and, separately, DFS steps of the
+    path enumeration; steps is set when the step cap is the one that
+    tripped, and windows always counts the path-windows scanned so far.
+    """
+
+    def __init__(self, windows: int, ceiling: int, steps: Optional[int] = None):
+        if steps is None:
+            tripped = f"{ceiling} path-windows (reached {windows})"
+        else:
+            tripped = (
+                f"{ceiling} path-enumeration DFS steps "
+                f"(reached {steps} after {windows} path-windows)"
+            )
+        super().__init__(f"verification needs more than {tripped}; raise the ceiling or use sampling")
         self.windows = windows
         self.ceiling = ceiling
+        self.steps = steps
 
 
 @dataclass(frozen=True)
@@ -103,8 +118,8 @@ def find_anagram(
 
     Maximal simple paths are scanned in canonical order and each one's even
     windows in (start, length) order, so the first counterexample found is
-    deterministic.  Refuses to scan past max_windows path-windows (DFS steps
-    count toward the same budget) unless force is set.
+    deterministic.  Refuses to scan past max_windows path-windows, or to take
+    more than max_windows DFS steps enumerating paths, unless force is set.
     """
     adj, colours = _view(c)
     budget = None if force else max_windows
@@ -127,7 +142,7 @@ def find_anagram(
                     "exhaustive",
                 )
     except StepBudgetExceeded as exc:
-        raise WindowCeilingExceeded(exc.steps, budget) from exc
+        raise WindowCeilingExceeded(windows, budget, steps=exc.steps) from exc
     return VerificationReport("anagram_free", None, paths_checked, "exhaustive")
 
 
@@ -174,6 +189,11 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     every window of the sampled one.  On max-degree-2 graphs the extension
     is the whole component line (or a full cycle rotation), computed
     directly.  Absence of a counterexample is NOT a certificate.
+
+    Once SAMPLED_SEEN_CAP distinct walks are remembered, later new walks are
+    no longer recorded, so a repeat of one of them is scanned again.  That
+    costs time only: the scan is deterministic, so the verdict and the
+    counterexample are unaffected.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -246,7 +266,7 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
         key = min(tup, tup[::-1])
         if key in seen:
             continue
-        if len(seen) < 200_000:
+        if len(seen) < SAMPLED_SEEN_CAP:
             seen.add(key)
         report = scan(path, sample)
         if report is not None:

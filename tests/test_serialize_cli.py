@@ -1,16 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
 from afsub.cli import main
-from afsub.graph_constructions import colour_14
+from afsub.graph_constructions import colour_8, colour_14, colour_merged
 from afsub.graph_model import (
+    complete_graph,
     coloured_subdivision,
     k_subdivision,
     path_graph,
 )
 from afsub.serialize import SchemaError, from_json_str, to_dot, to_json_str
-from afsub.tree_constructions import build_binary_tree_8
+from afsub.tree_constructions import build_binary_tree_8, build_dary_banded
 from afsub.graph_model import complete_dary_tree
 
 
@@ -55,6 +57,35 @@ class TestRoundtrip:
         data["base_edges"][0]["division"] = []
         with pytest.raises(SchemaError):
             from_json_str(json.dumps(data))
+
+
+class TestArtifactBytes:
+    """Canonical JSON of the constructions is pinned byte for byte.
+
+    The digests were recorded before the scanners and builders were folded
+    into one implementation each; a refactor that changes any artifact
+    fails here without a benchmark run.
+    """
+
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: colour_14(path_graph(2)).coloured,
+         "d955f318e767c3b2c69d412e14e06b1031b234ffb9918398c3b2b55ee7bfa6f5"),
+        (lambda: colour_14(complete_graph(3)).coloured,
+         "6201da05bc4c38df255997aef7b485436214486578d2166284986b94fe094411"),
+        (lambda: colour_merged(path_graph(3), 1).coloured,
+         "42ca9a61cc61d87f498f4b911bf4e44cee8f8cb75ebfa0a7066d4ff33d244dba"),
+        (lambda: colour_merged(path_graph(3), 2).coloured,
+         "3a7da959a3585c3f3be176e54cd51dfa0da2da830a6c1a253734a880e9bed6e6"),
+        (lambda: colour_8(path_graph(2)).coloured,
+         "7f7419dcd76e93eafe0e1ec79cfab63b17ef41d15aac3a003026ddb24e07ae23"),
+        (lambda: build_dary_banded(2, 4, 12).coloured,
+         "ad1d7437642742439e411e86218b6028d1066695e4050edb8e9896ad92a2e1fd"),
+        (lambda: build_binary_tree_8(complete_dary_tree(2, 3)).coloured,
+         "e2fac35ef87782f470e39d1e3d7d5b71166114294ac2ffe26572e712afe2a683"),
+    ], ids=["graph14-P2", "graph14-K3", "merged-P3-k1", "merged-P3-k2",
+            "graph8-P2", "dary-banded-2-4-12", "binary-tree-h3"])
+    def test_sha256(self, make, digest):
+        assert hashlib.sha256(to_json_str(make()).encode()).hexdigest() == digest
 
 
 class TestDot:
@@ -126,11 +157,12 @@ class TestCliConstructVerify:
         assert payload["outcome"] == "counterexample"
         assert payload["counterexample"]["vertices"] == [0, 1, 2, 3]
 
-    def test_ceiling_exit_3(self, tmp_path, monkeypatch):
+    def test_ceiling_exit_3(self, tmp_path, monkeypatch, capsys):
         from afsub import words
 
         good = alternating_path_file(tmp_path, tuple(words.keranen_symbols(40)))
         assert main(["verify", str(good), "--max-windows", "5"]) == 3
+        assert "more than 5 path-enumeration DFS steps" in capsys.readouterr().err
         monkeypatch.setenv("AFSUB_MAX_WINDOWS", "5")
         assert main(["verify", str(good)]) == 3
         monkeypatch.delenv("AFSUB_MAX_WINDOWS")

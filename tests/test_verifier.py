@@ -61,6 +61,22 @@ class TestFindAnagram:
             find_anagram(c, max_windows=10)
         assert find_anagram(c, max_windows=10, force=True).outcome == "anagram_free"
 
+    def test_ceiling_message_names_the_unit_that_tripped(self):
+        # a 60-vertex path takes 60 DFS steps before its one maximal path
+        # is counted, so a ceiling of 10 trips on steps
+        c = coloured_path(words.keranen_symbols(60))
+        with pytest.raises(WindowCeilingExceeded) as steps:
+            find_anagram(c, max_windows=10)
+        assert "11 after 0 path-windows" in str(steps.value)
+        assert "DFS steps" in str(steps.value)
+        assert (steps.value.windows, steps.value.ceiling, steps.value.steps) == (0, 10, 11)
+        # 8 vertices take 8 steps but 16 windows, so the window count trips
+        c = coloured_path(words.keranen_symbols(8))
+        with pytest.raises(WindowCeilingExceeded) as windows:
+            find_anagram(c, max_windows=10)
+        assert "more than 10 path-windows (reached 16)" in str(windows.value)
+        assert (windows.value.windows, windows.value.steps) == (16, None)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_naive_oracle(self, seed):
         c = seeded_instance(seed)

@@ -29,6 +29,16 @@ def naive_abelian_square(symbols):
     return None
 
 
+def naive_abelian_square_length_major(symbols):
+    """Reference oracle in (length, start) order: direct Counter comparison."""
+    n = len(symbols)
+    for L in range(1, n // 2 + 1):
+        for i in range(n - 2 * L + 1):
+            if Counter(symbols[i : i + L]) == Counter(symbols[i + L : i + 2 * L]):
+                return (i, 2 * L)
+    return None
+
+
 def naive_square(symbols):
     """Reference oracle: exhaustive factor scan."""
     n = len(symbols)
@@ -85,23 +95,47 @@ class TestFindAbelianSquare:
     def test_agrees_with_naive_oracle(self, symbols):
         assert find_abelian_square(symbols) == naive_abelian_square(symbols)
 
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    def test_length_major_agrees_with_naive_oracle(self, symbols):
+        assert find_abelian_square(symbols, length_major=True) == naive_abelian_square_length_major(symbols)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_vectorised_path_agrees_with_rolling(self, seed):
         # lengths beyond the dispatch threshold exercise the numpy scan
         rng = random.Random(seed)
         n = rng.randrange(300, 700)
         symbols = [rng.randrange(4) for _ in range(n)]
-        from afsub.words import _rolling_abelian_position_major, _vector_abelian
+        from afsub.words import _vector_abelian
 
-        assert _vector_abelian(symbols, False) == _rolling_abelian_position_major(symbols)
+        assert _vector_abelian(symbols, False) == naive_abelian_square(symbols)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_vectorised_length_major_agrees(self, seed):
         rng = random.Random(100 + seed)
         symbols = [rng.randrange(3) for _ in range(rng.randrange(280, 500))]
-        from afsub.words import _rolling_abelian_length_major, _vector_abelian
+        from afsub.words import _vector_abelian
 
-        assert _vector_abelian(symbols, True) == _rolling_abelian_length_major(symbols)
+        assert _vector_abelian(symbols, True) == naive_abelian_square_length_major(symbols)
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_both_orders_against_oracles_across_threshold(self, data):
+        # Keränen prefixes are anagram-free, so a few random edits leave the
+        # first hit anywhere in the word, on either side of the threshold.
+        # The 26-symbol words stay anagram-free before the edits: six
+        # consecutive blocks over disjoint 4-symbol ranges between two
+        # symbols that occur once.  Their packed digits reach (n+1)^25.
+        n = data.draw(st.sampled_from([words._VECTOR_THRESHOLD - 1, words._VECTOR_THRESHOLD, 300]))
+        alphabet = data.draw(st.sampled_from([4, 26]))
+        if alphabet == 4:
+            symbols = words.keranen_symbols(n)
+        else:
+            body = words.keranen_symbols(n - 2)
+            symbols = [24] + [sym + 4 * (6 * j // (n - 2)) for j, sym in enumerate(body)] + [25]
+        for _ in range(data.draw(st.integers(0, 3))):
+            symbols[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, alphabet - 1))
+        assert find_abelian_square(symbols) == naive_abelian_square(symbols)
+        assert find_abelian_square(symbols, length_major=True) == naive_abelian_square_length_major(symbols)
 
     def test_length_major_order(self):
         # (start, length) order picks (0, 4); (length, start) picks (1, 2)
@@ -130,9 +164,7 @@ class TestFindSquare:
     def test_vectorised_path(self, seed):
         rng = random.Random(200 + seed)
         symbols = tuple(rng.randrange(3) for _ in range(rng.randrange(300, 600)))
-        from afsub.words import _vector_square
-
-        assert _vector_square(symbols) == naive_square(symbols)
+        assert find_square(symbols) == naive_square(symbols)
 
 
 class TestThueWord:
