@@ -2,7 +2,8 @@
 """Build every construction at desk scale and verify each one.
 
 Prints a table of palette size, largest division count, and verification
-outcome.  Everything is deterministic; tweak the sizes below to explore.
+outcome, and exits 1 if any construction is refuted by a counterexample.
+Everything is deterministic; tweak the sizes below to explore.
 """
 
 import argparse
@@ -37,6 +38,7 @@ def main() -> int:
     header = f"{'construction':<28} {'vertices':>8} {'palette':>7} {'max div':>8} {'verified':<22} {'secs':>6}"
     print(header)
     print("-" * len(header))
+    refuted = False
     for name, cs, sample_budget in rows(args.seed):
         start = time.perf_counter()
         if sample_budget is not None:
@@ -47,12 +49,13 @@ def main() -> int:
                 outcome = find_anagram(cs, max_windows=args.max_windows).outcome
             except WindowCeilingExceeded:
                 outcome = "skipped (ceiling)"
+        refuted |= outcome.startswith("counterexample")
         elapsed = time.perf_counter() - start
         print(
             f"{name:<28} {cs.graph.vertex_count:>8} {len(cs.palette):>7} "
             f"{cs.max_division_count:>8} {outcome:<22} {elapsed:>6.2f}"
         )
-    return 0
+    return 1 if refuted else 0
 
 
 if __name__ == "__main__":

@@ -147,7 +147,13 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     output = opts.pop("output", None)
     max_windows = opts.pop("max_windows", None)
     if max_windows is None:
-        max_windows = int(os.environ.get("AFSUB_MAX_WINDOWS", DEFAULT_MAX_WINDOWS))
+        raw = os.environ.get("AFSUB_MAX_WINDOWS", str(DEFAULT_MAX_WINDOWS))
+        try:
+            max_windows = int(raw)
+        except ValueError:
+            raise UsageError(f"AFSUB_MAX_WINDOWS must be an integer, got {raw!r}") from None
+    if max_windows < 0:
+        raise UsageError(f"the window ceiling must be non-negative, got {max_windows}")
     return RunConfig(command, opts, seed, max_windows, output)
 
 
@@ -290,27 +296,27 @@ def _run_construct(config: RunConfig) -> int:
 def _run_verify(config: RunConfig) -> int:
     opts = config.options
     cs = _load_subdivision(opts["file"])
-    if opts["restrict"] is not None:
-        try:
-            keep = {int(tok) for tok in opts["restrict"].split(",") if tok.strip()}
-        except ValueError as exc:
-            raise UsageError(f"--restrict expects comma-separated ints: {exc}")
-        try:
-            report = check_restriction(cs, keep)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    elif opts["sample"] is not None:
-        if config.seed is None:
-            raise UsageError("--sample requires --seed for reproducibility")
-        if opts["sample"] < 1:
-            raise UsageError("--sample must be at least 1")
-        report = find_anagram_sampled(cs, opts["sample"], config.seed)
-    else:
-        try:
+    try:
+        if opts["restrict"] is not None:
+            try:
+                keep = {int(tok) for tok in opts["restrict"].split(",") if tok.strip()}
+            except ValueError as exc:
+                raise UsageError(f"--restrict expects comma-separated ints: {exc}")
+            try:
+                report = check_restriction(cs, keep, max_windows=config.max_windows)
+            except ValueError as exc:
+                raise UsageError(str(exc))
+        elif opts["sample"] is not None:
+            if config.seed is None:
+                raise UsageError("--sample requires --seed for reproducibility")
+            if opts["sample"] < 1:
+                raise UsageError("--sample must be at least 1")
+            report = find_anagram_sampled(cs, opts["sample"], config.seed)
+        else:
             report = find_anagram(cs, max_windows=config.max_windows)
-        except WindowCeilingExceeded as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_CEILING
+    except WindowCeilingExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CEILING
     _write(_report_json(report), config.output)
     return EXIT_OK if report.is_anagram_free else EXIT_COUNTEREXAMPLE
 

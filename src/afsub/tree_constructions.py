@@ -4,6 +4,12 @@ build_binary_tree_8: subdivides a binary tree so that a 2-label edge
 colouring plus one anagram-free 4-symbol word yields an 8-colour
 anagram-free colouring.  build_dary_tree_10 does the complete d-ary case
 with 10 colours via a red/green split of each edge's division path.
+Both builders only assign labels (binary: root 1, every other vertex its
+parent edge's sibling label 1 or 2; d-ary: originals black or white by
+depth parity, each division path red in its parent half and green in the
+rest) and share one kernel, _root_path_counts, which counts for every
+vertex the vertices of its label on its root path: a vertex of label L
+with count x is coloured (L, w_x), w the canonical anagram-free word.
 build_dary_banded trades division count against palette size by cutting the
 tree into height bands, and extend_plus_4 recolours any subdivision of an
 already anagram-free graph with four extra colours.
@@ -55,6 +61,23 @@ def _tree_edges(tree: RootedTree) -> list[tuple[int, int]]:
     return [(v, c) for v in range(tree.vertex_count) for c in tree.children[v]]
 
 
+def _root_path_counts(tree: RootedTree, s: SubdividedGraph, labels: Sequence) -> list[int]:
+    """For every vertex of the subdivision s of tree, how many vertices on
+    its root path, itself included, carry its label."""
+    edges = _tree_edges(tree)
+    counts = [0] * s.vertex_count
+    counts[tree.root] = 1
+    on_path = {tree.root: {labels[tree.root]: 1}}  # label counts down to each original
+    for i in sorted(range(len(edges)), key=lambda i: tree.depth[edges[i][0]]):
+        u, c = edges[i]
+        seen = dict(on_path[u])
+        for v in (*s.division_paths[i], c):
+            seen[labels[v]] = seen.get(labels[v], 0) + 1
+            counts[v] = seen[labels[v]]
+        on_path[c] = seen
+    return counts
+
+
 def build_binary_tree_8(tree: RootedTree) -> LabelledTreeSubdivision:
     """8-colour anagram-free subdivision of a binary tree.
 
@@ -73,55 +96,15 @@ def build_binary_tree_8(tree: RootedTree) -> LabelledTreeSubdivision:
         return _trivial_vertex(tree, "binary-tree-8")
 
     edges = _tree_edges(tree)
-    eidx = {e: i for i, e in enumerate(edges)}
-    edge_label = {}
-    for v in range(tree.vertex_count):
-        kids = tree.children[v]
-        for i, c in enumerate(kids):
-            edge_label[(v, c)] = i + 1 if len(kids) == 2 else 1
-
-    counts = [3 ** (h - tree.depth[u] - 1) - 1 for (u, _c) in edges]
-    base = tree_to_base_graph(tree)
-    s = subdivide(base, counts)
-
-    longest = max(
-        sum(counts[eidx[e]] + 1 for e in zip(tree.root_path(leaf), tree.root_path(leaf)[1:])) + 1
-        for leaf in tree.leaves()
-    )
-    word = keranen_symbols(longest)
-
-    n = s.vertex_count
-    labels: list = [None] * n
-    colours = [0] * n
-    labels[tree.root] = 1
-    colours[tree.root] = _enc8(1, word[0])
-
-    # depth-first walk of the subdivided tree carrying per-label counts
-    stack: list[tuple[int, int, int]] = [(tree.root, 1, 0)]  # (vertex, count_1, count_2)
-    while stack:
-        v, n1, n2 = stack.pop()
-        for child in tree.children[v]:
-            ei = eidx[(v, child)]
-            lab = edge_label[(v, child)]
-            c1, c2 = n1, n2
-            for dv in s.division_paths[ei]:
-                if lab == 1:
-                    c1 += 1
-                    x = c1
-                else:
-                    c2 += 1
-                    x = c2
-                labels[dv] = lab
-                colours[dv] = _enc8(lab, word[x - 1])
-            if lab == 1:
-                c1 += 1
-                x = c1
-            else:
-                c2 += 1
-                x = c2
-            labels[child] = lab
-            colours[child] = _enc8(lab, word[x - 1])
-            stack.append((child, c1, c2))
+    edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
+    s = subdivide(tree_to_base_graph(tree), [3 ** (h - tree.depth[u] - 1) - 1 for u, _c in edges])
+    labels = [1] * s.vertex_count
+    for (_u, c), lab, path in zip(edges, edge_labels, s.division_paths):
+        for v in (*path, c):
+            labels[v] = lab
+    counts = _root_path_counts(tree, s, labels)
+    word = keranen_symbols(max(counts))
+    colours = [_enc8(lab, word[x - 1]) for lab, x in zip(labels, counts)]
 
     cs = coloured_subdivision(
         s,
@@ -132,7 +115,7 @@ def build_binary_tree_8(tree: RootedTree) -> LabelledTreeSubdivision:
             "colour_legend": {str(_enc8(l, w)): [l, w + 1] for l in (1, 2) for w in range(4)},
         },
     )
-    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_label[e] for e in edges), tree)
+    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_labels), tree)
 
 
 def _enc8(label: int, symbol: int) -> int:
@@ -162,62 +145,30 @@ def build_dary_tree_10(d: int, h: int) -> LabelledTreeSubdivision:
         return _trivial_vertex(tree, "dary-tree-10", d=d)
 
     edges = _tree_edges(tree)
-    eidx = {e: i for i, e in enumerate(edges)}
-    edge_label = {}
-    for v in range(tree.vertex_count):
-        for i, c in enumerate(tree.children[v]):
-            edge_label[(v, c)] = i + 1
-
-    counts = [2 * subdivision_step(d, h - tree.depth[u], edge_label[(u, c)]) for (u, c) in edges]
-    base = tree_to_base_graph(tree)
-    s = subdivide(base, counts)
-
-    longest = (d + 1) ** h  # red vertices on a root-leaf path cannot exceed this
-    word = keranen_symbols(longest)
-
-    n = s.vertex_count
-    labels: list = [None] * n
-    colours = [0] * n
-
-    def original_colour(v: int) -> tuple[str, int]:
-        side = WHITE if tree.depth[v] % 2 == 0 else BLACK
-        return side, (1 if side == WHITE else 0)
-
-    lab, col = original_colour(tree.root)
-    labels[tree.root] = lab
-    colours[tree.root] = col
-
-    stack: list[tuple[int, int, int]] = [(tree.root, 0, 0)]  # (vertex, red_count, green_count)
-    while stack:
-        v, nr, ng = stack.pop()
-        for child in tree.children[v]:
-            ei = eidx[(v, child)]
-            path = s.division_paths[ei]
-            t = len(path) // 2
-            r, g = nr, ng
-            for j, dv in enumerate(path):
-                if j < t:
-                    r += 1
-                    labels[dv] = RED
-                    colours[dv] = 2 + word[r - 1]
-                else:
-                    g += 1
-                    labels[dv] = GREEN
-                    colours[dv] = 6 + word[g - 1]
-            lab, col = original_colour(child)
-            labels[child] = lab
-            colours[child] = col
-            stack.append((child, r, g))
+    edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
+    divisions = [2 * subdivision_step(d, h - tree.depth[u], y) for (u, _c), y in zip(edges, edge_labels)]
+    s = subdivide(tree_to_base_graph(tree), divisions)
+    labels = [WHITE if depth % 2 == 0 else BLACK for depth in tree.depth]
+    for path in s.division_paths:  # division ids follow the originals, edge by edge
+        half = len(path) // 2
+        labels += [RED] * half + [GREEN] * (len(path) - half)
+    counts = _root_path_counts(tree, s, labels)
+    word = keranen_symbols(max(counts))
+    # the black and white counts are never read: originals keep their side
+    offset = {RED: 2, GREEN: 6}
+    colours = [
+        offset[lab] + word[x - 1] if lab in offset else int(lab == WHITE)
+        for lab, x in zip(labels, counts)
+    ]
 
     legend = {"0": [BLACK], "1": [WHITE]}
-    legend.update({str(2 + w): [RED, w + 1] for w in range(4)})
-    legend.update({str(6 + w): [GREEN, w + 1] for w in range(4)})
+    legend.update({str(offset[lab] + w): [lab, w + 1] for lab in (RED, GREEN) for w in range(4)})
     cs = coloured_subdivision(
         s,
         colours,
         {"construction": "dary-tree-10", "d": d, "height": h, "colour_legend": legend},
     )
-    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_label[e] for e in edges), tree)
+    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_labels), tree)
 
 
 def embed_by_child_order(t: RootedTree, host: RootedTree, at: Optional[int] = None) -> dict[int, int]:

@@ -5,7 +5,8 @@ graph; every simple path is a contiguous window of some maximal simple
 path, so it enumerates maximal paths and tests each of their even windows
 with one exact prefix-count comparison (words.find_abelian_square).
 find_anagram_sampled trades certainty for scale.  check_restriction
-applies the colour-restriction operator as a refutation accelerator, and
+applies the colour-restriction operator as a refutation accelerator, over
+the same maximal-path loop and window ceiling as find_anagram, and
 check_discriminating audits the four structural conditions that make a
 sequence-subdivision colouring anagram-free.
 """
@@ -108,6 +109,40 @@ def _window_count(length: int) -> int:
     return half * (length - half)
 
 
+def _scan_maximal_paths(
+    c: Colourable, budget: Optional[int], keep: Optional[set[int]], mode: str
+) -> VerificationReport:
+    """Scan each maximal simple path's colour word, in canonical path order.
+
+    With keep set, a path is first cut down to its keep-coloured vertices.
+    budget caps the windows of the scanned words and the DFS steps of the
+    path enumeration; None lifts both caps.
+    """
+    colours = _view(c)[1]
+    windows = 0
+    paths_checked = 0
+    try:
+        for path in enumerate_maximal_simple_paths(c.graph, step_budget=budget):
+            if keep is not None:
+                path = [v for v in path if colours[v] in keep]
+            windows += _window_count(len(path))
+            if budget is not None and windows > budget:
+                raise WindowCeilingExceeded(windows, budget)
+            paths_checked += 1
+            hit = find_abelian_square([colours[v] for v in path])
+            if hit is not None:
+                start, length = hit
+                return VerificationReport(
+                    "counterexample",
+                    _make_counterexample(path, colours, start, length),
+                    paths_checked,
+                    mode,
+                )
+    except StepBudgetExceeded as exc:
+        raise WindowCeilingExceeded(windows, budget, steps=exc.steps) from exc
+    return VerificationReport("anagram_free", None, paths_checked, mode)
+
+
 def find_anagram(
     c: Colourable,
     *,
@@ -121,29 +156,7 @@ def find_anagram(
     deterministic.  Refuses to scan past max_windows path-windows, or to take
     more than max_windows DFS steps enumerating paths, unless force is set.
     """
-    adj, colours = _view(c)
-    budget = None if force else max_windows
-    windows = 0
-    paths_checked = 0
-    try:
-        for path in enumerate_maximal_simple_paths(c.graph, step_budget=budget):
-            windows += _window_count(len(path))
-            if budget is not None and windows > budget:
-                raise WindowCeilingExceeded(windows, budget)
-            paths_checked += 1
-            seq = [colours[v] for v in path]
-            hit = find_abelian_square(seq)
-            if hit is not None:
-                start, length = hit
-                return VerificationReport(
-                    "counterexample",
-                    _make_counterexample(path, colours, start, length),
-                    paths_checked,
-                    "exhaustive",
-                )
-    except StepBudgetExceeded as exc:
-        raise WindowCeilingExceeded(windows, budget, steps=exc.steps) from exc
-    return VerificationReport("anagram_free", None, paths_checked, "exhaustive")
+    return _scan_maximal_paths(c, None if force else max_windows, None, "exhaustive")
 
 
 def _trace_degree2_components(adj) -> tuple[list[int], list[tuple[str, list[int]]]]:
@@ -274,7 +287,9 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     return VerificationReport("anagram_free", None, budget, mode)
 
 
-def check_restriction(c: Colourable, keep: Iterable[int]) -> VerificationReport:
+def check_restriction(
+    c: Colourable, keep: Iterable[int], *, max_windows: int = DEFAULT_MAX_WINDOWS
+) -> VerificationReport:
     """Scan the keep-colour restriction of every maximal path for anagrams.
 
     A window of a path restricts to a window of the path's restricted word,
@@ -282,28 +297,15 @@ def check_restriction(c: Colourable, keep: Iterable[int]) -> VerificationReport:
     a non-empty restriction is an anagram (restriction of an anagram is an
     anagram or empty).  A reported counterexample is an anagram of the
     restricted word: its vertices need not be contiguous in c, so it is
-    evidence, not a certified anagram of c.
+    evidence, not a certified anagram of c.  Refuses to scan past
+    max_windows windows of the restricted words, or to take more than
+    max_windows DFS steps enumerating paths.
     """
     keep_set = set(keep)
     extra = keep_set - _palette(c)
     if extra:
         raise ValueError(f"keep-colours {sorted(extra)} not in palette")
-    adj, colours = _view(c)
-    paths_checked = 0
-    mode = f"restricted(keep={sorted(keep_set)})"
-    for path in enumerate_maximal_simple_paths(c.graph):
-        paths_checked += 1
-        kept_vertices = [v for v in path if colours[v] in keep_set]
-        hit = find_abelian_square([colours[v] for v in kept_vertices])
-        if hit is not None:
-            start, length = hit
-            return VerificationReport(
-                "counterexample",
-                _make_counterexample(kept_vertices, colours, start, length),
-                paths_checked,
-                mode,
-            )
-    return VerificationReport("anagram_free", None, paths_checked, mode)
+    return _scan_maximal_paths(c, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
 
 
 def naive_find_anagram(c: Colourable) -> VerificationReport:

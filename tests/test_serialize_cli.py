@@ -12,8 +12,13 @@ from afsub.graph_model import (
     path_graph,
 )
 from afsub.serialize import SchemaError, from_json_str, to_dot, to_json_str
-from afsub.tree_constructions import build_binary_tree_8, build_dary_banded
-from afsub.graph_model import complete_dary_tree
+from afsub.tree_constructions import (
+    build_binary_tree_8,
+    build_dary_banded,
+    build_dary_tree_10,
+    prune_to_subtree,
+)
+from afsub.graph_model import complete_dary_tree, random_binary_tree
 
 
 def alternating_path_file(tmp_path, colours):
@@ -82,8 +87,17 @@ class TestArtifactBytes:
          "ad1d7437642742439e411e86218b6028d1066695e4050edb8e9896ad92a2e1fd"),
         (lambda: build_binary_tree_8(complete_dary_tree(2, 3)).coloured,
          "e2fac35ef87782f470e39d1e3d7d5b71166114294ac2ffe26572e712afe2a683"),
+        (lambda: build_dary_tree_10(2, 4).coloured,
+         "4e1a92ee44003bc99c1b0f5618e63182023d816e9b1c0b068f5acceb82f461a8"),
+        (lambda: build_dary_tree_10(3, 3).coloured,
+         "07bb17fdecc966c68bc394a6355e195ed0975efeec6847c2788d9b37fc8483c8"),
+        (lambda: build_binary_tree_8(random_binary_tree(5, 7)).coloured,
+         "9b6fba2cdfdec0506f35725cf958761ff95abd0f96cd4d83b9a7f5dd0a828703"),
+        (lambda: prune_to_subtree(build_dary_tree_10(3, 2), complete_dary_tree(2, 2)).coloured,
+         "aacf25e5c2481c2328dff73a3b5e37f18b6a64d72d399c8185d08a3e4e4035eb"),
     ], ids=["graph14-P2", "graph14-K3", "merged-P3-k1", "merged-P3-k2",
-            "graph8-P2", "dary-banded-2-4-12", "binary-tree-h3"])
+            "graph8-P2", "dary-banded-2-4-12", "binary-tree-h3",
+            "dary-2-4", "dary-3-3", "random-binary-h5-seed7", "dary-3-2-pruned-to-binary-h2"])
     def test_sha256(self, make, digest):
         assert hashlib.sha256(to_json_str(make()).encode()).hexdigest() == digest
 
@@ -177,6 +191,32 @@ class TestCliConstructVerify:
         bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
         assert main(["verify", str(bad), "--restrict", "1"]) == 2
         assert main(["verify", str(bad), "--restrict", ""]) == 0
+
+    def test_restrict_honours_the_ceiling(self, tmp_path, monkeypatch, capsys):
+        from afsub import words
+
+        good = alternating_path_file(tmp_path, tuple(words.keranen_symbols(60)))
+        assert main(["verify", str(good), "--restrict", "0,1,2,3", "--max-windows", "10"]) == 3
+        assert "raise the ceiling" in capsys.readouterr().err
+        monkeypatch.setenv("AFSUB_MAX_WINDOWS", "10")
+        assert main(["verify", str(good), "--restrict", "0,1,2,3"]) == 3
+        monkeypatch.delenv("AFSUB_MAX_WINDOWS")
+        assert main(["verify", str(good), "--restrict", "0,1,2,3"]) == 0
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "", "-1"])
+    def test_malformed_ceiling_in_environment_exit_64(self, tmp_path, monkeypatch, capsys, raw):
+        good = alternating_path_file(tmp_path, (1, 2, 3))
+        monkeypatch.setenv("AFSUB_MAX_WINDOWS", raw)
+        assert main(["verify", str(good)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    def test_malformed_ceiling_flag_exit_64(self, tmp_path, capsys, raw):
+        good = alternating_path_file(tmp_path, (1, 2, 3))
+        assert main(["verify", str(good), "--max-windows", raw]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
 
     def test_malformed_file_exit_65(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -54,10 +54,15 @@ class TestBinaryTree8:
         assert len(lab.coloured.palette) <= 8
         assert find_anagram(lab.coloured).outcome == "anagram_free"
 
-    def test_label_restriction_is_keranen_prefix(self):
+    @pytest.mark.parametrize(
+        "tree",
+        [complete_dary_tree(2, 3)] + [random_binary_tree(5, seed) for seed in range(10)],
+        ids=["complete-h3"] + [f"seed{seed}" for seed in range(10)],
+    )
+    def test_label_restriction_is_keranen_prefix(self, tree):
         # along a root-to-leaf path, the vertices of one label spell a prefix
         # of the anagram-free word in their colour's second component
-        lab = build_binary_tree_8(complete_dary_tree(2, 3))
+        lab = build_binary_tree_8(tree)
         cs = lab.coloured
         edges = tree_edges(lab.tree)
         eidx = {e: i for i, e in enumerate(edges)}
@@ -128,8 +133,9 @@ class TestDaryTree10:
             assert len(reds) == len(greens) == len(path) // 2
             assert reds == list(path[: len(path) // 2])  # red half nearer the parent
 
-    def test_red_depth_increments_along_root_paths(self):
-        lab = build_dary_tree_10(2, 2)
+    @pytest.mark.parametrize("d,h", [(2, 2), (2, 4), (3, 3), (4, 2)])
+    def test_red_depth_increments_along_root_paths(self, d, h):
+        lab = build_dary_tree_10(d, h)
         cs = lab.coloured
         # red colours are 2..5 encoding word symbols; walking any root-leaf
         # path, the red subsequence must spell a prefix of the word

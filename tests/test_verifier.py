@@ -163,6 +163,19 @@ class TestCheckRestriction:
         with pytest.raises(ValueError):
             check_restriction(coloured_path([1, 2]), {9})
 
+    def test_window_ceiling(self):
+        c = coloured_path(words.keranen_symbols(60))
+        with pytest.raises(WindowCeilingExceeded):
+            check_restriction(c, {0, 1, 2, 3}, max_windows=10)
+        # windows are counted on the restricted word: all 8 vertices of
+        # 0120 2321 give 16 windows, the three 2s only 2
+        c = coloured_path(words.keranen_symbols(8))
+        with pytest.raises(WindowCeilingExceeded) as full:
+            check_restriction(c, {0, 1, 2, 3}, max_windows=10)
+        assert (full.value.windows, full.value.steps) == (16, None)
+        report = check_restriction(c, {2}, max_windows=10)
+        assert report.counterexample.vertices == (2, 4)
+
     def test_full_palette_restriction_certifies(self):
         sym = words.keranen_symbols(40)
         report = check_restriction(coloured_path(sym), {0, 1, 2, 3})
