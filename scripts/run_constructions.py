@@ -11,22 +11,23 @@ import sys
 import time
 
 from afsub.graph_constructions import colour_14, colour_8, colour_merged
-from afsub.graph_model import complete_dary_tree, complete_graph, path_graph, random_binary_tree
+from afsub.graph_model import complete_dary_tree, complete_graph, cycle_graph, path_graph, random_binary_tree
 from afsub.tree_constructions import build_binary_tree_8, build_dary_banded, build_dary_tree_10
-from afsub.verifier import WindowCeilingExceeded, find_anagram, find_anagram_sampled
+from afsub.verifier import WindowCeilingExceeded, find_anagram
 
 
 def rows(seed: int):
-    yield "binary-tree h=3", build_binary_tree_8(complete_dary_tree(2, 3)).coloured, None
-    yield "binary-tree h=4", build_binary_tree_8(complete_dary_tree(2, 4)).coloured, None
-    yield f"random binary seed={seed}", build_binary_tree_8(random_binary_tree(4, seed)).coloured, None
-    yield "dary d=2 h=3", build_dary_tree_10(2, 3).coloured, None
-    yield "dary d=3 h=2", build_dary_tree_10(3, 2).coloured, None
-    yield "dary-banded d=2 h'=4 k=12", build_dary_banded(2, 4, 12).coloured, None
-    yield "graph14 K_2", colour_14(path_graph(2)).coloured, None
-    yield "graph14 K_3", colour_14(complete_graph(3)).coloured, 100_000
-    yield "graph8 K_2", colour_8(path_graph(2)).coloured, None
-    yield "graph-merged P_3 k=2", colour_merged(path_graph(3), 2).coloured, None
+    yield "binary-tree h=3", build_binary_tree_8(complete_dary_tree(2, 3)).coloured
+    yield "binary-tree h=4", build_binary_tree_8(complete_dary_tree(2, 4)).coloured
+    yield f"random binary seed={seed}", build_binary_tree_8(random_binary_tree(4, seed)).coloured
+    yield "dary d=2 h=3", build_dary_tree_10(2, 3).coloured
+    yield "dary d=3 h=2", build_dary_tree_10(3, 2).coloured
+    yield "dary-banded d=2 h'=4 k=12", build_dary_banded(2, 4, 12).coloured
+    yield "graph14 K_2", colour_14(path_graph(2)).coloured
+    yield "graph14 K_3", colour_14(complete_graph(3)).coloured
+    yield "graph14 C_4", colour_14(cycle_graph(4)).coloured
+    yield "graph8 K_2", colour_8(path_graph(2)).coloured
+    yield "graph-merged P_3 k=2", colour_merged(path_graph(3), 2).coloured
 
 
 def main() -> int:
@@ -39,16 +40,12 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     refuted = False
-    for name, cs, sample_budget in rows(args.seed):
+    for name, cs in rows(args.seed):
         start = time.perf_counter()
-        if sample_budget is not None:
-            outcome = find_anagram_sampled(cs, sample_budget, args.seed).outcome
-            outcome += f" (sampled {sample_budget})"
-        else:
-            try:
-                outcome = find_anagram(cs, max_windows=args.max_windows).outcome
-            except WindowCeilingExceeded:
-                outcome = "skipped (ceiling)"
+        try:
+            outcome = find_anagram(cs, max_windows=args.max_windows).outcome
+        except WindowCeilingExceeded:
+            outcome = "skipped (ceiling)"
         refuted |= outcome.startswith("counterexample")
         elapsed = time.perf_counter() - start
         print(

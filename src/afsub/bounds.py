@@ -81,13 +81,6 @@ def multiset_count(k: int, c: int) -> int:
     return math.comb(k + c, c)
 
 
-def multiset_count_by_summation(k: int, c: int) -> int:
-    """Independent summation form: sum over i <= k of C(i + c - 1, c - 1)."""
-    if k < 0 or c < 1:
-        raise ValueError("need k >= 0 and c >= 1")
-    return sum(math.comb(i + c - 1, c - 1) for i in range(k + 1))
-
-
 def _division_multiset_key(colours: Sequence[int], path: Sequence[int]) -> tuple:
     return tuple(sorted(Counter(colours[v] for v in path).items()))
 

@@ -260,24 +260,6 @@ def k_subdivision(g: BaseGraph, k: int) -> SubdividedGraph:
     return subdivide(g, [k] * len(g.edges))
 
 
-def contracted(s: SubdividedGraph) -> BaseGraph:
-    """Recover the base graph from the flat adjacency by contracting the
-    degree-2 division chains.  Used to cross-check subdivide."""
-    adj = s.adjacency
-    n0 = s.base.vertex_count
-    edges = set()
-    for u in range(n0):
-        for first in adj[u]:
-            prev, cur = u, first
-            while cur >= n0:
-                nxt = [w for w in adj[cur] if w != prev]
-                if len(nxt) != 1:
-                    raise ValueError(f"division vertex {cur} does not have degree 2")
-                prev, cur = cur, nxt[0]
-            edges.add((min(u, cur), max(u, cur)))
-    return BaseGraph(n0, tuple(sorted(edges)))
-
-
 @dataclass(frozen=True)
 class ColouredGraph:
     """A base graph with a total vertex colouring."""
@@ -343,37 +325,6 @@ def _adjacency_of(g) -> tuple[tuple[int, ...], ...]:
     if isinstance(g, SubdividedGraph):
         return g.adjacency
     raise TypeError(f"expected BaseGraph or SubdividedGraph, got {type(g)!r}")
-
-
-def enumerate_simple_paths(g) -> Iterator[tuple[int, ...]]:
-    """Every simple path with >= 1 vertex, once up to reversal, ordered
-    lexicographically by (first endpoint, last endpoint, full sequence).
-
-    Exponential in general; intended for test-scale graphs.
-    """
-    adj = _adjacency_of(g)
-    n = len(adj)
-    out: list[tuple[int, ...]] = [(v,) for v in range(n)]
-    path: list[int] = []
-    on_path = [False] * n
-
-    def dfs(v: int) -> None:
-        path.append(v)
-        on_path[v] = True
-        if len(path) >= 2:
-            tup = tuple(path)
-            if tup <= tup[::-1]:
-                out.append(tup)
-        for w in adj[v]:
-            if not on_path[w]:
-                dfs(w)
-        on_path[v] = False
-        path.pop()
-
-    for start in range(n):
-        dfs(start)
-    out.sort(key=lambda p: (p[0], p[-1], p))
-    return iter(out)
 
 
 def _is_forest(adj) -> bool:

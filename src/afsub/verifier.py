@@ -1,12 +1,15 @@
 """Ground-truth oracles for anagram-free colourings.
 
 find_anagram exhaustively scans every even-order simple path of a coloured
-graph; every simple path is a contiguous window of some maximal simple
-path, so it enumerates maximal paths and tests each of their even windows
-with one exact prefix-count comparison (words.find_abelian_square).
-find_anagram_sampled trades certainty for scale.  check_restriction
-applies the colour-restriction operator as a refutation accelerator, over
-the same maximal-path loop and window ceiling as find_anagram, and
+graph with one loop: every simple path is a contiguous window of some
+maximal simple path, so it enumerates maximal paths and tests each of their
+even windows with one exact prefix-count comparison
+(words.find_abelian_square).  On a graph of maximum degree 2 the loop reads
+one word per component instead, and a cycle's word is scanned cyclically
+with windows capped at the cycle's length.  find_anagram_sampled trades
+certainty for scale, and hands max-degree-2 graphs to that exhaustive scan.
+check_restriction applies the colour-restriction operator as a refutation
+accelerator, over the same loop and window ceiling as find_anagram, and
 check_discriminating audits the four structural conditions that make a
 sequence-subdivision colouring anagram-free.
 """
@@ -40,8 +43,9 @@ class WindowCeilingExceeded(Exception):
     """Raised when exhaustive verification would exceed the window ceiling.
 
     The ceiling caps path-windows scanned and, separately, DFS steps of the
-    path enumeration; steps is set when the step cap is the one that
-    tripped, and windows always counts the path-windows scanned so far.
+    path enumeration, which is used only off max degree 2; steps is set
+    when the step cap is the one that tripped, and windows always counts
+    the path-windows scanned so far.
     """
 
     def __init__(self, windows: int, ceiling: int, steps: Optional[int] = None):
@@ -104,32 +108,72 @@ def _make_counterexample(path: Sequence[int], colours: Sequence[int], start: int
     return Counterexample(vertices, length // 2, tuple(sorted(half.items())))
 
 
-def _window_count(length: int) -> int:
-    half = length // 2
+def _window_count(length: int, max_length: Optional[int] = None) -> int:
+    half = (length if max_length is None else min(length, max_length)) // 2
     return half * (length - half)
+
+
+def _trace_degree2_components(adj) -> list[tuple[list[int], bool]]:
+    """Components of a max-degree-2 graph as (vertex order, is_cycle).
+
+    A path component is read from its smaller endpoint, a cycle from its
+    smallest id toward that vertex's smaller neighbour.  Components are
+    ordered by the first vertex of their order.
+    """
+    seen = [False] * len(adj)
+    comps: list[tuple[list[int], bool]] = []
+    for v in range(len(adj)):
+        if seen[v]:
+            continue
+        seen[v] = True
+        members = [v]
+        for u in members:  # the list grows as the component is found
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    members.append(w)
+        ends = [u for u in members if len(adj[u]) <= 1]
+        order = [min(ends) if ends else v]  # v is a cycle's smallest id
+        while len(order) < len(members):
+            prev = order[-2] if len(order) > 1 else None
+            order.append(min(w for w in adj[order[-1]] if w != prev))
+        comps.append((order, not ends))
+    comps.sort(key=lambda comp: comp[0][0])
+    return comps
 
 
 def _scan_maximal_paths(
     c: Colourable, budget: Optional[int], keep: Optional[set[int]], mode: str
 ) -> VerificationReport:
-    """Scan each maximal simple path's colour word, in canonical path order.
+    """Scan the colour word of every maximal simple path, in canonical order.
 
-    With keep set, a path is first cut down to its keep-coloured vertices.
-    budget caps the windows of the scanned words and the DFS steps of the
-    path enumeration; None lifts both caps.
+    On a graph of maximum degree 2 the words are its components instead: a
+    path component's line, and a cycle of m vertices read as order +
+    order[:-1] with windows capped at length m.  Each such window is a
+    simple path and every simple path of the cycle is one of them.
+    With keep set, a path or cycle is first cut down to its keep-coloured
+    vertices.  budget caps the windows of the scanned words and, off max
+    degree 2, the DFS steps of the path enumeration; None lifts both caps.
     """
-    colours = _view(c)[1]
+    adj, colours = _view(c)
+    if all(len(ns) <= 2 for ns in adj):
+        paths: Iterable = _trace_degree2_components(adj)
+    else:
+        paths = ((p, False) for p in enumerate_maximal_simple_paths(c.graph, step_budget=budget))
     windows = 0
     paths_checked = 0
     try:
-        for path in enumerate_maximal_simple_paths(c.graph, step_budget=budget):
+        for path, cyclic in paths:
             if keep is not None:
                 path = [v for v in path if colours[v] in keep]
-            windows += _window_count(len(path))
+            cap = len(path) if cyclic else None
+            if cyclic:
+                path = path + path[:-1]
+            windows += _window_count(len(path), cap)
             if budget is not None and windows > budget:
                 raise WindowCeilingExceeded(windows, budget)
             paths_checked += 1
-            hit = find_abelian_square([colours[v] for v in path])
+            hit = find_abelian_square([colours[v] for v in path], max_length=cap)
             if hit is not None:
                 start, length = hit
                 return VerificationReport(
@@ -153,43 +197,16 @@ def find_anagram(
 
     Maximal simple paths are scanned in canonical order and each one's even
     windows in (start, length) order, so the first counterexample found is
-    deterministic.  Refuses to scan past max_windows path-windows, or to take
-    more than max_windows DFS steps enumerating paths, unless force is set.
+    deterministic.  On a graph of maximum degree 2 the components are
+    scanned in order of the first vertex of their words: a path from its
+    smaller endpoint, so path forests give the same counterexample as the
+    maximal-path scan; a cycle of m vertices from its smallest id toward
+    that vertex's smaller neighbour, its windows (start, length) over
+    order + order[:-1] with length at most m.  Refuses to scan past
+    max_windows path-windows, or (off max degree 2) to take more than
+    max_windows DFS steps enumerating paths, unless force is set.
     """
     return _scan_maximal_paths(c, None if force else max_windows, None, "exhaustive")
-
-
-def _trace_degree2_components(adj) -> tuple[list[int], list[tuple[str, list[int]]]]:
-    """Decompose a max-degree-2 graph into ordered path/cycle components."""
-    n = len(adj)
-    comp_of = [-1] * n
-    comps: list[tuple[str, list[int]]] = []
-    for v in range(n):
-        if comp_of[v] != -1:
-            continue
-        members = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in members:
-                    members.add(w)
-                    queue.append(w)
-        ends = sorted(u for u in members if len(adj[u]) <= 1)
-        if ends:  # path component: walk from the smallest endpoint
-            order = [ends[0]]
-        else:  # cycle: start at the smallest id, toward its smaller neighbour
-            start = min(members)
-            order = [start, min(adj[start])]
-        while len(order) < len(members):
-            prev = order[-2] if len(order) >= 2 else None
-            nxt = [w for w in adj[order[-1]] if w != prev]
-            order.append(nxt[0])
-        idx = len(comps)
-        comps.append(("path" if ends else "cycle", order))
-        for u in members:
-            comp_of[u] = idx
-    return comp_of, comps
 
 
 def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationReport:
@@ -199,9 +216,12 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     unvisited-neighbour steps until stuck, extends it backwards while the
     extension is forced, and scans all even windows of the result (shortest
     first), skipping extensions already scanned.  The scanned path covers
-    every window of the sampled one.  On max-degree-2 graphs the extension
-    is the whole component line (or a full cycle rotation), computed
-    directly.  Absence of a counterexample is NOT a certificate.
+    every window of the sampled one.  Absence of a counterexample is NOT a
+    certificate.
+
+    On a graph of maximum degree 2 the exhaustive scan of find_anagram costs
+    less than about three sampled walks, so it runs instead, without a
+    ceiling, and the mode ends in ":exhaustive"; that verdict is exhaustive.
 
     Once SAMPLED_SEEN_CAP distinct walks are remembered, later new walks are
     no longer recorded, so a repeat of one of them is scanned again.  That
@@ -213,17 +233,10 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     adj, colours = _view(c)
     n = len(adj)
     mode = f"sampled(budget={budget},seed={seed})"
-    if n == 0:
-        return VerificationReport("anagram_free", None, 0, mode)
+    if all(len(ns) <= 2 for ns in adj):
+        return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
     rng = random.Random(seed)
     seen: set = set()
-    degree2 = all(len(ns) <= 2 for ns in adj)
-    if degree2:
-        comp_of, comps = _trace_degree2_components(adj)
-        pos_in_comp = {}
-        for ci, (_kind, order) in enumerate(comps):
-            for i, v in enumerate(order):
-                pos_in_comp[v] = i
 
     def scan(path: Sequence[int], sample: int) -> Optional[VerificationReport]:
         hit = find_abelian_square([colours[v] for v in path], length_major=True)
@@ -236,30 +249,6 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
 
     for sample in range(budget):
         start = rng.randrange(n)
-        if degree2:
-            kind, order = comps[comp_of[start]]
-            if kind == "path":
-                key = ("p", comp_of[start])
-                if key in seen:
-                    continue
-                seen.add(key)
-                report = scan(order, sample)
-            else:
-                direction = rng.choice((0, 1))
-                i = pos_in_comp[start]
-                m = len(order)
-                # the reverse of the clockwise rotation at i is the
-                # counter-clockwise one at i-1, so index the former
-                key = ("c", comp_of[start], i if direction == 0 else (i + 1) % m)
-                if key in seen:
-                    continue
-                seen.add(key)
-                j = key[2]
-                rotation = order[j:] + order[:j]
-                report = scan(rotation, sample)
-            if report is not None:
-                return report
-            continue
         path = [start]
         visited = {start}
         while True:
@@ -297,9 +286,11 @@ def check_restriction(
     a non-empty restriction is an anagram (restriction of an anagram is an
     anagram or empty).  A reported counterexample is an anagram of the
     restricted word: its vertices need not be contiguous in c, so it is
-    evidence, not a certified anagram of c.  Refuses to scan past
-    max_windows windows of the restricted words, or to take more than
-    max_windows DFS steps enumerating paths.
+    evidence, not a certified anagram of c.  On a graph of maximum degree 2
+    each component is restricted and scanned as find_anagram scans it.
+    Refuses to scan past max_windows windows of the restricted words, or
+    (off max degree 2) to take more than max_windows DFS steps enumerating
+    paths.
     """
     keep_set = set(keep)
     extra = keep_set - _palette(c)

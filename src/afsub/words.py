@@ -86,8 +86,16 @@ def is_anagram(w: WordLike) -> bool:
     return Counter(s[:h]) == Counter(s[h:])
 
 
-def _packed_abelian(s: Sequence[int], length_major: bool) -> Optional[tuple[int, int]]:
-    """First abelian-square window in the given scan order, pure Python.
+def _max_half(n: int, max_length: Optional[int]) -> int:
+    """Largest half-length of an even window of n symbols within max_length."""
+    return (n if max_length is None else min(n, max_length)) // 2
+
+
+def _packed_abelian(
+    s: Sequence[int], length_major: bool, max_length: Optional[int] = None
+) -> Optional[tuple[int, int]]:
+    """First abelian-square window no longer than max_length in the given
+    scan order, pure Python.
 
     P[j] packs the symbol counts of s[:j] as base-(n+1) digits, one digit
     per distinct symbol in sorted-rank order.  Window (i, 2L) is an abelian
@@ -96,19 +104,20 @@ def _packed_abelian(s: Sequence[int], length_major: bool) -> Optional[tuple[int,
     test is exact.
     """
     n = len(s)
+    top = _max_half(n, max_length)
     base = n + 1
     weight = {sym: base**r for r, sym in enumerate(sorted(set(s)))}
     P = [0]
     for sym in s:
         P.append(P[-1] + weight[sym])
     if length_major:
-        for L in range(1, n // 2 + 1):
+        for L in range(1, top + 1):
             for i in range(n - 2 * L + 1):
                 if 2 * P[i + L] == P[i] + P[i + 2 * L]:
                     return (i, 2 * L)
     else:
         for i in range(n - 1):
-            for L in range(1, (n - i) // 2 + 1):
+            for L in range(1, min((n - i) // 2, top) + 1):
                 if 2 * P[i + L] == P[i] + P[i + 2 * L]:
                     return (i, 2 * L)
     return None
@@ -124,18 +133,21 @@ def _prefix_counts(s: Sequence[int]) -> np.ndarray:
     return P
 
 
-def _vector_abelian(s: Sequence[int], length_major: bool) -> Optional[tuple[int, int]]:
+def _vector_abelian(
+    s: Sequence[int], length_major: bool, max_length: Optional[int] = None
+) -> Optional[tuple[int, int]]:
     """Vectorised equivalent of _packed_abelian via per-symbol prefix counts.
 
     A window (i, 2L) is an abelian square iff 2*P[:, i+L] == P[:, i] + P[:, i+2L]
     for every symbol row of the prefix-count matrix P.
     """
     n = len(s)
-    if n < 2:
+    top = _max_half(n, max_length)
+    if top < 1:
         return None
     P = _prefix_counts(s)
     best: Optional[tuple[int, int]] = None  # (start, L)
-    for L in range(1, n // 2 + 1):
+    for L in range(1, top + 1):
         hi = n - 2 * L
         if best is not None:
             if length_major:
@@ -154,20 +166,24 @@ def _vector_abelian(s: Sequence[int], length_major: bool) -> Optional[tuple[int,
     return None if best is None else (best[0], 2 * best[1])
 
 
-def find_abelian_square(w: WordLike, *, length_major: bool = False) -> Optional[tuple[int, int]]:
+def find_abelian_square(
+    w: WordLike, *, length_major: bool = False, max_length: Optional[int] = None
+) -> Optional[tuple[int, int]]:
     """Locate the first even factor of w that is an anagram.
 
     Returns (start, length) of the first abelian square under (start, length)
     order, or None if w is anagram-free.  With length_major=True the scan
     order is (length, start) instead, which finds short repetitions first.
+    max_length, when given, skips the factors longer than it; the cyclic
+    scan of a cycle's colour word uses it to keep each window a simple path.
     Total work is O(|w|^2) either way: each window costs one exact
     prefix-count comparison, 2 * P[i+L] == P[i] + P[i+2L], made on packed
     integers for short inputs and on numpy count rows for long ones.
     """
     s = _symbols_of(w)
     if len(s) >= _VECTOR_THRESHOLD:
-        return _vector_abelian(s, length_major)
-    return _packed_abelian(s, length_major)
+        return _vector_abelian(s, length_major, max_length)
+    return _packed_abelian(s, length_major, max_length)
 
 
 def find_square(w: WordLike) -> Optional[tuple[int, int]]:

@@ -139,6 +139,7 @@ def test_criterion_05_fourteen_colour_reproduction():
     c = colour_14(complete_graph(3))
     report = check_discriminating(c.coloured.graph, c.labels, c.coloured.colour)
     assert report.conditions == (True, True, True, True)
+    assert find_anagram(c.coloured).outcome == "anagram_free"
     assert find_anagram_sampled(c.coloured, 100_000, 20260810).outcome == "anagram_free"
     clock.check()
     _report(5, f"14-colour constructions: discriminating + verified ({clock.elapsed:.1f}s)")

@@ -16,7 +16,6 @@ from afsub.bounds import (
     is_d_branch,
     kn_lower_bound,
     multiset_count,
-    multiset_count_by_summation,
     seeded_complete_subdivision_colouring,
     seeded_tree_colouring,
     subdivision_tree_lower_bound,
@@ -56,6 +55,11 @@ class TestKnLowerBound:
     def test_rejects_n_below_c(self):
         with pytest.raises(ValueError):
             kn_lower_bound(3, 4)
+
+
+def multiset_count_by_summation(k, c):
+    """Independent summation form: sum over i <= k of C(i + c - 1, c - 1)."""
+    return sum(math.comb(i + c - 1, c - 1) for i in range(k + 1))
 
 
 class TestMultisetCount:

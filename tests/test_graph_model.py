@@ -11,10 +11,8 @@ from afsub.graph_model import (
     RootedTree,
     complete_dary_tree,
     complete_graph,
-    contracted,
     cycle_graph,
     enumerate_maximal_simple_paths,
-    enumerate_simple_paths,
     k_subdivision,
     one_subdivision,
     path_graph,
@@ -23,6 +21,45 @@ from afsub.graph_model import (
     tree_from_children,
     tree_to_base_graph,
 )
+
+
+def enumerate_simple_paths(g):
+    """Every simple path with >= 1 vertex, once up to reversal, ordered
+    lexicographically by (first endpoint, last endpoint, full sequence).
+    Exponential; the oracle for the maximal-path enumeration."""
+    adj = g.adjacency
+    out = [(v,) for v in range(len(adj))]
+    path = []
+
+    def dfs(v):
+        path.append(v)
+        if len(path) >= 2 and tuple(path) <= tuple(path[::-1]):
+            out.append(tuple(path))
+        for w in adj[v]:
+            if w not in path:
+                dfs(w)
+        path.pop()
+
+    for start in range(len(adj)):
+        dfs(start)
+    return sorted(out, key=lambda p: (p[0], p[-1], p))
+
+
+def contracted(s):
+    """Recover the base graph from the flat adjacency by contracting the
+    degree-2 division chains; the oracle for subdivide."""
+    adj = s.adjacency
+    n0 = s.base.vertex_count
+    edges = set()
+    for u in range(n0):
+        for first in adj[u]:
+            prev, cur = u, first
+            while cur >= n0:
+                nxt = [w for w in adj[cur] if w != prev]
+                assert len(nxt) == 1, f"division vertex {cur} does not have degree 2"
+                prev, cur = cur, nxt[0]
+            edges.add((min(u, cur), max(u, cur)))
+    return BaseGraph(n0, tuple(sorted(edges)))
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 from afsub.cli import main
 from afsub.graph_constructions import colour_8, colour_14, colour_merged
 from afsub.graph_model import (
+    BaseGraph,
     complete_graph,
     coloured_subdivision,
     k_subdivision,
@@ -176,6 +177,16 @@ class TestCliConstructVerify:
 
         good = alternating_path_file(tmp_path, tuple(words.keranen_symbols(40)))
         assert main(["verify", str(good), "--max-windows", "5"]) == 3
+        # a path takes no DFS steps, so its 400 windows trip the ceiling
+        assert "more than 5 path-windows (reached 400)" in capsys.readouterr().err
+        # a spider, three 13-vertex legs on centre 0, is not max-degree-2,
+        # so its DFS steps trip first
+        legs = [[0, *range(1 + 13 * leg, 14 + 13 * leg)] for leg in range(3)]
+        spider = BaseGraph(40, tuple(e for leg in legs for e in zip(leg, leg[1:])))
+        cs = coloured_subdivision(k_subdivision(spider, 0), words.keranen_symbols(40), {"construction": "test"})
+        spider_file = tmp_path / "spider.json"
+        spider_file.write_text(to_json_str(cs))
+        assert main(["verify", str(spider_file), "--max-windows", "5"]) == 3
         assert "more than 5 path-enumeration DFS steps" in capsys.readouterr().err
         monkeypatch.setenv("AFSUB_MAX_WINDOWS", "5")
         assert main(["verify", str(good)]) == 3

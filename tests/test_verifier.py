@@ -2,10 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afsub import words
-from afsub.graph_constructions import colour_14, build_sequence_subdivision
-from afsub.graph_model import BaseGraph, ColouredGraph, path_graph
+from afsub.graph_constructions import colour_14, colour_merged, build_sequence_subdivision
+from afsub.graph_model import (
+    BaseGraph,
+    ColouredGraph,
+    complete_graph,
+    cycle_graph,
+    enumerate_maximal_simple_paths,
+    path_graph,
+)
 from afsub.verifier import (
     WindowCeilingExceeded,
     check_discriminating,
@@ -21,6 +30,16 @@ def coloured_path(colours):
     return ColouredGraph(path_graph(len(colours)), tuple(colours))
 
 
+def spider(legs, leg_length):
+    """Centre 0 with legs of leg_length vertices each, Keränen-coloured."""
+    edges = []
+    for leg in range(legs):
+        chain = [0, *range(1 + leg * leg_length, 1 + (leg + 1) * leg_length)]
+        edges += zip(chain, chain[1:])
+    n = 1 + legs * leg_length
+    return ColouredGraph(BaseGraph(n, tuple(edges)), tuple(words.keranen_symbols(n)))
+
+
 def seeded_instance(seed):
     rng = random.Random(seed)
     n = rng.randrange(3, 10)
@@ -29,6 +48,100 @@ def seeded_instance(seed):
     g = BaseGraph(n, tuple(possible[: rng.randrange(1, n + 2)]))
     colours = tuple(rng.randrange(1, 5) for _ in range(n))
     return ColouredGraph(g, colours)
+
+
+@st.composite
+def degree2_graphs(draw, kinds=("path", "cycle", "isolated")):
+    """Disjoint paths, cycles and isolated vertices, with shuffled ids."""
+    parts = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    chains = []
+    n = 0
+    for kind in parts:
+        size = 1 if kind == "isolated" else draw(st.integers(2 if kind == "path" else 3, 9))
+        chains.append((kind, list(range(n, n + size))))
+        n += size
+    ids = draw(st.permutations(range(n)))
+    edges = []
+    for kind, chain in chains:
+        chain = [ids[v] for v in chain]
+        edges += zip(chain, chain[1:])
+        if kind == "cycle":
+            edges.append((chain[-1], chain[0]))
+    k = draw(st.integers(2, 4))
+    colours = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return ColouredGraph(BaseGraph(n, tuple(edges)), tuple(colours))
+
+
+def maximal_path_counterexample(c):
+    """First hit of the maximal-path scan, computed outside the verifier."""
+    for path in enumerate_maximal_simple_paths(c.graph):
+        hit = words.find_abelian_square([c.colours[v] for v in path])
+        if hit is not None:
+            return tuple(path[hit[0] : hit[0] + hit[1]])
+    return None
+
+
+class TestDegree2Scan:
+    @given(degree2_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_naive_oracle(self, c):
+        report = find_anagram(c)
+        assert report.outcome == naive_find_anagram(c).outcome
+        if report.counterexample is not None:
+            assert revalidate(report.counterexample, c)
+
+    @given(degree2_graphs(kinds=("path", "isolated")))
+    @settings(max_examples=150, deadline=None)
+    def test_path_forest_counterexample_is_the_maximal_path_one(self, c):
+        ce = find_anagram(c).counterexample
+        assert (ce and ce.vertices) == maximal_path_counterexample(c)
+
+    @given(degree2_graphs(kinds=("cycle",)), st.sets(st.integers(0, 3), min_size=1))
+    @settings(max_examples=100, deadline=None)
+    def test_restriction_agrees_with_every_restricted_rotation(self, c, keep):
+        keep &= set(c.colours)
+        expected = "anagram_free"
+        for path in enumerate_maximal_simple_paths(c.graph):  # every rotation
+            if words.find_abelian_square([c.colours[v] for v in path if c.colours[v] in keep]):
+                expected = "counterexample"
+        report = check_restriction(c, keep)
+        assert report.outcome == expected
+        if report.counterexample is not None:
+            left, right = report.counterexample.half_multisets(c.colours)
+            assert left == right
+
+    def test_cycle_counterexample_order(self):
+        # cycle 0-1-2-3 reads from 0 toward its smaller neighbour 1, as the
+        # word 1 2 2 1 1 2 2; by (start, length), (0, 4) precedes (1, 2)
+        c = ColouredGraph(cycle_graph(4), (1, 2, 2, 1))
+        assert find_anagram(c).counterexample.vertices == (0, 1, 2, 3)
+        # 1 2 3 4 1 1 2 3 4: the first anagram wraps round, from 4 to 0
+        c = ColouredGraph(cycle_graph(5), (1, 2, 3, 4, 1))
+        assert find_anagram(c).counterexample.vertices == (4, 0)
+
+    @pytest.mark.parametrize(
+        "build,windows",
+        [
+            (lambda: colour_merged(cycle_graph(4), 1), 447_374),
+            (lambda: colour_14(complete_graph(3)), 28_324),
+        ],
+        ids=["graph-merged-C4-k1", "graph14-K3"],
+    )
+    def test_window_ceiling_pins(self, build, windows):
+        c = build().coloured
+        with pytest.raises(WindowCeilingExceeded) as exc:
+            find_anagram(c, max_windows=windows - 1)
+        assert (exc.value.windows, exc.value.steps) == (windows, None)
+        report = find_anagram(c, max_windows=windows)
+        assert (report.outcome, report.paths_checked) == ("anagram_free", 1)
+
+    @given(degree2_graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_sampling_hands_over_to_the_exhaustive_scan(self, c):
+        sampled = find_anagram_sampled(c, 3, 11)
+        exhaustive = find_anagram(c)
+        assert sampled.mode == "sampled(budget=3,seed=11):exhaustive"
+        assert (sampled.outcome, sampled.counterexample) == (exhaustive.outcome, exhaustive.counterexample)
 
 
 class TestFindAnagram:
@@ -62,15 +175,22 @@ class TestFindAnagram:
         assert find_anagram(c, max_windows=10, force=True).outcome == "anagram_free"
 
     def test_ceiling_message_names_the_unit_that_tripped(self):
-        # a 60-vertex path takes 60 DFS steps before its one maximal path
-        # is counted, so a ceiling of 10 trips on steps
-        c = coloured_path(words.keranen_symbols(60))
+        # a spider with three 20-vertex legs takes 41 DFS steps before its
+        # first maximal path is counted, so a ceiling of 10 trips on steps
+        c = spider(3, 20)
         with pytest.raises(WindowCeilingExceeded) as steps:
             find_anagram(c, max_windows=10)
         assert "11 after 0 path-windows" in str(steps.value)
         assert "DFS steps" in str(steps.value)
         assert (steps.value.windows, steps.value.ceiling, steps.value.steps) == (0, 10, 11)
-        # 8 vertices take 8 steps but 16 windows, so the window count trips
+        # a path has maximum degree 2, so it takes no DFS steps: its 60
+        # vertices trip on their 900 windows
+        c = coloured_path(words.keranen_symbols(60))
+        with pytest.raises(WindowCeilingExceeded) as windows:
+            find_anagram(c, max_windows=10)
+        assert "more than 10 path-windows (reached 900)" in str(windows.value)
+        assert (windows.value.windows, windows.value.steps) == (900, None)
+        # 8 vertices give 16 windows
         c = coloured_path(words.keranen_symbols(8))
         with pytest.raises(WindowCeilingExceeded) as windows:
             find_anagram(c, max_windows=10)

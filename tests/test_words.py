@@ -19,20 +19,23 @@ from afsub.words import (
 )
 
 
-def naive_abelian_square(symbols):
-    """Reference oracle: direct Counter comparison over all windows."""
+def naive_abelian_square(symbols, max_length=None):
+    """Reference oracle: direct Counter comparison over all windows no
+    longer than max_length."""
     n = len(symbols)
+    top = n if max_length is None else max_length
     for i in range(n):
-        for L in range(1, (n - i) // 2 + 1):
+        for L in range(1, min(n - i, top) // 2 + 1):
             if Counter(symbols[i : i + L]) == Counter(symbols[i + L : i + 2 * L]):
                 return (i, 2 * L)
     return None
 
 
-def naive_abelian_square_length_major(symbols):
+def naive_abelian_square_length_major(symbols, max_length=None):
     """Reference oracle in (length, start) order: direct Counter comparison."""
     n = len(symbols)
-    for L in range(1, n // 2 + 1):
+    top = n if max_length is None else max_length
+    for L in range(1, min(n, top) // 2 + 1):
         for i in range(n - 2 * L + 1):
             if Counter(symbols[i : i + L]) == Counter(symbols[i + L : i + 2 * L]):
                 return (i, 2 * L)
@@ -136,6 +139,28 @@ class TestFindAbelianSquare:
             symbols[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, alphabet - 1))
         assert find_abelian_square(symbols) == naive_abelian_square(symbols)
         assert find_abelian_square(symbols, length_major=True) == naive_abelian_square_length_major(symbols)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_max_length_against_capped_oracles_across_threshold(self, data):
+        # edits in a Keränen prefix leave hits of every length, so a cap
+        # both drops some and keeps others; n = 255 runs the packed scan
+        n = data.draw(st.sampled_from([words._VECTOR_THRESHOLD - 1, words._VECTOR_THRESHOLD, 300]))
+        symbols = words.keranen_symbols(n)
+        for _ in range(data.draw(st.integers(0, 3))):
+            symbols[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, 3))
+        cap = data.draw(st.integers(0, n + 2))
+        assert find_abelian_square(symbols, max_length=cap) == naive_abelian_square(symbols, cap)
+        assert find_abelian_square(symbols, length_major=True, max_length=cap) == (
+            naive_abelian_square_length_major(symbols, cap)
+        )
+
+    @given(st.lists(st.integers(0, 3), max_size=40), st.integers(0, 42))
+    def test_max_length_on_short_words(self, symbols, cap):
+        assert find_abelian_square(symbols, max_length=cap) == naive_abelian_square(symbols, cap)
+        assert find_abelian_square(symbols, length_major=True, max_length=cap) == (
+            naive_abelian_square_length_major(symbols, cap)
+        )
 
     def test_length_major_order(self):
         # (start, length) order picks (0, 4); (length, start) picks (1, 2)
