@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or no counterexample found), 1 word self-check
 failure, 2 verification counterexample, 3 window ceiling hit, 64 usage
-error, 65 malformed input file.
+error (including construction parameters a builder rejects and an output
+path that cannot be written), 65 malformed input file.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import bounds, graph_constructions, tree_constructions, words
@@ -43,19 +43,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation; identical configs on identical inputs produce
-    byte-identical artifacts."""
-
-    command: str
-    options: dict
-    seed: Optional[int]
-    max_windows: int
-    output: Optional[str]
-
-
 def build_parser() -> _Parser:
+    """The afsub parser.  Every leaf sets run, the handler main calls; a
+    construct leaf also sets build, and a bound or witness leaf payload.
+    These look up the library functions they call when they run, so a
+    function replaced on its module after import is the one called.
+    """
     p = _Parser(prog="afsub", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -63,6 +56,7 @@ def build_parser() -> _Parser:
     w.add_argument("--alphabet", type=int, choices=(3, 4), required=True)
     w.add_argument("--length", type=int, required=True)
     w.add_argument("-o", "--output")
+    w.set_defaults(run=_run_word)
 
     c = sub.add_parser("construct", help="build a coloured subdivision")
     csub = c.add_subparsers(dest="construction", required=True)
@@ -71,25 +65,31 @@ def build_parser() -> _Parser:
     bt.add_argument("--height", type=int, required=True)
     bt.add_argument("--random", type=int, metavar="SEED", default=None,
                     help="build a seeded random binary tree instead of the complete one")
+    bt.set_defaults(build=_build_binary_tree)
 
     da = csub.add_parser("dary")
     da.add_argument("--d", type=int, required=True)
     da.add_argument("--height", type=int, required=True)
+    da.set_defaults(build=lambda ns: tree_constructions.build_dary_tree_10(ns.d, ns.height))
 
     db = csub.add_parser("dary-banded")
     db.add_argument("--d", type=int, required=True)
     db.add_argument("--height", type=int, required=True)
     db.add_argument("--k", type=int, required=True)
+    db.set_defaults(build=lambda ns: tree_constructions.build_dary_banded(ns.d, ns.height, ns.k))
 
-    for name in ("graph14", "graph8", "graph-merged"):
-        gp = csub.add_parser(name)
+    g14, g8, gm = (csub.add_parser(name) for name in ("graph14", "graph8", "graph-merged"))
+    for gp in (g14, g8, gm):
         gp.add_argument("--edges", required=True, help="file of whitespace-separated 'u v' pairs")
-        if name == "graph-merged":
-            gp.add_argument("--k", type=int, required=True)
+    gm.add_argument("--k", type=int, required=True)
+    g14.set_defaults(build=lambda ns: graph_constructions.colour_14(_read_edge_file(ns.edges)))
+    g8.set_defaults(build=lambda ns: graph_constructions.colour_8(_read_edge_file(ns.edges)))
+    gm.set_defaults(build=lambda ns: graph_constructions.colour_merged(_read_edge_file(ns.edges), ns.k))
 
-    for sp in (bt, da, db) + tuple(csub.choices[name] for name in ("graph14", "graph8", "graph-merged")):
+    for sp in csub.choices.values():
         sp.add_argument("-o", "--output")
         sp.add_argument("--dot", help="also write a DOT rendering to this path")
+        sp.set_defaults(run=_run_construct)
 
     v = sub.add_parser("verify", help="check a coloured subdivision file")
     v.add_argument("file")
@@ -98,20 +98,29 @@ def build_parser() -> _Parser:
     v.add_argument("--max-windows", type=int, default=None)
     v.add_argument("--restrict", default=None, metavar="COLOURS",
                    help="comma-separated colour ids: scan the restriction instead")
+    v.set_defaults(run=_run_verify)
 
     b = sub.add_parser("bound", help="evaluate closed-form bounds")
     bsub = b.add_subparsers(dest="which", required=True)
     bk = bsub.add_parser("kn")
     bk.add_argument("--n", type=int, required=True)
     bk.add_argument("--c", type=int, required=True)
+    bk.set_defaults(run=_run_payload, payload=lambda ns: {"bound": bounds.kn_lower_bound(ns.n, ns.c)})
     btr = bsub.add_parser("tree")
     btr.add_argument("--d", type=int, required=True)
     btr.add_argument("--heff", type=int, required=True)
     btr.add_argument("--h", type=int, required=True)
+    btr.set_defaults(run=_run_payload, payload=lambda ns: {
+        "bound": bounds.tree_lower_bound(ns.d, ns.heff, ns.h),
+        "height_condition_met": bounds.height_condition_met(ns.d, ns.h),
+    })
     bd = bsub.add_parser("dary")
     bd.add_argument("--d", type=int, required=True)
     bd.add_argument("--h", type=int, required=True)
     bd.add_argument("--k", type=int, required=True)
+    bd.set_defaults(run=_run_payload, payload=lambda ns: dict(
+        zip(("lower", "upper"), bounds.dary_two_sided(ns.d, ns.h, ns.k))
+    ))
 
     wt = sub.add_parser("witness", help="construct lower-bound anagram witnesses")
     wsub = wt.add_subparsers(dest="which", required=True)
@@ -120,49 +129,48 @@ def build_parser() -> _Parser:
     wk.add_argument("--c", type=int, required=True)
     wk.add_argument("--k", type=int, required=True)
     wk.add_argument("--seed", type=int, required=True)
+    wk.set_defaults(run=_run_payload, payload=_witness_kn)
     wtr = wsub.add_parser("tree")
     wtr.add_argument("--d", type=int, required=True)
     wtr.add_argument("--h", type=int, required=True)
     wtr.add_argument("--x", type=int, required=True)
     wtr.add_argument("--seed", type=int, required=True)
+    wtr.set_defaults(run=_run_payload, payload=_witness_tree)
 
     e = sub.add_parser("export", help="export a subdivision file")
     e.add_argument("file")
     e.add_argument("--dot", required=True, help="output DOT path")
+    e.set_defaults(run=_run_export)
 
     return p
 
 
-def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    opts = vars(ns).copy()
-    command = opts.pop("command")
-    for key in ("construction", "which"):
-        if key in opts and opts[key]:
-            command = f"{command}:{opts.pop(key)}"
-    seed = opts.pop("seed", None)
-    if "random" in opts and opts["random"] is not None:
-        seed = opts["random"]
-    output = opts.pop("output", None)
-    max_windows = opts.pop("max_windows", None)
-    if max_windows is None:
+def _window_ceiling(flag: Optional[int]) -> int:
+    """The --max-windows flag, else AFSUB_MAX_WINDOWS, else the default."""
+    if flag is None:
         raw = os.environ.get("AFSUB_MAX_WINDOWS", str(DEFAULT_MAX_WINDOWS))
         try:
-            max_windows = int(raw)
+            flag = int(raw)
         except ValueError:
             raise UsageError(f"AFSUB_MAX_WINDOWS must be an integer, got {raw!r}") from None
-    if max_windows < 0:
-        raise UsageError(f"the window ceiling must be non-negative, got {max_windows}")
-    return RunConfig(command, opts, seed, max_windows, output)
+    if flag < 0:
+        raise UsageError(f"the window ceiling must be non-negative, got {flag}")
+    return flag
 
 
 def _write(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from None
+
+
+def _write_json(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _summary(cs: ColouredSubdivision, max_windows: int) -> str:
@@ -209,7 +217,7 @@ def _load_subdivision(path: str) -> ColouredSubdivision:
     return from_json_str(text)
 
 
-def _report_json(report: VerificationReport) -> str:
+def _report_payload(report: VerificationReport) -> dict:
     payload = {
         "outcome": report.outcome,
         "paths_checked": report.paths_checked,
@@ -222,161 +230,115 @@ def _report_json(report: VerificationReport) -> str:
             "split": ce.split,
             "multiset": {str(c): k for c, k in ce.multiset},
         }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return payload
 
 
-def run(config: RunConfig) -> int:
-    cmd = config.command
-    opts = config.options
-
-    if cmd == "word":
-        return _run_word(config)
-    if cmd.startswith("construct:"):
-        return _run_construct(config)
-    if cmd == "verify":
-        return _run_verify(config)
-    if cmd.startswith("bound:"):
-        return _run_bound(config)
-    if cmd.startswith("witness:"):
-        return _run_witness(config)
-    if cmd == "export":
-        cs = _load_subdivision(opts["file"])
-        _write(to_dot(cs), opts["dot"])
-        return EXIT_OK
-    raise UsageError(f"unknown command {cmd!r}")
-
-
-def _run_word(config: RunConfig) -> int:
-    n = config.options["length"]
-    if n < 0:
+def _run_word(ns: argparse.Namespace) -> int:
+    if ns.length < 0:
         raise UsageError("--length must be non-negative")
-    if config.options["alphabet"] == 3:
-        word = words.thue_word(n)
+    if ns.alphabet == 3:
+        word = words.thue_word(ns.length)
         ok = words.find_square(word) is None
     else:
-        word = words.keranen_word(n)
+        word = words.keranen_word(ns.length)
         ok = words.find_abelian_square(word) is None
     if not ok:
         print("self-check failed: generated word contains a repetition", file=sys.stderr)
         return EXIT_SELF_CHECK
-    _write(word.to_string() + "\n", config.output)
+    _write(word.to_string() + "\n", ns.output)
     return EXIT_OK
 
 
-def _run_construct(config: RunConfig) -> int:
-    kind = config.command.split(":", 1)[1]
-    opts = config.options
-    if kind == "binary-tree":
-        if opts["height"] < 1:
-            raise UsageError("--height must be at least 1")
-        if opts["random"] is not None:
-            tree = random_binary_tree(opts["height"], opts["random"])
-        else:
-            tree = complete_dary_tree(2, opts["height"])
-        cs = tree_constructions.build_binary_tree_8(tree).coloured
-    elif kind == "dary":
-        cs = tree_constructions.build_dary_tree_10(opts["d"], opts["height"]).coloured
-    elif kind == "dary-banded":
-        cs = tree_constructions.build_dary_banded(opts["d"], opts["height"], opts["k"]).coloured
-    elif kind == "graph14":
-        cs = graph_constructions.colour_14(_read_edge_file(opts["edges"])).coloured
-    elif kind == "graph8":
-        cs = graph_constructions.colour_8(_read_edge_file(opts["edges"])).coloured
-    elif kind == "graph-merged":
-        cs = graph_constructions.colour_merged(_read_edge_file(opts["edges"]), opts["k"]).coloured
+def _build_binary_tree(ns: argparse.Namespace) -> tree_constructions.LabelledTreeSubdivision:
+    if ns.height < 1:
+        raise UsageError("--height must be at least 1")
+    if ns.random is not None:
+        tree = random_binary_tree(ns.height, ns.random)
     else:
-        raise UsageError(f"unknown construction {kind!r}")
-    _write(to_json_str(cs), config.output)
-    if opts.get("dot"):
-        _write(to_dot(cs), opts["dot"])
-    print(_summary(cs, config.max_windows), file=sys.stderr)
+        tree = complete_dary_tree(2, ns.height)
+    return tree_constructions.build_binary_tree_8(tree)
+
+
+def _run_construct(ns: argparse.Namespace) -> int:
+    try:
+        cs = ns.build(ns).coloured
+    except SchemaError:
+        raise
+    except ValueError as exc:  # a parameter the builder rejects
+        raise UsageError(str(exc)) from None
+    _write(to_json_str(cs), ns.output)
+    if ns.dot:
+        _write(to_dot(cs), ns.dot)
+    print(_summary(cs, ns.max_windows), file=sys.stderr)
     return EXIT_OK
 
 
-def _run_verify(config: RunConfig) -> int:
-    opts = config.options
-    cs = _load_subdivision(opts["file"])
+def _run_verify(ns: argparse.Namespace) -> int:
+    cs = _load_subdivision(ns.file)
     try:
-        if opts["restrict"] is not None:
+        if ns.restrict is not None:
             try:
-                keep = {int(tok) for tok in opts["restrict"].split(",") if tok.strip()}
+                keep = {int(tok) for tok in ns.restrict.split(",") if tok.strip()}
             except ValueError as exc:
                 raise UsageError(f"--restrict expects comma-separated ints: {exc}")
             try:
-                report = check_restriction(cs, keep, max_windows=config.max_windows)
+                report = check_restriction(cs, keep, max_windows=ns.max_windows)
             except ValueError as exc:
                 raise UsageError(str(exc))
-        elif opts["sample"] is not None:
-            if config.seed is None:
+        elif ns.sample is not None:
+            if ns.seed is None:
                 raise UsageError("--sample requires --seed for reproducibility")
-            if opts["sample"] < 1:
+            if ns.sample < 1:
                 raise UsageError("--sample must be at least 1")
-            report = find_anagram_sampled(cs, opts["sample"], config.seed)
+            report = find_anagram_sampled(cs, ns.sample, ns.seed)
         else:
-            report = find_anagram(cs, max_windows=config.max_windows)
+            report = find_anagram(cs, max_windows=ns.max_windows)
     except WindowCeilingExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CEILING
-    _write(_report_json(report), config.output)
+    _write_json(_report_payload(report))
     return EXIT_OK if report.is_anagram_free else EXIT_COUNTEREXAMPLE
 
 
-def _run_bound(config: RunConfig) -> int:
-    which = config.command.split(":", 1)[1]
-    opts = config.options
+def _run_payload(ns: argparse.Namespace) -> int:
     try:
-        if which == "kn":
-            payload = {"bound": bounds.kn_lower_bound(opts["n"], opts["c"])}
-        elif which == "tree":
-            payload = {
-                "bound": bounds.tree_lower_bound(opts["d"], opts["heff"], opts["h"]),
-                "height_condition_met": bounds.height_condition_met(opts["d"], opts["h"]),
-            }
-        else:
-            lower, upper = bounds.dary_two_sided(opts["d"], opts["h"], opts["k"])
-            payload = {"lower": lower, "upper": upper}
-    except (ValueError, bounds.PreconditionError) as exc:
+        payload = ns.payload(ns)
+    except ValueError as exc:
         raise UsageError(str(exc))
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output)
+    _write_json(payload)
     return EXIT_OK
 
 
-def _run_witness(config: RunConfig) -> int:
-    which = config.command.split(":", 1)[1]
-    opts = config.options
-    try:
-        if which == "kn":
-            cs = bounds.seeded_complete_subdivision_colouring(
-                opts["n"], opts["c"], opts["k"], config.seed
-            )
-            ce = bounds.find_anagram_pigeonhole(cs, opts["c"])
-            payload = {
-                "bound": bounds.kn_lower_bound(opts["n"], opts["c"]),
-                "k": opts["k"],
-                "witness": {"vertices": list(ce.vertices), "split": ce.split},
-            }
-        else:
-            tree = complete_dary_tree(opts["d"], opts["h"])
-            colours = bounds.seeded_tree_colouring(tree, opts["x"], config.seed)
-            ce = bounds.find_anagram_undercoloured_tree(
-                tree, colours, opts["x"], opts["d"], opts["h"]
-            )
-            payload = {
-                "bound": bounds.tree_lower_bound(
-                    opts["d"], bounds.effective_structure(tree).effective_height, opts["h"]
-                ),
-                "witness": {"vertices": list(ce.vertices), "split": ce.split},
-            }
-    except (ValueError, bounds.PreconditionError) as exc:
-        raise UsageError(str(exc))
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output)
+def _witness_kn(ns: argparse.Namespace) -> dict:
+    cs = bounds.seeded_complete_subdivision_colouring(ns.n, ns.c, ns.k, ns.seed)
+    ce = bounds.find_anagram_pigeonhole(cs, ns.c)
+    return {
+        "bound": bounds.kn_lower_bound(ns.n, ns.c),
+        "k": ns.k,
+        "witness": {"vertices": list(ce.vertices), "split": ce.split},
+    }
+
+
+def _witness_tree(ns: argparse.Namespace) -> dict:
+    tree = complete_dary_tree(ns.d, ns.h)
+    colours = bounds.seeded_tree_colouring(tree, ns.x, ns.seed)
+    ce = bounds.find_anagram_undercoloured_tree(tree, colours, ns.x, ns.d, ns.h)
+    return {
+        "bound": bounds.tree_lower_bound(ns.d, bounds.effective_structure(tree).effective_height, ns.h),
+        "witness": {"vertices": list(ce.vertices), "split": ce.split},
+    }
+
+
+def _run_export(ns: argparse.Namespace) -> int:
+    _write(to_dot(_load_subdivision(ns.file)), ns.dot)
     return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        config = parse_config(argv)
-        return run(config)
+        ns = build_parser().parse_args(argv)
+        ns.max_windows = _window_ceiling(getattr(ns, "max_windows", None))
+        return ns.run(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,9 +42,10 @@ Colourable = Union[ColouredSubdivision, ColouredGraph]
 class WindowCeilingExceeded(Exception):
     """Raised when exhaustive verification would exceed the window ceiling.
 
-    The ceiling caps path-windows scanned and, separately, DFS steps of the
-    path enumeration, which is used only off max degree 2; steps is set
-    when the step cap is the one that tripped, and windows always counts
+    The ceiling caps path-windows scanned and, off max degree 2, the DFS
+    steps of the path enumeration at n + 4 * ceiling, which a complete scan
+    within the ceiling never takes.  steps is set when the step cap is the
+    one that tripped, and ceiling is then that cap; windows always counts
     the path-windows scanned so far.
     """
 
@@ -153,13 +154,21 @@ def _scan_maximal_paths(
     simple path and every simple path of the cycle is one of them.
     With keep set, a path or cycle is first cut down to its keep-coloured
     vertices.  budget caps the windows of the scanned words and, off max
-    degree 2, the DFS steps of the path enumeration; None lifts both caps.
+    degree 2, the DFS steps of the path enumeration at n + 4 * budget; None
+    lifts both caps.
+
+    The step cap follows from the windows: each DFS step enters a distinct
+    directed simple path, a window of some yielded maximal path read in one
+    of two directions, and a path of l vertices has l(l-1)/2 windows of at
+    least 2 vertices, at most twice its floor(l/2)ceil(l/2) even windows.
+    One step per start vertex adds at most n.
     """
     adj, colours = _view(c)
+    step_cap = None if budget is None else len(adj) + 4 * budget
     if all(len(ns) <= 2 for ns in adj):
         paths: Iterable = _trace_degree2_components(adj)
     else:
-        paths = ((p, False) for p in enumerate_maximal_simple_paths(c.graph, step_budget=budget))
+        paths = ((p, False) for p in enumerate_maximal_simple_paths(c.graph, step_budget=step_cap))
     windows = 0
     paths_checked = 0
     try:
@@ -183,15 +192,12 @@ def _scan_maximal_paths(
                     mode,
                 )
     except StepBudgetExceeded as exc:
-        raise WindowCeilingExceeded(windows, budget, steps=exc.steps) from exc
+        raise WindowCeilingExceeded(windows, step_cap, steps=exc.steps) from exc
     return VerificationReport("anagram_free", None, paths_checked, mode)
 
 
 def find_anagram(
-    c: Colourable,
-    *,
-    max_windows: int = DEFAULT_MAX_WINDOWS,
-    force: bool = False,
+    c: Colourable, *, max_windows: Optional[int] = DEFAULT_MAX_WINDOWS
 ) -> VerificationReport:
     """Exhaustive anagram search over every simple path of c.
 
@@ -204,9 +210,10 @@ def find_anagram(
     that vertex's smaller neighbour, its windows (start, length) over
     order + order[:-1] with length at most m.  Refuses to scan past
     max_windows path-windows, or (off max degree 2) to take more than
-    max_windows DFS steps enumerating paths, unless force is set.
+    n + 4 * max_windows DFS steps enumerating paths, which a scan within
+    the ceiling never needs; max_windows=None lifts both caps.
     """
-    return _scan_maximal_paths(c, None if force else max_windows, None, "exhaustive")
+    return _scan_maximal_paths(c, max_windows, None, "exhaustive")
 
 
 def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationReport:
@@ -289,8 +296,8 @@ def check_restriction(
     evidence, not a certified anagram of c.  On a graph of maximum degree 2
     each component is restricted and scanned as find_anagram scans it.
     Refuses to scan past max_windows windows of the restricted words, or
-    (off max degree 2) to take more than max_windows DFS steps enumerating
-    paths.
+    (off max degree 2) to take more than n + 4 * max_windows DFS steps
+    enumerating paths.
     """
     keep_set = set(keep)
     extra = keep_set - _palette(c)

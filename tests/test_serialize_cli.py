@@ -179,15 +179,14 @@ class TestCliConstructVerify:
         assert main(["verify", str(good), "--max-windows", "5"]) == 3
         # a path takes no DFS steps, so its 400 windows trip the ceiling
         assert "more than 5 path-windows (reached 400)" in capsys.readouterr().err
-        # a spider, three 13-vertex legs on centre 0, is not max-degree-2,
-        # so its DFS steps trip first
-        legs = [[0, *range(1 + 13 * leg, 14 + 13 * leg)] for leg in range(3)]
-        spider = BaseGraph(40, tuple(e for leg in legs for e in zip(leg, leg[1:])))
-        cs = coloured_subdivision(k_subdivision(spider, 0), words.keranen_symbols(40), {"construction": "test"})
-        spider_file = tmp_path / "spider.json"
-        spider_file.write_text(to_json_str(cs))
-        assert main(["verify", str(spider_file), "--max-windows", "5"]) == 3
-        assert "more than 5 path-enumeration DFS steps" in capsys.readouterr().err
+        # K_4 with two leaves on vertex 0 is not max-degree-2: a ceiling of
+        # 2 caps its DFS at 6 + 4 * 2 steps, which trip before any window
+        edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5))
+        cs = coloured_subdivision(k_subdivision(BaseGraph(6, edges), 0), tuple(range(6)), {"construction": "test"})
+        k4_file = tmp_path / "k4.json"
+        k4_file.write_text(to_json_str(cs))
+        assert main(["verify", str(k4_file), "--max-windows", "2"]) == 3
+        assert "more than 14 path-enumeration DFS steps" in capsys.readouterr().err
         monkeypatch.setenv("AFSUB_MAX_WINDOWS", "5")
         assert main(["verify", str(good)]) == 3
         monkeypatch.delenv("AFSUB_MAX_WINDOWS")
@@ -274,6 +273,118 @@ class TestCliBoundWitness:
 
     def test_witness_requires_seed(self):
         assert main(["witness", "kn", "--n", "30", "--c", "2", "--k", "1"]) == 64
+
+
+def run_leaf(argv, tmp_path, capsys):
+    """Run main on argv with EDGE, EDGES, TREE, BAD and DOT replaced by
+    files: one edge, a four-edge tree with a degree-3 vertex, the
+    binary-tree h=2 construction, a path with a counterexample, and an
+    output path.
+    Returns the exit code, the sha256 of stdout followed by any DOT file
+    written, and stderr."""
+    edge = tmp_path / "edge.txt"
+    edge.write_text("0 1\n")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n2 3\n1 4\n")
+    tree = tmp_path / "tree.json"
+    tree.write_text(to_json_str(build_binary_tree_8(complete_dary_tree(2, 2)).coloured))
+    bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
+    dot = tmp_path / "out.dot"
+    files = {"EDGE": edge, "EDGES": edges, "TREE": tree, "BAD": bad, "DOT": dot}
+    code = main([str(files.get(arg, arg)) for arg in argv])
+    captured = capsys.readouterr()
+    written = dot.read_bytes() if dot.exists() else b""
+    return code, hashlib.sha256(captured.out.encode() + written).hexdigest(), captured.err
+
+
+class TestCliDispatchBytes:
+    """Every CLI leaf, once at a small size, through main: exit code,
+    stdout and stderr are pinned as recorded before the dispatch moved
+    into argparse."""
+
+    @pytest.mark.parametrize("argv,code,digest,err", [
+        (["word", "--alphabet", "3", "--length", "30"], 0,
+         "b588ab0be8594de2ee6603051bcb0d319c5dbac89d86e383ad5742a5c131f429", ""),
+        (["word", "--alphabet", "4", "--length", "100"], 0,
+         "013657ec3bb56247ea3ce34bc0eb4958f202411d1725bc068341bf5335d6db25", ""),
+        (["construct", "binary-tree", "--height", "2"], 0,
+         "fc468e31ca856c10acfc8b8de2ae82c6dd531183a685e601e137b900280995c8", "palette=6 max_division=2 verification=anagram_free\n"),
+        (["construct", "binary-tree", "--height", "3", "--random", "7"], 0,
+         "9b6fba2cdfdec0506f35725cf958761ff95abd0f96cd4d83b9a7f5dd0a828703", "palette=6 max_division=2 verification=anagram_free\n"),
+        (["construct", "dary", "--d", "2", "--height", "2"], 0,
+         "f8105d2e9e31f8e1fb692a2e9e465a1351dd8bb82be929b240f17392bdea3430", "palette=10 max_division=12 verification=anagram_free\n"),
+        (["construct", "dary-banded", "--d", "2", "--height", "2", "--k", "5"], 0,
+         "677b383d792d491834bd0e2e43ce9e218ae85e066ed841f2facdf00c0f4eaf5f", "palette=3 max_division=0 verification=anagram_free\n"),
+        (["construct", "graph14", "--edges", "EDGES"], 0,
+         "fca7a4666c20460ec6e68a9c115aa5fcc19a0bd5111ddfab6c2589bcc1e8a54d", "palette=14 max_division=384 verification=anagram_free\n"),
+        (["construct", "graph8", "--edges", "EDGE"], 0,
+         "7f7419dcd76e93eafe0e1ec79cfab63b17ef41d15aac3a003026ddb24e07ae23", "palette=8 max_division=243 verification=anagram_free\n"),
+        (["construct", "graph-merged", "--edges", "EDGES", "--k", "2"], 0,
+         "e82557aea20dd42faeed204f90a015edabbcc106d3b4aea46bf7bb672df4d8a7", "palette=26 max_division=24 verification=anagram_free\n"),
+        (["verify", "TREE"], 0,
+         "edec314002a23f8fc9f590cd8deb084f0af596a69ceb5fafcc01cba447501aa4", ""),
+        (["verify", "BAD"], 2,
+         "503a035f5dc516777bf7c360e27cefa353e2bde93213a7b90bc48fa8f898ebf4", ""),
+        (["verify", "TREE", "--sample", "50", "--seed", "3"], 0,
+         "aba3e12de18286aa9984cb347586c0876c0752b9e9e900dd528dde5d0ebbd1cb", ""),
+        (["verify", "TREE", "--restrict", "0,1,2"], 0,
+         "c2c798652529f822dacea08d54b9156d15e40d56ee44412bb1816b212c243aff", ""),
+        (["verify", "BAD", "--restrict", "1"], 2,
+         "ceafca26c24b0c579b1dabaff05c2a423c837d90f32ccc5d445199ea68c88bac", ""),
+        (["bound", "kn", "--n", "100", "--c", "2"], 0,
+         "8a404027567e1ee7bacf5b14a3dacc9e5884587bd8bc4a2a0fb319bdd543e837", ""),
+        (["bound", "tree", "--d", "2", "--heff", "16", "--h", "16"], 0,
+         "6b52a677aee235ebacf33e5dd7fa683697fc7cd52cfb347bd71002a935b1a183", ""),
+        (["bound", "dary", "--d", "2", "--h", "16", "--k", "12"], 0,
+         "da7fa0f20910042ce2ba190e69563ff1cbe6db2a37baff46d72af4d135676e04", ""),
+        (["witness", "kn", "--n", "30", "--c", "2", "--k", "1", "--seed", "4"], 0,
+         "a634861fa1b832e6a45f10b8001092c0b2d1800e88395b4917560a69a1132760", ""),
+        (["witness", "tree", "--d", "16", "--h", "3", "--x", "2", "--seed", "0"], 0,
+         "afc02c971ec314187fa34c538504519ee8cccb06e5ed2b5545c3180b612f0c53", ""),
+        (["export", "TREE", "--dot", "DOT"], 0,
+         "9f0add9f822991618cbba77d070ddcdbf02dbb6029cb07c13ff570c71776cb47", ""),
+        (["verify", "BAD", "--max-windows", "1"], 3,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "verification needs more than 1 path-windows (reached 4); raise the ceiling or use sampling\n"),
+        (["construct", "binary-tree", "--height", "0"], 64,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: --height must be at least 1\n"),
+        (["bound", "dary", "--d", "2", "--h", "16", "--k", "4"], 64,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: need k > 2d\n"),
+        (["witness", "kn", "--n", "30", "--c", "2", "--k", "1"], 64,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage error: the following arguments are required: --seed\n"),
+    ], ids=["word-3", "word-4", "construct-binary-tree", "construct-binary-tree-random",
+            "construct-dary", "construct-dary-banded", "construct-graph14",
+            "construct-graph8", "construct-graph-merged", "verify", "verify-counterexample",
+            "verify-sample", "verify-restrict", "verify-restrict-counterexample",
+            "bound-kn", "bound-tree", "bound-dary", "witness-kn", "witness-tree",
+            "export", "verify-ceiling", "construct-height-0", "bound-dary-small-k",
+            "witness-no-seed"])
+    def test_leaf(self, tmp_path, monkeypatch, capsys, argv, code, digest, err):
+        monkeypatch.delenv("AFSUB_MAX_WINDOWS", raising=False)
+        assert run_leaf(argv, tmp_path, capsys) == (code, digest, err)
+
+
+class TestCliBadParameters:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "dary", "--d", "1", "--height", "2"],
+        ["construct", "dary", "--d", "2", "--height", "-1"],
+        ["construct", "dary-banded", "--d", "2", "--height", "3", "--k", "3"],
+        ["construct", "graph-merged", "--edges", "EDGES", "--k", "0"],
+        ["construct", "dary", "--d", "2", "--height", "1", "-o", "MISSING/t.json"],
+        ["construct", "dary", "--d", "2", "--height", "1", "--dot", "MISSING/t.dot"],
+        ["word", "--alphabet", "4", "--length", "5", "-o", "MISSING/w.txt"],
+        ["export", "TREE", "--dot", "MISSING/t.dot"],
+    ], ids=["dary-d1", "dary-negative-height", "banded-small-k", "merged-k0",
+            "construct-output", "construct-dot", "word-output", "export-dot"])
+    def test_usage_error_exit_64(self, tmp_path, capsys, argv):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n")
+        tree = tmp_path / "tree.json"
+        tree.write_text(to_json_str(build_binary_tree_8(complete_dary_tree(2, 1)).coloured))
+        files = {"EDGES": str(edges), "TREE": str(tree)}
+        argv = [files.get(arg, arg.replace("MISSING", str(tmp_path / "missing"))) for arg in argv]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
 
 
 class TestCliExport:

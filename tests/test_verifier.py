@@ -172,17 +172,28 @@ class TestFindAnagram:
         c = coloured_path(words.keranen_symbols(60))
         with pytest.raises(WindowCeilingExceeded):
             find_anagram(c, max_windows=10)
-        assert find_anagram(c, max_windows=10, force=True).outcome == "anagram_free"
+        assert find_anagram(c, max_windows=None).outcome == "anagram_free"
 
     def test_ceiling_message_names_the_unit_that_tripped(self):
-        # a spider with three 20-vertex legs takes 41 DFS steps before its
-        # first maximal path is counted, so a ceiling of 10 trips on steps
-        c = spider(3, 20)
+        # K_4 with two leaves on vertex 0 has 6 vertices, so a ceiling of 2
+        # caps the DFS at 6 + 4 * 2 = 14 steps; the 15th comes before the
+        # first maximal path, though a full scan needs 98 windows
+        edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5))
+        c = ColouredGraph(BaseGraph(6, edges), tuple(range(6)))
         with pytest.raises(WindowCeilingExceeded) as steps:
-            find_anagram(c, max_windows=10)
-        assert "11 after 0 path-windows" in str(steps.value)
-        assert "DFS steps" in str(steps.value)
-        assert (steps.value.windows, steps.value.ceiling, steps.value.steps) == (0, 10, 11)
+            find_anagram(c, max_windows=2)
+        assert "more than 14 path-enumeration DFS steps (reached 15 after 0 path-windows)" in str(steps.value)
+        assert (steps.value.windows, steps.value.ceiling, steps.value.steps) == (0, 14, 15)
+        with pytest.raises(WindowCeilingExceeded) as windows:
+            find_anagram(c, max_windows=97)
+        assert (windows.value.windows, windows.value.steps) == (98, None)
+        assert find_anagram(c, max_windows=98).outcome == "anagram_free"
+        # a spider with three 20-vertex legs trips on the 420 windows of its
+        # first maximal path, within its 61 + 4 * 10 steps
+        with pytest.raises(WindowCeilingExceeded) as windows:
+            find_anagram(spider(3, 20), max_windows=10)
+        assert "more than 10 path-windows (reached 420)" in str(windows.value)
+        assert (windows.value.windows, windows.value.steps) == (420, None)
         # a path has maximum degree 2, so it takes no DFS steps: its 60
         # vertices trip on their 900 windows
         c = coloured_path(words.keranen_symbols(60))
@@ -196,6 +207,16 @@ class TestFindAnagram:
             find_anagram(c, max_windows=10)
         assert "more than 10 path-windows (reached 16)" in str(windows.value)
         assert (windows.value.windows, windows.value.steps) == (16, None)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_step_cap_never_trips_within_the_window_ceiling(self, seed):
+        # distinct colours make every graph anagram-free, so the scan is
+        # complete; a ceiling equal to its window count must then decide
+        g = seeded_instance(seed).graph
+        c = ColouredGraph(g, tuple(range(g.vertex_count)))
+        paths = list(enumerate_maximal_simple_paths(g))
+        windows = sum(len(p) // 2 * (len(p) - len(p) // 2) for p in paths)
+        assert find_anagram(c, max_windows=windows).outcome == "anagram_free"
 
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_naive_oracle(self, seed):
