@@ -19,8 +19,10 @@ from afsub.verifier import WindowCeilingExceeded, find_anagram
 def rows(seed: int):
     yield "binary-tree h=3", build_binary_tree_8(complete_dary_tree(2, 3)).coloured
     yield "binary-tree h=4", build_binary_tree_8(complete_dary_tree(2, 4)).coloured
+    yield "binary-tree h=6", build_binary_tree_8(complete_dary_tree(2, 6)).coloured
     yield f"random binary seed={seed}", build_binary_tree_8(random_binary_tree(4, seed)).coloured
     yield "dary d=2 h=3", build_dary_tree_10(2, 3).coloured
+    yield "dary d=2 h=5", build_dary_tree_10(2, 5).coloured
     yield "dary d=3 h=2", build_dary_tree_10(3, 2).coloured
     yield "dary-banded d=2 h'=4 k=12", build_dary_banded(2, 4, 12).coloured
     yield "graph14 K_2", colour_14(path_graph(2)).coloured

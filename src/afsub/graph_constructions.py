@@ -30,6 +30,11 @@ from .words import keranen_symbols
 BLACK_COLOUR = 0
 WHITE_COLOUR = 1
 
+# Most division vertices colour_8 builds.  Its density sequence grows about
+# ninefold per term, with two terms per source edge: P_3 needs 23,703
+# division vertices, K_3 2,065,239 and a 4-edge tree 179,905,728.
+MAX_GRAPH8_DIVISION_VERTICES = 10_000_000
+
 
 def doubling_sequence(m: int) -> tuple[int, ...]:
     """(1, 2, 4, ..., 2^(m-1))."""
@@ -231,12 +236,19 @@ def colour_8(g_prime: BaseGraph) -> SequenceConstruction:
     whole division path is coloured by a fresh prefix of the anagram-free
     4-symbol word, with the fourth symbol split into three colours by
     X / Y / Z membership.  Palette: black, white, and colours 2..7.
+    Raises ValueError, before building anything, when the subdivision would
+    need more than MAX_GRAPH8_DIVISION_VERTICES division vertices.
     """
     if not g_prime.edges:
         raise ValueError("need at least one edge")
     one = one_subdivision(g_prime)
     m = len(one.graph.edges)
     t = density_sequence(m)
+    if 3 * sum(t) > MAX_GRAPH8_DIVISION_VERTICES:
+        raise ValueError(
+            f"graph8 on {len(g_prime.edges)} edges needs {3 * sum(t)} division vertices, "
+            f"more than {MAX_GRAPH8_DIVISION_VERTICES}"
+        )
     s, labels = build_sequence_subdivision(one.graph, one.colour_class, t)
 
     colours = _original_colours(s, one)

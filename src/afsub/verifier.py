@@ -1,15 +1,23 @@
 """Ground-truth oracles for anagram-free colourings.
 
 find_anagram exhaustively scans every even-order simple path of a coloured
-graph with one loop: every simple path is a contiguous window of some
-maximal simple path, so it enumerates maximal paths and tests each of their
-even windows with one exact prefix-count comparison
-(words.find_abelian_square).  On a graph of maximum degree 2 the loop reads
-one word per component instead, and a cycle's word is scanned cyclically
-with windows capped at the cycle's length.  find_anagram_sampled trades
-certainty for scale, and hands max-degree-2 graphs to that exhaustive scan.
-check_restriction applies the colour-restriction operator as a refutation
-accelerator, over the same loop and window ceiling as find_anagram, and
+graph, by one of three scanners:
+
+- a graph of maximum degree 2 is read as one word per component, and a
+  cycle's word is scanned cyclically with windows capped at the cycle's
+  length;
+- any other forest is scanned from the centre edge of each even path: the
+  two halves of every path are grown from that edge one vertex at a time
+  and compared by exact multiset signatures, so the counterexample is a
+  shortest anagram, and the work is counted in half-paths;
+- every other graph has its maximal simple paths enumerated, since every
+  simple path is a contiguous window of one, and their even windows tested
+  with one exact prefix-count comparison (words.find_abelian_square).
+
+find_anagram_sampled trades certainty for scale, and hands max-degree-2
+graphs to their exhaustive scan.  check_restriction applies the
+colour-restriction operator as a refutation accelerator, over the
+maximal-path and degree-2 scans and the window ceiling, and
 check_discriminating audits the four structural conditions that make a
 sequence-subdivision colouring anagram-free.
 """
@@ -26,6 +34,7 @@ from .graph_model import (
     ColouredSubdivision,
     StepBudgetExceeded,
     SubdividedGraph,
+    _is_forest,
     enumerate_maximal_simple_paths,
 )
 from .words import find_abelian_square
@@ -42,25 +51,31 @@ Colourable = Union[ColouredSubdivision, ColouredGraph]
 class WindowCeilingExceeded(Exception):
     """Raised when exhaustive verification would exceed the window ceiling.
 
-    The ceiling caps path-windows scanned and, off max degree 2, the DFS
-    steps of the path enumeration at n + 4 * ceiling, which a complete scan
-    within the ceiling never takes.  steps is set when the step cap is the
-    one that tripped, and ceiling is then that cap; windows always counts
-    the path-windows scanned so far.
+    The ceiling caps the units a scan counts: half-paths on a forest of
+    maximum degree 3 or more (find_anagram's centre-edge scan), path-windows
+    on every other graph.  Off max degree 2 and off forests it also caps the
+    DFS steps of the path enumeration at n + 4 * ceiling, which a complete
+    scan within the ceiling never takes.  steps is set when the step cap is
+    the one that tripped, and ceiling is then that cap; windows always
+    counts the path-windows (or half-paths) scanned so far, and unit names
+    them.
     """
 
-    def __init__(self, windows: int, ceiling: int, steps: Optional[int] = None):
+    def __init__(
+        self, windows: int, ceiling: int, steps: Optional[int] = None, unit: str = "path-windows"
+    ):
         if steps is None:
-            tripped = f"{ceiling} path-windows (reached {windows})"
+            tripped = f"{ceiling} {unit} (reached {windows})"
         else:
             tripped = (
                 f"{ceiling} path-enumeration DFS steps "
-                f"(reached {steps} after {windows} path-windows)"
+                f"(reached {steps} after {windows} {unit})"
             )
         super().__init__(f"verification needs more than {tripped}; raise the ceiling or use sampling")
         self.windows = windows
         self.ceiling = ceiling
         self.steps = steps
+        self.unit = unit
 
 
 @dataclass(frozen=True)
@@ -196,23 +211,107 @@ def _scan_maximal_paths(
     return VerificationReport("anagram_free", None, paths_checked, mode)
 
 
+def _half_path(adj, root: int, away: int, end: int) -> list[int]:
+    """The forest path from root to end, on the side of root away from away."""
+    parent = {root: away}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    path = [end]
+    while path[-1] != root:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> VerificationReport:
+    """Centre-edge scan of a forest, one depth at a time.
+
+    An even path of 2L vertices has a unique centre edge (a, b); its halves
+    are an L-vertex walk leaving a away from b and one leaving b away from
+    a, which in a forest are disjoint and always join into a simple path.
+    Each edge keeps the frontier of both sides at the current depth, as
+    (end, previous vertex, signature) entries, and is dropped once either
+    side is empty.  A half's signature is the sum of base ** rank(colour)
+    with base = n // 2 + 1: a half has at most n // 2 vertices, so no digit
+    carries and equal signatures mean equal colour multisets.  budget caps
+    the half-paths held in frontiers, summed over all depths.
+    """
+    n = len(adj)
+    rank = {colour: i for i, colour in enumerate(sorted(set(colours)))}
+    base = n // 2 + 1
+    weight = [base ** rank[colour] for colour in colours]
+    live = [
+        (a, b, [(a, b, weight[a])], [(b, a, weight[b])])
+        for a in range(n) for b in adj[a] if a < b
+    ]
+    halves = 2 * len(live)
+    depth = 1
+    while live:
+        if budget is not None and halves > budget:
+            raise WindowCeilingExceeded(halves, budget, unit="half-paths")
+        grown = []
+        for a, b, left, right in live:
+            left_sigs = {sig for _, _, sig in left}
+            right_sigs = [sig for _, _, sig in right]
+            if not left_sigs.isdisjoint(right_sigs):
+                sig = min(left_sigs.intersection(right_sigs))
+                x = min(v for v, _, s in left if s == sig)
+                y = min(v for v, _, s in right if s == sig)
+                vertices = _half_path(adj, a, b, x)[::-1] + _half_path(adj, b, a, y)
+                half = Counter(colours[v] for v in vertices[:depth])
+                return VerificationReport(
+                    "counterexample",
+                    Counterexample(tuple(vertices), depth, tuple(sorted(half.items()))),
+                    halves,
+                    "exhaustive",
+                )
+            left = [(w, v, sig + weight[w]) for v, prev, sig in left for w in adj[v] if w != prev]
+            if not left:
+                continue
+            right = [(w, v, sig + weight[w]) for v, prev, sig in right for w in adj[v] if w != prev]
+            if right:
+                halves += len(left) + len(right)
+                grown.append((a, b, left, right))
+        live = grown
+        depth += 1
+    return VerificationReport("anagram_free", None, halves, "exhaustive")
+
+
 def find_anagram(
     c: Colourable, *, max_windows: Optional[int] = DEFAULT_MAX_WINDOWS
 ) -> VerificationReport:
-    """Exhaustive anagram search over every simple path of c.
+    """Exhaustive anagram search over every simple path of c, by one of
+    three scanners.
 
-    Maximal simple paths are scanned in canonical order and each one's even
-    windows in (start, length) order, so the first counterexample found is
-    deterministic.  On a graph of maximum degree 2 the components are
-    scanned in order of the first vertex of their words: a path from its
-    smaller endpoint, so path forests give the same counterexample as the
-    maximal-path scan; a cycle of m vertices from its smallest id toward
-    that vertex's smaller neighbour, its windows (start, length) over
-    order + order[:-1] with length at most m.  Refuses to scan past
-    max_windows path-windows, or (off max degree 2) to take more than
-    n + 4 * max_windows DFS steps enumerating paths, which a scan within
-    the ceiling never needs; max_windows=None lifts both caps.
+    - A graph of maximum degree 2 is read as one word per component, in
+      order of the first vertex of each word: a path from its smaller
+      endpoint, so path forests give the same counterexample as the
+      maximal-path scan; a cycle of m vertices from its smallest id toward
+      that vertex's smaller neighbour, its windows (start, length) over
+      order + order[:-1] with length at most m.
+    - Any other forest is scanned from the centre edges of its even paths
+      (_scan_forest), one half-length at a time, so the counterexample is
+      a shortest anagram.  Ties go to the smallest centre edge (a, b) by
+      (min id, max id), then to the smallest shared half signature, then on
+      each side to the smallest end vertex; the path is listed from a's
+      half end to b's.  max_windows caps the half-paths compared, and
+      paths_checked reports their number.
+    - Every other graph has its maximal simple paths scanned in canonical
+      order, each one's even windows in (start, length) order.  Refuses to
+      take more than n + 4 * max_windows DFS steps enumerating paths,
+      which a scan within the ceiling never needs.
+
+    The degree-2 and maximal-path scans refuse to scan past max_windows
+    path-windows.  Every counterexample is deterministic, and
+    max_windows=None lifts every cap.
     """
+    adj, colours = _view(c)
+    if any(len(ns) > 2 for ns in adj) and _is_forest(adj):
+        return _scan_forest(adj, colours, max_windows)
     return _scan_maximal_paths(c, max_windows, None, "exhaustive")
 
 

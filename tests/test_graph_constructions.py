@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from afsub import words
+from afsub import graph_constructions
 from afsub.graph_constructions import (
+    MAX_GRAPH8_DIVISION_VERTICES,
     build_sequence_subdivision,
     colour_14,
     colour_8,
@@ -204,6 +206,24 @@ class TestColour8:
         c = colour_8(path_graph(2))
         for path in c.coloured.graph.division_paths:
             assert words.find_abelian_square([c.coloured.colour[v] for v in path]) is None
+
+    def test_size_guard_refuses_before_building(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("built a subdivision past the size guard")
+
+        monkeypatch.setattr(graph_constructions, "build_sequence_subdivision", never)
+        tree = BaseGraph(5, ((0, 1), (1, 2), (2, 3), (1, 4)))
+        with pytest.raises(ValueError, match="needs 179905728 division vertices, more than 10000000"):
+            colour_8(tree)
+        # P_3, the largest gallery input, needs 23,703: one above the guard
+        # is refused, the guard itself builds
+        monkeypatch.setattr(graph_constructions, "MAX_GRAPH8_DIVISION_VERTICES", 23_702)
+        with pytest.raises(ValueError, match="needs 23703 division vertices"):
+            colour_8(path_graph(3))
+        monkeypatch.undo()
+        assert 3 * sum(density_sequence(4)) == 23_703 <= MAX_GRAPH8_DIVISION_VERTICES
+        monkeypatch.setattr(graph_constructions, "MAX_GRAPH8_DIVISION_VERTICES", 23_703)
+        assert colour_8(path_graph(3)).coloured.graph.vertex_count == 23_708
 
 
 class TestColourMerged:

@@ -321,8 +321,8 @@ class TestCliDispatchBytes:
          "7f7419dcd76e93eafe0e1ec79cfab63b17ef41d15aac3a003026ddb24e07ae23", "palette=8 max_division=243 verification=anagram_free\n"),
         (["construct", "graph-merged", "--edges", "EDGES", "--k", "2"], 0,
          "e82557aea20dd42faeed204f90a015edabbcc106d3b4aea46bf7bb672df4d8a7", "palette=26 max_division=24 verification=anagram_free\n"),
-        (["verify", "TREE"], 0,
-         "edec314002a23f8fc9f590cd8deb084f0af596a69ceb5fafcc01cba447501aa4", ""),
+        (["verify", "TREE"], 0,  # paths_checked counts 50 half-paths, as test_verify_tree_counts_half_paths asserts
+         "7258f7481b788fe36ee5ada263b48ee182975b02684c67d79cdf1f2aade874ce", ""),
         (["verify", "BAD"], 2,
          "503a035f5dc516777bf7c360e27cefa353e2bde93213a7b90bc48fa8f898ebf4", ""),
         (["verify", "TREE", "--sample", "50", "--seed", "3"], 0,
@@ -362,6 +362,15 @@ class TestCliDispatchBytes:
         monkeypatch.delenv("AFSUB_MAX_WINDOWS", raising=False)
         assert run_leaf(argv, tmp_path, capsys) == (code, digest, err)
 
+    def test_verify_tree_counts_half_paths(self, tmp_path, capsys):
+        # binary-tree h=2 is a forest with a degree-3 vertex, so verify takes
+        # the centre-edge scan: 11 vertices, 10 edges, 50 half-paths
+        tree = tmp_path / "tree.json"
+        tree.write_text(to_json_str(build_binary_tree_8(complete_dary_tree(2, 2)).coloured))
+        assert main(["verify", str(tree)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "mode": "exhaustive", "outcome": "anagram_free", "paths_checked": 50}
+
 
 class TestCliBadParameters:
     @pytest.mark.parametrize("argv", [
@@ -385,6 +394,16 @@ class TestCliBadParameters:
         assert main(argv) == 64
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    def test_graph8_too_large_exit_64(self, tmp_path, capsys):
+        # a 4-edge tree would need 179,905,728 division vertices
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 3\n1 4\n")
+        out = tmp_path / "g8.json"
+        assert main(["construct", "graph8", "--edges", str(edges), "-o", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: graph8 on 4 edges needs 179905728 division vertices")
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestCliExport:

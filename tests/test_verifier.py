@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from afsub import words
 from afsub.graph_constructions import colour_14, colour_merged, build_sequence_subdivision
+from afsub.tree_constructions import build_binary_tree_8, build_dary_tree_10
 from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
+    _is_forest,
+    complete_dary_tree,
     complete_graph,
     cycle_graph,
     enumerate_maximal_simple_paths,
@@ -144,6 +147,99 @@ class TestDegree2Scan:
         assert (sampled.outcome, sampled.counterexample) == (exhaustive.outcome, exhaustive.counterexample)
 
 
+@st.composite
+def forests(draw):
+    """Trees and isolated vertices, with shuffled ids: each tree vertex after
+    the first hangs from an earlier one.  The first tree's root has three
+    children, so every instance takes the forest scan."""
+    sizes = [draw(st.integers(4, 9))] + draw(st.lists(st.integers(1, 8), max_size=3))
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n)))
+    edges = [(ids[0], ids[1]), (ids[0], ids[2]), (ids[0], ids[3])]
+    first = 0
+    for size in sizes:
+        for v in range(max(first + 1, 4), first + size):
+            edges.append((ids[v], ids[draw(st.integers(first, v - 1))]))
+        first += size
+    k = draw(st.integers(2, 4))
+    colours = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return ColouredGraph(BaseGraph(n, tuple(edges)), tuple(colours))
+
+
+def first_anagrams(c):
+    """(length, centre edge) of the first anagrams in the forest scan's
+    order, by brute force over every simple path."""
+    adj, colours = c.graph.adjacency, c.colours
+    keys = set()
+
+    def grow(path):
+        if len(path) % 2 == 0:
+            h = len(path) // 2
+            if sorted(colours[v] for v in path[:h]) == sorted(colours[v] for v in path[h:]):
+                keys.add((len(path), tuple(sorted(path[h - 1 : h + 1]))))
+        for w in adj[path[-1]]:
+            if w not in path:
+                grow(path + [w])
+
+    for v in range(len(adj)):
+        grow([v])
+    return min(keys, default=None)
+
+
+class TestForestScan:
+    @given(forests())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_naive_oracle_and_is_shortest(self, c):
+        report = find_anagram(c)
+        assert report.outcome == naive_find_anagram(c).outcome
+        ce = report.counterexample
+        if ce is not None:
+            assert revalidate(ce, c)
+            centre = tuple(sorted(ce.vertices[ce.split - 1 : ce.split + 1]))
+            assert (len(ce.vertices), centre) == first_anagrams(c)
+
+    def test_counterexample_order(self):
+        # 0-1-2-3 with 1-4-5-6-7 and 1-8: vertex 1 has degree 3
+        edges = ((0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7), (1, 8))
+        g = BaseGraph(9, edges)
+        # 1 2 1 2 on 0-1-2-3 and 3 4 3 4 on 4-5-6-7: both 4-vertex anagrams,
+        # centred on (1, 2) and (5, 6); vertex 8 repeats vertex 0's colour,
+        # so the smaller end vertex 0 is taken on 1's side
+        c = ColouredGraph(g, (1, 2, 1, 2, 3, 4, 3, 4, 1))
+        assert find_anagram(c).counterexample.vertices == (0, 1, 2, 3)
+        # 5 and 6 share a colour, and so do 6 and 7: the shortest anagram
+        # wins over the earlier centre edge, then the smaller centre edge
+        c = ColouredGraph(g, (1, 2, 1, 2, 3, 4, 4, 4, 1))
+        assert find_anagram(c).counterexample.vertices == (5, 6)
+        # centre (0, 1) with three 3-vertex halves leaving 0 and two leaving
+        # 1; the shortest anagrams have 6 vertices and all use this edge
+        edges = ((0, 1), (0, 2), (0, 3), (0, 10), (1, 4), (1, 5), (2, 6), (3, 7), (4, 8), (5, 9), (10, 11))
+        c = ColouredGraph(BaseGraph(12, edges), (0, 3, 4, 3, 4, 1, 3, 1, 0, 0, 1, 3))
+        # shared multisets {0, 3, 4} (0-2-6 with 1-4-8) and {0, 1, 3} (0-3-7
+        # and 0-10-11 with 1-5-9): {0, 1, 3} has the smaller signature, since
+        # its largest colour ranks lower, and 7 is its smaller end on 0's side
+        ce = find_anagram(c).counterexample
+        assert (ce.vertices, ce.split, ce.multiset) == ((7, 3, 0, 1, 5, 9), 3, ((0, 1), (1, 1), (3, 1)))
+        assert first_anagrams(c) == (6, (0, 1))
+
+    @pytest.mark.parametrize(
+        "build,halves",
+        [
+            (lambda: build_binary_tree_8(complete_dary_tree(2, 5)), 54_716),
+            (lambda: build_dary_tree_10(3, 3), 61_809),
+        ],
+        ids=["binary-tree-h5", "dary-3-3"],
+    )
+    def test_half_path_pins(self, build, halves):
+        c = build().coloured
+        with pytest.raises(WindowCeilingExceeded) as exc:
+            find_anagram(c, max_windows=halves - 1)
+        assert (exc.value.windows, exc.value.steps, exc.value.unit) == (halves, None, "half-paths")
+        assert f"more than {halves - 1} half-paths (reached {halves})" in str(exc.value)
+        report = find_anagram(c, max_windows=halves)
+        assert (report.outcome, report.paths_checked, report.mode) == ("anagram_free", halves, "exhaustive")
+
+
 class TestFindAnagram:
     def test_alternating_square(self):
         report = find_anagram(coloured_path([1, 2, 1, 2]))
@@ -188,12 +284,12 @@ class TestFindAnagram:
             find_anagram(c, max_windows=97)
         assert (windows.value.windows, windows.value.steps) == (98, None)
         assert find_anagram(c, max_windows=98).outcome == "anagram_free"
-        # a spider with three 20-vertex legs trips on the 420 windows of its
-        # first maximal path, within its 61 + 4 * 10 steps
+        # a spider with three 20-vertex legs is a forest: it trips on the
+        # 120 half-paths of its 60 edges' first layer
         with pytest.raises(WindowCeilingExceeded) as windows:
             find_anagram(spider(3, 20), max_windows=10)
-        assert "more than 10 path-windows (reached 420)" in str(windows.value)
-        assert (windows.value.windows, windows.value.steps) == (420, None)
+        assert "more than 10 half-paths (reached 120)" in str(windows.value)
+        assert (windows.value.windows, windows.value.steps) == (120, None)
         # a path has maximum degree 2, so it takes no DFS steps: its 60
         # vertices trip on their 900 windows
         c = coloured_path(words.keranen_symbols(60))
@@ -211,9 +307,17 @@ class TestFindAnagram:
     @pytest.mark.parametrize("seed", range(40))
     def test_step_cap_never_trips_within_the_window_ceiling(self, seed):
         # distinct colours make every graph anagram-free, so the scan is
-        # complete; a ceiling equal to its window count must then decide
+        # complete; a ceiling equal to its window count must then decide.
+        # A forest off max degree 2 is scanned in half-paths and takes no
+        # DFS steps: its own count decides and one less trips.
         g = seeded_instance(seed).graph
         c = ColouredGraph(g, tuple(range(g.vertex_count)))
+        if max(map(len, g.adjacency)) > 2 and _is_forest(g.adjacency):
+            halves = find_anagram(c, max_windows=None).paths_checked
+            assert find_anagram(c, max_windows=halves).outcome == "anagram_free"
+            with pytest.raises(WindowCeilingExceeded):
+                find_anagram(c, max_windows=halves - 1)
+            return
         paths = list(enumerate_maximal_simple_paths(g))
         windows = sum(len(p) // 2 * (len(p) - len(p) // 2) for p in paths)
         assert find_anagram(c, max_windows=windows).outcome == "anagram_free"
