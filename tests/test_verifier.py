@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from afsub import words
 from afsub.graph_constructions import colour_14, colour_merged, build_sequence_subdivision
-from afsub.tree_constructions import build_binary_tree_8, build_dary_tree_10
 from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
@@ -18,6 +17,7 @@ from afsub.graph_model import (
     enumerate_maximal_simple_paths,
     path_graph,
 )
+from afsub.tree_constructions import build_binary_tree_8, build_dary_tree_10
 from afsub.verifier import (
     WindowCeilingExceeded,
     check_discriminating,
