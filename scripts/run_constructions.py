@@ -25,6 +25,7 @@ def rows(seed: int):
     yield "dary d=2 h=5", build_dary_tree_10(2, 5).coloured
     yield "dary d=3 h=2", build_dary_tree_10(3, 2).coloured
     yield "dary-banded d=2 h'=4 k=12", build_dary_banded(2, 4, 12).coloured
+    yield "dary-banded d=2 h'=6 k=40", build_dary_banded(2, 6, 40).coloured
     yield "graph14 K_2", colour_14(path_graph(2)).coloured
     yield "graph14 K_3", colour_14(complete_graph(3)).coloured
     yield "graph14 C_4", colour_14(cycle_graph(4)).coloured

@@ -166,20 +166,24 @@ def effective_structure(t: RootedTree) -> EffectiveStructure:
     root = t.root
     while root not in eff:
         root = t.children[root][0]
-    height = _effective_height_from(t, t.root)
+    height = _effective_height(t.children, t.root)
     return EffectiveStructure(t, frozenset(eff), root, height)
 
 
-def _effective_height_from(t: RootedTree, v: int) -> int:
-    """Minimum number of branch vertices on any path from v down to a leaf."""
-    order = [t.root]
+def _effective_height(children, root: int) -> int:
+    """Minimum number of branch vertices on any path from root down to a leaf.
+
+    children maps each vertex to its child list: a tree's children, or a
+    witness's child dict.
+    """
+    order = [root]
     for u in order:
-        order.extend(t.children[u])
-    best = [0] * t.vertex_count
+        order.extend(children[u])
+    best: dict[int, int] = {}
     for u in reversed(order):
-        if t.children[u]:
-            best[u] = min(best[c] for c in t.children[u]) + (1 if len(t.children[u]) >= 2 else 0)
-    return best[v]
+        kids = children[u]
+        best[u] = min(best[c] for c in kids) + (1 if len(kids) >= 2 else 0) if kids else 0
+    return best[root]
 
 
 def is_d_branch(t: RootedTree, d: int) -> bool:
@@ -280,19 +284,7 @@ def validate_monochromatic_witness(
     if any(len(kids[v]) < d for v in effective if kids[v]):
         return False
 
-    heights: dict[int, int] = {}
-
-    def height_of(v: int) -> int:
-        if v in heights:
-            return heights[v]
-        if not kids[v]:
-            h = 0
-        else:
-            h = min(height_of(c) for c in kids[v]) + (1 if len(kids[v]) >= 2 else 0)
-        heights[v] = h
-        return h
-
-    return height_of(w.root) >= target
+    return _effective_height(kids, w.root) >= target
 
 
 def tree_lower_bound(d: int, h_eff: int, h: int) -> int:

@@ -3,16 +3,18 @@
 build_binary_tree_8: subdivides a binary tree so that a 2-label edge
 colouring plus one anagram-free 4-symbol word yields an 8-colour
 anagram-free colouring.  build_dary_tree_10 does the complete d-ary case
-with 10 colours via a red/green split of each edge's division path.
-Both builders only assign labels (binary: root 1, every other vertex its
+with 10 colours via a red/green split of each edge's division path, and
+build_dary_banded trades division count against palette size by cutting
+that tree into height bands, each coloured on its own 10-colour block; the
+10-colour tree is the one-band case of the same labeller, _dary_bands.
+Every builder only assigns labels (binary: root 1, every other vertex its
 parent edge's sibling label 1 or 2; d-ary: originals black or white by
-depth parity, each division path red in its parent half and green in the
-rest) and share one kernel, _root_path_counts, which counts for every
-vertex the vertices of its label on its root path: a vertex of label L
-with count x is coloured (L, w_x), w the canonical anagram-free word.
-build_dary_banded trades division count against palette size by cutting the
-tree into height bands, and extend_plus_4 recolours any subdivision of an
-already anagram-free graph with four extra colours.
+depth parity within their band, each division path red in its parent half
+and green in the rest) and colours through one kernel, _root_path_counts,
+which counts for every vertex the vertices of its label on its root path:
+a vertex of label L with count x is coloured (L, w_x), w the canonical
+anagram-free word.  extend_plus_4 recolours any subdivision of an already
+anagram-free graph with four extra colours.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .graph_model import (
 from .words import keranen_symbols
 
 BLACK, WHITE, RED, GREEN = "black", "white", "red", "green"
+_OFFSET10 = {RED: 2, GREEN: 6}  # red and green colours are offset + word symbol
 
 
 class EmbeddingError(ValueError):
@@ -127,6 +130,46 @@ def subdivision_step(d: int, x: int, y: int) -> int:
     return y * (d + 1) ** (x - 1)
 
 
+def _dary_bands(d: int, h: int, x: int, band: int, provenance: dict) -> LabelledTreeSubdivision:
+    """Label and colour the complete d-ary tree of height h cut into x bands.
+
+    Band i holds the depths i*band .. (i+1)*band - 1, the last band running
+    to the leaves.  Within a band each edge at local depth z with sibling
+    label y gets 2 * subdivision_step(d, band height - z, y) division
+    vertices; the cut edges between bands get none.  Originals are black or
+    white by local depth parity, each division path red in its parent half
+    and green in the rest, and labels are counted per (band, label) so no
+    count crosses a cut.  Band i colours on its own block 10*i .. 10*i + 9;
+    the vertex of a one-vertex band gets 10*i.
+    """
+    tree = complete_dary_tree(d, h)
+    edges = _tree_edges(tree)
+    edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
+    band_of = [min(depth // band, x - 1) for depth in tree.depth]
+    local_depth = [depth - band * i for depth, i in zip(tree.depth, band_of)]
+    height = [min((i + 1) * band - 1, h) - i * band for i in range(x - 1)] + [h - (x - 1) * band]
+    divisions = [
+        2 * subdivision_step(d, height[band_of[u]] - local_depth[u], y) if band_of[u] == band_of[c] else 0
+        for (u, c), y in zip(edges, edge_labels)
+    ]
+    s = subdivide(tree_to_base_graph(tree), divisions)
+    labels = [WHITE if z % 2 == 0 else BLACK for z in local_depth]
+    bands = list(band_of)
+    for (u, _c), path in zip(edges, s.division_paths):  # division ids follow the originals, edge by edge
+        half = len(path) // 2
+        labels += [RED] * half + [GREEN] * (len(path) - half)
+        bands += [band_of[u]] * len(path)
+    counts = _root_path_counts(tree, s, list(zip(bands, labels)))
+    word = keranen_symbols(max(counts))
+    # the black and white counts are never read: originals keep their side
+    colours = [
+        10 * i + (_OFFSET10[lab] + word[n - 1] if lab in _OFFSET10 else int(lab == WHITE and height[i] > 0))
+        for i, lab, n in zip(bands, labels, counts)
+    ]
+    cs = coloured_subdivision(s, colours, provenance)
+    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_labels), tree)
+
+
 def build_dary_tree_10(d: int, h: int) -> LabelledTreeSubdivision:
     """10-colour anagram-free subdivision of the complete d-ary tree.
 
@@ -134,49 +177,25 @@ def build_dary_tree_10(d: int, h: int) -> LabelledTreeSubdivision:
     2 * y * (d+1)^(h-z-1) division vertices.  Originals carry a proper black
     and white 2-colouring.  The half of each division path nearer the parent
     is red, the other half green, and a red vertex whose root path holds i
-    red vertices is coloured (w_i, red); green likewise.
+    red vertices is coloured (w_i, red); green likewise.  This is the
+    one-band case of the banded construction.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     if h < 0:
         raise ValueError("height must be non-negative")
-    tree = complete_dary_tree(d, h)
     if h == 0:
-        return _trivial_vertex(tree, "dary-tree-10", d=d)
-
-    edges = _tree_edges(tree)
-    edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
-    divisions = [2 * subdivision_step(d, h - tree.depth[u], y) for (u, _c), y in zip(edges, edge_labels)]
-    s = subdivide(tree_to_base_graph(tree), divisions)
-    labels = [WHITE if depth % 2 == 0 else BLACK for depth in tree.depth]
-    for path in s.division_paths:  # division ids follow the originals, edge by edge
-        half = len(path) // 2
-        labels += [RED] * half + [GREEN] * (len(path) - half)
-    counts = _root_path_counts(tree, s, labels)
-    word = keranen_symbols(max(counts))
-    # the black and white counts are never read: originals keep their side
-    offset = {RED: 2, GREEN: 6}
-    colours = [
-        offset[lab] + word[x - 1] if lab in offset else int(lab == WHITE)
-        for lab, x in zip(labels, counts)
-    ]
-
+        return _trivial_vertex(complete_dary_tree(d, h), "dary-tree-10", d=d)
     legend = {"0": [BLACK], "1": [WHITE]}
-    legend.update({str(offset[lab] + w): [lab, w + 1] for lab in (RED, GREEN) for w in range(4)})
-    cs = coloured_subdivision(
-        s,
-        colours,
-        {"construction": "dary-tree-10", "d": d, "height": h, "colour_legend": legend},
+    legend.update({str(_OFFSET10[lab] + w): [lab, w + 1] for lab in (RED, GREEN) for w in range(4)})
+    return _dary_bands(
+        d, h, 1, h, {"construction": "dary-tree-10", "d": d, "height": h, "colour_legend": legend}
     )
-    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_labels), tree)
 
 
-def embed_by_child_order(t: RootedTree, host: RootedTree, at: Optional[int] = None) -> dict[int, int]:
-    """Map t's vertices into host, i-th child to i-th child.
-
-    t's root goes to host vertex at, which defaults to the host root.
-    """
-    image = {t.root: host.root if at is None else at}
+def embed_by_child_order(t: RootedTree, host: RootedTree) -> dict[int, int]:
+    """Map t's vertices into host, root to root and i-th child to i-th child."""
+    image = {t.root: host.root}
     stack = [t.root]
     while stack:
         v = stack.pop()
@@ -265,88 +284,32 @@ def build_dary_banded(d: int, hprime: int, k: int) -> BandedConstruction:
     """(<= k)-subdivision of the complete d-ary tree with at most 10x colours.
 
     Cuts the edges at depths i * ceil(hprime/x) - 1 (the i = 0 cut is the
-    vacuous depth -1), colours each remaining component with the 10-colour
-    construction on its own band's colour block, and reinstates the cut
-    edges unsubdivided.
+    vacuous depth -1), leaves them unsubdivided, and colours each band the
+    way the 10-colour construction colours a tree of the band's height, on
+    the band's own colour block (_dary_bands).  A component is a maximal
+    subtree inside one band.
     """
     if d < 2 or hprime < 1:
         raise ValueError("need d >= 2 and hprime >= 1")
     x, band = band_parameters(d, hprime, k)
-    cut_depths = {i * band - 1 for i in range(x)}
-
-    tree = complete_dary_tree(d, hprime)
-    edges = _tree_edges(tree)
-    is_cut = [tree.depth[u] in cut_depths for (u, _c) in edges]
-
-    comp = [-1] * tree.vertex_count
-    comp_roots: list[int] = []
-    for v in range(tree.vertex_count):  # ids are BFS order, parents first
-        p = tree.parent[v]
-        if p is None or tree.depth[p] in cut_depths:
-            comp[v] = len(comp_roots)
-            comp_roots.append(v)
-        else:
-            comp[v] = comp[p]
-
-    comp_members: list[list[int]] = [[] for _ in comp_roots]
-    for v in range(tree.vertex_count):
-        comp_members[comp[v]].append(v)
-    comp_height = [
-        max(tree.depth[v] for v in members) - tree.depth[comp_roots[ci]]
-        for ci, members in enumerate(comp_members)
-    ]
-    depth_index = []
-    for ci, r in enumerate(comp_roots):
-        i = tree.depth[r] // band
-        assert tree.depth[r] == i * band
-        depth_index.append(i)
-
-    # per-component construction, mapped back by child-order embedding
-    counts = [0] * len(edges)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    colour_of: dict[int, int] = {}
-    division_colours: dict[int, list[int]] = {}
-    for ci, r in enumerate(comp_roots):
-        offset = 10 * depth_index[ci]
-        hc = comp_height[ci]
-        if hc == 0:
-            colour_of[r] = offset
-            continue
-        local = build_dary_tree_10(d, hc)
-        mapping = embed_by_child_order(local.tree, tree, r)
-        for lv, gv in mapping.items():
-            colour_of[gv] = offset + local.coloured.colour[lv]
-        local_edges = _tree_edges(local.tree)
-        for li, (lu, lc) in enumerate(local_edges):
-            gi = edge_index[(mapping[lu], mapping[lc])]
-            path = local.coloured.graph.division_paths[li]
-            counts[gi] = len(path)
-            division_colours[gi] = [offset + local.coloured.colour[dv] for dv in path]
-
-    base = tree_to_base_graph(tree)
-    s = subdivide(base, counts)
-    colours = [0] * s.vertex_count
-    for v in range(tree.vertex_count):
-        colours[v] = colour_of[v]
-    for gi, path in enumerate(s.division_paths):
-        if path:
-            for dv, col in zip(path, division_colours[gi]):
-                colours[dv] = col
-
-    assert max(counts, default=0) <= k
-    cs = coloured_subdivision(
-        s,
-        colours,
-        {
-            "construction": "dary-banded",
-            "d": d,
-            "height": hprime,
-            "k": k,
-            "bands": x,
-            "band_height": band,
-        },
+    lab = _dary_bands(
+        d, hprime, x, band,
+        {"construction": "dary-banded", "d": d, "height": hprime, "k": k, "bands": x, "band_height": band},
     )
-    return BandedConstruction(cs, tuple(comp), tuple(depth_index), x, band)
+    assert lab.coloured.max_division_count <= k
+
+    tree = lab.tree
+    comp: list[int] = []
+    depth_index: list[int] = []  # band index per component
+    for v in range(tree.vertex_count):  # ids are BFS order, parents first
+        i = min(tree.depth[v] // band, x - 1)
+        p = tree.parent[v]
+        if p is None or depth_index[comp[p]] != i:
+            comp.append(len(depth_index))
+            depth_index.append(i)
+        else:
+            comp.append(comp[p])
+    return BandedConstruction(lab.coloured, tuple(comp), tuple(depth_index), x, band)
 
 
 def extend_plus_4(

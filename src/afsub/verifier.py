@@ -396,7 +396,10 @@ def check_restriction(
     each component is restricted and scanned as find_anagram scans it.
     Refuses to scan past max_windows windows of the restricted words, or
     (off max degree 2) to take more than n + 4 * max_windows DFS steps
-    enumerating paths.
+    enumerating paths.  Forests are scanned by maximal paths too, not by
+    find_anagram's centre-edge scan, so a restriction can trip the ceiling
+    where find_anagram decides: on the binary-tree h=6 construction the
+    full palette trips the default ceiling after 10,066,084 path-windows.
     """
     keep_set = set(keep)
     extra = keep_set - _palette(c)

@@ -166,6 +166,24 @@ class TestExtractMonochromatic:
         w = extract_monochromatic_subtree(t, colours, 2, (3, 3))
         assert validate_monochromatic_witness(t, colours, 2, 3, w)
 
+    def test_long_unary_chains_validate_without_recursion(self):
+        # complete binary tree of height 3 with every edge a 400-vertex
+        # unary chain: 5,615 vertices, root paths 1,204 deep
+        base = complete_dary_tree(2, 3)
+        children = [list(kids) for kids in base.children]
+        for u in range(base.vertex_count):
+            for j, c in enumerate(base.children[u]):
+                first = len(children)
+                children.extend([v + 1] for v in range(first, first + 399))
+                children.append([c])
+                children[u][j] = first
+        t = tree_from_children(children)
+        assert t.vertex_count == 5615
+        colours = (0,) * t.vertex_count
+        w = extract_monochromatic_subtree(t, colours, 2, [3])
+        assert validate_monochromatic_witness(t, colours, 2, 3, w)
+        assert not validate_monochromatic_witness(t, colours, 2, 4, w)
+
     def test_rejects_insufficient_effective_height(self):
         t = complete_dary_tree(2, 2)
         with pytest.raises(PreconditionError):

@@ -96,9 +96,12 @@ class TestArtifactBytes:
          "9b6fba2cdfdec0506f35725cf958761ff95abd0f96cd4d83b9a7f5dd0a828703"),
         (lambda: prune_to_subtree(build_dary_tree_10(3, 2), complete_dary_tree(2, 2)).coloured,
          "aacf25e5c2481c2328dff73a3b5e37f18b6a64d72d399c8185d08a3e4e4035eb"),
+        (lambda: build_dary_banded(2, 6, 40).coloured,
+         "cf1f50e4620f95108284734c3889188d89be775d6b5a7250f42a93bab3393ca0"),
     ], ids=["graph14-P2", "graph14-K3", "merged-P3-k1", "merged-P3-k2",
             "graph8-P2", "dary-banded-2-4-12", "binary-tree-h3",
-            "dary-2-4", "dary-3-3", "random-binary-h5-seed7", "dary-3-2-pruned-to-binary-h2"])
+            "dary-2-4", "dary-3-3", "random-binary-h5-seed7", "dary-3-2-pruned-to-binary-h2",
+            "dary-banded-2-6-40"])
     def test_sha256(self, make, digest):
         assert hashlib.sha256(to_json_str(make()).encode()).hexdigest() == digest
 

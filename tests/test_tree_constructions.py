@@ -200,6 +200,42 @@ class TestPruneToSubtree:
             prune_to_subtree(full, deep)
 
 
+def banded_by_components(d, hprime, k):
+    """The banded colouring built the long way, as an oracle: every
+    component gets its own build_dary_tree_10 at its height, mapped into the
+    host tree child order to child order and shifted onto its band's colour
+    block; a one-vertex component takes the block's first colour and the
+    cut edges stay unsubdivided.  Returns the colours of the originals and,
+    per host edge, the colours of its division path."""
+    x, band = band_parameters(d, hprime, k)
+    tree = complete_dary_tree(d, hprime)
+    eidx = {e: i for i, e in enumerate(tree_edges(tree))}
+    band_of = [min(depth // band, x - 1) for depth in tree.depth]
+    original = [None] * tree.vertex_count
+    division = [[] for _ in eidx]
+    for r in range(tree.vertex_count):
+        p = tree.parent[r]
+        if p is not None and band_of[p] == band_of[r]:
+            continue
+        offset = 10 * band_of[r]
+        height, v = 0, r
+        while tree.children[v] and band_of[tree.children[v][0]] == band_of[r]:
+            height, v = height + 1, tree.children[v][0]
+        if height == 0:
+            original[r] = offset
+            continue
+        local = build_dary_tree_10(d, height)
+        image = {local.tree.root: r}
+        for lv in range(local.tree.vertex_count):  # local ids are BFS order too
+            for i, lc in enumerate(local.tree.children[lv]):
+                image[lc] = tree.children[image[lv]][i]
+        for lv, hv in image.items():
+            original[hv] = offset + local.coloured.colour[lv]
+        for (lu, lc), path in zip(tree_edges(local.tree), local.coloured.graph.division_paths):
+            division[eidx[(image[lu], image[lc])]] = [offset + local.coloured.colour[dv] for dv in path]
+    return original, division
+
+
 class TestDaryBanded:
     def test_band_parameters_exact(self):
         assert band_parameters(2, 4, 12) == (4, 1)
@@ -224,6 +260,27 @@ class TestDaryBanded:
         assert b.coloured.max_division_count <= k
         assert len(b.coloured.palette) <= 10 * b.x
         assert find_anagram(b.coloured).outcome == "anagram_free"
+
+    @pytest.mark.parametrize("d,hprime,ks", [
+        *((2, hprime, range(5, 61)) for hprime in range(1, 7)),
+        (3, 3, [100]),
+        (3, 4, [60]),
+    ])
+    def test_matches_per_component_oracle(self, d, hprime, ks):
+        for k in ks:
+            b = build_dary_banded(d, hprime, k)
+            original, division = banded_by_components(d, hprime, k)
+            colour = b.coloured.colour
+            assert list(colour[: len(original)]) == original, (d, hprime, k)
+            got = [[colour[v] for v in path] for path in b.coloured.graph.division_paths]
+            assert got == division, (d, hprime, k)
+
+    def test_oracle_sweep_has_divided_bands_of_height_two(self):
+        # the sweep above reaches several bands with division vertices
+        b = build_dary_banded(2, 6, 40)
+        assert (b.x, b.band_height) == (3, 2)
+        divided = {b.coloured.colour[v] // 10 for path in b.coloured.graph.division_paths for v in path}
+        assert divided == {0, 1, 2}
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
