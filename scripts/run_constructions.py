@@ -20,6 +20,7 @@ def rows(seed: int):
     yield "binary-tree h=3", build_binary_tree_8(complete_dary_tree(2, 3)).coloured
     yield "binary-tree h=4", build_binary_tree_8(complete_dary_tree(2, 4)).coloured
     yield "binary-tree h=6", build_binary_tree_8(complete_dary_tree(2, 6)).coloured
+    yield "binary-tree h=7", build_binary_tree_8(complete_dary_tree(2, 7)).coloured
     yield f"random binary seed={seed}", build_binary_tree_8(random_binary_tree(4, seed)).coloured
     yield "dary d=2 h=3", build_dary_tree_10(2, 3).coloured
     yield "dary d=2 h=5", build_dary_tree_10(2, 5).coloured

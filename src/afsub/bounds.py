@@ -332,8 +332,10 @@ def find_anagram_undercoloured_tree(
     meeting vertex v and leaf l1 returns the path that climbs from just
     above l1 through v and down to l2: dropping l1 and adding v preserves
     the half multisets because both are effective, hence share the
-    monochromatic colour.
+    monochromatic colour.  Refuses a tree of height above h.
     """
+    if t.height > h:
+        raise PreconditionError(f"tree height {t.height} exceeds h = {h}")
     eff = effective_structure(t)
     h_eff = eff.effective_height
     bound = tree_lower_bound(d, h_eff, h)

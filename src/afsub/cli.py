@@ -349,3 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

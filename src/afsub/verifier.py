@@ -7,9 +7,12 @@ graph, by one of three scanners:
   cycle's word is scanned cyclically with windows capped at the cycle's
   length;
 - any other forest is scanned from the centre edge of each even path: the
-  two halves of every path are grown from that edge one vertex at a time
-  and compared by exact multiset signatures, so the counterexample is a
-  shortest anagram, and the work is counted in half-paths;
+  two halves of every path are grown from that edge one vertex at a time,
+  every live edge's frontier at once in flat numpy arrays, and matched by
+  one sort of hash keys per depth, which never misses an anagram; each
+  candidate edge is confirmed by exact multiset signatures, so the
+  counterexample is a shortest anagram, and the work is counted in
+  half-paths;
 - every other graph has its maximal simple paths enumerated, since every
   simple path is a contiguous window of one, and their even windows tested
   with one exact prefix-count comparison (words.find_abelian_square).
@@ -24,10 +27,13 @@ sequence-subdivision colouring anagram-free.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .graph_model import (
     ColouredGraph,
@@ -211,20 +217,47 @@ def _scan_maximal_paths(
     return VerificationReport("anagram_free", None, paths_checked, mode)
 
 
-def _half_path(adj, root: int, away: int, end: int) -> list[int]:
-    """The forest path from root to end, on the side of root away from away."""
+def _hash_weights(k: int, bits: int) -> np.ndarray:
+    """k hash weights below 2 ** bits, one per colour rank, from a fixed
+    seed so that every run does the same work."""
+    rng = random.Random(0x5EED)
+    return np.array([rng.getrandbits(bits) for _ in range(k)], dtype=np.uint64)
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated; counts
+    must not be empty."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+
+
+def _halves_by_signature(adj, colour_weight, root: int, away: int, depth: int):
+    """The depth-vertex halves leaving root away from away, as a map from
+    each exact signature to the smallest end vertex carrying it, and the
+    parent of every vertex the walk reached."""
     parent = {root: away}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                stack.append(w)
-    path = [end]
+    layer = {root: colour_weight(root)}
+    for _ in range(depth - 1):
+        grown = {}
+        for v, sig in layer.items():
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    grown[w] = sig + colour_weight(w)
+        layer = grown
+    ends: dict[int, int] = {}
+    for v, sig in layer.items():
+        if v < ends.get(sig, v + 1):
+            ends[sig] = v
+    return ends, parent
+
+
+def _climb(parent: dict[int, int], v: int, root: int) -> list[int]:
+    """The vertices from v up to root, by parent links."""
+    path = [v]
     while path[-1] != root:
         path.append(parent[path[-1]])
-    return path[::-1]
+    return path
 
 
 def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> VerificationReport:
@@ -233,50 +266,105 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
     An even path of 2L vertices has a unique centre edge (a, b); its halves
     are an L-vertex walk leaving a away from b and one leaving b away from
     a, which in a forest are disjoint and always join into a simple path.
-    Each edge keeps the frontier of both sides at the current depth, as
-    (end, previous vertex, signature) entries, and is dropped once either
-    side is empty.  A half's signature is the sum of base ** rank(colour)
-    with base = n // 2 + 1: a half has at most n // 2 vertices, so no digit
-    carries and equal signatures mean equal colour multisets.  budget caps
-    the half-paths held in frontiers, summed over all depths.
+
+    The frontiers of all live edges at depth L are held in two flat arrays,
+    the directed tree edge (previous vertex, end) and the key of each half:
+    every a side first, then every b side, each grouped by edge in (min id,
+    max id) order.  A precomputed CSR lists the directed edges that
+    continue each directed edge, so one repeat and one gather grow every
+    frontier by a depth.  An edge is dropped, found by bincount, once
+    either side is empty, and budget caps the half-paths held in frontiers,
+    summed over all depths.
+
+    A key packs the edge id in its high bits, then the sum of the hash
+    weights of the half's colour ranks, each doubled, and the side (0 for
+    a, 1 for b) in the lowest bit.  The sum never carries into the edge
+    bits, so equal colour multisets on one edge give
+    keys that differ in the side bit alone and sort next to each other: one
+    sort per depth finds every edge with an anagram, and never misses one.
+    Unequal multisets may collide too, so each candidate edge is confirmed,
+    in edge order, by the exact signatures of its halves: the sum of base
+    ** rank(colour) with base = n // 2 + 1.  A half has at most n // 2
+    vertices, so no digit carries and equal signatures mean equal colour
+    multisets; a candidate without an exact match is skipped.
     """
     n = len(adj)
-    rank = {colour: i for i, colour in enumerate(sorted(set(colours)))}
+    deg = np.fromiter(map(len, adj), np.intp, n)
+    head = np.fromiter(itertools.chain.from_iterable(adj), np.intp, int(deg.sum()))
+    tail = np.repeat(np.arange(n), deg)
+    # directed edges are numbered by their place in adj, and each edge a < b
+    # by the place of a -> b among them
+    forward = np.flatnonzero(tail < head)
+    edges = len(forward)
+    code = tail * n + head
+    by_code = np.argsort(code)
+    backward = by_code[np.searchsorted(code, head[forward] * n + tail[forward], sorter=by_code)]
+    # the next directed edges of u -> v are v's other edges
+    nxt = _ragged_arange((np.cumsum(deg) - deg)[head], deg[head])
+    nxt = nxt[head[nxt] != np.repeat(tail, deg[head])]
+    nxt_count = deg[head] - 1
+    nxt_start = np.cumsum(nxt_count) - nxt_count
+
+    rank_of = {colour: i for i, colour in enumerate(sorted(set(colours)))}
+    rank = np.fromiter(map(rank_of.__getitem__, colours), np.intp, n)
+    shift = np.uint64(64 - edges.bit_length())
+    bits = int(shift) - 1 - (n // 2).bit_length()
+    weight = (_hash_weights(len(rank_of), bits) << np.uint64(1))[rank]
+    head_weight = weight[head]
+    edge_key = np.arange(edges, dtype=np.uint64) << shift
+    # a's halves end at a (directed edge b -> a), then b's halves at b
+    directed = np.concatenate((backward, forward))
+    key = np.concatenate((edge_key | weight[tail[forward]], edge_key | weight[head[forward]] | np.uint64(1)))
+    split = edges
     base = n // 2 + 1
-    weight = [base ** rank[colour] for colour in colours]
-    live = [
-        (a, b, [(a, b, weight[a])], [(b, a, weight[b])])
-        for a in range(n) for b in adj[a] if a < b
-    ]
-    halves = 2 * len(live)
+
+    def colour_weight(v: int) -> int:
+        return base ** rank_of[colours[v]]
+
+    halves = 2 * edges
     depth = 1
-    while live:
+    while split:
         if budget is not None and halves > budget:
             raise WindowCeilingExceeded(halves, budget, unit="half-paths")
-        grown = []
-        for a, b, left, right in live:
-            left_sigs = {sig for _, _, sig in left}
-            right_sigs = [sig for _, _, sig in right]
-            if not left_sigs.isdisjoint(right_sigs):
-                sig = min(left_sigs.intersection(right_sigs))
-                x = min(v for v, _, s in left if s == sig)
-                y = min(v for v, _, s in right if s == sig)
-                vertices = _half_path(adj, a, b, x)[::-1] + _half_path(adj, b, a, y)
-                half = Counter(colours[v] for v in vertices[:depth])
-                return VerificationReport(
-                    "counterexample",
-                    Counterexample(tuple(vertices), depth, tuple(sorted(half.items()))),
-                    halves,
-                    "exhaustive",
-                )
-            left = [(w, v, sig + weight[w]) for v, prev, sig in left for w in adj[v] if w != prev]
-            if not left:
+        ordered = np.sort(key)
+        # an a-side key directly below its b-side match is even; the edges
+        # come out sorted, and dict.fromkeys keeps each one once
+        low = ordered[:-1][ordered[1:] - ordered[:-1] == 1]
+        candidates = dict.fromkeys((low[low & np.uint64(1) == 0] >> shift).tolist())
+
+        count = nxt_count[directed]
+        split = int(count[:split].sum())
+        directed = nxt[_ragged_arange(nxt_start[directed], count)]
+        key = key.repeat(count) + head_weight[directed]
+        edge = (key >> shift).astype(np.intp)
+        a_count = np.bincount(edge[:split], minlength=edges)
+        b_count = np.bincount(edge[split:], minlength=edges)
+        live = (a_count > 0) & (b_count > 0)
+
+        for e in candidates:
+            a, b = int(tail[forward[e]]), int(head[forward[e]])
+            a_ends, a_parent = _halves_by_signature(adj, colour_weight, a, b, depth)
+            b_ends, b_parent = _halves_by_signature(adj, colour_weight, b, a, depth)
+            shared = a_ends.keys() & b_ends.keys()
+            if not shared:
                 continue
-            right = [(w, v, sig + weight[w]) for v, prev, sig in right for w in adj[v] if w != prev]
-            if right:
-                halves += len(left) + len(right)
-                grown.append((a, b, left, right))
-        live = grown
+            sig = min(shared)
+            a_half = _climb(a_parent, a_ends[sig], a)
+            b_half = _climb(b_parent, b_ends[sig], b)
+            half = Counter(colours[v] for v in a_half)
+            checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
+            return VerificationReport(
+                "counterexample",
+                Counterexample(tuple(a_half + b_half[::-1]), depth, tuple(sorted(half.items()))),
+                checked,
+                "exhaustive",
+            )
+        # an edge still present on one side only is dead
+        if np.count_nonzero(a_count) + np.count_nonzero(b_count) > 2 * np.count_nonzero(live):
+            keep = live[edge]
+            directed, key = directed[keep], key[keep]
+            split = int(np.count_nonzero(keep[:split]))
+        halves += len(key)
         depth += 1
     return VerificationReport("anagram_free", None, halves, "exhaustive")
 

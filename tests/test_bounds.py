@@ -236,6 +236,14 @@ class TestUndercolouredTree:
         ce = find_anagram_undercoloured_tree(t, colours, 2, 16, 3)
         assert revalidate(ce, ColouredGraph(tree_to_base_graph(t), colours))
 
+    def test_rejects_tree_taller_than_h(self):
+        t = complete_dary_tree(2, 3)
+        colours = (0,) * t.vertex_count
+        with pytest.raises(PreconditionError, match="tree height 3 exceeds h = 2"):
+            find_anagram_undercoloured_tree(t, colours, 1, 2, 2)
+        ce = find_anagram_undercoloured_tree(t, colours, 1, 2, 3)
+        assert revalidate(ce, ColouredGraph(tree_to_base_graph(t), colours))
+
     def test_rejects_x_at_bound(self):
         t = complete_dary_tree(2, 2)
         with pytest.raises(PreconditionError):

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import afsub
 from afsub.cli import main
 from afsub.graph_constructions import colour_8, colour_14, colour_merged
 from afsub.graph_model import (
@@ -276,6 +281,28 @@ class TestCliBoundWitness:
 
     def test_witness_requires_seed(self):
         assert main(["witness", "kn", "--n", "30", "--c", "2", "--k", "1"]) == 64
+
+
+class TestModuleEntry:
+    """python -m afsub.cli runs the same CLI as the afsub entry point."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(afsub.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "afsub.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_bound(self):
+        proc = self.run_module("bound", "kn", "--n", "100", "--c", "2")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["bound"] == pytest.approx(7.8995, abs=1e-4)
+
+    def test_usage_error(self):
+        proc = self.run_module("construct", "dary", "--d", "1", "--height", "2")
+        assert proc.returncode == 64
+        assert proc.stderr.startswith("usage error:") and "Traceback" not in proc.stderr
 
 
 def run_leaf(argv, tmp_path, capsys):

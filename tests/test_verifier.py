@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsub import words
+from afsub import verifier, words
 from afsub.graph_constructions import colour_14, colour_merged, build_sequence_subdivision
 from afsub.graph_model import (
     BaseGraph,
@@ -17,8 +20,10 @@ from afsub.graph_model import (
     enumerate_maximal_simple_paths,
     path_graph,
 )
-from afsub.tree_constructions import build_binary_tree_8, build_dary_tree_10
+from afsub.tree_constructions import build_binary_tree_8, build_dary_banded, build_dary_tree_10
 from afsub.verifier import (
+    Counterexample,
+    VerificationReport,
     WindowCeilingExceeded,
     check_discriminating,
     check_restriction,
@@ -186,6 +191,121 @@ def first_anagrams(c):
     return min(keys, default=None)
 
 
+def _half_path(adj, root, away, end):
+    """The forest path from root to end, on the side of root away from away."""
+    parent = {root: away}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    path = [end]
+    while path[-1] != root:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def scalar_scan_forest(adj, colours, budget):
+    """The centre-edge scan one half-path tuple at a time: the oracle of the
+    array scan verifier._scan_forest, which must give the same report, or
+    trip the same ceiling, on every forest.
+
+    Each live edge (a, b), in (min id, max id) order, keeps both frontiers
+    as (end, previous vertex, exact signature) entries; the signature is
+    the sum of base ** rank(colour) with base = n // 2 + 1.
+    """
+    n = len(adj)
+    rank = {colour: i for i, colour in enumerate(sorted(set(colours)))}
+    base = n // 2 + 1
+    weight = [base ** rank[colour] for colour in colours]
+    live = [
+        (a, b, [(a, b, weight[a])], [(b, a, weight[b])])
+        for a in range(n) for b in adj[a] if a < b
+    ]
+    halves = 2 * len(live)
+    depth = 1
+    while live:
+        if budget is not None and halves > budget:
+            raise WindowCeilingExceeded(halves, budget, unit="half-paths")
+        grown = []
+        for a, b, left, right in live:
+            left_sigs = {sig for _, _, sig in left}
+            right_sigs = [sig for _, _, sig in right]
+            if not left_sigs.isdisjoint(right_sigs):
+                sig = min(left_sigs.intersection(right_sigs))
+                x = min(v for v, _, s in left if s == sig)
+                y = min(v for v, _, s in right if s == sig)
+                vertices = _half_path(adj, a, b, x)[::-1] + _half_path(adj, b, a, y)
+                half = Counter(colours[v] for v in vertices[:depth])
+                return VerificationReport(
+                    "counterexample",
+                    Counterexample(tuple(vertices), depth, tuple(sorted(half.items()))),
+                    halves,
+                    "exhaustive",
+                )
+            left = [(w, v, sig + weight[w]) for v, prev, sig in left for w in adj[v] if w != prev]
+            if not left:
+                continue
+            right = [(w, v, sig + weight[w]) for v, prev, sig in right for w in adj[v] if w != prev]
+            if right:
+                halves += len(left) + len(right)
+                grown.append((a, b, left, right))
+        live = grown
+        depth += 1
+    return VerificationReport("anagram_free", None, halves, "exhaustive")
+
+
+def scan_result(scan, adj, colours, budget):
+    """A scan's report, or the fields and message of the ceiling it trips."""
+    try:
+        return scan(adj, colours, budget)
+    except WindowCeilingExceeded as exc:
+        return (exc.windows, exc.ceiling, exc.steps, exc.unit, str(exc))
+
+
+def assert_scans_agree(adj, colours):
+    """The array scan and the scalar oracle agree uncapped, and at ceilings
+    one below and at the oracle's count."""
+    count = scalar_scan_forest(adj, colours, None).paths_checked
+    for budget in (None, count - 1, count):
+        expected = scan_result(scalar_scan_forest, adj, colours, budget)
+        assert scan_result(verifier._scan_forest, adj, colours, budget) == expected
+
+
+def planted_copies(build, seeds):
+    """Copies of a construction's colouring with a planted anagram: one
+    vertex's colour is copied onto a neighbour (2 vertices) on even seeds,
+    and a random 4-vertex path is painted x y x y on odd ones.  A planted path
+    may also make a shorter anagram nearby."""
+    c = build().coloured
+    adj, colours = c.graph.adjacency, c.colour
+    for seed in seeds:
+        rng = random.Random(seed)
+        path = [rng.randrange(len(adj))]
+        while len(path) < (2 if seed % 2 == 0 else 4):
+            options = [w for w in adj[path[-1]] if w not in path[-2:]]
+            path = path + [rng.choice(options)] if options else [rng.randrange(len(adj))]
+        planted = list(colours)
+        for i, v in enumerate(path):
+            planted[v] = colours[path[i % (len(path) // 2)]]
+        yield adj, tuple(planted)
+
+
+PLANTED_BUILDS = {
+    "binary-tree-h5": lambda: build_binary_tree_8(complete_dary_tree(2, 5)),
+    "dary-2-4": lambda: build_dary_tree_10(2, 4),
+    "dary-3-3": lambda: build_dary_tree_10(3, 3),
+    "dary-banded-2-6-40": lambda: build_dary_banded(2, 6, 40),
+}
+
+
+def colliding_weights(k, bits):
+    """Hash weights that give every half of an edge's side the same key."""
+    return np.zeros(k, dtype=np.uint64)
+
+
 class TestForestScan:
     @given(forests())
     @settings(max_examples=300, deadline=None)
@@ -197,6 +317,36 @@ class TestForestScan:
             assert revalidate(ce, c)
             centre = tuple(sorted(ce.vertices[ce.split - 1 : ce.split + 1]))
             assert (len(ce.vertices), centre) == first_anagrams(c)
+
+    @given(forests())
+    @settings(max_examples=300, deadline=None)
+    def test_array_scan_matches_scalar_oracle(self, c):
+        assert_scans_agree(c.graph.adjacency, c.colours)
+
+    @pytest.mark.parametrize("name", sorted(PLANTED_BUILDS))
+    def test_array_scan_matches_scalar_oracle_on_constructions(self, name):
+        c = PLANTED_BUILDS[name]().coloured
+        assert_scans_agree(c.graph.adjacency, c.colour)
+        for adj, colours in planted_copies(PLANTED_BUILDS[name], range(6)):
+            assert_scans_agree(adj, colours)
+
+    @given(forests())
+    @settings(max_examples=100, deadline=None)
+    def test_colliding_keys_are_confirmed_exactly(self, c):
+        # every edge with both sides live is a candidate at every depth, so
+        # only the exact confirmation decides
+        with mock.patch.object(verifier, "_hash_weights", colliding_weights):
+            assert_scans_agree(c.graph.adjacency, c.colours)
+
+    def test_colliding_keys_on_constructions(self):
+        def build():
+            return build_binary_tree_8(complete_dary_tree(2, 3))
+
+        c = build().coloured
+        with mock.patch.object(verifier, "_hash_weights", colliding_weights):
+            assert_scans_agree(c.graph.adjacency, c.colour)
+            for adj, colours in planted_copies(build, range(6)):
+                assert_scans_agree(adj, colours)
 
     def test_counterexample_order(self):
         # 0-1-2-3 with 1-4-5-6-7 and 1-8: vertex 1 has degree 3
@@ -226,9 +376,11 @@ class TestForestScan:
         "build,halves",
         [
             (lambda: build_binary_tree_8(complete_dary_tree(2, 5)), 54_716),
+            (lambda: build_binary_tree_8(complete_dary_tree(2, 6)), 515_874),
             (lambda: build_dary_tree_10(3, 3), 61_809),
+            (lambda: build_dary_tree_10(2, 5), 568_808),
         ],
-        ids=["binary-tree-h5", "dary-3-3"],
+        ids=["binary-tree-h5", "binary-tree-h6", "dary-3-3", "dary-2-5"],
     )
     def test_half_path_pins(self, build, halves):
         c = build().coloured
