@@ -15,7 +15,8 @@ graph, by one of three scanners:
   half-paths;
 - every other graph has its maximal simple paths enumerated, since every
   simple path is a contiguous window of one, and their even windows tested
-  with one exact prefix-count comparison (words.find_abelian_square).
+  by words.find_abelian_square: hashed prefix sums, with weights drawn by
+  the forest scan's _hash_weights, each candidate confirmed by exact counts.
 
 find_anagram_sampled trades certainty for scale, and hands max-degree-2
 graphs to their exhaustive scan.  check_restriction applies the
@@ -43,7 +44,7 @@ from .graph_model import (
     _is_forest,
     enumerate_maximal_simple_paths,
 )
-from .words import find_abelian_square
+from .words import _hash_weights, find_abelian_square
 
 DEFAULT_MAX_WINDOWS = 10_000_000
 
@@ -215,13 +216,6 @@ def _scan_maximal_paths(
     except StepBudgetExceeded as exc:
         raise WindowCeilingExceeded(windows, step_cap, steps=exc.steps) from exc
     return VerificationReport("anagram_free", None, paths_checked, mode)
-
-
-def _hash_weights(k: int, bits: int) -> np.ndarray:
-    """k hash weights below 2 ** bits, one per colour rank, from a fixed
-    seed so that every run does the same work."""
-    rng = random.Random(0x5EED)
-    return np.array([rng.getrandbits(bits) for _ in range(k)], dtype=np.uint64)
 
 
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -7,12 +7,18 @@ anagram-free words on 4 symbols, detects both kinds of repetition, and
 implements the subsequence restriction operator used throughout the
 colouring constructions.
 
+Abelian squares are found by one scanner for every length: prefix sums of
+one wrapping uint64 hash weight per symbol rank select candidate windows,
+and each candidate is confirmed by exact counts of its two halves, so the
+result is exact and deterministic.
+
 Symbols are 0-based integers; rendering as letters happens only at the CLI
 boundary.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -20,12 +26,6 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-# Length from which find_abelian_square uses the numpy prefix-count scan in
-# place of the pure-Python packed one.  On anagram-free input (a full scan)
-# the two cost the same near n = 240, about 2 ms each (Intel Xeon,
-# Python 3.11); below that the pure scan is faster, above it numpy is.
-_VECTOR_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ def _symbols_of(w: WordLike) -> Sequence[int]:
     return w.symbols if isinstance(w, Word) else w
 
 
-def multiset(symbols: Iterable[int]) -> Counter:
-    """Colour multiset of a symbol sequence; equality is count-wise."""
-    return Counter(symbols)
-
-
 def is_anagram(w: WordLike) -> bool:
     """True iff w has even length >= 2 and its halves share one multiset."""
     s = _symbols_of(w)
@@ -86,84 +81,11 @@ def is_anagram(w: WordLike) -> bool:
     return Counter(s[:h]) == Counter(s[h:])
 
 
-def _max_half(n: int, max_length: Optional[int]) -> int:
-    """Largest half-length of an even window of n symbols within max_length."""
-    return (n if max_length is None else min(n, max_length)) // 2
-
-
-def _packed_abelian(
-    s: Sequence[int], length_major: bool, max_length: Optional[int] = None
-) -> Optional[tuple[int, int]]:
-    """First abelian-square window no longer than max_length in the given
-    scan order, pure Python.
-
-    P[j] packs the symbol counts of s[:j] as base-(n+1) digits, one digit
-    per distinct symbol in sorted-rank order.  Window (i, 2L) is an abelian
-    square iff P[i+L] - P[i] == P[i+2L] - P[i+L]; each side packs the counts
-    of one half, which are at most n/2, so no digit carries and the integer
-    test is exact.
-    """
-    n = len(s)
-    top = _max_half(n, max_length)
-    base = n + 1
-    weight = {sym: base**r for r, sym in enumerate(sorted(set(s)))}
-    P = [0]
-    for sym in s:
-        P.append(P[-1] + weight[sym])
-    if length_major:
-        for L in range(1, top + 1):
-            for i in range(n - 2 * L + 1):
-                if 2 * P[i + L] == P[i] + P[i + 2 * L]:
-                    return (i, 2 * L)
-    else:
-        for i in range(n - 1):
-            for L in range(1, min((n - i) // 2, top) + 1):
-                if 2 * P[i + L] == P[i] + P[i + 2 * L]:
-                    return (i, 2 * L)
-    return None
-
-
-def _prefix_counts(s: Sequence[int]) -> np.ndarray:
-    a = np.asarray(s, dtype=np.int64)
-    _, dense = np.unique(a, return_inverse=True)
-    k = int(dense.max()) + 1 if len(a) else 1
-    P = np.zeros((k, len(a) + 1), dtype=np.int64)
-    for c in range(k):
-        P[c, 1:] = np.cumsum(dense == c)
-    return P
-
-
-def _vector_abelian(
-    s: Sequence[int], length_major: bool, max_length: Optional[int] = None
-) -> Optional[tuple[int, int]]:
-    """Vectorised equivalent of _packed_abelian via per-symbol prefix counts.
-
-    A window (i, 2L) is an abelian square iff 2*P[:, i+L] == P[:, i] + P[:, i+2L]
-    for every symbol row of the prefix-count matrix P.
-    """
-    n = len(s)
-    top = _max_half(n, max_length)
-    if top < 1:
-        return None
-    P = _prefix_counts(s)
-    best: Optional[tuple[int, int]] = None  # (start, L)
-    for L in range(1, top + 1):
-        hi = n - 2 * L
-        if best is not None:
-            if length_major:
-                break
-            hi = min(hi, best[0] - 1)
-        if hi < 0:
-            continue
-        ok = np.all(2 * P[:, L : L + hi + 1] == P[:, : hi + 1] + P[:, 2 * L : 2 * L + hi + 1], axis=0)
-        idx = np.flatnonzero(ok)
-        if idx.size:
-            i = int(idx[0])
-            if best is None or i < best[0]:
-                best = (i, L)
-                if i == 0 and not length_major:
-                    break
-    return None if best is None else (best[0], 2 * best[1])
+def _hash_weights(k: int, bits: int) -> np.ndarray:
+    """k hash weights below 2 ** bits, one per symbol rank, from a fixed
+    seed so that every run does the same work."""
+    rng = random.Random(0x5EED)
+    return np.array([rng.getrandbits(bits) for _ in range(k)], dtype=np.uint64)
 
 
 def find_abelian_square(
@@ -176,14 +98,41 @@ def find_abelian_square(
     order is (length, start) instead, which finds short repetitions first.
     max_length, when given, skips the factors longer than it; the cyclic
     scan of a cycle's colour word uses it to keep each window a simple path.
-    Total work is O(|w|^2) either way: each window costs one exact
-    prefix-count comparison, 2 * P[i+L] == P[i] + P[i+2L], made on packed
-    integers for short inputs and on numpy count rows for long ones.
+
+    H[j] is the wrapping uint64 sum of one hash weight per symbol rank over
+    w[:j], so halves with equal multisets have equal sums and every window
+    (i, 2L) with 2 * H[i+L] == H[i] + H[i+2L] is a candidate: one comparison
+    of three slices per half-length L finds them all.  Unequal multisets may
+    collide too, so each candidate is confirmed by exact counts of its two
+    halves, and one that fails is skipped: the result is exact and
+    deterministic.  Total work is O(|w|^2) in either order, plus O(L) for
+    each candidate checked.
     """
     s = _symbols_of(w)
-    if len(s) >= _VECTOR_THRESHOLD:
-        return _vector_abelian(s, length_major, max_length)
-    return _packed_abelian(s, length_major, max_length)
+    n = len(s)
+    top = (n if max_length is None else min(n, max_length)) // 2
+    if top < 1:
+        return None
+    rank_of = {sym: r for r, sym in enumerate(sorted(set(s)))}
+    rank = np.fromiter(map(rank_of.__getitem__, s), np.intp, n)
+    k = len(rank_of)
+    H = np.zeros(n + 1, dtype=np.uint64)
+    np.cumsum(_hash_weights(k, 64)[rank], out=H[1:])
+    twice = H * np.uint64(2)
+    best: Optional[tuple[int, int]] = None
+    starts = n  # only starts below this can still come first
+    for L in range(1, top + 1):
+        m = min(n - 2 * L + 1, starts)
+        for i in np.flatnonzero(twice[L : L + m] == H[:m] + H[2 * L : 2 * L + m]).tolist():
+            if np.array_equal(
+                np.bincount(rank[i : i + L], minlength=k),
+                np.bincount(rank[i + L : i + 2 * L], minlength=k),
+            ):
+                best, starts = (i, 2 * L), i
+                break
+        if best is not None and (length_major or starts == 0):
+            break
+    return best
 
 
 def find_square(w: WordLike) -> Optional[tuple[int, int]]:

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,32 +105,26 @@ class TestFindAbelianSquare:
         assert find_abelian_square(symbols, length_major=True) == naive_abelian_square_length_major(symbols)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_vectorised_path_agrees_with_rolling(self, seed):
-        # lengths beyond the dispatch threshold exercise the numpy scan
+    def test_long_random_words_agree_with_naive_oracle(self, seed):
         rng = random.Random(seed)
         n = rng.randrange(300, 700)
         symbols = [rng.randrange(4) for _ in range(n)]
-        from afsub.words import _vector_abelian
-
-        assert _vector_abelian(symbols, False) == naive_abelian_square(symbols)
+        assert find_abelian_square(symbols) == naive_abelian_square(symbols)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_vectorised_length_major_agrees(self, seed):
+    def test_long_random_words_length_major_agree_with_naive_oracle(self, seed):
         rng = random.Random(100 + seed)
         symbols = [rng.randrange(3) for _ in range(rng.randrange(280, 500))]
-        from afsub.words import _vector_abelian
-
-        assert _vector_abelian(symbols, True) == naive_abelian_square_length_major(symbols)
+        assert find_abelian_square(symbols, length_major=True) == naive_abelian_square_length_major(symbols)
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)
     def test_both_orders_against_oracles_across_threshold(self, data):
         # Keränen prefixes are anagram-free, so a few random edits leave the
-        # first hit anywhere in the word, on either side of the threshold.
-        # The 26-symbol words stay anagram-free before the edits: six
-        # consecutive blocks over disjoint 4-symbol ranges between two
-        # symbols that occur once.  Their packed digits reach (n+1)^25.
-        n = data.draw(st.sampled_from([words._VECTOR_THRESHOLD - 1, words._VECTOR_THRESHOLD, 300]))
+        # first hit anywhere in the word.  The 26-symbol words stay
+        # anagram-free before the edits: six consecutive blocks over
+        # disjoint 4-symbol ranges between two symbols that occur once.
+        n = data.draw(st.sampled_from([16, 63, 255, 256, 300]))
         alphabet = data.draw(st.sampled_from([4, 26]))
         if alphabet == 4:
             symbols = words.keranen_symbols(n)
@@ -144,8 +140,8 @@ class TestFindAbelianSquare:
     @settings(max_examples=20, deadline=None)
     def test_max_length_against_capped_oracles_across_threshold(self, data):
         # edits in a Keränen prefix leave hits of every length, so a cap
-        # both drops some and keeps others; n = 255 runs the packed scan
-        n = data.draw(st.sampled_from([words._VECTOR_THRESHOLD - 1, words._VECTOR_THRESHOLD, 300]))
+        # both drops some and keeps others
+        n = data.draw(st.sampled_from([16, 63, 255, 256, 300]))
         symbols = words.keranen_symbols(n)
         for _ in range(data.draw(st.integers(0, 3))):
             symbols[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, 3))
@@ -167,6 +163,37 @@ class TestFindAbelianSquare:
         symbols = [0, 1, 1, 0]
         assert find_abelian_square(symbols) == (0, 4)
         assert find_abelian_square(symbols, length_major=True) == (1, 2)
+
+
+def equal_weights(k, bits):
+    """Hash weights that give both halves of every window the same sum."""
+    return np.ones(k, dtype=np.uint64)
+
+
+def assert_both_orders_match_oracles(symbols, cap):
+    assert find_abelian_square(symbols, max_length=cap) == naive_abelian_square(symbols, cap)
+    assert find_abelian_square(symbols, length_major=True, max_length=cap) == (
+        naive_abelian_square_length_major(symbols, cap)
+    )
+
+
+class TestCollidingWeights:
+    # every window is a candidate, so only the exact confirmation decides
+
+    @given(st.lists(st.integers(0, 3), max_size=40), st.none() | st.integers(0, 42))
+    def test_short_words(self, symbols, cap):
+        with mock.patch.object(words, "_hash_weights", equal_weights):
+            assert_both_orders_match_oracles(symbols, cap)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edited_keranen_prefix(self, seed):
+        rng = random.Random(seed)
+        symbols = words.keranen_symbols(256)
+        for _ in range(seed):
+            symbols[rng.randrange(256)] = rng.randrange(4)
+        with mock.patch.object(words, "_hash_weights", equal_weights):
+            for cap in (None, rng.randrange(2, 257)):
+                assert_both_orders_match_oracles(symbols, cap)
 
 
 class TestFindSquare:
