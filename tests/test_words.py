@@ -112,7 +112,7 @@ class TestFindAbelianSquare:
         assert find_abelian_square(symbols) == naive_abelian_square(symbols)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_long_random_words_length_major_agree_with_naive_oracle(self, seed):
+    def test_vectorised_length_major_agrees(self, seed):
         rng = random.Random(100 + seed)
         symbols = [rng.randrange(3) for _ in range(rng.randrange(280, 500))]
         assert find_abelian_square(symbols, length_major=True) == naive_abelian_square_length_major(symbols)
