@@ -70,6 +70,123 @@ class TestRoundtrip:
             from_json_str(json.dumps(data))
 
 
+def small_document() -> dict:
+    """One edge 0 - 1 through division vertex 2, coloured 0, 1, 2."""
+    return {
+        "vertices": [
+            {"id": 0, "kind": "original", "colour": 0},
+            {"id": 1, "kind": "original", "colour": 1},
+            {"id": 2, "kind": "division", "colour": 2},
+        ],
+        "base_edges": [{"u": 0, "v": 1, "division": [2]}],
+        "palette": [0, 1, 2],
+        "provenance": {},
+    }
+
+
+def edit(*path_and_value):
+    """An edit of small_document that sets the entry at path to value."""
+    *path, last, value = path_and_value
+
+    def apply(data):
+        for key in path:
+            data = data[key]
+        data[last] = value
+
+    return apply
+
+
+def drop(*path):
+    """An edit of small_document that deletes the entry at path."""
+    *path, last = path
+
+    def apply(data):
+        for key in path:
+            data = data[key]
+        del data[last]
+
+    return apply
+
+
+def parse_error(text: str) -> str:
+    with pytest.raises(SchemaError) as info:
+        from_json_str(text)
+    return str(info.value)
+
+
+def edited_error(apply) -> str:
+    data = small_document()
+    apply(data)
+    return parse_error(json.dumps(data))
+
+
+class TestSchemaErrors:
+    """Each check of from_json_str keeps its exact message: a malformed file
+    gets the same first complaint whatever the parser does inside."""
+
+    def test_small_document_is_valid(self):
+        text = json.dumps(small_document())
+        assert to_json_str(from_json_str(text)) == json.dumps(small_document(), indent=2, sort_keys=True) + "\n"
+
+    def test_not_json(self):
+        assert parse_error("{]") == "not valid JSON: line 1, column 2"
+
+    def test_top_level(self):
+        assert parse_error("[]") == "top level must be an object"
+
+    @pytest.mark.parametrize("apply, message", [
+        (drop("vertices"), "missing key 'vertices'"),
+        (drop("base_edges"), "missing key 'base_edges'"),
+        (drop("palette"), "missing key 'palette'"),
+        (edit("vertices", {}), "vertices must be a list"),
+        (edit("vertices", 0, 7), "vertex entries must be objects"),
+        (drop("vertices", 0, "id"), "vertex entry missing 'id'"),
+        (drop("vertices", 0, "kind"), "vertex entry missing 'kind'"),
+        (drop("vertices", 0, "colour"), "vertex entry missing 'colour'"),
+        (edit("vertices", 2, "id", 3), "vertex id 3 out of range"),
+        (edit("vertices", 2, "id", -1), "vertex id -1 out of range"),
+        (edit("vertices", 2, "id", "2"), "vertex id '2' out of range"),
+        (edit("vertices", 1, "id", 0), "duplicate vertex id 0"),
+        (edit("vertices", 0, "kind", "leaf"), "vertex 0: bad kind 'leaf'"),
+        (edit("vertices", 1, "colour", "1"), "vertex 1: colour must be int or null"),
+        (edit("vertices", 0, "kind", "division"), "original vertices must occupy the low id range"),
+        (edit("base_edges", {}), "base_edges must be a list"),
+        (edit("base_edges", 0, [0, 1]), "edge entries must be objects"),
+        (drop("base_edges", 0, "u"), "edge entry missing 'u'"),
+        (drop("base_edges", 0, "v"), "edge entry missing 'v'"),
+        (drop("base_edges", 0, "division"), "edge entry missing 'division'"),
+        (edit("base_edges", 0, "v", 2), "edge (0, 2) endpoints must be original vertex ids"),
+        (edit("base_edges", 0, "u", "0"), "edge ('0', 1) endpoints must be original vertex ids"),
+        (edit("base_edges", 0, "division", 2), "division must be a list of vertex ids"),
+        (edit("base_edges", 0, "division", [1]), "division vertex 1 invalid"),
+        (edit("base_edges", 0, "division", [3]), "division vertex 3 invalid"),
+        (edit("base_edges", 0, "division", ["2"]), "division vertex '2' invalid"),
+        (edit("base_edges", 0, "division", [2, 2]), "division vertex 2 listed twice"),
+        (edit("base_edges", 0, "division", []), "some division vertices belong to no edge"),
+        (edit("palette", {}), "palette must be a list of ints"),
+        (edit("palette", [0, 1, 2.0]), "palette must be a list of ints"),
+        (edit("palette", [0, 1]), "vertex 2 coloured 2, outside palette"),
+        (edit("vertices", 2, "colour", None), "all vertices must be coloured"),
+        (edit("base_edges", 0, "v", 0), "self-loop at vertex 0"),
+    ])
+    def test_message(self, apply, message):
+        assert edited_error(apply) == message
+
+    def test_duplicate_edge(self):
+        data = small_document()
+        data["vertices"].append({"id": 3, "kind": "division", "colour": 2})
+        data["base_edges"].append({"u": 1, "v": 0, "division": [3]})
+        assert parse_error(json.dumps(data)) == "duplicate edge (0, 1)"
+
+    def test_malformed_file_exit_65_names_the_check(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = small_document()
+        edit("vertices", 0, "kind", "leaf")(data)
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad)]) == 65
+        assert capsys.readouterr().err == "input error: vertex 0: bad kind 'leaf'\n"
+
+
 class TestArtifactBytes:
     """Canonical JSON of the constructions is pinned byte for byte.
 
