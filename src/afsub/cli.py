@@ -9,6 +9,7 @@ path that cannot be written), 65 malformed input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,11 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """The afsub parser.  Every leaf sets run, the handler main calls; a
-    construct leaf also sets build, and a bound or witness leaf payload.
-    These look up the library functions they call when they run, so a
-    function replaced on its module after import is the one called.
+    """The afsub parser, built once per process.  Every leaf sets run, the
+    handler main calls; a construct leaf also sets build, and a bound or
+    witness leaf payload.  These look up the library functions they call
+    when they run, so a function replaced on its module after the parser
+    was built is the one called.
     """
     p = _Parser(prog="afsub", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -93,11 +96,12 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="check a coloured subdivision file")
     v.add_argument("file")
-    v.add_argument("--sample", type=int, default=None, metavar="N")
+    scope = v.add_mutually_exclusive_group()
+    scope.add_argument("--sample", type=int, default=None, metavar="N")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--max-windows", type=int, default=None)
-    v.add_argument("--restrict", default=None, metavar="COLOURS",
-                   help="comma-separated colour ids: scan the restriction instead")
+    scope.add_argument("--restrict", default=None, metavar="COLOURS",
+                       help="comma-separated colour ids: scan the restriction instead")
     v.set_defaults(run=_run_verify)
 
     b = sub.add_parser("bound", help="evaluate closed-form bounds")

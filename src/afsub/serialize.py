@@ -47,79 +47,87 @@ def to_json_str(cs: ColouredSubdivision) -> str:
     return json.dumps(to_json_dict(cs), indent=2, sort_keys=True) + "\n"
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise SchemaError(message)
-
-
 def from_json_dict(data: Any) -> ColouredSubdivision:
-    _require(isinstance(data, dict), "top level must be an object")
+    """Check data against the schema in one pass and build the subdivision.
+
+    Ids, endpoints, colours and palette entries must be JSON integers, not
+    booleans.  Each check raises SchemaError with its own message, formatted
+    only when it fails.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError("top level must be an object")
     for key in ("vertices", "base_edges", "palette"):
-        _require(key in data, f"missing key {key!r}")
+        if key not in data:
+            raise SchemaError(f"missing key {key!r}")
     vertices = data["vertices"]
-    _require(isinstance(vertices, list), "vertices must be a list")
+    if not isinstance(vertices, list):
+        raise SchemaError("vertices must be a list")
     n = len(vertices)
     kinds: list[str] = [""] * n
     colours: list = [None] * n
     seen_ids = set()
     for entry in vertices:
-        _require(isinstance(entry, dict), "vertex entries must be objects")
+        if not isinstance(entry, dict):
+            raise SchemaError("vertex entries must be objects")
         for key in ("id", "kind", "colour"):
-            _require(key in entry, f"vertex entry missing {key!r}")
+            if key not in entry:
+                raise SchemaError(f"vertex entry missing {key!r}")
         vid = entry["id"]
-        _require(isinstance(vid, int) and 0 <= vid < n, f"vertex id {vid!r} out of range")
-        _require(vid not in seen_ids, f"duplicate vertex id {vid}")
+        if not (type(vid) is int and 0 <= vid < n):
+            raise SchemaError(f"vertex id {vid!r} out of range")
+        if vid in seen_ids:
+            raise SchemaError(f"duplicate vertex id {vid}")
         seen_ids.add(vid)
-        _require(entry["kind"] in ("original", "division"), f"vertex {vid}: bad kind {entry['kind']!r}")
-        kinds[vid] = entry["kind"]
+        kind = entry["kind"]
+        if kind not in ("original", "division"):
+            raise SchemaError(f"vertex {vid}: bad kind {kind!r}")
+        kinds[vid] = kind
         colour = entry["colour"]
-        _require(colour is None or isinstance(colour, int), f"vertex {vid}: colour must be int or null")
+        if not (colour is None or type(colour) is int):
+            raise SchemaError(f"vertex {vid}: colour must be int or null")
         colours[vid] = colour
 
-    n_original = sum(1 for k in kinds if k == "original")
-    _require(
-        all(k == "original" for k in kinds[:n_original]),
-        "original vertices must occupy the low id range",
-    )
+    n_original = kinds.count("original")
+    if "division" in kinds[:n_original]:
+        raise SchemaError("original vertices must occupy the low id range")
 
     base_edges = data["base_edges"]
-    _require(isinstance(base_edges, list), "base_edges must be a list")
+    if not isinstance(base_edges, list):
+        raise SchemaError("base_edges must be a list")
     edges = []
     division_paths = []
     covered: set[int] = set()
     for entry in base_edges:
-        _require(isinstance(entry, dict), "edge entries must be objects")
+        if not isinstance(entry, dict):
+            raise SchemaError("edge entries must be objects")
         for key in ("u", "v", "division"):
-            _require(key in entry, f"edge entry missing {key!r}")
+            if key not in entry:
+                raise SchemaError(f"edge entry missing {key!r}")
         u, v, division = entry["u"], entry["v"], entry["division"]
-        _require(
-            isinstance(u, int) and isinstance(v, int) and 0 <= u < n_original and 0 <= v < n_original,
-            f"edge ({u!r}, {v!r}) endpoints must be original vertex ids",
-        )
-        _require(isinstance(division, list), "division must be a list of vertex ids")
+        if not (type(u) is int and type(v) is int and 0 <= u < n_original and 0 <= v < n_original):
+            raise SchemaError(f"edge ({u!r}, {v!r}) endpoints must be original vertex ids")
+        if not isinstance(division, list):
+            raise SchemaError("division must be a list of vertex ids")
         for dv in division:
-            _require(
-                isinstance(dv, int) and n_original <= dv < n and kinds[dv] == "division",
-                f"division vertex {dv!r} invalid",
-            )
-            _require(dv not in covered, f"division vertex {dv} listed twice")
+            if not (type(dv) is int and n_original <= dv < n and kinds[dv] == "division"):
+                raise SchemaError(f"division vertex {dv!r} invalid")
+            if dv in covered:
+                raise SchemaError(f"division vertex {dv} listed twice")
             covered.add(dv)
         edges.append((u, v))
         division_paths.append(tuple(division))
-    _require(len(covered) == n - n_original, "some division vertices belong to no edge")
+    if len(covered) != n - n_original:
+        raise SchemaError("some division vertices belong to no edge")
 
     palette = data["palette"]
-    _require(
-        isinstance(palette, list) and all(isinstance(c, int) for c in palette),
-        "palette must be a list of ints",
-    )
+    if not (isinstance(palette, list) and all(type(c) is int for c in palette)):
+        raise SchemaError("palette must be a list of ints")
     pal = set(palette)
     for vid, colour in enumerate(colours):
-        _require(
-            colour is None or colour in pal,
-            f"vertex {vid} coloured {colour}, outside palette",
-        )
-    _require(all(c is not None for c in colours), "all vertices must be coloured")
+        if not (colour is None or colour in pal):
+            raise SchemaError(f"vertex {vid} coloured {colour}, outside palette")
+    if None in colours:
+        raise SchemaError("all vertices must be coloured")
 
     try:
         base = BaseGraph(n_original, tuple(edges))

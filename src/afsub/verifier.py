@@ -32,9 +32,10 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .graph_model import (
     ColouredGraph,
@@ -221,6 +222,8 @@ def _scan_maximal_paths(
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated; counts
     must not be empty."""
+    import numpy as np
+
     ends = counts.cumsum()
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
@@ -282,6 +285,8 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
     vertices, so no digit carries and equal signatures mean equal colour
     multisets; a candidate without an exact match is skipped.
     """
+    import numpy as np
+
     n = len(adj)
     deg = np.fromiter(map(len, adj), np.intp, n)
     head = np.fromiter(itertools.chain.from_iterable(adj), np.intp, int(deg.sum()))

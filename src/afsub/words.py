@@ -21,9 +21,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -84,6 +85,8 @@ def is_anagram(w: WordLike) -> bool:
 def _hash_weights(k: int, bits: int) -> np.ndarray:
     """k hash weights below 2 ** bits, one per symbol rank, from a fixed
     seed so that every run does the same work."""
+    import numpy as np
+
     rng = random.Random(0x5EED)
     return np.array([rng.getrandbits(bits) for _ in range(k)], dtype=np.uint64)
 
@@ -108,6 +111,8 @@ def find_abelian_square(
     deterministic.  Total work is O(|w|^2) in either order, plus O(L) for
     each candidate checked.
     """
+    import numpy as np
+
     s = _symbols_of(w)
     n = len(s)
     top = (n if max_length is None else min(n, max_length)) // 2
@@ -141,6 +146,8 @@ def find_square(w: WordLike) -> Optional[tuple[int, int]]:
     For each half-length L, a window is a square iff its first L positions
     all match the symbol L places on, counted by a numpy cumulative sum.
     """
+    import numpy as np
+
     s = _symbols_of(w)
     n = len(s)
     a = np.asarray(s, dtype=np.int64)

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import afsub
+from afsub import cli, tree_constructions
 from afsub.cli import main
 from afsub.graph_constructions import colour_8, colour_14, colour_merged
 from afsub.graph_model import (
@@ -178,6 +180,32 @@ class TestSchemaErrors:
         data["base_edges"].append({"u": 1, "v": 0, "division": [3]})
         assert parse_error(json.dumps(data)) == "duplicate edge (0, 1)"
 
+    @pytest.mark.parametrize("apply, message", [
+        (edit("vertices", 1, "id", True), "vertex id True out of range"),
+        (edit("vertices", 0, "id", False), "vertex id False out of range"),
+        (edit("vertices", 1, "colour", True), "vertex 1: colour must be int or null"),
+        (edit("vertices", 0, "colour", False), "vertex 0: colour must be int or null"),
+        (edit("base_edges", 0, "u", False), "edge (False, 1) endpoints must be original vertex ids"),
+        (edit("base_edges", 0, "v", True), "edge (0, True) endpoints must be original vertex ids"),
+        (edit("palette", [0, True, 2]), "palette must be a list of ints"),
+        (edit("palette", [False, 1, 2]), "palette must be a list of ints"),
+    ])
+    def test_booleans_are_not_ints(self, apply, message):
+        # isinstance(True, int) holds, so each of these was once accepted
+        assert edited_error(apply) == message
+
+    def test_boolean_division_vertex(self):
+        # vertex 1 is a division vertex here, so only the type rules out true
+        data = {
+            "vertices": [
+                {"id": 0, "kind": "original", "colour": 0},
+                {"id": 1, "kind": "division", "colour": 1},
+            ],
+            "base_edges": [{"u": 0, "v": 0, "division": [True]}],
+            "palette": [0, 1],
+        }
+        assert parse_error(json.dumps(data)) == "division vertex True invalid"
+
     def test_malformed_file_exit_65_names_the_check(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         data = small_document()
@@ -327,6 +355,14 @@ class TestCliConstructVerify:
         assert main(["verify", str(bad), "--restrict", "1"]) == 2
         assert main(["verify", str(bad), "--restrict", ""]) == 0
 
+    def test_restrict_with_sample_exit_64(self, tmp_path, capsys):
+        bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
+        assert main(["verify", str(bad), "--restrict", "1", "--sample", "5", "--seed", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and "not allowed with" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_restrict_honours_the_ceiling(self, tmp_path, monkeypatch, capsys):
         from afsub import words
 
@@ -400,16 +436,87 @@ class TestCliBoundWitness:
         assert main(["witness", "kn", "--n", "30", "--c", "2", "--k", "1"]) == 64
 
 
+class TestCachedParser:
+    """main builds its parser once per process, yet each call still reads
+    AFSUB_MAX_WINDOWS and calls the library functions its modules hold now."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_ceiling_is_read_at_each_call(self, tmp_path, monkeypatch, capsys):
+        from afsub import words
+
+        good = alternating_path_file(tmp_path, tuple(words.keranen_symbols(40)))
+        monkeypatch.setenv("AFSUB_MAX_WINDOWS", "5")
+        assert main(["verify", str(good)]) == 3
+        assert "more than 5 path-windows (reached 400)" in capsys.readouterr().err
+        monkeypatch.setenv("AFSUB_MAX_WINDOWS", "7")
+        assert main(["verify", str(good)]) == 3
+        assert "more than 7 path-windows (reached 400)" in capsys.readouterr().err
+
+    def test_verifier_patched_after_a_call_is_called(self, tmp_path, capsys):
+        good = alternating_path_file(tmp_path, (1, 2, 3))
+        assert main(["verify", str(good)]) == 0
+        with mock.patch.object(cli, "find_anagram", wraps=cli.find_anagram) as patched:
+            assert main(["verify", str(good)]) == 0
+        assert patched.call_count == 1
+        capsys.readouterr()
+
+    def test_builder_patched_after_a_call_is_called(self, capsys):
+        argv = ["construct", "dary", "--d", "2", "--height", "2"]
+        assert main(argv) == 0
+        build = tree_constructions.build_dary_tree_10
+        with mock.patch.object(tree_constructions, "build_dary_tree_10", wraps=build) as patched:
+            assert main(argv) == 0
+        patched.assert_called_once_with(2, 2)
+        capsys.readouterr()
+
+
+def run_python(*args):
+    """Run a fresh interpreter on args, with this afsub first on its path."""
+    src = str(Path(afsub.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestDeferredNumpy:
+    """Only the scanners import numpy, so bound and witness start without it."""
+
+    # runs main on its arguments, then prints whether numpy was loaded
+    SCRIPT = (
+        "import sys\n"
+        "from afsub import cli\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+
+    def numpy_loaded(self, *argv) -> bool:
+        proc = run_python("-c", self.SCRIPT, *argv)
+        code, loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stderr
+        return loaded == "True"
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("bound", "kn", "--n", "100", "--c", "2"),
+        ("witness", "tree", "--d", "2", "--h", "3", "--x", "1", "--seed", "0"),
+        ("witness", "kn", "--n", "30", "--c", "2", "--k", "1", "--seed", "4"),
+    ])
+    def test_not_loaded(self, argv):
+        assert not self.numpy_loaded(*argv)
+
+    def test_loaded_by_verify_of_a_tree(self, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(to_json_str(build_binary_tree_8(complete_dary_tree(2, 2)).coloured))
+        assert self.numpy_loaded("verify", str(tree))
+
+
 class TestModuleEntry:
     """python -m afsub.cli runs the same CLI as the afsub entry point."""
 
     @staticmethod
     def run_module(*argv):
-        src = str(Path(afsub.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run(
-            [sys.executable, "-m", "afsub.cli", *argv], env=env, capture_output=True, text=True, timeout=120
-        )
+        return run_python("-m", "afsub.cli", *argv)
 
     def test_bound(self):
         proc = self.run_module("bound", "kn", "--n", "100", "--c", "2")
