@@ -191,7 +191,7 @@ class TestSchemaErrors:
         (edit("palette", [False, 1, 2]), "palette must be a list of ints"),
     ])
     def test_booleans_are_not_ints(self, apply, message):
-        # isinstance(True, int) holds, so each of these was once accepted
+        # isinstance(True, int) holds, so an isinstance check lets each through
         assert edited_error(apply) == message
 
     def test_boolean_division_vertex(self):
