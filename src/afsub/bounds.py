@@ -6,14 +6,14 @@ a violation of that bound into a concrete anagram by grouping clique edges
 by division-multiset.  extract_monochromatic_subtree and
 find_anagram_undercoloured_tree do the analogous job for undercoloured
 subdivided trees, and dary_two_sided evaluates both sides of the resulting
-two-sided bound for complete d-ary trees.
+two-sided bound for complete d-ary trees.  Both witnesses key paths by
+verifier.multiset_of and build their Counterexample with Counterexample.of.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,7 +25,7 @@ from .graph_model import (
     coloured_subdivision,
     subdivide,
 )
-from .verifier import Counterexample
+from .verifier import Counterexample, multiset_of
 
 _REL_TOL = 1e-9
 
@@ -81,10 +81,6 @@ def multiset_count(k: int, c: int) -> int:
     return math.comb(k + c, c)
 
 
-def _division_multiset_key(colours: Sequence[int], path: Sequence[int]) -> tuple:
-    return tuple(sorted(Counter(colours[v] for v in path).items()))
-
-
 def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
     """Anagram witness in an undersubdivided colouring of a complete graph.
 
@@ -119,7 +115,7 @@ def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
     for i, (u, v) in enumerate(g.edges):
         if u not in clique or v not in clique:
             continue
-        key = _division_multiset_key(s.colour, s.graph.division_paths[i])
+        key = multiset_of(s.colour, s.graph.division_paths[i])
         for shared, other in ((u, v), (v, u)):
             prev = edge_of.get((key, shared))
             if prev is not None:
@@ -132,19 +128,11 @@ def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
 
 
 def _assemble_pigeonhole_witness(s: ColouredSubdivision, alpha: int, beta: int, shared: int) -> Counterexample:
-    def oriented(eidx: int, start: int) -> list[int]:
-        u, v = s.graph.base.edges[eidx]
-        path = list(s.graph.division_paths[eidx])
-        return path if start == u else path[::-1]
-
     au, av = s.graph.base.edges[alpha]
     u = av if au == shared else au
-    path_alpha = oriented(alpha, u)  # runs u -> shared
-    path_beta = oriented(beta, shared)  # runs shared -> w
-    vertices = [u, *path_alpha, shared, *path_beta]
-    split = 1 + len(path_alpha)
-    half = Counter(s.colour[v] for v in vertices[:split])
-    return Counterexample(tuple(vertices), split, tuple(sorted(half.items())))
+    path_alpha = s.graph.division_path_from(alpha, u)  # runs u -> shared
+    path_beta = s.graph.division_path_from(beta, shared)  # runs shared -> w
+    return Counterexample.of((u, *path_alpha, shared, *path_beta), 1 + len(path_alpha), s.colour)
 
 
 @dataclass(frozen=True)
@@ -259,15 +247,7 @@ def extract_monochromatic_subtree(
 
 def witness_children(t: RootedTree, w: MonochromaticWitness) -> dict[int, list[int]]:
     """Child lists of the witness subtree, in t's child order."""
-    kids: dict[int, list[int]] = {v: [] for v in w.vertices}
-    for v in w.vertices:
-        if v == w.root:
-            continue
-        p = t.parent[v]
-        kids[p].append(v)
-    for v in kids:
-        kids[v].sort(key=lambda c: t.children[t.parent[c]].index(c))
-    return kids
+    return {v: [c for c in t.children[v] if c in w.vertices] for v in w.vertices}
 
 
 def validate_monochromatic_witness(
@@ -357,7 +337,7 @@ def find_anagram_undercoloured_tree(
     while stack:
         v, path = stack.pop()
         if not kids[v]:
-            key = tuple(sorted(Counter(colours[u] for u in path).items()))
+            key = multiset_of(colours, path)
             other = paths.get(key)
             if other is not None:
                 return _assemble_tree_witness(colours, other, path)
@@ -376,9 +356,7 @@ def _assemble_tree_witness(colours: Sequence[int], p1: list[int], p2: list[int])
     seg1 = p1[common:]
     seg2 = p2[common:]
     vertices = list(reversed(seg1))[1:] + [v] + seg2  # drop leaf l1, keep v
-    split = len(seg1)
-    half = Counter(colours[u] for u in vertices[:split])
-    return Counterexample(tuple(vertices), split, tuple(sorted(half.items())))
+    return Counterexample.of(vertices, len(seg1), colours)
 
 
 def seeded_complete_subdivision_colouring(n: int, c: int, k: int, seed: int) -> ColouredSubdivision:

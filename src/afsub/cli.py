@@ -273,11 +273,15 @@ def _run_construct(ns: argparse.Namespace) -> int:
     _write(to_json_str(cs), ns.output)
     if ns.dot:
         _write(to_dot(cs), ns.dot)
-    print(_summary(cs, ns.max_windows), file=sys.stderr)
+    print(_summary(cs, ns.ceiling), file=sys.stderr)
     return EXIT_OK
 
 
 def _run_verify(ns: argparse.Namespace) -> int:
+    if ns.sample is None and ns.seed is not None:
+        raise UsageError("--seed applies only to --sample")
+    if ns.sample is not None and ns.max_windows is not None:
+        raise UsageError("--max-windows does not apply to --sample, which has no window ceiling")
     cs = _load_subdivision(ns.file)
     try:
         if ns.restrict is not None:
@@ -286,7 +290,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise UsageError(f"--restrict expects comma-separated ints: {exc}")
             try:
-                report = check_restriction(cs, keep, max_windows=ns.max_windows)
+                report = check_restriction(cs, keep, max_windows=ns.ceiling)
             except ValueError as exc:
                 raise UsageError(str(exc))
         elif ns.sample is not None:
@@ -296,7 +300,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
                 raise UsageError("--sample must be at least 1")
             report = find_anagram_sampled(cs, ns.sample, ns.seed)
         else:
-            report = find_anagram(cs, max_windows=ns.max_windows)
+            report = find_anagram(cs, max_windows=ns.ceiling)
     except WindowCeilingExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CEILING
@@ -341,7 +345,7 @@ def _run_export(ns: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        ns.max_windows = _window_ceiling(getattr(ns, "max_windows", None))
+        ns.ceiling = _window_ceiling(getattr(ns, "max_windows", None))
         return ns.run(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

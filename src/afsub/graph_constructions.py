@@ -12,7 +12,7 @@ counts against palette size (2 + 12k colours).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -116,8 +116,9 @@ def build_sequence_subdivision(
 ) -> tuple[SubdividedGraph, SequenceSubdivisionLabels]:
     """Subdivide edge e of a properly 2-coloured graph 3 * t[rank(e) - 1] times.
 
-    Ranks are those of _sequence_ranks.  Each division path is split into
-    consecutive thirds with X adjacent to the white end and Z to the black.
+    Ranks are those of _sequence_ranks.  The thirds are the
+    consecutive_thirds of each oriented_division_path, so X is adjacent to
+    the white end and Z to the black; check_discriminating checks this rule.
     """
     bipartition = tuple(bipartition)
     if len(bipartition) != g.vertex_count or any(b not in (0, 1) for b in bipartition):
@@ -135,22 +136,22 @@ def build_sequence_subdivision(
     counts = [3 * t[edge_rank[i] - 1] for i in range(m)]
     s = subdivide(g, counts)
 
-    thirds = []
-    for i, (u, v) in enumerate(g.edges):
-        path = s.division_paths[i]
-        oriented = path if bipartition[u] == 1 else path[::-1]
-        ti = t[edge_rank[i] - 1]
-        thirds.append((oriented[:ti], oriented[ti : 2 * ti], oriented[2 * ti :]))
-
-    labels = SequenceSubdivisionLabels(tuple(rank), tuple(edge_rank), bipartition, tuple(thirds))
-    return s, labels
+    # oriented_division_path reads only the bipartition, so the thirds can wait
+    labels = SequenceSubdivisionLabels(tuple(rank), tuple(edge_rank), bipartition, ())
+    thirds = tuple(consecutive_thirds(oriented_division_path(s, labels, i)) for i in range(m))
+    return s, replace(labels, thirds=thirds)
 
 
 def oriented_division_path(s: SubdividedGraph, labels: SequenceSubdivisionLabels, i: int) -> tuple[int, ...]:
     """Division path of edge i ordered from its white end."""
-    u, _v = s.base.edges[i]
-    path = s.division_paths[i]
-    return path if labels.bipartition[u] == 1 else path[::-1]
+    u, v = s.base.edges[i]
+    return s.division_path_from(i, u if labels.bipartition[u] == 1 else v)
+
+
+def consecutive_thirds(path: Sequence[int]) -> tuple:
+    """X, Y, Z: path cut into three equal consecutive parts, in order."""
+    t = len(path) // 3
+    return path[:t], path[t : 2 * t], path[2 * t :]
 
 
 @dataclass(frozen=True)
@@ -252,15 +253,12 @@ def colour_8(g_prime: BaseGraph) -> SequenceConstruction:
     s, labels = build_sequence_subdivision(one.graph, one.colour_class, t)
 
     colours = _original_colours(s, one)
-    for i in range(m):
-        path = oriented_division_path(s, labels, i)
-        ti = len(path) // 3
-        word = keranen_symbols(len(path))
-        for j, (dv, sym) in enumerate(zip(path, word)):
-            if sym < 3:
-                colours[dv] = 2 + sym
-            else:
-                colours[dv] = 5 + j // ti  # 5 in X, 6 in Y, 7 in Z
+    for thirds in labels.thirds:  # one word along each path from its white end
+        ti = len(thirds[0])
+        word = keranen_symbols(3 * ti)
+        for q, third in enumerate(thirds):
+            for dv, sym in zip(third, word[q * ti :]):
+                colours[dv] = 2 + sym if sym < 3 else 5 + q  # 5 in X, 6 in Y, 7 in Z
 
     cs = coloured_subdivision(
         s,

@@ -4,6 +4,9 @@ Vertex ids are dense non-negative integers.  Subdividing assigns ids
 deterministically: original vertices keep their ids, division vertices are
 numbered sequentially per edge in edge-list order, ordered along the path
 from the stored u-endpoint to the stored v-endpoint.
+SubdividedGraph.chain_edges, SubdividedGraph.division_path_from and
+RootedTree.edges are the one home of how the package lists a subdivision's
+edges, reads a division path from one end, and orders a tree's edges.
 """
 
 from __future__ import annotations
@@ -40,11 +43,16 @@ class BaseGraph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in adj)
+        return _adjacency(self.vertex_count, self.edges)
+
+
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of the graph on 0..n-1 with edges pairs."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in adj)
 
 
 def complete_graph(n: int) -> BaseGraph:
@@ -104,6 +112,11 @@ class RootedTree:
                 d[c] = d[v] + 1
                 stack.append(c)
         return tuple(d)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(parent, child) pairs, parents in id order, children in child order."""
+        return tuple((v, c) for v in range(self.vertex_count) for c in self.children[v])
 
     @property
     def height(self) -> int:
@@ -176,12 +189,8 @@ def random_binary_tree(max_height: int, seed: int) -> RootedTree:
 
 
 def tree_to_base_graph(t: RootedTree) -> BaseGraph:
-    """Edges listed parent-first in vertex-id order, children in child order."""
-    edges = []
-    for v in range(t.vertex_count):
-        for c in t.children[v]:
-            edges.append((v, c))
-    return BaseGraph(t.vertex_count, tuple(edges))
+    """The tree as a graph whose edge i joins the ends of t.edges[i]."""
+    return BaseGraph(t.vertex_count, t.edges)
 
 
 @dataclass(frozen=True)
@@ -208,19 +217,24 @@ class SubdividedGraph:
     def is_original(self, v: int) -> bool:
         return v < self.base.vertex_count
 
+    def chain_edges(self) -> Iterator[tuple[int, int]]:
+        """Every edge of the subdivision: base edge by base edge, each one's
+        chain u, division path, v in order."""
+        for (u, v), path in zip(self.base.edges, self.division_paths):
+            chain = (u, *path, v)
+            yield from zip(chain, chain[1:])
+
+    def division_path_from(self, i: int, end: int) -> tuple[int, ...]:
+        """Division path of base edge i read from its endpoint end."""
+        u, v = self.base.edges[i]
+        if end not in (u, v):
+            raise ValueError(f"vertex {end} is not an endpoint of edge {i}")
+        path = self.division_paths[i]
+        return path if end == u else path[::-1]
+
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-
-        def link(a: int, b: int) -> None:
-            adj[a].append(b)
-            adj[b].append(a)
-
-        for (u, v), path in zip(self.base.edges, self.division_paths):
-            chain = [u, *path, v]
-            for a, b in zip(chain, chain[1:]):
-                link(a, b)
-        return tuple(tuple(sorted(ns)) for ns in adj)
+        return _adjacency(self.vertex_count, self.chain_edges())
 
     @cached_property
     def division_edge_index(self) -> dict[int, int]:
@@ -233,11 +247,7 @@ class SubdividedGraph:
 
     def flatten(self) -> BaseGraph:
         """The subdivision as a plain graph on all vertices."""
-        edges = []
-        for (u, v), path in zip(self.base.edges, self.division_paths):
-            chain = [u, *path, v]
-            edges.extend(zip(chain, chain[1:]))
-        return BaseGraph(self.vertex_count, tuple(edges))
+        return BaseGraph(self.vertex_count, tuple(self.chain_edges()))
 
 
 def subdivide(g: BaseGraph, counts: Sequence[int]) -> SubdividedGraph:
@@ -319,14 +329,6 @@ def one_subdivision(g: BaseGraph) -> OneSubdivision:
     return OneSubdivision(s.flatten(), colour_class, mids)
 
 
-def _adjacency_of(g) -> tuple[tuple[int, ...], ...]:
-    if isinstance(g, BaseGraph):
-        return g.adjacency
-    if isinstance(g, SubdividedGraph):
-        return g.adjacency
-    raise TypeError(f"expected BaseGraph or SubdividedGraph, got {type(g)!r}")
-
-
 def _is_forest(adj) -> bool:
     n = len(adj)
     seen = [False] * n
@@ -356,7 +358,7 @@ def enumerate_maximal_simple_paths(g, *, step_budget: Optional[int] = None) -> I
     some maximal path, so scanning windows of these covers all paths.
     In a forest maximal paths run leaf to leaf, so only leaves seed the DFS.
     """
-    adj = _adjacency_of(g)
+    adj = g.adjacency
     n = len(adj)
     steps = 0
     path: list[int] = []

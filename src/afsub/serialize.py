@@ -122,10 +122,6 @@ def from_json_dict(data: Any) -> ColouredSubdivision:
     palette = data["palette"]
     if not (isinstance(palette, list) and all(type(c) is int for c in palette)):
         raise SchemaError("palette must be a list of ints")
-    pal = set(palette)
-    for vid, colour in enumerate(colours):
-        if not (colour is None or colour in pal):
-            raise SchemaError(f"vertex {vid} coloured {colour}, outside palette")
     if None in colours:
         raise SchemaError("all vertices must be coloured")
 
@@ -162,9 +158,6 @@ def to_dot(cs: ColouredSubdivision) -> str:
             lines.append(f'  v{v} [shape=box, label="{v}:{cs.colour[v]}", fillcolor="{fill}"];')
         else:
             lines.append(f'  v{v} [shape=point, fillcolor="{fill}", color="{fill}"];')
-    for (u, v), path in zip(cs.graph.base.edges, cs.graph.division_paths):
-        chain = [u, *path, v]
-        for a, b in zip(chain, chain[1:]):
-            lines.append(f"  v{a} -- v{b};")
+    lines.extend(f"  v{a} -- v{b};" for a, b in cs.graph.chain_edges())
     lines.append("}")
     return "\n".join(lines) + "\n"

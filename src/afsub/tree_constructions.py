@@ -13,8 +13,9 @@ depth parity within their band, each division path red in its parent half
 and green in the rest) and colours through one kernel, _root_path_counts,
 which counts for every vertex the vertices of its label on its root path:
 a vertex of label L with count x is coloured (L, w_x), w the canonical
-anagram-free word.  extend_plus_4 recolours any subdivision of an already
-anagram-free graph with four extra colours.
+anagram-free word.  Edge i of every labelling is RootedTree.edges[i], the
+base edge i of tree_to_base_graph.  extend_plus_4 recolours any subdivision
+of an already anagram-free graph with four extra colours.
 """
 
 from __future__ import annotations
@@ -59,15 +60,10 @@ def _trivial_vertex(tree: RootedTree, construction: str, **params) -> LabelledTr
     return LabelledTreeSubdivision(cs, (1,), (), tree)
 
 
-def _tree_edges(tree: RootedTree) -> list[tuple[int, int]]:
-    """Edge list aligned with tree_to_base_graph's edge order."""
-    return [(v, c) for v in range(tree.vertex_count) for c in tree.children[v]]
-
-
 def _root_path_counts(tree: RootedTree, s: SubdividedGraph, labels: Sequence) -> list[int]:
     """For every vertex of the subdivision s of tree, how many vertices on
     its root path, itself included, carry its label."""
-    edges = _tree_edges(tree)
+    edges = tree.edges
     counts = [0] * s.vertex_count
     counts[tree.root] = 1
     on_path = {tree.root: {labels[tree.root]: 1}}  # label counts down to each original
@@ -98,7 +94,7 @@ def build_binary_tree_8(tree: RootedTree) -> LabelledTreeSubdivision:
     if h == 0:
         return _trivial_vertex(tree, "binary-tree-8")
 
-    edges = _tree_edges(tree)
+    edges = tree.edges
     edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
     s = subdivide(tree_to_base_graph(tree), [3 ** (h - tree.depth[u] - 1) - 1 for u, _c in edges])
     labels = [1] * s.vertex_count
@@ -143,7 +139,7 @@ def _dary_bands(d: int, h: int, x: int, band: int, provenance: dict) -> Labelled
     the vertex of a one-vertex band gets 10*i.
     """
     tree = complete_dary_tree(d, h)
-    edges = _tree_edges(tree)
+    edges = tree.edges
     edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
     band_of = [min(depth // band, x - 1) for depth in tree.depth]
     local_depth = [depth - band * i for depth, i in zip(tree.depth, band_of)]
@@ -220,31 +216,17 @@ def prune_to_subtree(full: LabelledTreeSubdivision, t: RootedTree) -> LabelledTr
     """
     prov = full.coloured.provenance
     image = embed_by_child_order(t, full.tree)
+    full_index = {e: i for i, e in enumerate(full.tree.edges)}
+    edge_image = [full_index[(image[u], image[c])] for u, c in t.edges]
+    full_paths = full.coloured.graph.division_paths
+    s = subdivide(tree_to_base_graph(t), [len(full_paths[fi]) for fi in edge_image])
 
-    full_edges = _tree_edges(full.tree)
-    full_index = {e: i for i, e in enumerate(full_edges)}
-
-    edges = _tree_edges(t)
-    counts = []
-    for u, c in edges:
-        fi = full_index[(image[u], image[c])]
-        counts.append(len(full.coloured.graph.division_paths[fi]))
-    base = tree_to_base_graph(t)
-    s = subdivide(base, counts)
-
-    n = s.vertex_count
-    colours = [0] * n
-    labels: list = [None] * n
-    for v in range(t.vertex_count):
-        colours[v] = full.coloured.colour[image[v]]
-        labels[v] = full.vertex_labels[image[v]]
-    edge_labels = []
-    for i, (u, c) in enumerate(edges):
-        fi = full_index[(image[u], image[c])]
-        edge_labels.append(full.edge_labels[fi])
-        for dv, fdv in zip(s.division_paths[i], full.coloured.graph.division_paths[fi]):
-            colours[dv] = full.coloured.colour[fdv]
-            labels[dv] = full.vertex_labels[fdv]
+    # the full-tree vertex behind each new one: division ids follow the
+    # originals, edge by edge
+    source = [image[v] for v in range(t.vertex_count)] + [dv for fi in edge_image for dv in full_paths[fi]]
+    colours = [full.coloured.colour[v] for v in source]
+    labels = [full.vertex_labels[v] for v in source]
+    edge_labels = [full.edge_labels[fi] for fi in edge_image]
 
     cs = coloured_subdivision(
         s,

@@ -23,7 +23,8 @@ graphs to their exhaustive scan.  check_restriction applies the
 colour-restriction operator as a refutation accelerator, over the
 maximal-path and degree-2 scans and the window ceiling, and
 check_discriminating audits the four structural conditions that make a
-sequence-subdivision colouring anagram-free.
+sequence-subdivision colouring anagram-free.  Every counterexample records
+its first half's multiset_of, through Counterexample.of.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 if TYPE_CHECKING:
     import numpy as np
 
+from .graph_constructions import consecutive_thirds, oriented_division_path
 from .graph_model import (
     ColouredGraph,
     ColouredSubdivision,
@@ -45,7 +47,7 @@ from .graph_model import (
     _is_forest,
     enumerate_maximal_simple_paths,
 )
-from .words import _hash_weights, find_abelian_square
+from .words import _hash_weights, _ranks, find_abelian_square
 
 DEFAULT_MAX_WINDOWS = 10_000_000
 
@@ -86,13 +88,24 @@ class WindowCeilingExceeded(Exception):
         self.unit = unit
 
 
+def multiset_of(colours: Sequence[int], vertices: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The colour multiset of vertices as sorted (colour, count) pairs."""
+    return tuple(sorted(Counter(colours[v] for v in vertices).items()))
+
+
 @dataclass(frozen=True)
 class Counterexample:
     """An even vertex sequence whose halves share a colour multiset."""
 
     vertices: tuple[int, ...]
     split: int
-    multiset: tuple[tuple[int, int], ...]  # sorted (colour, count) pairs
+    multiset: tuple[tuple[int, int], ...]  # multiset_of the first half
+
+    @classmethod
+    def of(cls, vertices: Sequence[int], split: int, colours: Sequence[int]) -> Counterexample:
+        """vertices halved after the first split of them, with the first
+        half's multiset."""
+        return cls(tuple(vertices), split, multiset_of(colours, vertices[:split]))
 
     def half_multisets(self, colours: Sequence[int]) -> tuple[Counter, Counter]:
         left = Counter(colours[v] for v in self.vertices[: self.split])
@@ -124,12 +137,6 @@ def _palette(c: Colourable) -> set[int]:
     if isinstance(c, ColouredSubdivision):
         return set(c.palette)
     return set(c.colours)
-
-
-def _make_counterexample(path: Sequence[int], colours: Sequence[int], start: int, length: int) -> Counterexample:
-    vertices = tuple(path[start : start + length])
-    half = Counter(colours[v] for v in vertices[: length // 2])
-    return Counterexample(vertices, length // 2, tuple(sorted(half.items())))
 
 
 def _window_count(length: int, max_length: Optional[int] = None) -> int:
@@ -210,7 +217,7 @@ def _scan_maximal_paths(
                 start, length = hit
                 return VerificationReport(
                     "counterexample",
-                    _make_counterexample(path, colours, start, length),
+                    Counterexample.of(path[start : start + length], length // 2, colours),
                     paths_checked,
                     mode,
                 )
@@ -304,11 +311,10 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
     nxt_count = deg[head] - 1
     nxt_start = np.cumsum(nxt_count) - nxt_count
 
-    rank_of = {colour: i for i, colour in enumerate(sorted(set(colours)))}
-    rank = np.fromiter(map(rank_of.__getitem__, colours), np.intp, n)
+    rank, k = _ranks(colours)
     shift = np.uint64(64 - edges.bit_length())
     bits = int(shift) - 1 - (n // 2).bit_length()
-    weight = (_hash_weights(len(rank_of), bits) << np.uint64(1))[rank]
+    weight = (_hash_weights(k, bits) << np.uint64(1))[rank]
     head_weight = weight[head]
     edge_key = np.arange(edges, dtype=np.uint64) << shift
     # a's halves end at a (directed edge b -> a), then b's halves at b
@@ -318,7 +324,7 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
     base = n // 2 + 1
 
     def colour_weight(v: int) -> int:
-        return base ** rank_of[colours[v]]
+        return base ** int(rank[v])
 
     halves = 2 * edges
     depth = 1
@@ -350,14 +356,9 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
             sig = min(shared)
             a_half = _climb(a_parent, a_ends[sig], a)
             b_half = _climb(b_parent, b_ends[sig], b)
-            half = Counter(colours[v] for v in a_half)
+            ce = Counterexample.of(a_half + b_half[::-1], depth, colours)
             checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
-            return VerificationReport(
-                "counterexample",
-                Counterexample(tuple(a_half + b_half[::-1]), depth, tuple(sorted(half.items()))),
-                checked,
-                "exhaustive",
-            )
+            return VerificationReport("counterexample", ce, checked, "exhaustive")
         # an edge still present on one side only is dead
         if np.count_nonzero(a_count) + np.count_nonzero(b_count) > 2 * np.count_nonzero(live):
             keep = live[edge]
@@ -430,16 +431,6 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
         return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
     rng = random.Random(seed)
     seen: set = set()
-
-    def scan(path: Sequence[int], sample: int) -> Optional[VerificationReport]:
-        hit = find_abelian_square([colours[v] for v in path], length_major=True)
-        if hit is None:
-            return None
-        s, length = hit
-        return VerificationReport(
-            "counterexample", _make_counterexample(path, colours, s, length), sample + 1, mode
-        )
-
     for sample in range(budget):
         start = rng.randrange(n)
         path = [start]
@@ -463,9 +454,11 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
             continue
         if len(seen) < SAMPLED_SEEN_CAP:
             seen.add(key)
-        report = scan(path, sample)
-        if report is not None:
-            return report
+        hit = find_abelian_square([colours[v] for v in path], length_major=True)
+        if hit is not None:
+            start, length = hit
+            ce = Counterexample.of(path[start : start + length], length // 2, colours)
+            return VerificationReport("counterexample", ce, sample + 1, mode)
     return VerificationReport("anagram_free", None, budget, mode)
 
 
@@ -523,10 +516,7 @@ def naive_find_anagram(c: Colourable) -> VerificationReport:
         if found:
             break
     if found:
-        vertices = found[0]
-        h = len(vertices) // 2
-        half = Counter(colours[v] for v in vertices[:h])
-        ce = Counterexample(vertices, h, tuple(sorted(half.items())))
+        ce = Counterexample.of(found[0], len(found[0]) // 2, colours)
         return VerificationReport("counterexample", ce, paths, "naive")
     return VerificationReport("anagram_free", None, paths, "naive")
 
@@ -537,7 +527,7 @@ def revalidate(ce: Counterexample, c: Colourable) -> bool:
     if len(ce.vertices) != 2 * ce.split:
         return False
     left, right = ce.half_multisets(colours)
-    if left != right or tuple(sorted(left.items())) != ce.multiset:
+    if left != right or multiset_of(colours, ce.vertices[: ce.split]) != ce.multiset:
         return False
     if len(set(ce.vertices)) != len(ce.vertices):
         return False
@@ -570,14 +560,21 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
         inferred as the colours occurring exclusively on Q's paths;
     (4) for every edge q and family Q, the C(Q)-vertices of Q(q) outnumber
         the C(Q)-vertices of all lower-ranked Q(e) combined (exact counts).
+
+    The audit holds labels to the builder's rules and raises ValueError
+    when they break one: edge_rank must be a permutation of 1..m, and each
+    edge's X, Y, Z the consecutive_thirds of its oriented_division_path.
     """
     g = s.base
-    if len(labels.thirds) != len(g.edges) or len(labels.bipartition) != g.vertex_count:
+    m = len(g.edges)
+    if len(labels.thirds) != m or len(labels.bipartition) != g.vertex_count:
         raise ValueError("labels do not describe this subdivision")
-    for i, path in enumerate(s.division_paths):
-        x, y, z = labels.thirds[i]
-        if not (len(x) == len(y) == len(z)) or set(x) | set(y) | set(z) != set(path):
-            raise ValueError(f"thirds of edge {i} do not partition its division path")
+    if sorted(labels.edge_rank) != list(range(1, m + 1)):
+        raise ValueError("edge ranks are not a permutation of 1..m")
+    for i in range(m):
+        path = oriented_division_path(s, labels, i)
+        if len(path) % 3 or tuple(map(tuple, labels.thirds[i])) != consecutive_thirds(path):
+            raise ValueError(f"thirds of edge {i} are not the thirds of its path from the white end")
     witnesses: dict = {}
 
     # condition 1

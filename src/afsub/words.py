@@ -10,7 +10,8 @@ colouring constructions.
 Abelian squares are found by one scanner for every length: prefix sums of
 one wrapping uint64 hash weight per symbol rank select candidate windows,
 and each candidate is confirmed by exact counts of its two halves, so the
-result is exact and deterministic.
+result is exact and deterministic.  _ranks and _hash_weights serve this
+scanner and the forest scan in verifier alike.
 
 Symbols are 0-based integers; rendering as letters happens only at the CLI
 boundary.
@@ -82,6 +83,15 @@ def is_anagram(w: WordLike) -> bool:
     return Counter(s[:h]) == Counter(s[h:])
 
 
+def _ranks(symbols: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Each symbol's rank among the distinct symbols, in sorted order, as
+    an intp array, and the number of distinct symbols."""
+    import numpy as np
+
+    rank_of = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
+    return np.fromiter(map(rank_of.__getitem__, symbols), np.intp, len(symbols)), len(rank_of)
+
+
 def _hash_weights(k: int, bits: int) -> np.ndarray:
     """k hash weights below 2 ** bits, one per symbol rank, from a fixed
     seed so that every run does the same work."""
@@ -118,9 +128,7 @@ def find_abelian_square(
     top = (n if max_length is None else min(n, max_length)) // 2
     if top < 1:
         return None
-    rank_of = {sym: r for r, sym in enumerate(sorted(set(s)))}
-    rank = np.fromiter(map(rank_of.__getitem__, s), np.intp, n)
-    k = len(rank_of)
+    rank, k = _ranks(s)
     H = np.zeros(n + 1, dtype=np.uint64)
     np.cumsum(_hash_weights(k, 64)[rank], out=H[1:])
     twice = H * np.uint64(2)
@@ -233,14 +241,6 @@ def restrict(w: Word, keep: Iterable[int]) -> Word:
     return Word(tuple(s for s in w.symbols if s in keep_set), w.alphabet_size)
 
 
-def _ends_with_anagram(s: list[int]) -> bool:
-    n = len(s)
-    for L in range(1, n // 2 + 1):
-        if Counter(s[n - 2 * L : n - L]) == Counter(s[n - L :]):
-            return True
-    return False
-
-
 def longest_anagram_free(alphabet_size: int) -> tuple[int, Word]:
     """Exhaustive search for the longest anagram-free word on 1-3 symbols.
 
@@ -265,7 +265,7 @@ def longest_anagram_free(alphabet_size: int) -> tuple[int, Word]:
             best = tuple(word)
         for sym in range(min(used + 1, alphabet_size)):
             word.append(sym)
-            if not _ends_with_anagram(word):
+            if not any(is_anagram(word[-2 * L :]) for L in range(1, len(word) // 2 + 1)):
                 extend(max(used, sym + 1))
             word.pop()
 

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from afsub.bounds import (
+    MonochromaticWitness,
     PreconditionError,
     dary_two_sided,
     effective_structure,
@@ -183,6 +184,12 @@ class TestExtractMonochromatic:
         w = extract_monochromatic_subtree(t, colours, 2, [3])
         assert validate_monochromatic_witness(t, colours, 2, 3, w)
         assert not validate_monochromatic_witness(t, colours, 2, 4, w)
+
+    def test_member_whose_parent_is_outside_is_invalid(self):
+        # 7's parent 3 is not a member, so {0, 1, 7} is not a subtree
+        t = complete_dary_tree(2, 3)
+        w = MonochromaticWitness(0, 0, frozenset({0, 1, 7}))
+        assert not validate_monochromatic_witness(t, (0,) * t.vertex_count, 2, 0, w)
 
     def test_rejects_insufficient_effective_height(self):
         t = complete_dary_tree(2, 2)

@@ -255,6 +255,19 @@ class TestArtifactBytes:
     def test_sha256(self, make, digest):
         assert hashlib.sha256(to_json_str(make()).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: colour_14(complete_graph(3)).coloured,
+         "0cc30b42856f630b63b60b0bf8246db25c98bd4c214e180efca630e8189c30c1"),
+        (lambda: build_binary_tree_8(complete_dary_tree(2, 3)).coloured,
+         "884b3771c6cf550c81ef610975b57db1d1337a2ecec3ae7ba55d4b3eb36e5442"),
+        (lambda: build_dary_banded(2, 4, 12).coloured,
+         "29e5be7f51abe1d909318564ac1698af12861b418e525601a7771496a873f899"),
+    ], ids=["graph14-K3", "binary-tree-h3", "dary-banded-2-4-12"])
+    def test_dot_sha256(self, make, digest):
+        # recorded before to_dot, adjacency and flatten shared
+        # SubdividedGraph.chain_edges
+        assert hashlib.sha256(to_dot(make()).encode()).hexdigest() == digest
+
 
 class TestDot:
     def test_shapes_and_edges(self):
@@ -348,6 +361,17 @@ class TestCliConstructVerify:
     def test_sample_requires_seed(self, tmp_path):
         good = alternating_path_file(tmp_path, (1, 2, 3))
         assert main(["verify", str(good), "--sample", "10"]) == 64
+        assert main(["verify", str(good), "--sample", "10", "--seed", "1"]) == 0
+
+    def test_flags_outside_their_mode_exit_64(self, tmp_path, monkeypatch, capsys):
+        good = alternating_path_file(tmp_path, (1, 2, 3))
+        for flags in (["--seed", "1"], ["--restrict", "1", "--seed", "1"],
+                      ["--sample", "10", "--seed", "1", "--max-windows", "0"]):
+            assert main(["verify", str(good), *flags]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage error:")
+        # the environment ceiling is a default, not a flag given to --sample
+        monkeypatch.setenv("AFSUB_MAX_WINDOWS", "0")
         assert main(["verify", str(good), "--sample", "10", "--seed", "1"]) == 0
 
     def test_restrict(self, tmp_path):

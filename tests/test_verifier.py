@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -627,6 +628,21 @@ class TestCheckDiscriminating:
         report = check_discriminating(s, labels, colours)
         assert report.conditions[0] and report.conditions[1] and report.conditions[2]
         assert not report.conditions[3]
+
+    def test_thirds_not_read_from_the_white_end_raise(self):
+        c = colour_14(path_graph(2))
+        x, y, z = c.labels.thirds[0]
+        thirds = ((z, y, x),) + c.labels.thirds[1:]
+        labels = dataclasses.replace(c.labels, thirds=thirds)
+        with pytest.raises(ValueError, match="thirds of edge 0"):
+            check_discriminating(c.coloured.graph, labels, c.coloured.colour)
+
+    def test_edge_ranks_not_a_permutation_raise(self):
+        c = colour_14(path_graph(2))
+        edge_rank = (c.labels.edge_rank[1],) + c.labels.edge_rank[1:]
+        labels = dataclasses.replace(c.labels, edge_rank=edge_rank)
+        with pytest.raises(ValueError, match="permutation"):
+            check_discriminating(c.coloured.graph, labels, c.coloured.colour)
 
     def test_reused_original_colour_fails_condition_1(self):
         c = colour_14(path_graph(2))
