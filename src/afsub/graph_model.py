@@ -236,15 +236,6 @@ class SubdividedGraph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return _adjacency(self.vertex_count, self.chain_edges())
 
-    @cached_property
-    def division_edge_index(self) -> dict[int, int]:
-        """Maps each division vertex to the index of its base edge."""
-        out = {}
-        for i, path in enumerate(self.division_paths):
-            for v in path:
-                out[v] = i
-        return out
-
     def flatten(self) -> BaseGraph:
         """The subdivision as a plain graph on all vertices."""
         return BaseGraph(self.vertex_count, tuple(self.chain_edges()))

@@ -7,15 +7,17 @@ with 10 colours via a red/green split of each edge's division path, and
 build_dary_banded trades division count against palette size by cutting
 that tree into height bands, each coloured on its own 10-colour block; the
 10-colour tree is the one-band case of the same labeller, _dary_bands.
-Every builder only assigns labels (binary: root 1, every other vertex its
-parent edge's sibling label 1 or 2; d-ary: originals black or white by
-depth parity within their band, each division path red in its parent half
-and green in the rest) and colours through one kernel, _root_path_counts,
-which counts for every vertex the vertices of its label on its root path:
-a vertex of label L with count x is coloured (L, w_x), w the canonical
-anagram-free word.  Edge i of every labelling is RootedTree.edges[i], the
-base edge i of tree_to_base_graph.  extend_plus_4 recolours any subdivision
-of an already anagram-free graph with four extra colours.
+All three builders return a LabelledTreeSubdivision, so prune_to_subtree
+and the label checks serve each of them.  Every builder only assigns
+labels (binary: root 1, every other vertex its parent edge's sibling label
+1 or 2; d-ary: originals black or white by depth parity within their band,
+each division path red in its parent half and green in the rest) and
+colours through one kernel, _root_path_counts, which counts for every
+vertex the vertices of its label on its root path: a vertex of label L
+with count x is coloured (L, w_x), w the canonical anagram-free word.
+Edge i of every labelling is RootedTree.edges[i], the base edge i of
+tree_to_base_graph.  extend_plus_4 recolours any subdivision of an
+already anagram-free graph with four extra colours.
 """
 
 from __future__ import annotations
@@ -253,23 +255,13 @@ def band_parameters(d: int, hprime: int, k: int) -> tuple[int, int]:
     return x, band
 
 
-@dataclass(frozen=True)
-class BandedConstruction:
-    coloured: ColouredSubdivision
-    component_of_vertex: tuple[int, ...]  # component index per original vertex
-    component_depth_index: tuple[int, ...]  # band index per component
-    x: int
-    band_height: int
-
-
-def build_dary_banded(d: int, hprime: int, k: int) -> BandedConstruction:
+def build_dary_banded(d: int, hprime: int, k: int) -> LabelledTreeSubdivision:
     """(<= k)-subdivision of the complete d-ary tree with at most 10x colours.
 
     Cuts the edges at depths i * ceil(hprime/x) - 1 (the i = 0 cut is the
     vacuous depth -1), leaves them unsubdivided, and colours each band the
     way the 10-colour construction colours a tree of the band's height, on
-    the band's own colour block (_dary_bands).  A component is a maximal
-    subtree inside one band.
+    the band's own colour block (_dary_bands).
     """
     if d < 2 or hprime < 1:
         raise ValueError("need d >= 2 and hprime >= 1")
@@ -279,19 +271,7 @@ def build_dary_banded(d: int, hprime: int, k: int) -> BandedConstruction:
         {"construction": "dary-banded", "d": d, "height": hprime, "k": k, "bands": x, "band_height": band},
     )
     assert lab.coloured.max_division_count <= k
-
-    tree = lab.tree
-    comp: list[int] = []
-    depth_index: list[int] = []  # band index per component
-    for v in range(tree.vertex_count):  # ids are BFS order, parents first
-        i = min(tree.depth[v] // band, x - 1)
-        p = tree.parent[v]
-        if p is None or depth_index[comp[p]] != i:
-            comp.append(len(depth_index))
-            depth_index.append(i)
-        else:
-            comp.append(comp[p])
-    return BandedConstruction(lab.coloured, tuple(comp), tuple(depth_index), x, band)
+    return lab
 
 
 def extend_plus_4(

@@ -107,11 +107,6 @@ class Counterexample:
         half's multiset."""
         return cls(tuple(vertices), split, multiset_of(colours, vertices[:split]))
 
-    def half_multisets(self, colours: Sequence[int]) -> tuple[Counter, Counter]:
-        left = Counter(colours[v] for v in self.vertices[: self.split])
-        right = Counter(colours[v] for v in self.vertices[self.split :])
-        return left, right
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -526,8 +521,8 @@ def revalidate(ce: Counterexample, c: Colourable) -> bool:
     adj, colours = _view(c)
     if len(ce.vertices) != 2 * ce.split:
         return False
-    left, right = ce.half_multisets(colours)
-    if left != right or multiset_of(colours, ce.vertices[: ce.split]) != ce.multiset:
+    left = multiset_of(colours, ce.vertices[: ce.split])
+    if left != multiset_of(colours, ce.vertices[ce.split :]) or left != ce.multiset:
         return False
     if len(set(ce.vertices)) != len(ce.vertices):
         return False

@@ -152,7 +152,8 @@ def find_square(w: WordLike) -> Optional[tuple[int, int]]:
     """First factor WW (W non-empty) by (start, length) order, or None.
 
     For each half-length L, a window is a square iff its first L positions
-    all match the symbol L places on, counted by a numpy cumulative sum.
+    all match the symbol L places on, counted by a numpy cumulative sum
+    over the starts before the first hit so far.
     """
     import numpy as np
 
@@ -160,25 +161,17 @@ def find_square(w: WordLike) -> Optional[tuple[int, int]]:
     n = len(s)
     a = np.asarray(s, dtype=np.int64)
     best: Optional[tuple[int, int]] = None
+    starts = n  # only starts below this can still come first
     for L in range(1, n // 2 + 1):
-        m = (a[:-L] == a[L:]).astype(np.int64)
-        cs = np.concatenate([[0], np.cumsum(m)])
-        hi = n - 2 * L
-        if best is not None:
-            hi = min(hi, best[0] - 1)
-        if hi < 0:
-            if best is not None:
+        m = min(n - 2 * L + 1, starts)
+        runs = np.concatenate([[0], np.cumsum(a[: L + m - 1] == a[L : 2 * L + m - 1])])
+        hits = np.flatnonzero(runs[L : L + m] - runs[:m] == L)
+        if hits.size:
+            starts = int(hits[0])
+            best = (starts, 2 * L)
+            if starts == 0:
                 break
-            continue
-        runs = cs[L : L + hi + 1] - cs[: hi + 1]
-        idx = np.flatnonzero(runs == L)
-        if idx.size:
-            i = int(idx[0])
-            if best is None or i < best[0]:
-                best = (i, L)
-                if i == 0:
-                    break
-    return None if best is None else (best[0], 2 * best[1])
+    return best
 
 
 # Fixed point of 0 -> 012, 1 -> 02, 2 -> 1, a standard square-free word on

@@ -20,25 +20,21 @@ from afsub.tree_constructions import (
     prune_to_subtree,
     subdivision_step,
 )
-from afsub.verifier import check_restriction, find_anagram
-
-
-def tree_edges(tree):
-    return [(v, c) for v in range(tree.vertex_count) for c in tree.children[v]]
+from afsub.verifier import check_restriction, find_anagram, naive_find_anagram
 
 
 class TestBinaryTree8:
     def test_height2_division_counts(self):
         lab = build_binary_tree_8(complete_dary_tree(2, 2))
         by_depth = {}
-        for (u, _c), path in zip(tree_edges(lab.tree), lab.coloured.graph.division_paths):
+        for (u, _c), path in zip(lab.tree.edges, lab.coloured.graph.division_paths):
             by_depth.setdefault(lab.tree.depth[u], set()).add(len(path))
         assert by_depth == {0: {2}, 1: {0}}
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_division_count_formula(self, h):
         lab = build_binary_tree_8(complete_dary_tree(2, h))
-        for (u, _c), path in zip(tree_edges(lab.tree), lab.coloured.graph.division_paths):
+        for (u, _c), path in zip(lab.tree.edges, lab.coloured.graph.division_paths):
             assert len(path) == 3 ** (h - lab.tree.depth[u] - 1) - 1
         assert lab.coloured.max_division_count == 3 ** (h - 1) - 1
 
@@ -64,7 +60,7 @@ class TestBinaryTree8:
         # of the anagram-free word in their colour's second component
         lab = build_binary_tree_8(tree)
         cs = lab.coloured
-        edges = tree_edges(lab.tree)
+        edges = lab.tree.edges
         eidx = {e: i for i, e in enumerate(edges)}
         for leaf in lab.tree.leaves():
             rp = lab.tree.root_path(leaf)
@@ -84,7 +80,7 @@ class TestBinaryTree8:
 
     def test_branch_children_get_distinct_labels(self):
         lab = build_binary_tree_8(complete_dary_tree(2, 3))
-        edges = tree_edges(lab.tree)
+        edges = lab.tree.edges
         for v in range(lab.tree.vertex_count):
             kids = lab.tree.children[v]
             if len(kids) == 2:
@@ -104,8 +100,8 @@ class TestBinaryTree8:
 class TestDaryTree10:
     def test_fig_counts_d3_h2(self):
         lab = build_dary_tree_10(3, 2)
-        top = {len(p) for (u, _c), p in zip(tree_edges(lab.tree), lab.coloured.graph.division_paths) if lab.tree.depth[u] == 0}
-        bottom = {len(p) for (u, _c), p in zip(tree_edges(lab.tree), lab.coloured.graph.division_paths) if lab.tree.depth[u] == 1}
+        top = {len(p) for (u, _c), p in zip(lab.tree.edges, lab.coloured.graph.division_paths) if lab.tree.depth[u] == 0}
+        bottom = {len(p) for (u, _c), p in zip(lab.tree.edges, lab.coloured.graph.division_paths) if lab.tree.depth[u] == 1}
         assert top == {8, 16, 24}  # 2 * y * (d+1)^(h-1) for y = 1..3
         assert bottom == {2, 4, 6}
 
@@ -116,7 +112,7 @@ class TestDaryTree10:
     @pytest.mark.parametrize("d,h", [(2, 1), (2, 2), (3, 2), (2, 3), (2, 4), (4, 2)])
     def test_general_count_formula_and_verify(self, d, h):
         lab = build_dary_tree_10(d, h)
-        edges = tree_edges(lab.tree)
+        edges = lab.tree.edges
         for i, (u, _c) in enumerate(edges):
             z = lab.tree.depth[u]
             y = lab.edge_labels[i]
@@ -139,7 +135,7 @@ class TestDaryTree10:
         cs = lab.coloured
         # red colours are 2..5 encoding word symbols; walking any root-leaf
         # path, the red subsequence must spell a prefix of the word
-        edges = tree_edges(lab.tree)
+        edges = lab.tree.edges
         eidx = {e: i for i, e in enumerate(edges)}
         for leaf in lab.tree.leaves():
             walk = []
@@ -187,6 +183,21 @@ class TestPruneToSubtree:
         assert set(pruned.coloured.palette) <= set(full.coloured.palette)
         assert find_anagram(pruned.coloured).outcome == "anagram_free"
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_prune_banded_tree(self, seed):
+        full = build_dary_banded(2, 6, 40)
+        pruned = prune_to_subtree(full, random_binary_tree(6, seed))
+        cs = pruned.coloured
+        assert find_anagram(cs).outcome == "anagram_free"
+        assert cs.max_division_count <= 40
+        assert len(cs.palette) <= 10 * cs.provenance["bands"]
+        assert cs.provenance["construction"] == "dary-banded-pruned"
+
+    def test_pruned_banded_tree_agrees_with_naive(self):
+        pruned = prune_to_subtree(build_dary_banded(2, 6, 40), random_binary_tree(6, 3))
+        assert pruned.coloured.graph.vertex_count == 76
+        assert naive_find_anagram(pruned.coloured).outcome == find_anagram(pruned.coloured).outcome == "anagram_free"
+
     def test_too_wide_rejected(self):
         full = build_dary_tree_10(2, 2)
         wide = tree_from_children([(1, 2, 3), (), (), ()])
@@ -209,7 +220,7 @@ def banded_by_components(d, hprime, k):
     per host edge, the colours of its division path."""
     x, band = band_parameters(d, hprime, k)
     tree = complete_dary_tree(d, hprime)
-    eidx = {e: i for i, e in enumerate(tree_edges(tree))}
+    eidx = {e: i for i, e in enumerate(tree.edges)}
     band_of = [min(depth // band, x - 1) for depth in tree.depth]
     original = [None] * tree.vertex_count
     division = [[] for _ in eidx]
@@ -231,7 +242,7 @@ def banded_by_components(d, hprime, k):
                 image[lc] = tree.children[image[lv]][i]
         for lv, hv in image.items():
             original[hv] = offset + local.coloured.colour[lv]
-        for (lu, lc), path in zip(tree_edges(local.tree), local.coloured.graph.division_paths):
+        for (lu, lc), path in zip(local.tree.edges, local.coloured.graph.division_paths):
             division[eidx[(image[lu], image[lc])]] = [offset + local.coloured.colour[dv] for dv in path]
     return original, division
 
@@ -243,14 +254,14 @@ class TestDaryBanded:
 
     def test_case_h4_k12(self):
         b = build_dary_banded(2, 4, 12)
-        assert b.x == 4  # palette capped at 10 * 4 = 40
+        assert b.coloured.provenance["bands"] == 4  # palette capped at 10 * 4 = 40
         assert len(b.coloured.palette) <= 40
         assert b.coloured.max_division_count <= 12
         assert find_anagram(b.coloured).outcome == "anagram_free"
 
     def test_single_band(self):
         b = build_dary_banded(2, 1, 13)
-        assert b.x == 1
+        assert b.coloured.provenance["bands"] == 1
         assert len(b.coloured.palette) <= 10
         assert find_anagram(b.coloured).outcome == "anagram_free"
 
@@ -258,7 +269,7 @@ class TestDaryBanded:
     def test_desk_scale_instances_verify(self, d, h, k):
         b = build_dary_banded(d, h, k)
         assert b.coloured.max_division_count <= k
-        assert len(b.coloured.palette) <= 10 * b.x
+        assert len(b.coloured.palette) <= 10 * b.coloured.provenance["bands"]
         assert find_anagram(b.coloured).outcome == "anagram_free"
 
     @pytest.mark.parametrize("d,hprime,ks", [
@@ -278,7 +289,7 @@ class TestDaryBanded:
     def test_oracle_sweep_has_divided_bands_of_height_two(self):
         # the sweep above reaches several bands with division vertices
         b = build_dary_banded(2, 6, 40)
-        assert (b.x, b.band_height) == (3, 2)
+        assert (b.coloured.provenance["bands"], b.coloured.provenance["band_height"]) == (3, 2)
         divided = {b.coloured.colour[v] // 10 for path in b.coloured.graph.division_paths for v in path}
         assert divided == {0, 1, 2}
 
@@ -287,21 +298,19 @@ class TestDaryBanded:
             build_dary_banded(2, 3, 4)
 
     def test_block_colours_confined_to_one_band(self):
-        # every vertex coloured in band i's block belongs to a component at
-        # band index i, so a path's restriction to one block stays inside a
-        # single component
-        b = build_dary_banded(2, 4, 12)
-        cs = b.coloured
-        tree = complete_dary_tree(2, 4)
-        for v in range(cs.graph.vertex_count):
-            band = cs.colour[v] // 10
-            if v < tree.vertex_count:
-                assert b.component_depth_index[b.component_of_vertex[v]] == band
-            else:
-                edge_idx = cs.graph.division_edge_index[v]
-                u, c = tree_edges(tree)[edge_idx]
-                assert b.component_of_vertex[u] == b.component_of_vertex[c]
-                assert b.component_depth_index[b.component_of_vertex[u]] == band
+        # an original at depth z is coloured in the block of its band
+        # min(z // band_height, bands - 1), and a divided edge has both ends
+        # in one band and its division path coloured in that band's block,
+        # so a path's restriction to one block stays inside a single band
+        for d, hprime, k in [(2, 4, 12), (2, 6, 40)]:
+            b = build_dary_banded(d, hprime, k)
+            prov, colour = b.coloured.provenance, b.coloured.colour
+            band_of = [min(z // prov["band_height"], prov["bands"] - 1) for z in b.tree.depth]
+            assert [colour[v] // 10 for v in range(b.tree.vertex_count)] == band_of
+            for (u, c), path in zip(b.tree.edges, b.coloured.graph.division_paths):
+                if path:
+                    assert band_of[u] == band_of[c]
+                    assert {colour[v] // 10 for v in path} == {band_of[u]}
 
 
 class TestExtendPlus4:

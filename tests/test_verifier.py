@@ -116,8 +116,9 @@ class TestDegree2Scan:
         report = check_restriction(c, keep)
         assert report.outcome == expected
         if report.counterexample is not None:
-            left, right = report.counterexample.half_multisets(c.colours)
-            assert left == right
+            ce = report.counterexample
+            left, right = ce.vertices[: ce.split], ce.vertices[ce.split :]
+            assert verifier.multiset_of(c.colours, left) == verifier.multiset_of(c.colours, right)
 
     def test_cycle_counterexample_order(self):
         # cycle 0-1-2-3 reads from 0 toward its smaller neighbour 1, as the
@@ -409,6 +410,22 @@ class TestFindAnagram:
         report = find_anagram(c)
         assert report.outcome == "counterexample"
         assert revalidate(report.counterexample, c)
+
+    @pytest.mark.parametrize(
+        "colours,vertices,split,multiset",
+        [
+            ([1, 2, 2, 1], (0, 1, 2, 3), 1, ((1, 1),)),  # split is not half the length
+            ([1, 2, 1, 1], (0, 1, 2, 3), 2, ((1, 1), (2, 1))),  # halves differ
+            ([1, 2, 2, 1], (0, 1, 2, 3), 2, ((1, 2),)),  # recorded multiset is wrong
+            ([1, 2, 2, 1], (0, 1, 0, 1), 2, ((1, 1), (2, 1))),  # a vertex repeats
+            ([1, 2, 2, 1], (0, 1, 3, 2), 2, ((1, 1), (2, 1))),  # 1 and 3 are not adjacent
+        ],
+        ids=["split", "halves", "multiset", "repeat", "gap"],
+    )
+    def test_revalidate_rejects_forged_counterexamples(self, colours, vertices, split, multiset):
+        genuine = Counterexample((0, 1, 2, 3), 2, ((1, 1), (2, 1)))
+        assert revalidate(genuine, coloured_path([1, 2, 2, 1]))
+        assert not revalidate(Counterexample(vertices, split, multiset), coloured_path(colours))
 
     def test_deterministic_counterexample(self):
         c = coloured_path([1, 1, 2, 2, 1, 1])
