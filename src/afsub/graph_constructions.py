@@ -8,18 +8,25 @@ doubling sequence and 14 colours; colour_8 squeezes the palette to 8 with a
 faster-growing sequence calibrated to symbol densities of anagram-free
 words; colour_merged splits the edges into k groups to trade division
 counts against palette size (2 + 12k colours).
+
+All three build through one helper, _sequence_construction, and return
+one result type, SequenceConstruction(coloured, labels).  The helper
+sequence-subdivides the 1-subdivision of the input by
+build_sequence_subdivision, which ranks the edges once, then colours the
+originals by their bipartition class and each division path by the
+builder's rule.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph_model import (
     BaseGraph,
     ColouredSubdivision,
-    OneSubdivision,
     SubdividedGraph,
     coloured_subdivision,
     one_subdivision,
@@ -118,7 +125,8 @@ def build_sequence_subdivision(
 
     Ranks are those of _sequence_ranks.  The thirds are the
     consecutive_thirds of each oriented_division_path, so X is adjacent to
-    the white end and Z to the black; check_discriminating checks this rule.
+    the white end and Z to the black; check_discriminating derives them by
+    the same rule.
     """
     bipartition = tuple(bipartition)
     if len(bipartition) != g.vertex_count or any(b not in (0, 1) for b in bipartition):
@@ -160,47 +168,41 @@ class SequenceConstruction:
 
     coloured: ColouredSubdivision
     labels: SequenceSubdivisionLabels
-    source: BaseGraph
-    one_sub: OneSubdivision
 
 
-def _original_colours(s: SubdividedGraph, one: OneSubdivision) -> list[int]:
-    """Colour list with the originals black or white by colour class and
-    every division vertex still 0, to be coloured by the caller."""
-    colours = [0] * s.vertex_count
-    for v in range(one.graph.vertex_count):
-        colours[v] = WHITE_COLOUR if one.colour_class[v] == 1 else BLACK_COLOUR
-    return colours
+def _sequence_construction(
+    g_prime: BaseGraph,
+    sequence: Callable[[int], Sequence[int]],
+    division_colours: Callable[[int, tuple], Iterable[int]],
+    provenance: dict,
+) -> SequenceConstruction:
+    """Sequence-subdivide the 1-subdivision of g_prime and colour it.
 
-
-def _doubling_colouring(
-    one: OneSubdivision, groups: Sequence[Sequence[int]]
-) -> tuple[SubdividedGraph, SequenceSubdivisionLabels, list[int]]:
-    """Sequence-subdivision of one.graph with a doubling sequence per group.
-
-    groups partitions the subdivided edges.  Within group j the edges take
-    1, 2, 4, ... in edge-rank order.  Each X, Y, Z third of a group-j edge
-    gets a fresh prefix of the anagram-free 4-symbol word over its own
-    4-colour block, 12j + 2..5, 6..9 or 10..13; black and white are shared.
+    The 1-subdivision's white vertices are the midpoints of the source
+    edges, numbered in source-edge order, so source edge i's two halves,
+    subdivided edges 2i and 2i + 1, take the edge ranks 2i + 1 and 2i + 2.
+    sequence(m) gives the terms for its m edges in that rank order.  The
+    originals are black or white by bipartition class, and
+    division_colours(i, thirds) gives the colours of edge i's X, Y and Z
+    vertices, in that order.
     """
-    # Ordering a group's edges by the global edge rank is the same as ranking
-    # the group's subgraph on its own: both order vertices black before
-    # white, then by id.
-    _rank, edge_rank = _sequence_ranks(one.graph, one.colour_class)
-    t = [0] * len(one.graph.edges)
-    for group in groups:
-        ordered = sorted(group, key=edge_rank.__getitem__)
-        for ei, term in zip(ordered, doubling_sequence(len(ordered))):
-            t[edge_rank[ei] - 1] = term
-    s, labels = build_sequence_subdivision(one.graph, one.colour_class, t)
-    colours = _original_colours(s, one)
-    for j, group in enumerate(groups):
-        for ei in group:
-            for q, third in enumerate(labels.thirds[ei]):
-                word = keranen_symbols(len(third))
-                for dv, sym in zip(third, word):
-                    colours[dv] = 12 * j + 4 * q + 2 + sym
-    return s, labels, colours
+    if not g_prime.edges:
+        raise ValueError("need at least one edge")
+    one = one_subdivision(g_prime)
+    s, labels = build_sequence_subdivision(one.graph, one.colour_class, sequence(len(one.graph.edges)))
+    colours = [WHITE_COLOUR if b == 1 else BLACK_COLOUR for b in labels.bipartition]
+    colours += [0] * (s.vertex_count - len(colours))
+    for i, thirds in enumerate(labels.thirds):
+        for v, colour in zip(itertools.chain(*thirds), division_colours(i, thirds)):
+            colours[v] = colour
+    return SequenceConstruction(coloured_subdivision(s, colours, provenance), labels)
+
+
+def _block_colours(j: int, thirds: tuple) -> list[int]:
+    """Colours of a group-j edge of a doubling construction: each X, Y, Z
+    third gets a fresh prefix of the anagram-free 4-symbol word over its own
+    4-colour block, 12j + 2..5, 6..9 or 10..13."""
+    return [12 * j + 4 * q + 2 + sym for q, third in enumerate(thirds) for sym in keranen_symbols(len(third))]
 
 
 def colour_14(g_prime: BaseGraph) -> SequenceConstruction:
@@ -211,15 +213,11 @@ def colour_14(g_prime: BaseGraph) -> SequenceConstruction:
     fresh prefixes of the anagram-free 4-symbol word over its own 4-colour
     block.  The largest division count realised is 3 * 2^(2|E| - 1).
     """
-    if not g_prime.edges:
-        raise ValueError("need at least one edge")
-    one = one_subdivision(g_prime)
-    s, labels, colours = _doubling_colouring(one, [range(len(one.graph.edges))])
-
     e_src = len(g_prime.edges)
-    cs = coloured_subdivision(
-        s,
-        colours,
+    return _sequence_construction(
+        g_prime,
+        doubling_sequence,
+        lambda _i, thirds: _block_colours(0, thirds),
         {
             "construction": "graph14",
             "source_edges": e_src,
@@ -227,7 +225,6 @@ def colour_14(g_prime: BaseGraph) -> SequenceConstruction:
             "division_bound_alt": 3 * 2 ** (2 * e_src - 1) - 1,
         },
     )
-    return SequenceConstruction(cs, labels, g_prime, one)
 
 
 def colour_8(g_prime: BaseGraph) -> SequenceConstruction:
@@ -240,71 +237,49 @@ def colour_8(g_prime: BaseGraph) -> SequenceConstruction:
     Raises ValueError, before building anything, when the subdivision would
     need more than MAX_GRAPH8_DIVISION_VERTICES division vertices.
     """
-    if not g_prime.edges:
-        raise ValueError("need at least one edge")
-    one = one_subdivision(g_prime)
-    m = len(one.graph.edges)
-    t = density_sequence(m)
-    if 3 * sum(t) > MAX_GRAPH8_DIVISION_VERTICES:
-        raise ValueError(
-            f"graph8 on {len(g_prime.edges)} edges needs {3 * sum(t)} division vertices, "
-            f"more than {MAX_GRAPH8_DIVISION_VERTICES}"
-        )
-    s, labels = build_sequence_subdivision(one.graph, one.colour_class, t)
 
-    colours = _original_colours(s, one)
-    for thirds in labels.thirds:  # one word along each path from its white end
+    def sequence(m: int) -> tuple[int, ...]:
+        t = density_sequence(m)
+        if 3 * sum(t) > MAX_GRAPH8_DIVISION_VERTICES:
+            raise ValueError(
+                f"graph8 on {len(g_prime.edges)} edges needs {3 * sum(t)} division vertices, "
+                f"more than {MAX_GRAPH8_DIVISION_VERTICES}"
+            )
+        return t
+
+    def division_colours(_i: int, thirds: tuple) -> list[int]:
+        # one word along the path from its white end: 5 in X, 6 in Y, 7 in Z
         ti = len(thirds[0])
-        word = keranen_symbols(3 * ti)
-        for q, third in enumerate(thirds):
-            for dv, sym in zip(third, word[q * ti :]):
-                colours[dv] = 2 + sym if sym < 3 else 5 + q  # 5 in X, 6 in Y, 7 in Z
+        return [2 + sym if sym < 3 else 5 + j // ti for j, sym in enumerate(keranen_symbols(3 * ti))]
 
-    cs = coloured_subdivision(
-        s,
-        colours,
-        {"construction": "graph8", "source_edges": len(g_prime.edges)},
+    return _sequence_construction(
+        g_prime, sequence, division_colours, {"construction": "graph8", "source_edges": len(g_prime.edges)}
     )
-    return SequenceConstruction(cs, labels, g_prime, one)
 
 
-@dataclass(frozen=True)
-class MergedConstruction:
-    """Edge-partitioned merge of 14-colour constructions sharing black/white."""
-
-    coloured: ColouredSubdivision
-    groups: tuple[tuple[int, ...], ...]  # source-edge indices per group
-    group_edge_indices: tuple[tuple[int, ...], ...]  # subdivided-edge indices per group
-    source: BaseGraph
-    one_sub: OneSubdivision
-
-
-def colour_merged(g: BaseGraph, k: int) -> MergedConstruction:
+def colour_merged(g: BaseGraph, k: int) -> SequenceConstruction:
     """(2 + 12k)-colour subdivision: split the edges into k near-equal groups.
 
-    Each group is treated as its own doubling-sequence construction over the
-    shared 1-subdivision, with black and white common to all groups and
-    twelve fresh division colours per group, so larger k caps the division
-    count at 3 * 4^ceil(|E|/k) per source edge.
+    Group j is a run of consecutive source edges, the first m mod k groups
+    one edge longer than the rest.  Each group is treated as its own
+    doubling-sequence construction over the shared 1-subdivision: its
+    subdivided edges, a run of edge ranks, take 1, 2, 4, ... and the colours
+    12j + 2..13, with black and white common to all groups, so larger k caps
+    the division count at 3 * 4^ceil(|E|/k) per source edge.  k = 1 is
+    colour_14.  The labels describe the whole 1-subdivision, and
+    check_discriminating covers only k = 1: for k >= 2 each group restarts
+    the sequence at 1, so condition 4, counted in one edge order over the
+    whole graph, fails.
     """
     m = len(g.edges)
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= number of edges")
-    one = one_subdivision(g)
-
     sizes = [m // k + (1 if j < m % k else 0) for j in range(k)]
-    groups = []
-    at = 0
-    for size in sizes:
-        groups.append(tuple(range(at, at + size)))
-        at += size
-
-    group_edge_indices = tuple(tuple(e for i in group for e in (2 * i, 2 * i + 1)) for group in groups)
-    s, _labels, colours = _doubling_colouring(one, group_edge_indices)
-
-    cs = coloured_subdivision(
-        s,
-        colours,
+    group_of = [j for j, size in enumerate(sizes) for _ in range(size)]  # by source edge
+    return _sequence_construction(
+        g,
+        lambda _m: [term for size in sizes for term in doubling_sequence(2 * size)],
+        lambda i, thirds: _block_colours(group_of[i // 2], thirds),
         {
             "construction": "graph-merged",
             "source_edges": m,
@@ -312,4 +287,3 @@ def colour_merged(g: BaseGraph, k: int) -> MergedConstruction:
             "per_edge_division_bound": 3 * 4 ** (-(-m // k)),
         },
     )
-    return MergedConstruction(cs, tuple(groups), group_edge_indices, g, one)

@@ -23,8 +23,9 @@ graphs to their exhaustive scan.  check_restriction applies the
 colour-restriction operator as a refutation accelerator, over the
 maximal-path and degree-2 scans and the window ceiling, and
 check_discriminating audits the four structural conditions that make a
-sequence-subdivision colouring anagram-free.  Every counterexample records
-its first half's multiset_of, through Counterexample.of.
+sequence-subdivision colouring anagram-free, reading only the bipartition
+of its labels.  Every counterexample records its first half's multiset_of,
+through Counterexample.of.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 if TYPE_CHECKING:
     import numpy as np
 
-from .graph_constructions import consecutive_thirds, oriented_division_path
+from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 from .graph_model import (
     ColouredGraph,
     ColouredSubdivision,
@@ -475,8 +476,12 @@ def check_restriction(
     find_anagram's centre-edge scan, so a restriction can trip the ceiling
     where find_anagram decides: on the binary-tree h=6 construction the
     full palette trips the default ceiling after 10,066,084 path-windows.
+    Raises ValueError on an empty keep set, whose restriction is empty on
+    every path and so certifies nothing.
     """
     keep_set = set(keep)
+    if not keep_set:
+        raise ValueError("keep-colours are empty: an empty restriction certifies nothing")
     extra = keep_set - _palette(c)
     if extra:
         raise ValueError(f"keep-colours {sorted(extra)} not in palette")
@@ -556,53 +561,42 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
     (4) for every edge q and family Q, the C(Q)-vertices of Q(q) outnumber
         the C(Q)-vertices of all lower-ranked Q(e) combined (exact counts).
 
-    The audit holds labels to the builder's rules and raises ValueError
-    when they break one: edge_rank must be a permutation of 1..m, and each
-    edge's X, Y, Z the consecutive_thirds of its oriented_division_path.
+    Of the labels the audit reads only labels.bipartition.  It derives the
+    rest by the builder's own rules: each edge's X, Y, Z are the
+    consecutive_thirds of its oriented_division_path, and the edge order is
+    that of _sequence_ranks.  So a forged thirds or edge_rank field cannot
+    change the report.  It raises ValueError when the bipartition does not
+    cover the base graph, or a division path's length is not a multiple
+    of 3.
     """
-    g = s.base
-    m = len(g.edges)
-    if len(labels.thirds) != m or len(labels.bipartition) != g.vertex_count:
+    g, bipartition = s.base, labels.bipartition
+    if len(bipartition) != g.vertex_count:
         raise ValueError("labels do not describe this subdivision")
-    if sorted(labels.edge_rank) != list(range(1, m + 1)):
-        raise ValueError("edge ranks are not a permutation of 1..m")
-    for i in range(m):
+    thirds = []
+    for i in range(len(g.edges)):
         path = oriented_division_path(s, labels, i)
-        if len(path) % 3 or tuple(map(tuple, labels.thirds[i])) != consecutive_thirds(path):
-            raise ValueError(f"thirds of edge {i} are not the thirds of its path from the white end")
-    witnesses: dict = {}
+        if len(path) % 3:
+            raise ValueError(f"division path of edge {i} has {len(path)} vertices, not a multiple of 3")
+        thirds.append(consecutive_thirds(path))
+    _rank, edge_rank = _sequence_ranks(g, bipartition)
+    witnesses: dict = {}  # condition n fails exactly when witnesses[n] is set
 
     # condition 1
-    cond1 = True
-    black = {colouring[v] for v in range(g.vertex_count) if labels.bipartition[v] == 0}
-    white = {colouring[v] for v in range(g.vertex_count) if labels.bipartition[v] == 1}
+    black = {colouring[v] for v in range(g.vertex_count) if bipartition[v] == 0}
+    white = {colouring[v] for v in range(g.vertex_count) if bipartition[v] == 1}
+    reserved = black | white
     if len(black) > 1 or len(white) > 1 or (black and white and black == white):
-        cond1 = False
         witnesses[1] = ("original colour classes not a 2-colouring", sorted(black), sorted(white))
-    else:
-        for u, v in g.edges:
-            if labels.bipartition[u] == labels.bipartition[v]:
-                cond1 = False
-                witnesses[1] = ("bipartition not proper on edge", (u, v))
-                break
-        if cond1:
-            reserved = black | white
-            for path in s.division_paths:
-                for v in path:
-                    if colouring[v] in reserved:
-                        cond1 = False
-                        witnesses[1] = ("original colour reused on division vertex", v)
-                        break
-                if not cond1:
-                    break
+    elif (edge := next((e for e in g.edges if bipartition[e[0]] == bipartition[e[1]]), None)) is not None:
+        witnesses[1] = ("bipartition not proper on edge", edge)
+    elif (v := next((v for p in s.division_paths for v in p if colouring[v] in reserved), None)) is not None:
+        witnesses[1] = ("original colour reused on division vertex", v)
 
     # condition 2
-    cond2 = True
     for i, path in enumerate(s.division_paths):
         word = [colouring[v] for v in path]
         hit = find_abelian_square(word)
         if hit is not None:
-            cond2 = False
             witnesses[2] = ("division path of edge carries an anagram", i, hit)
             break
 
@@ -611,34 +605,31 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
     for v in range(g.vertex_count):
         family_of.setdefault(colouring[v], set()).add("original")
     for i in range(len(g.edges)):
-        for name, third in zip("XYZ", labels.thirds[i]):
+        for name, third in zip("XYZ", thirds[i]):
             for v in third:
                 family_of.setdefault(colouring[v], set()).add(name)
     exclusive = {
         name: {c for c, fams in family_of.items() if fams == {name}} for name in "XYZ"
     }
-    cond3 = all(exclusive[name] for name in "XYZ")
-    if not cond3:
+    if not all(exclusive[name] for name in "XYZ"):
         witnesses[3] = ("families without an exclusive colour", [n for n in "XYZ" if not exclusive[n]])
 
     # condition 4: exact prefix counting in edge-rank order
-    cond4 = True
-    order = sorted(range(len(g.edges)), key=lambda i: labels.edge_rank[i])
+    order = sorted(range(len(g.edges)), key=edge_rank.__getitem__)
     for name, qidx in (("X", 0), ("Y", 1), ("Z", 2)):
         cq = exclusive[name]
         if not cq:
-            cond4 = False
-            witnesses.setdefault(4, ("no C(Q) to count for family", name))
+            witnesses[4] = ("no C(Q) to count for family", name)
             break
         running = 0
         for i in order:
-            here = sum(1 for v in labels.thirds[i][qidx] if colouring[v] in cq)
+            here = sum(1 for v in thirds[i][qidx] if colouring[v] in cq)
             if running >= here:
-                cond4 = False
                 witnesses[4] = ("prefix count not dominated", name, i, running, here)
                 break
             running += here
-        if not cond4 and 4 in witnesses:
+        if 4 in witnesses:
             break
 
-    return DiscriminatingReport((cond1, cond2, cond3, cond4), witnesses, exclusive)
+    conditions = tuple(n not in witnesses for n in (1, 2, 3, 4))
+    return DiscriminatingReport(conditions, witnesses, exclusive)

@@ -266,13 +266,14 @@ class TestBoundConsistencyWithConstructions:
         # the relation must never be violated
         from afsub.graph_constructions import colour_14
 
-        c = colour_14(complete_graph(n))
+        g = complete_graph(n)
+        c = colour_14(g)
         palette_size = len(c.coloured.palette)
         per_edge = [
             len(c.coloured.graph.division_paths[2 * i])
             + len(c.coloured.graph.division_paths[2 * i + 1])
             + 1
-            for i in range(len(c.source.edges))
+            for i in range(len(g.edges))
         ]
         k_real = max(per_edge)
         if n >= palette_size:

@@ -6,6 +6,7 @@ from afsub import words
 from afsub import graph_constructions
 from afsub.graph_constructions import (
     MAX_GRAPH8_DIVISION_VERTICES,
+    SequenceConstruction,
     build_sequence_subdivision,
     colour_14,
     colour_8,
@@ -139,7 +140,7 @@ class TestColour14:
 
     def test_k3_max_division(self):
         c = colour_14(complete_graph(3))
-        assert len(c.one_sub.graph.edges) == 6
+        assert len(c.coloured.graph.base.edges) == 6
         assert c.coloured.max_division_count == 3 * 2**5  # 96
 
     @pytest.mark.parametrize("g", [path_graph(2), path_graph(3)])
@@ -226,6 +227,18 @@ class TestColour8:
         assert colour_8(path_graph(3)).coloured.graph.vertex_count == 23_708
 
 
+def edge_groups(merged):
+    """The group j of each subdivided edge, read from the colour block
+    12j + 2..13 of its division vertices, which must all lie in one block."""
+    c = merged.coloured
+    groups = []
+    for path in c.graph.division_paths:
+        blocks = {(c.colour[v] - 2) // 12 for v in path}
+        assert len(blocks) == 1
+        groups.append(blocks.pop())
+    return groups
+
+
 class TestColourMerged:
     def test_k1_identical_to_colour_14(self):
         for g in (path_graph(3), complete_graph(3)):
@@ -238,9 +251,10 @@ class TestColourMerged:
     def test_degenerate_partition_counts(self):
         g = path_graph(4)
         merged = colour_merged(g, 3)
-        assert merged.groups == ((0,), (1,), (2,))
-        for group_edges in merged.group_edge_indices:
-            counts = sorted(len(merged.coloured.graph.division_paths[i]) for i in group_edges)
+        groups = edge_groups(merged)
+        assert groups == [0, 0, 1, 1, 2, 2]  # source edge j, sub-edges 2j and 2j + 1, is group j
+        for j in range(3):
+            counts = sorted(len(p) for p, group in zip(merged.coloured.graph.division_paths, groups) if group == j)
             assert counts == [3, 6]  # doubling sequence on two sub-edges
 
     def test_p3_with_two_groups(self):
@@ -250,7 +264,12 @@ class TestColourMerged:
 
     def test_equitable_group_sizes(self):
         merged = colour_merged(complete_graph(4), 4)
-        sizes = sorted(len(g) for g in merged.groups)
+        groups = edge_groups(merged)
+        # groups are runs of source edges, and both sub-edges of a source edge
+        # share its group
+        assert groups == sorted(groups)
+        assert all(groups[2 * i] == groups[2 * i + 1] for i in range(6))
+        sizes = sorted(groups.count(j) // 2 for j in set(groups))
         assert sizes == [1, 1, 2, 2]
         assert sum(sizes) == 6
 
@@ -269,8 +288,11 @@ class TestColourMerged:
 
     def test_division_colours_disjoint_between_groups(self):
         merged = colour_merged(path_graph(3), 2)
+        # two source edges in two groups: source edge j, whose sub-edges are
+        # 2j and 2j + 1, is group j
+        group_edge_indices = ((0, 1), (2, 3))
         seen = {}
-        for j, group_edges in enumerate(merged.group_edge_indices):
+        for j, group_edges in enumerate(group_edge_indices):
             block = set(range(2 + 12 * j, 14 + 12 * j))
             for ei in group_edges:
                 for v in merged.coloured.graph.division_paths[ei]:
@@ -284,3 +306,47 @@ class TestColourMerged:
             colour_merged(path_graph(3), 0)
         with pytest.raises(ValueError):
             colour_merged(path_graph(3), 3)
+
+    @pytest.mark.parametrize("g", [path_graph(2), path_graph(3), complete_graph(3), cycle_graph(4)])
+    def test_k1_labels_pass_the_audit(self, g):
+        c = colour_merged(g, 1)
+        assert check_discriminating(c.coloured.graph, c.labels, c.coloured.colour).passed
+
+    def test_k2_audit_fails_condition_4(self):
+        # each group restarts the doubling sequence, so the audit, which
+        # reads the whole graph in one edge order, is not the merged lemma:
+        # the first edge of group 1 cannot outnumber group 0
+        c = colour_merged(path_graph(3), 2)
+        report = check_discriminating(c.coloured.graph, c.labels, c.coloured.colour)
+        assert report.conditions == (True, True, True, False)
+        assert report.witnesses[4] == ("prefix count not dominated", "X", 2, 3, 1)
+        # the colouring is still anagram-free
+        assert find_anagram(c.coloured).outcome == "anagram_free"
+
+
+class TestSequenceConstruction:
+    @pytest.mark.parametrize("build", [colour_14, colour_8, lambda g: colour_merged(g, 2)])
+    def test_every_builder_returns_the_labels_of_its_subdivision(self, build):
+        g = path_graph(3)
+        c = build(g)
+        assert isinstance(c, SequenceConstruction)
+        one = one_subdivision(g)
+        assert c.coloured.graph.base == one.graph
+        assert c.labels.bipartition == one.colour_class
+        t = [len(c.coloured.graph.division_paths[i]) // 3 for i in range(len(one.graph.edges))]
+        by_rank = [0] * len(t)
+        for i, r in enumerate(c.labels.edge_rank):
+            by_rank[r - 1] = t[i]
+        s, labels = build_sequence_subdivision(one.graph, one.colour_class, by_rank)
+        assert s == c.coloured.graph
+        assert labels == c.labels
+
+    @pytest.mark.parametrize(
+        "g", [path_graph(2), path_graph(4), complete_graph(4), cycle_graph(5), BaseGraph(5, ((3, 4), (0, 1), (2, 1)))]
+    )
+    def test_halves_of_source_edge_i_take_ranks_2i_plus_1_and_2(self, g):
+        # the builders index their sequences by this rank order
+        one = one_subdivision(g)
+        _s, labels = build_sequence_subdivision(one.graph, one.colour_class, [1] * len(one.graph.edges))
+        for i in range(len(g.edges)):
+            assert sorted(labels.edge_rank[2 * i : 2 * i + 2]) == [2 * i + 1, 2 * i + 2]

@@ -377,7 +377,36 @@ class TestCliConstructVerify:
     def test_restrict(self, tmp_path):
         bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
         assert main(["verify", str(bad), "--restrict", "1"]) == 2
-        assert main(["verify", str(bad), "--restrict", ""]) == 0
+
+    @pytest.mark.parametrize("keep", ["", ","])
+    def test_empty_restriction_exits_64(self, tmp_path, capsys, keep):
+        # an empty keep set certifies nothing: here a binary-tree h=3 file
+        # with a planted two-vertex anagram
+        cs = build_binary_tree_8(complete_dary_tree(2, 3)).coloured
+        colours = list(cs.colour)
+        colours[cs.graph.adjacency[0][0]] = colours[0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(to_json_str(coloured_subdivision(cs.graph, colours, cs.provenance)))
+        assert main(["verify", str(bad)]) == 2
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--restrict", keep]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and "empty" in captured.err
+
+    def test_construct_scans_a_forest_past_the_path_window_estimate(self, tmp_path, capsys):
+        # 10,237 vertices: n^2/4 is 26.2M, above the default ceiling, but the
+        # forest scan decides the tree within it
+        out = tmp_path / "b.json"
+        assert main(["construct", "dary-banded", "--d", "2", "--height", "10", "--k", "40", "-o", str(out)]) == 0
+        assert capsys.readouterr().err.endswith("verification=anagram_free\n")
+        assert from_json_str(out.read_text()).graph.vertex_count == 10_237
+
+    def test_construct_skips_a_large_graph_with_cycles(self, tmp_path, capsys):
+        edges = tmp_path / "k4.txt"
+        edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        assert main(["construct", "graph14", "--edges", str(edges), "-o", str(tmp_path / "k4.json")]) == 0
+        assert capsys.readouterr().err.endswith("verification=skipped(window ceiling)\n")
 
     def test_restrict_with_sample_exit_64(self, tmp_path, capsys):
         bad = alternating_path_file(tmp_path, (1, 2, 1, 2))

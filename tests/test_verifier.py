@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afsub import verifier, words
-from afsub.graph_constructions import colour_14, colour_merged, build_sequence_subdivision
+from afsub.graph_constructions import (
+    SequenceSubdivisionLabels,
+    build_sequence_subdivision,
+    colour_14,
+    colour_merged,
+)
 from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
@@ -20,6 +25,7 @@ from afsub.graph_model import (
     cycle_graph,
     enumerate_maximal_simple_paths,
     path_graph,
+    subdivide,
 )
 from afsub.tree_constructions import build_binary_tree_8, build_dary_banded, build_dary_tree_10
 from afsub.verifier import (
@@ -109,6 +115,10 @@ class TestDegree2Scan:
     @settings(max_examples=100, deadline=None)
     def test_restriction_agrees_with_every_restricted_rotation(self, c, keep):
         keep &= set(c.colours)
+        if not keep:  # an empty restriction certifies nothing
+            with pytest.raises(ValueError, match="empty"):
+                check_restriction(c, keep)
+            return
         expected = "anagram_free"
         for path in enumerate_maximal_simple_paths(c.graph):  # every rotation
             if words.find_abelian_square([c.colours[v] for v in path if c.colours[v] in keep]):
@@ -571,8 +581,12 @@ class TestCheckRestriction:
         assert report.outcome == "counterexample"
         assert report.counterexample.vertices == (0, 2)
 
-    def test_empty_keep_is_vacuous(self):
-        assert check_restriction(coloured_path([1, 2, 1, 2]), set()).outcome == "anagram_free"
+    def test_empty_keep_is_refused(self):
+        # an empty restriction is empty on every path, so it certifies
+        # nothing, even on a path that is itself an anagram
+        for keep in (set(), [], ()):
+            with pytest.raises(ValueError, match="empty"):
+                check_restriction(coloured_path([1, 2, 1, 2]), keep)
 
     def test_rejects_colours_outside_palette(self):
         with pytest.raises(ValueError):
@@ -646,20 +660,54 @@ class TestCheckDiscriminating:
         assert report.conditions[0] and report.conditions[1] and report.conditions[2]
         assert not report.conditions[3]
 
-    def test_thirds_not_read_from_the_white_end_raise(self):
+    @staticmethod
+    def _assert_report_unchanged(c, forged):
+        honest = check_discriminating(c.coloured.graph, c.labels, c.coloured.colour)
+        report = check_discriminating(c.coloured.graph, forged, c.coloured.colour)
+        assert honest.passed
+        assert report.conditions == honest.conditions
+        assert report.witnesses == honest.witnesses
+        assert report.exclusive_colours == honest.exclusive_colours
+
+    def test_forged_thirds_leave_the_report_unchanged(self):
+        # the audit derives the thirds from each path read from its white
+        # end, so thirds read from the black end, cut elsewhere or missing
+        # never reach it
         c = colour_14(path_graph(2))
         x, y, z = c.labels.thirds[0]
-        thirds = ((z, y, x),) + c.labels.thirds[1:]
-        labels = dataclasses.replace(c.labels, thirds=thirds)
-        with pytest.raises(ValueError, match="thirds of edge 0"):
+        path = x + y + z
+        for thirds in (
+            ((z, y, x),) + c.labels.thirds[1:],
+            ((path[:1], path[1:2], path[2:]),) + c.labels.thirds[1:],
+            (),
+        ):
+            self._assert_report_unchanged(c, dataclasses.replace(c.labels, thirds=thirds))
+
+    def test_forged_edge_ranks_leave_the_report_unchanged(self):
+        # the audit orders the edges by _sequence_ranks on the bipartition:
+        # a repeated rank, or the order reversed, which taken on trust would
+        # fail condition 4, never reaches it
+        c = colour_14(path_graph(2))
+        for edge_rank in (
+            (c.labels.edge_rank[1],) + c.labels.edge_rank[1:],
+            tuple(len(c.labels.edge_rank) + 1 - r for r in c.labels.edge_rank),
+            (),
+        ):
+            self._assert_report_unchanged(c, dataclasses.replace(c.labels, edge_rank=edge_rank))
+
+    def test_bipartition_of_the_wrong_length_raises(self):
+        c = colour_14(path_graph(2))
+        labels = dataclasses.replace(c.labels, bipartition=c.labels.bipartition[:-1])
+        with pytest.raises(ValueError, match="do not describe"):
             check_discriminating(c.coloured.graph, labels, c.coloured.colour)
 
-    def test_edge_ranks_not_a_permutation_raise(self):
-        c = colour_14(path_graph(2))
-        edge_rank = (c.labels.edge_rank[1],) + c.labels.edge_rank[1:]
-        labels = dataclasses.replace(c.labels, edge_rank=edge_rank)
-        with pytest.raises(ValueError, match="permutation"):
-            check_discriminating(c.coloured.graph, labels, c.coloured.colour)
+    def test_path_length_not_a_multiple_of_3_raises(self):
+        # the builder gives every edge 3 * t division vertices
+        s = subdivide(path_graph(2), [4])
+        labels = SequenceSubdivisionLabels((1, 2), (1,), (0, 1), ())
+        colours = [0, 1] + [2, 3, 2, 4]
+        with pytest.raises(ValueError, match="division path of edge 0 has 4 vertices"):
+            check_discriminating(s, labels, colours)
 
     def test_reused_original_colour_fails_condition_1(self):
         c = colour_14(path_graph(2))
