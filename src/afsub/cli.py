@@ -181,8 +181,9 @@ def _summary(cs: ColouredSubdivision, max_windows: int) -> str:
     """The construct summary line.  Off forests, n^2/4 estimates the
     path-windows of a scan that can run for seconds before it trips, so a
     larger estimate skips the scan; a forest's scan trips its own ceiling
-    soon enough to be run."""
-    if cs.graph.vertex_count**2 // 4 > max_windows and not _is_forest(cs.graph.adjacency):
+    soon enough to be run.  The subdivision is a forest exactly when its
+    base graph is one."""
+    if cs.graph.vertex_count**2 // 4 > max_windows and not _is_forest(cs.graph.base.adjacency):
         outcome = "skipped(window ceiling)"
     else:
         try:

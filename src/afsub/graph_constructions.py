@@ -37,11 +37,6 @@ from .words import keranen_symbols
 BLACK_COLOUR = 0
 WHITE_COLOUR = 1
 
-# Most division vertices colour_8 builds.  Its density sequence grows about
-# ninefold per term, with two terms per source edge: P_3 needs 23,703
-# division vertices, K_3 2,065,239 and a 4-edge tree 179,905,728.
-MAX_GRAPH8_DIVISION_VERTICES = 10_000_000
-
 
 def doubling_sequence(m: int) -> tuple[int, ...]:
     """(1, 2, 4, ..., 2^(m-1))."""
@@ -234,18 +229,11 @@ def colour_8(g_prime: BaseGraph) -> SequenceConstruction:
     whole division path is coloured by a fresh prefix of the anagram-free
     4-symbol word, with the fourth symbol split into three colours by
     X / Y / Z membership.  Palette: black, white, and colours 2..7.
-    Raises ValueError, before building anything, when the subdivision would
-    need more than MAX_GRAPH8_DIVISION_VERTICES division vertices.
+    The density sequence grows about ninefold per term, with two terms per
+    source edge: P_3 needs 23,703 division vertices, K_3 2,065,239 and a
+    4-edge tree 179,905,728, which subdivide refuses as more than
+    graph_model.MAX_VERTICES.
     """
-
-    def sequence(m: int) -> tuple[int, ...]:
-        t = density_sequence(m)
-        if 3 * sum(t) > MAX_GRAPH8_DIVISION_VERTICES:
-            raise ValueError(
-                f"graph8 on {len(g_prime.edges)} edges needs {3 * sum(t)} division vertices, "
-                f"more than {MAX_GRAPH8_DIVISION_VERTICES}"
-            )
-        return t
 
     def division_colours(_i: int, thirds: tuple) -> list[int]:
         # one word along the path from its white end: 5 in X, 6 in Y, 7 in Z
@@ -253,7 +241,7 @@ def colour_8(g_prime: BaseGraph) -> SequenceConstruction:
         return [2 + sym if sym < 3 else 5 + j // ti for j, sym in enumerate(keranen_symbols(3 * ti))]
 
     return _sequence_construction(
-        g_prime, sequence, division_colours, {"construction": "graph8", "source_edges": len(g_prime.edges)}
+        g_prime, density_sequence, division_colours, {"construction": "graph8", "source_edges": len(g_prime.edges)}
     )
 
 

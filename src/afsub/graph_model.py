@@ -7,14 +7,23 @@ from the stored u-endpoint to the stored v-endpoint.
 SubdividedGraph.chain_edges, SubdividedGraph.division_path_from and
 RootedTree.edges are the one home of how the package lists a subdivision's
 edges, reads a division path from one end, and orders a tree's edges.
+
+Every builder allocates its vertices through complete_dary_tree and
+subdivide, and both refuse more than MAX_VERTICES before allocating any.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
+
+# Most vertices one complete_dary_tree, or one subdivide call's division
+# paths, may hold.  subdivide checks the sum of its counts against it, and
+# complete_dary_tree its closed-form size, before either allocates.
+MAX_VERTICES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,8 @@ def complete_dary_tree(d: int, h: int) -> RootedTree:
     if d < 1 or h < 0:
         raise ValueError("need d >= 1 and h >= 0")
     n = h + 1 if d == 1 else (d ** (h + 1) - 1) // (d - 1)
+    if n > MAX_VERTICES:
+        raise ValueError(f"complete {d}-ary tree of height {h} has {n} vertices, more than {MAX_VERTICES}")
     children: list[tuple[int, ...]] = []
     next_id = 1
     level = [0]
@@ -203,16 +214,14 @@ class SubdividedGraph:
     def __post_init__(self):
         if len(self.division_paths) != len(self.base.edges):
             raise ValueError("one division path per base edge required")
-        next_id = self.base.vertex_count
-        for path in self.division_paths:
-            for v in path:
-                if v != next_id:
-                    raise ValueError("division vertex ids must be sequential per edge")
-                next_id += 1
+        ids = tuple(itertools.chain.from_iterable(self.division_paths))
+        n0 = self.base.vertex_count
+        if ids != tuple(range(n0, n0 + len(ids))):
+            raise ValueError("division vertex ids must be sequential per edge")
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
-        return self.base.vertex_count + sum(len(p) for p in self.division_paths)
+        return self.base.vertex_count + sum(map(len, self.division_paths))
 
     def is_original(self, v: int) -> bool:
         return v < self.base.vertex_count
@@ -234,7 +243,28 @@ class SubdividedGraph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacency(self.vertex_count, self.chain_edges())
+        """Sorted neighbour tuples, equal to those of the flattened graph,
+        built from the division runs: division vertex x has neighbours
+        (x - 1, x + 1) unless it ends its run, where the run's base
+        endpoint takes a place, and only the originals are sorted."""
+        n0, n = self.base.vertex_count, self.vertex_count
+        adj: list[tuple[int, ...]] = list(zip(range(-1, n - 1), range(1, n + 1)))
+        originals: list[list[int]] = [[] for _ in range(n0)]
+        for (u, v), path in zip(self.base.edges, self.division_paths):
+            if not path:
+                originals[u].append(v)
+                originals[v].append(u)
+                continue
+            first, last = path[0], path[-1]
+            originals[u].append(first)
+            originals[v].append(last)
+            if first == last:
+                adj[first] = (u, v)
+            else:
+                adj[first] = (u, first + 1)
+                adj[last] = (v, last - 1)
+        adj[:n0] = [tuple(sorted(ns)) for ns in originals]
+        return tuple(adj)
 
     def flatten(self) -> BaseGraph:
         """The subdivision as a plain graph on all vertices."""
@@ -247,6 +277,9 @@ def subdivide(g: BaseGraph, counts: Sequence[int]) -> SubdividedGraph:
         raise ValueError("counts must be given for every edge")
     if any(c < 0 for c in counts):
         raise ValueError("division counts must be non-negative")
+    total = sum(counts)
+    if total > MAX_VERTICES:
+        raise ValueError(f"subdivision needs {total} division vertices, more than {MAX_VERTICES}")
     paths = []
     next_id = g.vertex_count
     for c in counts:
@@ -286,9 +319,9 @@ class ColouredSubdivision:
         if len(self.colour) != self.graph.vertex_count:
             raise ValueError("colouring must be total")
         pal = set(self.palette)
-        for v, c in enumerate(self.colour):
-            if c not in pal:
-                raise ValueError(f"vertex {v} coloured {c}, outside palette")
+        if not pal.issuperset(self.colour):
+            v = next(v for v, c in enumerate(self.colour) if c not in pal)
+            raise ValueError(f"vertex {v} coloured {self.colour[v]}, outside palette")
 
     @property
     def max_division_count(self) -> int:

@@ -6,14 +6,19 @@ Schema:
  "palette": [int], "provenance": {...}}
 
 Serialisation is canonical (sorted keys, 2-space indent), so parse followed
-by serialise is byte-identical.
+by serialise is byte-identical.  Parsing checks the canonical layout in
+bulk first (vertex i has id i, originals first, the division lists
+concatenating to the division ids in order); only a file that fails it
+is read entry by entry, which accepts entries in any order and names the
+first error.
 """
 
 from __future__ import annotations
 
 import colorsys
+import itertools
 import json
-from typing import Any
+from typing import Any, Optional
 
 from .graph_model import BaseGraph, ColouredSubdivision, SubdividedGraph
 
@@ -48,17 +53,68 @@ def to_json_str(cs: ColouredSubdivision) -> str:
 
 
 def from_json_dict(data: Any) -> ColouredSubdivision:
-    """Check data against the schema in one pass and build the subdivision.
+    """Check data against the schema and build the subdivision.
 
     Ids, endpoints, colours and palette entries must be JSON integers, not
-    booleans.  Each check raises SchemaError with its own message, formatted
-    only when it fails.
+    booleans.  A canonical file, as to_json_dict writes one, passes a bulk
+    check first: one comprehension per field, then whole-list comparisons
+    and one test of the set of types.
+    Only when that check fails does the per-entry loop run, which raises
+    SchemaError at the first failed check with that check's own message,
+    or accepts a valid file whose entries are out of canonical order.
+    Both build the same subdivision.
     """
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
     for key in ("vertices", "base_edges", "palette"):
         if key not in data:
             raise SchemaError(f"missing key {key!r}")
+    n_original, edges, division_paths, colours = _canonical_parts(data) or _checked_parts(data)
+    try:
+        base = BaseGraph(n_original, edges)
+        graph = SubdividedGraph(base, division_paths)
+        return ColouredSubdivision(graph, colours, tuple(data["palette"]), data.get("provenance", {}))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _canonical_parts(data: dict) -> Optional[tuple]:
+    """(originals, edges, division paths, colours) when data has the
+    canonical layout, else None: vertex i has id i, the originals come
+    first, the division lists concatenate to the division ids in order,
+    and every id, endpoint, colour and palette entry is an int.  Every
+    file it accepts passes each check of _checked_parts."""
+    vertices, base_edges, palette = data["vertices"], data["base_edges"], data["palette"]
+    if not (type(vertices) is list and type(base_edges) is list and type(palette) is list):
+        return None
+    if not {type(e) for e in vertices} | {type(e) for e in base_edges} <= {dict}:
+        return None
+    try:
+        ids = [e["id"] for e in vertices]
+        kinds = [e["kind"] for e in vertices]
+        colours = tuple([e["colour"] for e in vertices])
+        us = [e["u"] for e in base_edges]
+        vs = [e["v"] for e in base_edges]
+        divisions = [e["division"] for e in base_edges]
+    except KeyError:
+        return None
+    n = len(vertices)
+    n_original = kinds.count("original")
+    if not (ids == list(range(n)) and kinds == ["original"] * n_original + ["division"] * (n - n_original)):
+        return None
+    if not {type(x) for x in divisions} <= {list}:
+        return None
+    flat = list(itertools.chain.from_iterable(divisions))
+    types = set(map(type, itertools.chain(ids, colours, us, vs, flat, palette)))
+    if not (types <= {int} and flat == list(range(n_original, n))):
+        return None
+    if us and not (0 <= min(us) and 0 <= min(vs) and max(us) < n_original and max(vs) < n_original):
+        return None
+    return n_original, tuple(zip(us, vs)), tuple(map(tuple, divisions)), colours
+
+
+def _checked_parts(data: dict) -> tuple:
+    """The same parts as _canonical_parts, checked entry by entry."""
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise SchemaError("vertices must be a list")
@@ -124,13 +180,7 @@ def from_json_dict(data: Any) -> ColouredSubdivision:
         raise SchemaError("palette must be a list of ints")
     if None in colours:
         raise SchemaError("all vertices must be coloured")
-
-    try:
-        base = BaseGraph(n_original, tuple(edges))
-        graph = SubdividedGraph(base, tuple(division_paths))
-        return ColouredSubdivision(graph, tuple(colours), tuple(palette), data.get("provenance", {}))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return n_original, tuple(edges), tuple(division_paths), tuple(colours)
 
 
 def from_json_str(text: str) -> ColouredSubdivision:

@@ -18,9 +18,10 @@ graph, by one of three scanners:
   by words.find_abelian_square: hashed prefix sums, with weights drawn by
   the forest scan's _hash_weights, each candidate confirmed by exact counts.
 
-find_anagram_sampled trades certainty for scale, and hands max-degree-2
-graphs to their exhaustive scan.  check_restriction applies the
-colour-restriction operator as a refutation accelerator, over the
+A subdivision is routed by its base graph, which has the same maximum
+degree bound and cycles.  find_anagram_sampled trades certainty for scale,
+and hands max-degree-2 graphs to their exhaustive scan.  check_restriction
+applies the colour-restriction operator as a refutation accelerator, over the
 maximal-path and degree-2 scans and the window ceiling, and
 check_discriminating audits the four structural conditions that make a
 sequence-subdivision colouring anagram-free, reading only the bipartition
@@ -41,6 +42,7 @@ if TYPE_CHECKING:
 
 from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 from .graph_model import (
+    BaseGraph,
     ColouredGraph,
     ColouredSubdivision,
     StepBudgetExceeded,
@@ -124,9 +126,22 @@ class VerificationReport:
 def _view(c: Colourable) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     if isinstance(c, ColouredSubdivision):
         return c.graph.adjacency, c.colour
+    return _shape(c).adjacency, c.colours
+
+
+def _shape(c: Colourable) -> BaseGraph:
+    """The graph whose degrees and cycles choose c's scanner: a
+    subdivision's base graph, which has maximum degree at most 2, or is a
+    forest, exactly when the subdivision does."""
+    if isinstance(c, ColouredSubdivision):
+        return c.graph.base
     if isinstance(c, ColouredGraph):
-        return c.graph.adjacency, c.colours
+        return c.graph
     raise TypeError(f"expected a coloured graph or subdivision, got {type(c)!r}")
+
+
+def _max_degree_2(g: BaseGraph) -> bool:
+    return all(len(ns) <= 2 for ns in g.adjacency)
 
 
 def _palette(c: Colourable) -> set[int]:
@@ -191,7 +206,7 @@ def _scan_maximal_paths(
     """
     adj, colours = _view(c)
     step_cap = None if budget is None else len(adj) + 4 * budget
-    if all(len(ns) <= 2 for ns in adj):
+    if _max_degree_2(_shape(c)):
         paths: Iterable = _trace_degree2_components(adj)
     else:
         paths = ((p, False) for p in enumerate_maximal_simple_paths(c.graph, step_budget=step_cap))
@@ -392,9 +407,14 @@ def find_anagram(
     The degree-2 and maximal-path scans refuse to scan past max_windows
     path-windows.  Every counterexample is deterministic, and
     max_windows=None lifts every cap.
+
+    A ColouredSubdivision chooses its scanner by its base graph: it has
+    maximum degree 2, or is a forest, exactly when the base graph does, so
+    the choice costs O(originals).  A ColouredGraph is tested itself.
     """
-    adj, colours = _view(c)
-    if any(len(ns) > 2 for ns in adj) and _is_forest(adj):
+    shape = _shape(c)
+    if not _max_degree_2(shape) and _is_forest(shape.adjacency):
+        adj, colours = _view(c)
         return _scan_forest(adj, colours, max_windows)
     return _scan_maximal_paths(c, max_windows, None, "exhaustive")
 
@@ -420,11 +440,11 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    mode = f"sampled(budget={budget},seed={seed})"
+    if _max_degree_2(_shape(c)):
+        return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
     adj, colours = _view(c)
     n = len(adj)
-    mode = f"sampled(budget={budget},seed={seed})"
-    if all(len(ns) <= 2 for ns in adj):
-        return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
     rng = random.Random(seed)
     seen: set = set()
     for sample in range(budget):

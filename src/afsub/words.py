@@ -19,6 +19,7 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -92,13 +93,17 @@ def _ranks(symbols: Sequence[int]) -> tuple[np.ndarray, int]:
     return np.fromiter(map(rank_of.__getitem__, symbols), np.intp, len(symbols)), len(rank_of)
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_weights(k: int, bits: int) -> np.ndarray:
     """k hash weights below 2 ** bits, one per symbol rank, from a fixed
-    seed so that every run does the same work."""
+    seed so that every run does the same work.  Cached per (k, bits), so
+    the array is shared by every caller and read-only."""
     import numpy as np
 
     rng = random.Random(0x5EED)
-    return np.array([rng.getrandbits(bits) for _ in range(k)], dtype=np.uint64)
+    weights = np.array([rng.getrandbits(bits) for _ in range(k)], dtype=np.uint64)
+    weights.flags.writeable = False
+    return weights
 
 
 def find_abelian_square(

@@ -2,10 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from afsub import words
-from afsub import graph_constructions
+from afsub import graph_model, words
 from afsub.graph_constructions import (
-    MAX_GRAPH8_DIVISION_VERTICES,
     SequenceConstruction,
     build_sequence_subdivision,
     colour_14,
@@ -17,6 +15,7 @@ from afsub.graph_constructions import (
     oriented_division_path,
 )
 from afsub.graph_model import (
+    MAX_VERTICES,
     BaseGraph,
     complete_graph,
     cycle_graph,
@@ -209,21 +208,25 @@ class TestColour8:
             assert words.find_abelian_square([c.coloured.colour[v] for v in path]) is None
 
     def test_size_guard_refuses_before_building(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("built a subdivision past the size guard")
+        real = graph_model.SubdividedGraph
 
-        monkeypatch.setattr(graph_constructions, "build_sequence_subdivision", never)
+        def guarded(base, paths):
+            if sum(map(len, paths)) > graph_model.MAX_VERTICES:
+                raise AssertionError("built a subdivision past the size guard")
+            return real(base, paths)
+
+        monkeypatch.setattr(graph_model, "SubdividedGraph", guarded)
         tree = BaseGraph(5, ((0, 1), (1, 2), (2, 3), (1, 4)))
         with pytest.raises(ValueError, match="needs 179905728 division vertices, more than 10000000"):
             colour_8(tree)
         # P_3, the largest gallery input, needs 23,703: one above the guard
         # is refused, the guard itself builds
-        monkeypatch.setattr(graph_constructions, "MAX_GRAPH8_DIVISION_VERTICES", 23_702)
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 23_702)
         with pytest.raises(ValueError, match="needs 23703 division vertices"):
             colour_8(path_graph(3))
         monkeypatch.undo()
-        assert 3 * sum(density_sequence(4)) == 23_703 <= MAX_GRAPH8_DIVISION_VERTICES
-        monkeypatch.setattr(graph_constructions, "MAX_GRAPH8_DIVISION_VERTICES", 23_703)
+        assert 3 * sum(density_sequence(4)) == 23_703 <= MAX_VERTICES
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 23_703)
         assert colour_8(path_graph(3)).coloured.graph.vertex_count == 23_708
 
 

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afsub import graph_model
 from afsub.graph_model import (
     BaseGraph,
     RootedTree,
+    SubdividedGraph,
+    _adjacency,
     complete_dary_tree,
     complete_graph,
     cycle_graph,
@@ -118,6 +121,44 @@ class TestSubdivide:
     def test_division_ids_sequential_in_edge_order(self):
         s = subdivide(cycle_graph(3), [2, 0, 1])
         assert s.division_paths == ((3, 4), (), (5,))
+
+    @pytest.mark.parametrize("paths", [((3, 5), (), (4,)), ((3, 4), (), (6,)), ((2,), (3,), (4,))])
+    def test_division_ids_out_of_sequence_rejected(self, paths):
+        with pytest.raises(ValueError, match="division vertex ids must be sequential per edge"):
+            SubdividedGraph(cycle_graph(3), paths)
+
+    @given(sparse_graphs(), st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    @settings(max_examples=80)
+    def test_adjacency_from_division_runs_equals_the_flattened_graphs(self, g, counts):
+        # counts of 0 and 1 give edges with no division vertex and runs
+        # whose two ends are one vertex
+        s = subdivide(g, counts[: len(g.edges)])
+        assert s.adjacency == _adjacency(s.vertex_count, s.chain_edges())
+        assert s.adjacency == s.flatten().adjacency
+
+
+class TestSizeGuard:
+    def test_subdivide_refuses_before_building_any_path(self):
+        # building first would allocate 10^15 ids
+        with pytest.raises(ValueError, match="needs 1000000000000000 division vertices, more than 10000000"):
+            subdivide(path_graph(3), [1, 10**15 - 1])
+
+    def test_subdivide_builds_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 5)
+        assert subdivide(path_graph(3), [2, 3]).vertex_count == 8
+        with pytest.raises(ValueError, match="needs 6 division vertices, more than 5"):
+            subdivide(path_graph(3), [3, 3])
+
+    def test_complete_dary_tree_refuses_by_its_closed_form(self, monkeypatch):
+        with pytest.raises(ValueError, match="height 40 has 2199023255551 vertices, more than 10000000"):
+            complete_dary_tree(2, 40)
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 15)
+        assert complete_dary_tree(2, 3).vertex_count == 15
+        assert complete_dary_tree(1, 14).vertex_count == 15
+        with pytest.raises(ValueError, match="has 31 vertices, more than 15"):
+            complete_dary_tree(2, 4)
+        with pytest.raises(ValueError, match="has 16 vertices, more than 15"):
+            complete_dary_tree(1, 15)
 
 
 class TestKSubdivision:

@@ -7,19 +7,23 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afsub
-from afsub import cli, tree_constructions
+from afsub import cli, graph_model, serialize, tree_constructions
 from afsub.cli import main
 from afsub.graph_constructions import colour_8, colour_14, colour_merged
 from afsub.graph_model import (
     BaseGraph,
+    ColouredSubdivision,
     complete_graph,
     coloured_subdivision,
     k_subdivision,
     path_graph,
+    subdivide,
 )
-from afsub.serialize import SchemaError, from_json_str, to_dot, to_json_str
+from afsub.serialize import SchemaError, from_json_dict, from_json_str, to_dot, to_json_dict, to_json_str
 from afsub.tree_constructions import (
     build_binary_tree_8,
     build_dary_banded,
@@ -213,6 +217,135 @@ class TestSchemaErrors:
         bad.write_text(json.dumps(data))
         assert main(["verify", str(bad)]) == 65
         assert capsys.readouterr().err == "input error: vertex 0: bad kind 'leaf'\n"
+
+
+@st.composite
+def canonical_documents(draw):
+    """to_json_dict of a random coloured subdivision: up to 6 originals,
+    each edge divided 0 to 3 times, with a small provenance."""
+    n = draw(st.integers(0, 6))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=8)) if possible else []
+    s = subdivide(BaseGraph(n, tuple(edges)), draw(st.lists(st.integers(0, 3), min_size=len(edges),
+                                                             max_size=len(edges))))
+    colours = draw(st.lists(st.integers(-1, 4), min_size=s.vertex_count, max_size=s.vertex_count))
+    palette = sorted(set(colours) | set(draw(st.lists(st.integers(5, 7), max_size=2))))
+    provenance = draw(st.dictionaries(st.sampled_from("abc"), st.sampled_from((0, -7, "", "é", [1, {"x": None}])),
+                                      max_size=2))
+    return to_json_dict(ColouredSubdivision(s, tuple(colours), tuple(palette), provenance))
+
+
+def outcome(data):
+    """What from_json_dict makes of data: the canonical bytes and provenance
+    it builds, or the text of the SchemaError it raises."""
+    try:
+        cs = from_json_dict(data)
+    except SchemaError as exc:
+        return "error", str(exc)
+    return to_json_str(cs), cs.provenance
+
+
+def loop_outcome(data):
+    """outcome with the bulk check switched off, so the loop reads every
+    document."""
+    with mock.patch.object(serialize, "_canonical_parts", lambda data: None):
+        return outcome(data)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A canonical document with one defect that the bulk check must turn
+    away: a dropped key, a true or 1.0 id or colour, a true or out-of-range
+    endpoint, a duplicate id, a division id out of order, or a dict where a
+    list belongs."""
+    data = draw(canonical_documents())
+    vertices, base_edges = data["vertices"], data["base_edges"]
+    divided = [e for e in base_edges if e["division"]]
+    kinds = ["top-dict"]
+    if vertices:
+        kinds += ["vertex-key", "vertex-true", "vertex-float", "duplicate-id"]
+    if base_edges:
+        kinds += ["edge-key", "edge-true", "edge-range", "edge-dict"]
+    if sum(len(e["division"]) for e in base_edges) >= 2:
+        kinds.append("division-order")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "top-dict":
+        data[draw(st.sampled_from(("vertices", "base_edges", "palette")))] = {}
+    elif kind.startswith("vertex") or kind == "duplicate-id":
+        entry = draw(st.sampled_from(vertices))
+        if kind == "vertex-key":
+            del entry[draw(st.sampled_from(("id", "kind", "colour")))]
+        elif kind == "duplicate-id":
+            if len(vertices) < 2:
+                entry["id"] = 1
+            else:
+                entry["id"] = draw(st.sampled_from([e["id"] for e in vertices if e is not entry]))
+        else:
+            field = draw(st.sampled_from(("id", "colour")))
+            entry[field] = True if kind == "vertex-true" else float(entry[field])
+    elif kind.startswith("edge"):
+        entry = draw(st.sampled_from(base_edges))
+        if kind == "edge-key":
+            del entry[draw(st.sampled_from(("u", "v", "division")))]
+        elif kind == "edge-true":
+            entry[draw(st.sampled_from(("u", "v")))] = True
+        elif kind == "edge-range":
+            originals = sum(e["kind"] == "original" for e in vertices)
+            entry[draw(st.sampled_from(("u", "v")))] = draw(st.sampled_from((-1, originals, len(vertices))))
+        else:
+            entry["division"] = {}
+    else:
+        flat = [dv for e in base_edges for dv in e["division"]]
+        i, j = sorted(draw(st.lists(st.integers(0, len(flat) - 1), min_size=2, max_size=2, unique=True)))
+        flat[i], flat[j] = flat[j], flat[i]
+        for e in divided:
+            e["division"], flat = flat[: len(e["division"])], flat[len(e["division"]):]
+    return data
+
+
+class TestBulkSchemaCheck:
+    """from_json_dict checks a canonical file in bulk and falls back to the
+    per-entry loop otherwise; either way it builds or refuses alike."""
+
+    @given(canonical_documents())
+    @settings(max_examples=150)
+    def test_bulk_check_and_loop_build_equal_subdivisions(self, data):
+        bulk = serialize._canonical_parts(data)
+        assert bulk is not None
+        assert bulk == serialize._checked_parts(data)
+        assert outcome(data) == loop_outcome(data)
+        assert outcome(data) == (json.dumps(data, indent=2, sort_keys=True) + "\n", data["provenance"])
+
+    @given(mutated_documents())
+    @settings(max_examples=300)
+    def test_mutated_documents_get_the_loops_error(self, data):
+        assert serialize._canonical_parts(data) is None
+        assert outcome(data) == loop_outcome(data)
+
+    @given(canonical_documents(), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_shuffled_vertex_entries_parse_through_the_loop(self, data, rng):
+        expected = outcome(data)
+        rng.shuffle(data["vertices"])
+        if [e["id"] for e in data["vertices"]] != list(range(len(data["vertices"]))):
+            assert serialize._canonical_parts(data) is None
+        assert outcome(data) == expected
+
+    def test_reversed_vertex_entries_verify_alike(self, tmp_path, capsys):
+        cs = build_binary_tree_8(complete_dary_tree(2, 3)).coloured
+        colours = list(cs.colour)
+        colours[cs.graph.adjacency[0][0]] = colours[0]
+        planted = ColouredSubdivision(cs.graph, tuple(colours), cs.palette, {})
+        data = to_json_dict(planted)
+        canonical, reversed_ = tmp_path / "canonical.json", tmp_path / "reversed.json"
+        canonical.write_text(json.dumps(data))
+        data["vertices"].reverse()
+        reversed_.write_text(json.dumps(data))
+        assert serialize._canonical_parts(data) is None
+        assert main(["verify", str(canonical)]) == 2
+        report = capsys.readouterr().out
+        assert main(["verify", str(reversed_)]) == 2
+        assert capsys.readouterr().out == report
 
 
 class TestArtifactBytes:
@@ -709,7 +842,28 @@ class TestCliBadParameters:
         out = tmp_path / "g8.json"
         assert main(["construct", "graph8", "--edges", str(edges), "-o", str(out)]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("usage error: graph8 on 4 edges needs 179905728 division vertices")
+        assert err.startswith("usage error: subdivision needs 179905728 division vertices, more than 10000000")
+        assert "Traceback" not in err and not out.exists()
+
+
+    @pytest.mark.parametrize("argv, refused", [
+        (["binary-tree", "--height", "16"], "complete 2-ary tree of height 16 has 131071 vertices"),
+        (["dary", "--d", "2", "--height", "14"], "subdivision needs 28599510 division vertices"),
+        (["dary-banded", "--d", "2", "--height", "40", "--k", "12"], "complete 2-ary tree of height 40"),
+        (["graph14", "--edges", "K6"], "subdivision needs 3221225469 division vertices"),
+        (["graph-merged", "--edges", "K6", "--k", "1"], "subdivision needs 3221225469 division vertices"),
+    ], ids=["binary-tree", "dary", "dary-banded", "graph14", "graph-merged"])
+    def test_oversized_construction_exit_64(self, tmp_path, monkeypatch, capsys, argv, refused):
+        # a small cap, so that a broken guard fails fast instead of
+        # allocating gigabytes
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 100_000)
+        k6 = tmp_path / "k6.edges"
+        k6.write_text("".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6)))
+        out = tmp_path / "big.json"
+        argv = ["construct", *(str(k6) if arg == "K6" else arg for arg in argv), "-o", str(out)]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {refused}") and err.endswith("more than 100000\n")
         assert "Traceback" not in err and not out.exists()
 
 

@@ -19,6 +19,7 @@ from afsub.graph_constructions import (
 from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
+    ColouredSubdivision,
     _is_forest,
     complete_dary_tree,
     complete_graph,
@@ -525,6 +526,40 @@ class TestFindAnagram:
         report = find_anagram(c)
         if report.outcome == "counterexample":
             assert revalidate(report.counterexample, c)
+
+
+@st.composite
+def coloured_subdivisions(draw):
+    """A subdivision of a random graph on up to 7 vertices, each edge
+    divided 0 to 3 times, coloured from up to 3 colours."""
+    n = draw(st.integers(1, 7))
+    possible = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=n + 1)) if possible else []
+    s = subdivide(BaseGraph(n, tuple(edges)), draw(st.lists(st.integers(0, 3), min_size=len(edges),
+                                                             max_size=len(edges))))
+    colours = tuple(draw(st.lists(st.integers(0, 2), min_size=s.vertex_count, max_size=s.vertex_count)))
+    return ColouredSubdivision(s, colours, tuple(sorted(set(colours))))
+
+
+class TestBaseGraphDispatch:
+    """A subdivision chooses its scanner by its base graph, a plain graph by
+    itself."""
+
+    @given(coloured_subdivisions())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_flattened_graph(self, cs):
+        flat = cs.graph.flatten()
+        shape = verifier._shape(cs)
+        assert shape is cs.graph.base
+        assert verifier._max_degree_2(shape) == all(len(ns) <= 2 for ns in flat.adjacency)
+        assert _is_forest(shape.adjacency) == _is_forest(flat.adjacency)
+        assert find_anagram(cs) == find_anagram(ColouredGraph(flat, cs.colour))
+        sampled = find_anagram_sampled(cs, 5, 3)
+        assert sampled == find_anagram_sampled(ColouredGraph(flat, cs.colour), 5, 3)
+
+    def test_other_types_are_refused(self):
+        with pytest.raises(TypeError, match="expected a coloured graph or subdivision"):
+            find_anagram(path_graph(3))
 
 
 class TestFindAnagramSampled:

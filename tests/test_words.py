@@ -196,6 +196,22 @@ class TestCollidingWeights:
                 assert_both_orders_match_oracles(symbols, cap)
 
 
+class TestHashWeights:
+    def test_cached_weights_are_read_only(self):
+        weights = words._hash_weights(5, 40)
+        assert words._hash_weights(5, 40) is weights
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            weights += np.uint64(1)
+
+    def test_weights_come_from_the_fixed_seed(self):
+        rng = random.Random(0x5EED)
+        expected = [rng.getrandbits(40) for _ in range(5)]
+        assert words._hash_weights(5, 40).tolist() == expected
+        assert all(w < 2**40 for w in expected)
+
+
 class TestFindSquare:
     def test_whole_square(self):
         assert find_square(Word.from_string("abcabc", 3)) == (0, 6)
