@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (or no counterexample found), 1 word self-check
 failure, 2 verification counterexample, 3 window ceiling hit, 64 usage
-error (including construction parameters a builder rejects and an output
-path that cannot be written), 65 malformed input file.
+error (including construction parameters a builder rejects, a
+construction that runs out of memory, a malformed window ceiling, and an
+output path that cannot be written), 65 malformed input file.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds, graph_constructions, tree_constructions, words
-from .graph_model import BaseGraph, ColouredSubdivision, _is_forest, complete_dary_tree, random_binary_tree
+from .graph_model import BaseGraph, ColouredSubdivision, complete_dary_tree, random_binary_tree
 from .serialize import SchemaError, from_json_str, to_dot, to_json_str
 from .verifier import (
     DEFAULT_MAX_WINDOWS,
@@ -150,7 +151,8 @@ def build_parser() -> _Parser:
 
 
 def _window_ceiling(flag: Optional[int]) -> int:
-    """The --max-windows flag, else AFSUB_MAX_WINDOWS, else the default."""
+    """The --max-windows flag, else AFSUB_MAX_WINDOWS, else the default.
+    Only construct and the exhaustive and --restrict verifies read it."""
     if flag is None:
         raw = os.environ.get("AFSUB_MAX_WINDOWS", str(DEFAULT_MAX_WINDOWS))
         try:
@@ -181,9 +183,8 @@ def _summary(cs: ColouredSubdivision, max_windows: int) -> str:
     """The construct summary line.  Off forests, n^2/4 estimates the
     path-windows of a scan that can run for seconds before it trips, so a
     larger estimate skips the scan; a forest's scan trips its own ceiling
-    soon enough to be run.  The subdivision is a forest exactly when its
-    base graph is one."""
-    if cs.graph.vertex_count**2 // 4 > max_windows and not _is_forest(cs.graph.base.adjacency):
+    soon enough to be run."""
+    if cs.graph.vertex_count**2 // 4 > max_windows and not cs.graph.is_forest:
         outcome = "skipped(window ceiling)"
     else:
         try:
@@ -268,16 +269,20 @@ def _build_binary_tree(ns: argparse.Namespace) -> tree_constructions.LabelledTre
 
 
 def _run_construct(ns: argparse.Namespace) -> int:
+    ceiling = _window_ceiling(None)
     try:
         cs = ns.build(ns).coloured
+        text = to_json_str(cs)
     except SchemaError:
         raise
     except ValueError as exc:  # a parameter the builder rejects
         raise UsageError(str(exc)) from None
-    _write(to_json_str(cs), ns.output)
+    except MemoryError:  # the size guard counts vertices, not bytes
+        raise UsageError("the construction does not fit in memory") from None
+    _write(text, ns.output)
     if ns.dot:
         _write(to_dot(cs), ns.dot)
-    print(_summary(cs, ns.ceiling), file=sys.stderr)
+    print(_summary(cs, ceiling), file=sys.stderr)
     return EXIT_OK
 
 
@@ -286,6 +291,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
         raise UsageError("--seed applies only to --sample")
     if ns.sample is not None and ns.max_windows is not None:
         raise UsageError("--max-windows does not apply to --sample, which has no window ceiling")
+    ceiling = None if ns.sample is not None else _window_ceiling(ns.max_windows)
     cs = _load_subdivision(ns.file)
     try:
         if ns.restrict is not None:
@@ -294,7 +300,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise UsageError(f"--restrict expects comma-separated ints: {exc}")
             try:
-                report = check_restriction(cs, keep, max_windows=ns.ceiling)
+                report = check_restriction(cs, keep, max_windows=ceiling)
             except ValueError as exc:
                 raise UsageError(str(exc))
         elif ns.sample is not None:
@@ -304,7 +310,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
                 raise UsageError("--sample must be at least 1")
             report = find_anagram_sampled(cs, ns.sample, ns.seed)
         else:
-            report = find_anagram(cs, max_windows=ns.ceiling)
+            report = find_anagram(cs, max_windows=ceiling)
     except WindowCeilingExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CEILING
@@ -349,7 +355,6 @@ def _run_export(ns: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        ns.ceiling = _window_ceiling(getattr(ns, "max_windows", None))
         return ns.run(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -12,15 +12,17 @@ counts against palette size (2 + 12k colours).
 All three build through one helper, _sequence_construction, and return
 one result type, SequenceConstruction(coloured, labels).  The helper
 sequence-subdivides the 1-subdivision of the input by
-build_sequence_subdivision, which ranks the edges once, then colours the
-originals by their bipartition class and each division path by the
-builder's rule.
+build_sequence_subdivision, then colours the originals by their
+bipartition class and each division path's thirds by the builder's rule.
+The labels hold only the bipartition: the edge order (_sequence_ranks) and
+each path's thirds (consecutive_thirds of oriented_division_path) follow
+from it, and check_discriminating derives them by the same rules.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -77,40 +79,32 @@ def density_sequence_margin(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SequenceSubdivisionLabels:
-    """Vertex and edge rankings of a sequence-subdivision.
+    """The proper 2-colouring a sequence-subdivision is built on.
 
-    vertex_rank is a bijection onto 1..n with every white vertex ranked
-    above every black vertex; edge_rank orders edges by white-endpoint rank,
-    then black-endpoint rank; thirds[i] holds the X, Y, Z division-vertex
-    tuples of edge i, each ordered away from the white end.
+    bipartition[v] is 0 (black) or 1 (white) for each base vertex v.  The
+    edge order is that of _sequence_ranks, and edge i's X, Y, Z are the
+    consecutive_thirds of oriented_division_path(s, labels, i).
     """
 
-    vertex_rank: tuple[int, ...]
-    edge_rank: tuple[int, ...]
-    bipartition: tuple[int, ...]  # 0 black, 1 white
-    thirds: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    bipartition: tuple[int, ...]
 
 
-def _sequence_ranks(g: BaseGraph, bipartition: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Vertex and edge ranks of a sequence-subdivision, both 1-based.
+def _sequence_ranks(g: BaseGraph, bipartition: Sequence[int]) -> list[int]:
+    """1-based edge ranks of a sequence-subdivision.
 
-    Black vertices take ranks 1..#black in id order, whites the rest; edge
-    ranks follow (white-endpoint rank, black-endpoint rank).
+    The vertex ranks put the blacks first and the whites after them, each
+    class in id order; edges are ranked by (white-endpoint rank,
+    black-endpoint rank), which is (white id, black id).
     """
-    blacks = [v for v in range(g.vertex_count) if bipartition[v] == 0]
-    whites = [v for v in range(g.vertex_count) if bipartition[v] == 1]
-    rank = [0] * g.vertex_count
-    for i, v in enumerate(blacks + whites, start=1):
-        rank[v] = i
 
     def key(i: int) -> tuple[int, int]:
         u, v = g.edges[i]
-        return (rank[u], rank[v]) if bipartition[u] == 1 else (rank[v], rank[u])
+        return (u, v) if bipartition[u] == 1 else (v, u)
 
     edge_rank = [0] * len(g.edges)
     for r, i in enumerate(sorted(range(len(g.edges)), key=key), start=1):
         edge_rank[i] = r
-    return rank, edge_rank
+    return edge_rank
 
 
 def build_sequence_subdivision(
@@ -118,10 +112,10 @@ def build_sequence_subdivision(
 ) -> tuple[SubdividedGraph, SequenceSubdivisionLabels]:
     """Subdivide edge e of a properly 2-coloured graph 3 * t[rank(e) - 1] times.
 
-    Ranks are those of _sequence_ranks.  The thirds are the
-    consecutive_thirds of each oriented_division_path, so X is adjacent to
-    the white end and Z to the black; check_discriminating derives them by
-    the same rule.
+    Ranks are those of _sequence_ranks, and the labels hold the
+    bipartition alone.  Edge i's thirds are the consecutive_thirds of its
+    oriented_division_path, so X is adjacent to the white end and Z to the
+    black.
     """
     bipartition = tuple(bipartition)
     if len(bipartition) != g.vertex_count or any(b not in (0, 1) for b in bipartition):
@@ -135,14 +129,8 @@ def build_sequence_subdivision(
     if any(x < 1 for x in t[:m]):
         raise ValueError("sequence terms must be positive")
 
-    rank, edge_rank = _sequence_ranks(g, bipartition)
-    counts = [3 * t[edge_rank[i] - 1] for i in range(m)]
-    s = subdivide(g, counts)
-
-    # oriented_division_path reads only the bipartition, so the thirds can wait
-    labels = SequenceSubdivisionLabels(tuple(rank), tuple(edge_rank), bipartition, ())
-    thirds = tuple(consecutive_thirds(oriented_division_path(s, labels, i)) for i in range(m))
-    return s, replace(labels, thirds=thirds)
+    s = subdivide(g, [3 * t[r - 1] for r in _sequence_ranks(g, bipartition)])
+    return s, SequenceSubdivisionLabels(bipartition)
 
 
 def oriented_division_path(s: SubdividedGraph, labels: SequenceSubdivisionLabels, i: int) -> tuple[int, ...]:
@@ -173,21 +161,24 @@ def _sequence_construction(
 ) -> SequenceConstruction:
     """Sequence-subdivide the 1-subdivision of g_prime and colour it.
 
-    The 1-subdivision's white vertices are the midpoints of the source
-    edges, numbered in source-edge order, so source edge i's two halves,
-    subdivided edges 2i and 2i + 1, take the edge ranks 2i + 1 and 2i + 2.
-    sequence(m) gives the terms for its m edges in that rank order.  The
-    originals are black or white by bipartition class, and
-    division_colours(i, thirds) gives the colours of edge i's X, Y and Z
-    vertices, in that order.
+    The 1-subdivision is properly 2-coloured with its originals black and
+    its midpoints white.  The midpoints are numbered in source-edge order,
+    so source edge i's two halves, subdivided edges 2i and 2i + 1, take the
+    edge ranks 2i + 1 and 2i + 2.  sequence(m) gives the terms for its m
+    edges in that rank order.  The originals are coloured black or white by
+    class, and division_colours(i, thirds) gives the colours of edge i's X,
+    Y and Z vertices, in that order, where thirds are the
+    consecutive_thirds of its oriented_division_path.
     """
     if not g_prime.edges:
         raise ValueError("need at least one edge")
     one = one_subdivision(g_prime)
-    s, labels = build_sequence_subdivision(one.graph, one.colour_class, sequence(len(one.graph.edges)))
-    colours = [WHITE_COLOUR if b == 1 else BLACK_COLOUR for b in labels.bipartition]
+    bipartition = [0] * g_prime.vertex_count + [1] * len(g_prime.edges)
+    s, labels = build_sequence_subdivision(one, bipartition, sequence(len(one.edges)))
+    colours = [WHITE_COLOUR if b == 1 else BLACK_COLOUR for b in bipartition]
     colours += [0] * (s.vertex_count - len(colours))
-    for i, thirds in enumerate(labels.thirds):
+    for i in range(len(one.edges)):
+        thirds = consecutive_thirds(oriented_division_path(s, labels, i))
         for v, colour in zip(itertools.chain(*thirds), division_colours(i, thirds)):
             colours[v] = colour
     return SequenceConstruction(coloured_subdivision(s, colours, provenance), labels)

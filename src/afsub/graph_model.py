@@ -7,6 +7,8 @@ from the stored u-endpoint to the stored v-endpoint.
 SubdividedGraph.chain_edges, SubdividedGraph.division_path_from and
 RootedTree.edges are the one home of how the package lists a subdivision's
 edges, reads a division path from one end, and orders a tree's edges.
+BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape, and
+a SubdividedGraph answers both from its base graph.
 
 Every builder allocates its vertices through complete_dary_tree and
 subdivide, and both refuse more than MAX_VERTICES before allocating any.
@@ -53,6 +55,30 @@ class BaseGraph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return _adjacency(self.vertex_count, self.edges)
+
+    @cached_property
+    def max_degree_2(self) -> bool:
+        return all(len(ns) <= 2 for ns in self.adjacency)
+
+    @cached_property
+    def is_forest(self) -> bool:
+        adj = self.adjacency
+        seen = [False] * len(adj)
+        for root in range(len(adj)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [(root, -1)]
+            while stack:
+                v, parent = stack.pop()
+                for w in adj[v]:
+                    if w == parent:  # simple graph: at most one edge back up
+                        continue
+                    if seen[w]:
+                        return False
+                    seen[w] = True
+                    stack.append((w, v))
+        return True
 
 
 def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -266,6 +292,18 @@ class SubdividedGraph:
         adj[:n0] = [tuple(sorted(ns)) for ns in originals]
         return tuple(adj)
 
+    # A subdivision has maximum degree at most 2, or is a forest, exactly
+    # when its base graph does: division vertices have degree 2, originals
+    # keep their degrees, and a cycle through a division path is a cycle
+    # through its base edge.  So both answers cost O(originals).
+    @property
+    def max_degree_2(self) -> bool:
+        return self.base.max_degree_2
+
+    @property
+    def is_forest(self) -> bool:
+        return self.base.is_forest
+
     def flatten(self) -> BaseGraph:
         """The subdivision as a plain graph on all vertices."""
         return BaseGraph(self.vertex_count, tuple(self.chain_edges()))
@@ -333,44 +371,10 @@ def coloured_subdivision(graph: SubdividedGraph, colour: Sequence[int], provenan
     return ColouredSubdivision(graph, colour, tuple(sorted(set(colour))), provenance)
 
 
-@dataclass(frozen=True)
-class OneSubdivision:
-    """1-subdivision flattened to a base graph, with its proper 2-colouring.
-
-    colour_class is 0 (black) on original vertices and 1 (white) on the
-    midpoint vertices; midpoint_of[i] is the midpoint of base edge i.
-    """
-
-    graph: BaseGraph
-    colour_class: tuple[int, ...]
-    midpoint_of: tuple[int, ...]
-
-
-def one_subdivision(g: BaseGraph) -> OneSubdivision:
-    s = k_subdivision(g, 1)
-    mids = tuple(path[0] for path in s.division_paths)
-    colour_class = tuple(0 if v < g.vertex_count else 1 for v in range(s.vertex_count))
-    return OneSubdivision(s.flatten(), colour_class, mids)
-
-
-def _is_forest(adj) -> bool:
-    n = len(adj)
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, -1)]
-        while stack:
-            v, parent = stack.pop()
-            for w in adj[v]:
-                if w == parent:  # simple graph: at most one edge back up
-                    continue
-                if seen[w]:
-                    return False
-                seen[w] = True
-                stack.append((w, v))
-    return True
+def one_subdivision(g: BaseGraph) -> BaseGraph:
+    """The 1-subdivision of g flattened: base edge i's midpoint is vertex
+    g.vertex_count + i."""
+    return k_subdivision(g, 1).flatten()
 
 
 def enumerate_maximal_simple_paths(g, *, step_budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -380,7 +384,9 @@ def enumerate_maximal_simple_paths(g, *, step_budget: Optional[int] = None) -> I
     step_budget, when given, caps the number of DFS extensions; exceeding it
     raises StepBudgetExceeded.  Every simple path is a contiguous window of
     some maximal path, so scanning windows of these covers all paths.
-    In a forest maximal paths run leaf to leaf, so only leaves seed the DFS.
+    In a forest maximal paths run leaf to leaf, so only leaves seed the DFS;
+    g is a BaseGraph or a SubdividedGraph, whose is_forest reads its base
+    graph.
     """
     adj = g.adjacency
     n = len(adj)
@@ -420,7 +426,7 @@ def enumerate_maximal_simple_paths(g, *, step_budget: Optional[int] = None) -> I
             path.pop()
             frames.pop()
 
-    if _is_forest(adj):
+    if g.is_forest:
         starts: Iterable[int] = (v for v in range(n) if len(adj[v]) <= 1)
     else:
         starts = range(n)

@@ -18,14 +18,14 @@ graph, by one of three scanners:
   by words.find_abelian_square: hashed prefix sums, with weights drawn by
   the forest scan's _hash_weights, each candidate confirmed by exact counts.
 
-A subdivision is routed by its base graph, which has the same maximum
-degree bound and cycles.  find_anagram_sampled trades certainty for scale,
-and hands max-degree-2 graphs to their exhaustive scan.  check_restriction
-applies the colour-restriction operator as a refutation accelerator, over the
-maximal-path and degree-2 scans and the window ceiling, and
-check_discriminating audits the four structural conditions that make a
-sequence-subdivision colouring anagram-free, reading only the bipartition
-of its labels.  Every counterexample records its first half's multiset_of,
+A graph's is_forest and max_degree_2 choose the scanner, and a subdivision
+answers both from its base graph.  find_anagram_sampled trades certainty
+for scale, and hands max-degree-2 graphs to their exhaustive scan.
+check_restriction applies the colour-restriction operator as a refutation
+accelerator, over the maximal-path and degree-2 scans and the window
+ceiling, and check_discriminating audits the four structural conditions
+that make a sequence-subdivision colouring anagram-free from the
+bipartition its labels hold.  Every counterexample records its first half's multiset_of,
 through Counterexample.of.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -42,12 +42,10 @@ if TYPE_CHECKING:
 
 from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 from .graph_model import (
-    BaseGraph,
     ColouredGraph,
     ColouredSubdivision,
     StepBudgetExceeded,
     SubdividedGraph,
-    _is_forest,
     enumerate_maximal_simple_paths,
 )
 from .words import _hash_weights, _ranks, find_abelian_square
@@ -126,22 +124,9 @@ class VerificationReport:
 def _view(c: Colourable) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     if isinstance(c, ColouredSubdivision):
         return c.graph.adjacency, c.colour
-    return _shape(c).adjacency, c.colours
-
-
-def _shape(c: Colourable) -> BaseGraph:
-    """The graph whose degrees and cycles choose c's scanner: a
-    subdivision's base graph, which has maximum degree at most 2, or is a
-    forest, exactly when the subdivision does."""
-    if isinstance(c, ColouredSubdivision):
-        return c.graph.base
     if isinstance(c, ColouredGraph):
-        return c.graph
+        return c.graph.adjacency, c.colours
     raise TypeError(f"expected a coloured graph or subdivision, got {type(c)!r}")
-
-
-def _max_degree_2(g: BaseGraph) -> bool:
-    return all(len(ns) <= 2 for ns in g.adjacency)
 
 
 def _palette(c: Colourable) -> set[int]:
@@ -206,7 +191,7 @@ def _scan_maximal_paths(
     """
     adj, colours = _view(c)
     step_cap = None if budget is None else len(adj) + 4 * budget
-    if _max_degree_2(_shape(c)):
+    if c.graph.max_degree_2:
         paths: Iterable = _trace_degree2_components(adj)
     else:
         paths = ((p, False) for p in enumerate_maximal_simple_paths(c.graph, step_budget=step_cap))
@@ -408,13 +393,12 @@ def find_anagram(
     path-windows.  Every counterexample is deterministic, and
     max_windows=None lifts every cap.
 
-    A ColouredSubdivision chooses its scanner by its base graph: it has
-    maximum degree 2, or is a forest, exactly when the base graph does, so
-    the choice costs O(originals).  A ColouredGraph is tested itself.
+    The scanner is chosen by c.graph.max_degree_2 and c.graph.is_forest,
+    which a ColouredSubdivision answers from its base graph in
+    O(originals), and a ColouredGraph from the graph itself.
     """
-    shape = _shape(c)
-    if not _max_degree_2(shape) and _is_forest(shape.adjacency):
-        adj, colours = _view(c)
+    adj, colours = _view(c)
+    if not c.graph.max_degree_2 and c.graph.is_forest:
         return _scan_forest(adj, colours, max_windows)
     return _scan_maximal_paths(c, max_windows, None, "exhaustive")
 
@@ -441,9 +425,9 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mode = f"sampled(budget={budget},seed={seed})"
-    if _max_degree_2(_shape(c)):
-        return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
     adj, colours = _view(c)
+    if c.graph.max_degree_2:
+        return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
     n = len(adj)
     rng = random.Random(seed)
     seen: set = set()
@@ -556,15 +540,20 @@ def revalidate(ce: Counterexample, c: Colourable) -> bool:
 
 @dataclass(frozen=True)
 class DiscriminatingReport:
-    """Pass/fail per condition of a discriminating colouring, with witnesses."""
+    """The witness of each failed discriminating condition, keyed 1..4, and
+    the colours each family X, Y, Z owns exclusively.  Condition n holds
+    exactly when it has no witness."""
 
-    conditions: tuple[bool, bool, bool, bool]
-    witnesses: dict = field(default_factory=dict, compare=False)
-    exclusive_colours: dict = field(default_factory=dict, compare=False)
+    witnesses: dict
+    exclusive_colours: dict
+
+    @property
+    def conditions(self) -> tuple[bool, bool, bool, bool]:
+        return tuple(n not in self.witnesses for n in (1, 2, 3, 4))
 
     @property
     def passed(self) -> bool:
-        return all(self.conditions)
+        return not self.witnesses
 
 
 def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -> DiscriminatingReport:
@@ -581,13 +570,12 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
     (4) for every edge q and family Q, the C(Q)-vertices of Q(q) outnumber
         the C(Q)-vertices of all lower-ranked Q(e) combined (exact counts).
 
-    Of the labels the audit reads only labels.bipartition.  It derives the
-    rest by the builder's own rules: each edge's X, Y, Z are the
-    consecutive_thirds of its oriented_division_path, and the edge order is
-    that of _sequence_ranks.  So a forged thirds or edge_rank field cannot
-    change the report.  It raises ValueError when the bipartition does not
-    cover the base graph, or a division path's length is not a multiple
-    of 3.
+    The labels hold only the bipartition, and the audit derives the rest by
+    the builder's own rules: each edge's X, Y, Z are the consecutive_thirds
+    of its oriented_division_path, and the edge order is that of
+    _sequence_ranks.  It raises ValueError when the bipartition
+    does not cover the base graph, or a division path's length is not a
+    multiple of 3.
     """
     g, bipartition = s.base, labels.bipartition
     if len(bipartition) != g.vertex_count:
@@ -598,7 +586,7 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
         if len(path) % 3:
             raise ValueError(f"division path of edge {i} has {len(path)} vertices, not a multiple of 3")
         thirds.append(consecutive_thirds(path))
-    _rank, edge_rank = _sequence_ranks(g, bipartition)
+    edge_rank = _sequence_ranks(g, bipartition)
     witnesses: dict = {}  # condition n fails exactly when witnesses[n] is set
 
     # condition 1
@@ -651,5 +639,4 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
         if 4 in witnesses:
             break
 
-    conditions = tuple(n not in witnesses for n in (1, 2, 3, 4))
-    return DiscriminatingReport(conditions, witnesses, exclusive)
+    return DiscriminatingReport(witnesses, exclusive)

@@ -5,10 +5,12 @@ import pytest
 from afsub import graph_model, words
 from afsub.graph_constructions import (
     SequenceConstruction,
+    _sequence_ranks,
     build_sequence_subdivision,
     colour_14,
     colour_8,
     colour_merged,
+    consecutive_thirds,
     density_sequence,
     density_sequence_margin,
     doubling_sequence,
@@ -23,6 +25,12 @@ from afsub.graph_model import (
     path_graph,
 )
 from afsub.verifier import check_discriminating, find_anagram, find_anagram_sampled
+
+
+def one_bipartition(g):
+    """The proper 2-colouring of one_subdivision(g): the originals black,
+    base edge i's midpoint g.vertex_count + i white."""
+    return (0,) * g.vertex_count + (1,) * len(g.edges)
 
 
 def reference_density_sequence(m):
@@ -76,40 +84,55 @@ class TestBuildSequenceSubdivision:
         assert [len(p) for p in s.division_paths] == [3, 3]
 
     def test_one_subdivision_of_k2(self):
-        one = one_subdivision(path_graph(2))
-        s, labels = build_sequence_subdivision(one.graph, one.colour_class, (1, 2))
+        g = path_graph(2)
+        s, labels = build_sequence_subdivision(one_subdivision(g), one_bipartition(g), (1, 2))
         assert sorted(len(p) for p in s.division_paths) == [3, 6]
+        assert labels.bipartition == (0, 0, 1)
 
     def test_whites_ranked_above_blacks(self):
-        one = one_subdivision(complete_graph(3))
-        _s, labels = build_sequence_subdivision(one.graph, one.colour_class, doubling_sequence(6))
-        n = one.graph.vertex_count
-        assert sorted(labels.vertex_rank) == list(range(1, n + 1))
+        # vertex ranks as the construction defines them: a bijection onto
+        # 1..n, every white above every black, each class in id order; the
+        # edge ranks follow (white rank, black rank)
+        g = complete_graph(3)
+        one, bipartition = one_subdivision(g), one_bipartition(g)
+        n = one.vertex_count
+        by_rank = sorted(range(n), key=lambda v: (bipartition[v], v))
+        vertex_rank = [0] * n
+        for r, v in enumerate(by_rank, start=1):
+            vertex_rank[v] = r
+        assert sorted(vertex_rank) == list(range(1, n + 1))
         for v in range(n):
             for u in range(n):
-                if labels.bipartition[v] == 1 and labels.bipartition[u] == 0:
-                    assert labels.vertex_rank[v] > labels.vertex_rank[u]
-
-    def test_edge_rank_consistent_with_vertex_rank(self):
-        one = one_subdivision(complete_graph(3))
-        s, labels = build_sequence_subdivision(one.graph, one.colour_class, doubling_sequence(6))
+                if bipartition[v] == 1 and bipartition[u] == 0:
+                    assert vertex_rank[v] > vertex_rank[u]
 
         def key(i):
-            u, v = s.base.edges[i]
-            w = u if labels.bipartition[u] == 1 else v
-            b = v if labels.bipartition[u] == 1 else u
-            return (labels.vertex_rank[w], labels.vertex_rank[b])
+            u, v = one.edges[i]
+            w, b = (u, v) if bipartition[u] == 1 else (v, u)
+            return (vertex_rank[w], vertex_rank[b])
 
+        edge_rank = _sequence_ranks(one, bipartition)
         order = sorted(range(6), key=key)
-        assert [labels.edge_rank[i] for i in order] == list(range(1, 7))
+        assert [edge_rank[i] for i in order] == list(range(1, 7))
+
+    def test_edge_rank_consistent_with_vertex_rank(self):
+        g = complete_graph(3)
+        one, bipartition = one_subdivision(g), one_bipartition(g)
+        white_black = [(u, v) if bipartition[u] == 1 else (v, u) for u, v in one.edges]
+        order = sorted(range(6), key=white_black.__getitem__)
+        edge_rank = _sequence_ranks(one, bipartition)
+        assert [edge_rank[i] for i in order] == list(range(1, 7))
+        # the builder subdivides edge i by the term of its rank
+        s, _labels = build_sequence_subdivision(one, bipartition, doubling_sequence(6))
+        assert [len(p) for p in s.division_paths] == [3 * 2 ** (r - 1) for r in edge_rank]
 
     def test_thirds_partition_and_anchor(self):
-        one = one_subdivision(path_graph(2))
-        s, labels = build_sequence_subdivision(one.graph, one.colour_class, (2, 3))
+        g = path_graph(2)
+        s, labels = build_sequence_subdivision(one_subdivision(g), one_bipartition(g), (2, 3))
         for i, (u, v) in enumerate(s.base.edges):
-            x, y, z = labels.thirds[i]
-            assert len(x) == len(y) == len(z) == len(s.division_paths[i]) // 3
             oriented = oriented_division_path(s, labels, i)
+            x, y, z = consecutive_thirds(oriented)
+            assert len(x) == len(y) == len(z) == len(s.division_paths[i]) // 3
             assert x + y + z == oriented
             white = u if labels.bipartition[u] == 1 else v
             black = v if white == u else u
@@ -178,7 +201,7 @@ class TestColour8:
             path = oriented_division_path(s, c.labels, i)
             t = len(path) // 3
             word = words.keranen_symbols(len(path))
-            x, y, z = c.labels.thirds[i]
+            x, y, z = consecutive_thirds(path)
             for j, v in enumerate(path):
                 if word[j] < 3:
                     assert c.coloured.colour[v] == 2 + word[j]
@@ -191,7 +214,8 @@ class TestColour8:
         # each third holds its dedicated colour with frequency in [1/15, 5/9]
         c = colour_8(path_graph(2))
         for i in range(len(c.coloured.graph.base.edges)):
-            for third, dedicated in zip(c.labels.thirds[i], (5, 6, 7)):
+            thirds = consecutive_thirds(oriented_division_path(c.coloured.graph, c.labels, i))
+            for third, dedicated in zip(thirds, (5, 6, 7)):
                 count = sum(1 for v in third if c.coloured.colour[v] == dedicated)
                 assert Fraction(1, 15) <= Fraction(count, len(third)) <= Fraction(5, 9)
 
@@ -326,6 +350,14 @@ class TestColourMerged:
         # the colouring is still anagram-free
         assert find_anagram(c.coloured).outcome == "anagram_free"
 
+    def test_paw_k2_audit_pin(self):
+        # recorded while the labels still stored the ranks and the thirds
+        paw = BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
+        c = colour_merged(paw, 2)
+        report = check_discriminating(c.coloured.graph, c.labels, c.coloured.colour)
+        assert report.conditions == (True, True, True, False)
+        assert report.witnesses == {4: ("prefix count not dominated", "X", 4, 15, 1)}
+
 
 class TestSequenceConstruction:
     @pytest.mark.parametrize("build", [colour_14, colour_8, lambda g: colour_merged(g, 2)])
@@ -334,13 +366,13 @@ class TestSequenceConstruction:
         c = build(g)
         assert isinstance(c, SequenceConstruction)
         one = one_subdivision(g)
-        assert c.coloured.graph.base == one.graph
-        assert c.labels.bipartition == one.colour_class
-        t = [len(c.coloured.graph.division_paths[i]) // 3 for i in range(len(one.graph.edges))]
+        assert c.coloured.graph.base == one
+        assert c.labels.bipartition == one_bipartition(g)
+        t = [len(c.coloured.graph.division_paths[i]) // 3 for i in range(len(one.edges))]
         by_rank = [0] * len(t)
-        for i, r in enumerate(c.labels.edge_rank):
+        for i, r in enumerate(_sequence_ranks(one, c.labels.bipartition)):
             by_rank[r - 1] = t[i]
-        s, labels = build_sequence_subdivision(one.graph, one.colour_class, by_rank)
+        s, labels = build_sequence_subdivision(one, one_bipartition(g), by_rank)
         assert s == c.coloured.graph
         assert labels == c.labels
 
@@ -350,6 +382,10 @@ class TestSequenceConstruction:
     def test_halves_of_source_edge_i_take_ranks_2i_plus_1_and_2(self, g):
         # the builders index their sequences by this rank order
         one = one_subdivision(g)
-        _s, labels = build_sequence_subdivision(one.graph, one.colour_class, [1] * len(one.graph.edges))
-        for i in range(len(g.edges)):
-            assert sorted(labels.edge_rank[2 * i : 2 * i + 2]) == [2 * i + 1, 2 * i + 2]
+        edge_rank = _sequence_ranks(one, one_bipartition(g))
+        for i, (u, v) in enumerate(g.edges):
+            # subdivided edges 2i and 2i + 1 join source edge i's ends to
+            # its midpoint g.vertex_count + i
+            mid = g.vertex_count + i
+            assert one.edges[2 * i : 2 * i + 2] == ((min(u, v), mid), (max(u, v), mid))
+            assert sorted(edge_rank[2 * i : 2 * i + 2]) == [2 * i + 1, 2 * i + 2]

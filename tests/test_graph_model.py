@@ -313,23 +313,30 @@ class TestMaximalPaths:
 
 
 class TestOneSubdivision:
+    """one_subdivision(g) is flat: base edge i's midpoint is g.vertex_count + i,
+    so the originals (below g.vertex_count) and the midpoints are its two
+    colour classes."""
+
     def test_triangle(self):
         one = one_subdivision(complete_graph(3))
-        assert one.graph.vertex_count == 6
-        assert len(one.graph.edges) == 6
-        for u, v in one.graph.edges:
-            assert one.colour_class[u] != one.colour_class[v]
+        assert one.vertex_count == 6
+        assert len(one.edges) == 6
+        for u, v in one.edges:
+            assert (u < 3) != (v < 3)
 
     def test_single_edge_is_path_of_three(self):
         one = one_subdivision(path_graph(2))
-        assert one.graph.vertex_count == 3
-        assert one.colour_class == (0, 0, 1)  # ends black, middle white
-        assert one.midpoint_of == (2,)
+        assert one.vertex_count == 3
+        assert one.edges == ((0, 2), (1, 2))  # ends 0 and 1, midpoint 2
+        assert one.adjacency[2] == (0, 1)
 
     def test_k4(self):
-        one = one_subdivision(complete_graph(4))
-        assert one.graph.vertex_count == 10
-        assert len(one.graph.edges) == 12
+        g = complete_graph(4)
+        one = one_subdivision(g)
+        assert one.vertex_count == 10
+        assert len(one.edges) == 12
+        for i, (u, v) in enumerate(g.edges):
+            assert one.adjacency[g.vertex_count + i] == (u, v)
 
 
 def test_tree_to_base_graph_edge_order():

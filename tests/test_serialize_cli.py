@@ -19,6 +19,7 @@ from afsub.graph_model import (
     ColouredSubdivision,
     complete_graph,
     coloured_subdivision,
+    cycle_graph,
     k_subdivision,
     path_graph,
     subdivide,
@@ -31,6 +32,9 @@ from afsub.tree_constructions import (
     prune_to_subtree,
 )
 from afsub.graph_model import complete_dary_tree, random_binary_tree
+
+
+PAW = BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))  # a triangle and a pendant edge
 
 
 def alternating_path_file(tmp_path, colours):
@@ -381,10 +385,20 @@ class TestArtifactBytes:
          "aacf25e5c2481c2328dff73a3b5e37f18b6a64d72d399c8185d08a3e4e4035eb"),
         (lambda: build_dary_banded(2, 6, 40).coloured,
          "cf1f50e4620f95108284734c3889188d89be775d6b5a7250f42a93bab3393ca0"),
+        # recorded while the labels still stored the ranks and the thirds;
+        # the C_4 and K_4 digests are those of perfbench/reference.json
+        (lambda: colour_14(PAW).coloured,
+         "46969eb36aacd75261a5e030b418e387b6a4df4f77663dc6dcd43cc338428397"),
+        (lambda: colour_merged(cycle_graph(4), 1).coloured,
+         "e8f621018a8960f89d53805be50901f577d0011485b14c932d283208179c02c9"),
+        (lambda: colour_merged(PAW, 2).coloured,
+         "3107cb5e751af0c80e88e9db39911b7238ad85021cbfcd1695233546f60133cc"),
+        (lambda: colour_14(complete_graph(4)).coloured,
+         "6f031f9037f23bb39759c7a279fe55bfaff5ec1fc2c444980217ec6db00aec22"),
     ], ids=["graph14-P2", "graph14-K3", "merged-P3-k1", "merged-P3-k2",
             "graph8-P2", "dary-banded-2-4-12", "binary-tree-h3",
             "dary-2-4", "dary-3-3", "random-binary-h5-seed7", "dary-3-2-pruned-to-binary-h2",
-            "dary-banded-2-6-40"])
+            "dary-banded-2-6-40", "graph14-paw", "merged-C4-k1", "merged-paw-k2", "graph14-K4"])
     def test_sha256(self, make, digest):
         assert hashlib.sha256(to_json_str(make()).encode()).hexdigest() == digest
 
@@ -574,6 +588,43 @@ class TestCliConstructVerify:
         assert main(["verify", str(good), "--max-windows", raw]) == 64
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "kn", "--n", "100", "--c", "2"],
+        ["word", "--alphabet", "4", "--length", "16"],
+        ["witness", "kn", "--n", "30", "--c", "2", "--k", "1", "--seed", "4"],
+        ["export", "FILE", "--dot", "OUT"],
+        ["verify", "FILE", "--sample", "10", "--seed", "1"],
+    ], ids=["bound", "word", "witness", "export", "verify-sample"])
+    def test_malformed_ceiling_is_read_only_where_used(self, tmp_path, monkeypatch, capsys, argv):
+        good = alternating_path_file(tmp_path, (1, 2, 3))
+        files = {"FILE": str(good), "OUT": str(tmp_path / "g.dot")}
+        monkeypatch.setenv("AFSUB_MAX_WINDOWS", "junk")
+        assert main([files.get(arg, arg) for arg in argv]) == 0
+        assert "usage error" not in capsys.readouterr().err
+
+    def test_malformed_ceiling_stops_construct_before_it_writes(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "t.json"
+        monkeypatch.setenv("AFSUB_MAX_WINDOWS", "junk")
+        assert main(["construct", "dary", "--d", "2", "--height", "1", "-o", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: AFSUB_MAX_WINDOWS") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patched", ["builder", "serialiser"])
+    def test_construct_out_of_memory_exit_64(self, tmp_path, monkeypatch, capsys, patched):
+        def exhausted(*_args):
+            raise MemoryError
+
+        if patched == "builder":
+            monkeypatch.setattr(tree_constructions, "build_dary_tree_10", exhausted)
+        else:
+            monkeypatch.setattr(cli, "to_json_str", exhausted)
+        out = tmp_path / "t.json"
+        assert main(["construct", "dary", "--d", "2", "--height", "2", "-o", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "memory" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_file_exit_65(self, tmp_path):
         bad = tmp_path / "bad.json"
