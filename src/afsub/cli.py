@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (or no counterexample found), 1 word self-check
 failure, 2 verification counterexample, 3 window ceiling hit, 64 usage
-error (including construction parameters a builder rejects, a
-construction that runs out of memory, a malformed window ceiling, and an
-output path that cannot be written), 65 malformed input file.
+error (including construction parameters a builder rejects, running out
+of memory, a malformed window ceiling, and an output path that cannot be
+written), 65 malformed input file.
 """
 
 from __future__ import annotations
@@ -191,6 +191,8 @@ def _summary(cs: ColouredSubdivision, max_windows: int) -> str:
             outcome = find_anagram(cs, max_windows=max_windows).outcome
         except WindowCeilingExceeded:
             outcome = "skipped(window ceiling)"
+        except MemoryError:
+            outcome = "skipped(out of memory)"
     return f"palette={len(cs.palette)} max_division={cs.max_division_count} verification={outcome}"
 
 
@@ -273,15 +275,14 @@ def _run_construct(ns: argparse.Namespace) -> int:
     try:
         cs = ns.build(ns).coloured
         text = to_json_str(cs)
+        dot = to_dot(cs) if ns.dot else None
     except SchemaError:
         raise
     except ValueError as exc:  # a parameter the builder rejects
         raise UsageError(str(exc)) from None
-    except MemoryError:  # the size guard counts vertices, not bytes
-        raise UsageError("the construction does not fit in memory") from None
     _write(text, ns.output)
     if ns.dot:
-        _write(to_dot(cs), ns.dot)
+        _write(dot, ns.dot)
     print(_summary(cs, ceiling), file=sys.stderr)
     return EXIT_OK
 
@@ -358,6 +359,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return ns.run(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # the size guard counts vertices, not bytes
+        print("usage error: the command ran out of memory", file=sys.stderr)
         return EXIT_USAGE
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,17 +1,17 @@
 """Base graphs, rooted trees, subdivisions, and simple-path enumeration.
 
-Vertex ids are dense non-negative integers.  Subdividing assigns ids
-deterministically: original vertices keep their ids, division vertices are
-numbered sequentially per edge in edge-list order, ordered along the path
-from the stored u-endpoint to the stored v-endpoint.
-SubdividedGraph.chain_edges, SubdividedGraph.division_path_from and
-RootedTree.edges are the one home of how the package lists a subdivision's
-edges, reads a division path from one end, and orders a tree's edges.
+Vertex ids are dense non-negative integers.  A SubdividedGraph is a base
+graph and one division count per edge; division_paths numbers the division
+vertices after the originals, sequentially per edge in edge-list order.
+SubdividedGraph.chain_edges, SubdividedGraph.division_path_from,
+RootedTree.edges and RootedTree.sibling_labels are the one home of how the
+package lists a subdivision's edges, reads a division path from one end,
+orders a tree's edges and labels each by its child's place.
 BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape, and
 a SubdividedGraph answers both from its base graph.
 
 Every builder allocates its vertices through complete_dary_tree and
-subdivide, and both refuse more than MAX_VERTICES before allocating any.
+SubdividedGraph, which refuse more than MAX_VERTICES before allocating any.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-# Most vertices one complete_dary_tree, or one subdivide call's division
-# paths, may hold.  subdivide checks the sum of its counts against it, and
-# complete_dary_tree its closed-form size, before either allocates.
+# Most vertices one complete_dary_tree, or one SubdividedGraph's division
+# paths, may hold; each checks its size before it allocates.
 MAX_VERTICES = 10_000_000
 
 
@@ -153,6 +152,11 @@ class RootedTree:
         """(parent, child) pairs, parents in id order, children in child order."""
         return tuple((v, c) for v in range(self.vertex_count) for c in self.children[v])
 
+    @cached_property
+    def sibling_labels(self) -> tuple[int, ...]:
+        """Per edge of edges, its child's 1-based place among its siblings."""
+        return tuple(i for cs in self.children for i in range(1, len(cs) + 1))
+
     @property
     def height(self) -> int:
         return max(self.depth)
@@ -232,22 +236,28 @@ def tree_to_base_graph(t: RootedTree) -> BaseGraph:
 
 @dataclass(frozen=True)
 class SubdividedGraph:
-    """A base graph plus, per base edge, its ordered division-vertex path."""
+    """A base graph plus, per base edge, how many times it is subdivided."""
 
     base: BaseGraph
-    division_paths: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.division_paths) != len(self.base.edges):
-            raise ValueError("one division path per base edge required")
-        ids = tuple(itertools.chain.from_iterable(self.division_paths))
-        n0 = self.base.vertex_count
-        if ids != tuple(range(n0, n0 + len(ids))):
-            raise ValueError("division vertex ids must be sequential per edge")
+        if len(self.counts) != len(self.base.edges):
+            raise ValueError("counts must be given for every edge")
+        if any(c < 0 for c in self.counts):
+            raise ValueError("division counts must be non-negative")
+        if (total := sum(self.counts)) > MAX_VERTICES:
+            raise ValueError(f"subdivision needs {total} division vertices, more than {MAX_VERTICES}")
+
+    @cached_property
+    def division_paths(self) -> tuple[range, ...]:
+        """Edge i's division vertices, u-end to v-end: the counts[i] ids after edge i - 1's."""
+        offsets = tuple(itertools.accumulate(self.counts, initial=self.base.vertex_count))
+        return tuple(map(range, offsets, offsets[1:]))
 
     @cached_property
     def vertex_count(self) -> int:
-        return self.base.vertex_count + sum(map(len, self.division_paths))
+        return self.base.vertex_count + sum(self.counts)
 
     def is_original(self, v: int) -> bool:
         return v < self.base.vertex_count
@@ -259,7 +269,7 @@ class SubdividedGraph:
             chain = (u, *path, v)
             yield from zip(chain, chain[1:])
 
-    def division_path_from(self, i: int, end: int) -> tuple[int, ...]:
+    def division_path_from(self, i: int, end: int) -> range:
         """Division path of base edge i read from its endpoint end."""
         u, v = self.base.edges[i]
         if end not in (u, v):
@@ -281,7 +291,7 @@ class SubdividedGraph:
                 originals[u].append(v)
                 originals[v].append(u)
                 continue
-            first, last = path[0], path[-1]
+            first, last = path.start, path.stop - 1
             originals[u].append(first)
             originals[v].append(last)
             if first == last:
@@ -311,19 +321,7 @@ class SubdividedGraph:
 
 def subdivide(g: BaseGraph, counts: Sequence[int]) -> SubdividedGraph:
     """Subdivide edge i exactly counts[i] times."""
-    if len(counts) != len(g.edges):
-        raise ValueError("counts must be given for every edge")
-    if any(c < 0 for c in counts):
-        raise ValueError("division counts must be non-negative")
-    total = sum(counts)
-    if total > MAX_VERTICES:
-        raise ValueError(f"subdivision needs {total} division vertices, more than {MAX_VERTICES}")
-    paths = []
-    next_id = g.vertex_count
-    for c in counts:
-        paths.append(tuple(range(next_id, next_id + c)))
-        next_id += c
-    return SubdividedGraph(g, tuple(paths))
+    return SubdividedGraph(g, tuple(counts))
 
 
 def k_subdivision(g: BaseGraph, k: int) -> SubdividedGraph:
@@ -363,7 +361,7 @@ class ColouredSubdivision:
 
     @property
     def max_division_count(self) -> int:
-        return max((len(p) for p in self.graph.division_paths), default=0)
+        return max(self.graph.counts, default=0)
 
 
 def coloured_subdivision(graph: SubdividedGraph, colour: Sequence[int], provenance: dict) -> ColouredSubdivision:

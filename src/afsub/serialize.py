@@ -9,8 +9,8 @@ Serialisation is canonical (sorted keys, 2-space indent), so parse followed
 by serialise is byte-identical.  Parsing checks the canonical layout in
 bulk first (vertex i has id i, originals first, the division lists
 concatenating to the division ids in order); only a file that fails it
-is read entry by entry, which accepts entries in any order and names the
-first error.
+is read entry by entry, which accepts vertex entries in any order, names
+the first error, and refuses division ids out of that order too.
 """
 
 from __future__ import annotations
@@ -69,17 +69,17 @@ def from_json_dict(data: Any) -> ColouredSubdivision:
     for key in ("vertices", "base_edges", "palette"):
         if key not in data:
             raise SchemaError(f"missing key {key!r}")
-    n_original, edges, division_paths, colours = _canonical_parts(data) or _checked_parts(data)
+    n_original, edges, counts, colours = _canonical_parts(data) or _checked_parts(data)
     try:
         base = BaseGraph(n_original, edges)
-        graph = SubdividedGraph(base, division_paths)
+        graph = SubdividedGraph(base, counts)
         return ColouredSubdivision(graph, colours, tuple(data["palette"]), data.get("provenance", {}))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
 def _canonical_parts(data: dict) -> Optional[tuple]:
-    """(originals, edges, division paths, colours) when data has the
+    """(originals, edges, division counts, colours) when data has the
     canonical layout, else None: vertex i has id i, the originals come
     first, the division lists concatenate to the division ids in order,
     and every id, endpoint, colour and palette entry is an int.  Every
@@ -110,7 +110,7 @@ def _canonical_parts(data: dict) -> Optional[tuple]:
         return None
     if us and not (0 <= min(us) and 0 <= min(vs) and max(us) < n_original and max(vs) < n_original):
         return None
-    return n_original, tuple(zip(us, vs)), tuple(map(tuple, divisions)), colours
+    return n_original, tuple(zip(us, vs)), tuple(map(len, divisions)), colours
 
 
 def _checked_parts(data: dict) -> tuple:
@@ -151,7 +151,7 @@ def _checked_parts(data: dict) -> tuple:
     if not isinstance(base_edges, list):
         raise SchemaError("base_edges must be a list")
     edges = []
-    division_paths = []
+    divisions = []
     covered: set[int] = set()
     for entry in base_edges:
         if not isinstance(entry, dict):
@@ -171,7 +171,7 @@ def _checked_parts(data: dict) -> tuple:
                 raise SchemaError(f"division vertex {dv} listed twice")
             covered.add(dv)
         edges.append((u, v))
-        division_paths.append(tuple(division))
+        divisions.append(division)
     if len(covered) != n - n_original:
         raise SchemaError("some division vertices belong to no edge")
 
@@ -180,7 +180,9 @@ def _checked_parts(data: dict) -> tuple:
         raise SchemaError("palette must be a list of ints")
     if None in colours:
         raise SchemaError("all vertices must be coloured")
-    return n_original, tuple(edges), tuple(division_paths), tuple(colours)
+    if list(itertools.chain.from_iterable(divisions)) != list(range(n_original, n)):
+        raise SchemaError("division vertex ids must be sequential per edge")
+    return n_original, tuple(edges), tuple(map(len, divisions)), tuple(colours)
 
 
 def from_json_str(text: str) -> ColouredSubdivision:

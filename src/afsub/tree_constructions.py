@@ -51,7 +51,6 @@ class LabelledTreeSubdivision:
 
     coloured: ColouredSubdivision
     vertex_labels: tuple
-    edge_labels: tuple
     tree: RootedTree
 
 
@@ -59,7 +58,7 @@ def _trivial_vertex(tree: RootedTree, construction: str, **params) -> LabelledTr
     base = tree_to_base_graph(tree)
     s = subdivide(base, [])
     cs = coloured_subdivision(s, (0,), {"construction": construction, "height": 0, **params})
-    return LabelledTreeSubdivision(cs, (1,), (), tree)
+    return LabelledTreeSubdivision(cs, (1,), tree)
 
 
 def _root_path_counts(tree: RootedTree, s: SubdividedGraph, labels: Sequence) -> list[int]:
@@ -97,10 +96,9 @@ def build_binary_tree_8(tree: RootedTree) -> LabelledTreeSubdivision:
         return _trivial_vertex(tree, "binary-tree-8")
 
     edges = tree.edges
-    edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
     s = subdivide(tree_to_base_graph(tree), [3 ** (h - tree.depth[u] - 1) - 1 for u, _c in edges])
     labels = [1] * s.vertex_count
-    for (_u, c), lab, path in zip(edges, edge_labels, s.division_paths):
+    for (_u, c), lab, path in zip(edges, tree.sibling_labels, s.division_paths):
         for v in (*path, c):
             labels[v] = lab
     counts = _root_path_counts(tree, s, labels)
@@ -116,7 +114,7 @@ def build_binary_tree_8(tree: RootedTree) -> LabelledTreeSubdivision:
             "colour_legend": {str(_enc8(l, w)): [l, w + 1] for l in (1, 2) for w in range(4)},
         },
     )
-    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_labels), tree)
+    return LabelledTreeSubdivision(cs, tuple(labels), tree)
 
 
 def _enc8(label: int, symbol: int) -> int:
@@ -142,21 +140,19 @@ def _dary_bands(d: int, h: int, x: int, band: int, provenance: dict) -> Labelled
     """
     tree = complete_dary_tree(d, h)
     edges = tree.edges
-    edge_labels = [tree.children[u].index(c) + 1 for u, c in edges]
     band_of = [min(depth // band, x - 1) for depth in tree.depth]
     local_depth = [depth - band * i for depth, i in zip(tree.depth, band_of)]
     height = [min((i + 1) * band - 1, h) - i * band for i in range(x - 1)] + [h - (x - 1) * band]
     divisions = [
         2 * subdivision_step(d, height[band_of[u]] - local_depth[u], y) if band_of[u] == band_of[c] else 0
-        for (u, c), y in zip(edges, edge_labels)
+        for (u, c), y in zip(edges, tree.sibling_labels)
     ]
     s = subdivide(tree_to_base_graph(tree), divisions)
     labels = [WHITE if z % 2 == 0 else BLACK for z in local_depth]
     bands = list(band_of)
-    for (u, _c), path in zip(edges, s.division_paths):  # division ids follow the originals, edge by edge
-        half = len(path) // 2
-        labels += [RED] * half + [GREEN] * (len(path) - half)
-        bands += [band_of[u]] * len(path)
+    for (u, _c), k in zip(edges, s.counts):  # division ids follow the originals, edge by edge
+        labels += [RED] * (k // 2) + [GREEN] * (k - k // 2)
+        bands += [band_of[u]] * k
     counts = _root_path_counts(tree, s, list(zip(bands, labels)))
     word = keranen_symbols(max(counts))
     # the black and white counts are never read: originals keep their side
@@ -165,7 +161,7 @@ def _dary_bands(d: int, h: int, x: int, band: int, provenance: dict) -> Labelled
         for i, lab, n in zip(bands, labels, counts)
     ]
     cs = coloured_subdivision(s, colours, provenance)
-    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_labels), tree)
+    return LabelledTreeSubdivision(cs, tuple(labels), tree)
 
 
 def build_dary_tree_10(d: int, h: int) -> LabelledTreeSubdivision:
@@ -221,21 +217,20 @@ def prune_to_subtree(full: LabelledTreeSubdivision, t: RootedTree) -> LabelledTr
     full_index = {e: i for i, e in enumerate(full.tree.edges)}
     edge_image = [full_index[(image[u], image[c])] for u, c in t.edges]
     full_paths = full.coloured.graph.division_paths
-    s = subdivide(tree_to_base_graph(t), [len(full_paths[fi]) for fi in edge_image])
+    s = subdivide(tree_to_base_graph(t), [full.coloured.graph.counts[fi] for fi in edge_image])
 
     # the full-tree vertex behind each new one: division ids follow the
     # originals, edge by edge
     source = [image[v] for v in range(t.vertex_count)] + [dv for fi in edge_image for dv in full_paths[fi]]
     colours = [full.coloured.colour[v] for v in source]
     labels = [full.vertex_labels[v] for v in source]
-    edge_labels = [full.edge_labels[fi] for fi in edge_image]
 
     cs = coloured_subdivision(
         s,
         colours,
         {**prov, "construction": prov["construction"] + "-pruned", "pruned_vertices": t.vertex_count},
     )
-    return LabelledTreeSubdivision(cs, tuple(labels), tuple(edge_labels), t)
+    return LabelledTreeSubdivision(cs, tuple(labels), t)
 
 
 def band_parameters(d: int, hprime: int, k: int) -> tuple[int, int]:

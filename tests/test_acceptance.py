@@ -118,7 +118,7 @@ def test_criterion_04_dary_tree_reproduction():
         edges = [(v, c) for v in range(lab.tree.vertex_count) for c in lab.tree.children[v]]
         for i, (u, _c) in enumerate(edges):
             z = lab.tree.depth[u]
-            y = lab.edge_labels[i]
+            y = lab.tree.sibling_labels[i]
             assert len(lab.coloured.graph.division_paths[i]) == 2 * y * (d + 1) ** (h - z - 1)
         assert find_anagram(lab.coloured).outcome == "anagram_free"
         if (d, h) == (3, 2):

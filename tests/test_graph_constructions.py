@@ -133,7 +133,7 @@ class TestBuildSequenceSubdivision:
             oriented = oriented_division_path(s, labels, i)
             x, y, z = consecutive_thirds(oriented)
             assert len(x) == len(y) == len(z) == len(s.division_paths[i]) // 3
-            assert x + y + z == oriented
+            assert [*x, *y, *z] == list(oriented)
             white = u if labels.bipartition[u] == 1 else v
             black = v if white == u else u
             assert white in s.adjacency[x[0]]
@@ -232,14 +232,14 @@ class TestColour8:
             assert words.find_abelian_square([c.coloured.colour[v] for v in path]) is None
 
     def test_size_guard_refuses_before_building(self, monkeypatch):
-        real = graph_model.SubdividedGraph
+        real = graph_model.SubdividedGraph.division_paths
 
-        def guarded(base, paths):
-            if sum(map(len, paths)) > graph_model.MAX_VERTICES:
-                raise AssertionError("built a subdivision past the size guard")
-            return real(base, paths)
+        def guarded(s):
+            if sum(s.counts) > graph_model.MAX_VERTICES:
+                raise AssertionError("built division paths past the size guard")
+            return real.__get__(s)
 
-        monkeypatch.setattr(graph_model, "SubdividedGraph", guarded)
+        monkeypatch.setattr(graph_model.SubdividedGraph, "division_paths", property(guarded))
         tree = BaseGraph(5, ((0, 1), (1, 2), (2, 3), (1, 4)))
         with pytest.raises(ValueError, match="needs 179905728 division vertices, more than 10000000"):
             colour_8(tree)

@@ -118,14 +118,20 @@ class TestSubdivide:
         with pytest.raises(ValueError):
             subdivide(cycle_graph(3), [1, 1])
 
+    def test_constructor_rejections_keep_their_messages(self, monkeypatch):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="^counts must be given for every edge$"):
+            SubdividedGraph(g, (1,))
+        with pytest.raises(ValueError, match="^division counts must be non-negative$"):
+            SubdividedGraph(g, (2, -1))
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 5)
+        assert SubdividedGraph(g, (2, 3)).vertex_count == 8
+        with pytest.raises(ValueError, match="^subdivision needs 6 division vertices, more than 5$"):
+            SubdividedGraph(g, (3, 3))
+
     def test_division_ids_sequential_in_edge_order(self):
         s = subdivide(cycle_graph(3), [2, 0, 1])
-        assert s.division_paths == ((3, 4), (), (5,))
-
-    @pytest.mark.parametrize("paths", [((3, 5), (), (4,)), ((3, 4), (), (6,)), ((2,), (3,), (4,))])
-    def test_division_ids_out_of_sequence_rejected(self, paths):
-        with pytest.raises(ValueError, match="division vertex ids must be sequential per edge"):
-            SubdividedGraph(cycle_graph(3), paths)
+        assert [list(p) for p in s.division_paths] == [[3, 4], [], [5]]
 
     @given(sparse_graphs(), st.lists(st.integers(0, 3), min_size=12, max_size=12))
     @settings(max_examples=80)
@@ -133,6 +139,10 @@ class TestSubdivide:
         # counts of 0 and 1 give edges with no division vertex and runs
         # whose two ends are one vertex
         s = subdivide(g, counts[: len(g.edges)])
+        paths = s.division_paths
+        assert all(type(p) is range and p.step == 1 for p in paths)
+        assert [len(p) for p in paths] == counts[: len(g.edges)]
+        assert list(itertools.chain.from_iterable(paths)) == list(range(g.vertex_count, s.vertex_count))
         assert s.adjacency == _adjacency(s.vertex_count, s.chain_edges())
         assert s.adjacency == s.flatten().adjacency
 
@@ -211,6 +221,10 @@ class TestRootedTree:
         leaf = t.leaves()[0]
         path = t.root_path(leaf)
         assert path[0] == t.root and path[-1] == leaf and len(path) == 3
+
+    @pytest.mark.parametrize("t", [complete_dary_tree(3, 2), *(random_binary_tree(5, seed) for seed in range(4))])
+    def test_sibling_labels_place_each_child(self, t):
+        assert t.sibling_labels == tuple(t.children[u].index(c) + 1 for u, c in t.edges)
 
     def test_random_binary_tree_is_deterministic_and_binary(self):
         a = random_binary_tree(4, 11)

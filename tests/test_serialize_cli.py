@@ -214,6 +214,28 @@ class TestSchemaErrors:
         }
         assert parse_error(json.dumps(data)) == "division vertex True invalid"
 
+    @pytest.mark.parametrize("divisions, message", [
+        ([[3, 5], [], [4]], "division vertex ids must be sequential per edge"),
+        ([[4, 3], [], [5]], "division vertex ids must be sequential per edge"),
+        ([[5], [], [3, 4]], "division vertex ids must be sequential per edge"),
+        ([[3, 4], [], [6]], "division vertex 6 invalid"),
+        ([[2], [3], [4]], "division vertex 2 invalid"),
+    ], ids=["across-edges", "reversed", "swapped", "gap", "original-id"])
+    def test_division_ids_out_of_sequence_rejected(self, divisions, message):
+        # ids follow from the division counts, so only a file can list them
+        # out of sequence
+        data = to_json_dict(coloured_subdivision(subdivide(cycle_graph(3), [2, 0, 1]), range(6), {}))
+        for entry, division in zip(data["base_edges"], divisions):
+            entry["division"] = division
+        assert serialize._canonical_parts(data) is None
+        assert parse_error(json.dumps(data)) == message
+        assert loop_outcome(data) == ("error", message)
+
+    def test_size_guard_refuses_a_file(self, monkeypatch):
+        data = to_json_dict(coloured_subdivision(subdivide(cycle_graph(3), [2, 0, 1]), range(6), {}))
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 2)
+        assert parse_error(json.dumps(data)) == "subdivision needs 3 division vertices, more than 2"
+
     def test_malformed_file_exit_65_names_the_check(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         data = small_document()
@@ -247,6 +269,11 @@ def outcome(data):
     except SchemaError as exc:
         return "error", str(exc)
     return to_json_str(cs), cs.provenance
+
+
+def exhausted(*_args, **_kwargs):
+    """A stand-in for a call that runs out of memory, so no test allocates."""
+    raise MemoryError
 
 
 def loop_outcome(data):
@@ -611,20 +638,38 @@ class TestCliConstructVerify:
         assert err.startswith("usage error: AFSUB_MAX_WINDOWS") and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("patched", ["builder", "serialiser"])
+    @pytest.mark.parametrize("patched", ["builder", "serialiser", "dot"])
     def test_construct_out_of_memory_exit_64(self, tmp_path, monkeypatch, capsys, patched):
-        def exhausted(*_args):
-            raise MemoryError
-
         if patched == "builder":
             monkeypatch.setattr(tree_constructions, "build_dary_tree_10", exhausted)
         else:
-            monkeypatch.setattr(cli, "to_json_str", exhausted)
-        out = tmp_path / "t.json"
-        assert main(["construct", "dary", "--d", "2", "--height", "2", "-o", str(out)]) == 64
+            monkeypatch.setattr(cli, "to_json_str" if patched == "serialiser" else "to_dot", exhausted)
+        out, dot = tmp_path / "t.json", tmp_path / "t.dot"
+        assert main(["construct", "dary", "--d", "2", "--height", "2", "-o", str(out), "--dot", str(dot)]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "memory" in err and "Traceback" not in err
-        assert not out.exists()
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "memory" in err and "Traceback" not in err
+        assert not out.exists() and not dot.exists()
+
+    @pytest.mark.parametrize("argv, patched", [
+        (["export", "FILE", "--dot", "OUT"], "to_dot"),
+        (["verify", "FILE"], "find_anagram"),
+    ], ids=["export", "verify"])
+    def test_out_of_memory_exit_64(self, tmp_path, monkeypatch, capsys, argv, patched):
+        files = {"FILE": str(alternating_path_file(tmp_path, (1, 2, 3))), "OUT": str(tmp_path / "g.dot")}
+        monkeypatch.setattr(cli, patched, exhausted)
+        assert main([files.get(arg, arg) for arg in argv]) == 64
+        out, err = capsys.readouterr()
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "memory" in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "g.dot").exists()
+
+    def test_summary_out_of_memory_skips_verification(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "t.json"
+        monkeypatch.setattr(cli, "find_anagram", exhausted)
+        assert main(["construct", "dary", "--d", "2", "--height", "2", "-o", str(out)]) == 0
+        assert capsys.readouterr().err.endswith(" verification=skipped(out of memory)\n")
+        assert out.exists()
 
     def test_malformed_file_exit_65(self, tmp_path):
         bad = tmp_path / "bad.json"

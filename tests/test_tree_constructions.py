@@ -84,8 +84,8 @@ class TestBinaryTree8:
         for v in range(lab.tree.vertex_count):
             kids = lab.tree.children[v]
             if len(kids) == 2:
-                got = {lab.edge_labels[edges.index((v, c))] for c in kids}
-                assert got == {1, 2}
+                got = {lab.tree.sibling_labels[edges.index((v, c))] for c in kids}
+                assert got == {lab.vertex_labels[c] for c in kids} == {1, 2}
 
     def test_height_zero_is_single_coloured_vertex(self):
         lab = build_binary_tree_8(tree_from_children([()]))
@@ -115,7 +115,7 @@ class TestDaryTree10:
         edges = lab.tree.edges
         for i, (u, _c) in enumerate(edges):
             z = lab.tree.depth[u]
-            y = lab.edge_labels[i]
+            y = lab.tree.sibling_labels[i]
             assert len(lab.coloured.graph.division_paths[i]) == 2 * subdivision_step(d, h - z, y)
         assert len(lab.coloured.palette) <= 10
         assert lab.coloured.max_division_count <= 2 * d * (d + 1) ** (h - 1)
@@ -197,6 +197,14 @@ class TestPruneToSubtree:
         pruned = prune_to_subtree(build_dary_banded(2, 6, 40), random_binary_tree(6, 3))
         assert pruned.coloured.graph.vertex_count == 76
         assert naive_find_anagram(pruned.coloured).outcome == find_anagram(pruned.coloured).outcome == "anagram_free"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pruned_edges_keep_their_sibling_labels(self, seed):
+        # embed_by_child_order maps the i-th child to the i-th child, and the
+        # binary builder gives each child its parent edge's label
+        pruned = prune_to_subtree(build_binary_tree_8(complete_dary_tree(2, 5)), random_binary_tree(5, seed))
+        for (_u, c), y in zip(pruned.tree.edges, pruned.tree.sibling_labels):
+            assert pruned.vertex_labels[c] == y
 
     def test_too_wide_rejected(self):
         full = build_dary_tree_10(2, 2)
