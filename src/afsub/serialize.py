@@ -5,12 +5,13 @@ Schema:
  "base_edges": [{"u": int, "v": int, "division": [int, ...]}],
  "palette": [int], "provenance": {...}}
 
-Serialisation is canonical (sorted keys, 2-space indent), so parse followed
-by serialise is byte-identical.  Parsing checks the canonical layout in
-bulk first (vertex i has id i, originals first, the division lists
-concatenating to the division ids in order); only a file that fails it
-is read entry by entry, which accepts vertex entries in any order, names
-the first error, and refuses division ids out of that order too.
+Serialisation is canonical (sorted keys, 2-space indent, one scalar per
+line, [] for an empty list, ASCII escapes, a trailing newline), so parse
+followed by serialise is byte-identical.  Parsing checks the canonical
+layout in bulk first (vertex i has id i, originals first, the division
+lists concatenating to the division ids in order); only a file that fails
+it is read entry by entry, which accepts vertex entries in any order,
+names the first error, and refuses division ids out of that order too.
 """
 
 from __future__ import annotations
@@ -27,38 +28,49 @@ class SchemaError(ValueError):
     pass
 
 
-def to_json_dict(cs: ColouredSubdivision) -> dict:
-    vertices = [
-        {
-            "id": v,
-            "kind": "original" if cs.graph.is_original(v) else "division",
-            "colour": cs.colour[v],
-        }
-        for v in range(cs.graph.vertex_count)
-    ]
-    base_edges = [
-        {"u": u, "v": v, "division": list(path)}
-        for (u, v), path in zip(cs.graph.base.edges, cs.graph.division_paths)
-    ]
-    return {
-        "vertices": vertices,
-        "base_edges": base_edges,
-        "palette": list(cs.palette),
-        "provenance": cs.provenance,
-    }
+_ORIGINAL = '{\n      "colour": %d,\n      "id": %d,\n      "kind": "original"\n    }'
+_DIVISION = '{\n      "colour": %d,\n      "id": %d,\n      "kind": "division"\n    }'
+_EDGE = '{\n      "division": %s,\n      "u": %d,\n      "v": %d\n    }'
+_DOCUMENT = '{\n  "base_edges": %s,\n  "palette": %s,\n  "provenance": %s,\n  "vertices": %s\n}\n'
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """A JSON list of formatted items, one per line at indent spaces, as
+    json.dumps with indent=2 writes it at depth indent // 2."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[2:] + "]"
 
 
 def to_json_str(cs: ColouredSubdivision) -> str:
-    return json.dumps(to_json_dict(cs), indent=2, sort_keys=True) + "\n"
+    """The canonical bytes: sorted keys, 2-space indent, ASCII escapes and a
+    trailing newline, as json.dumps(..., indent=2, sort_keys=True) + "\\n"
+    writes the schema's document.  Every field but provenance has a fixed
+    layout, so it is written from templates; provenance goes through
+    json.dumps and is re-indented one level, which is safe because every
+    newline inside a JSON string is escaped."""
+    g, colour = cs.graph, cs.colour
+    n0, n = g.base.vertex_count, g.vertex_count
+    vertices = list(map(_ORIGINAL.__mod__, zip(colour[:n0], range(n0))))
+    vertices += map(_DIVISION.__mod__, zip(colour[n0:], range(n0, n)))
+    edges = [
+        _EDGE % (_json_list(list(map(str, path)), 8), u, v)
+        for (u, v), path in zip(g.base.edges, g.division_paths)
+    ]
+    provenance = json.dumps(cs.provenance, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return _DOCUMENT % (_json_list(edges, 4), _json_list(list(map(str, cs.palette)), 4), provenance,
+                        _json_list(vertices, 4))
 
 
 def from_json_dict(data: Any) -> ColouredSubdivision:
     """Check data against the schema and build the subdivision.
 
     Ids, endpoints, colours and palette entries must be JSON integers, not
-    booleans.  A canonical file, as to_json_dict writes one, passes a bulk
-    check first: one comprehension per field, then whole-list comparisons
-    and one test of the set of types.
+    booleans, and provenance, when present, an object.  A canonical file,
+    as to_json_str writes one, passes a bulk check first: one
+    comprehension per field, then whole-list comparisons and one test of
+    the set of types.
     Only when that check fails does the per-entry loop run, which raises
     SchemaError at the first failed check with that check's own message,
     or accepts a valid file whose entries are out of canonical order.
@@ -70,10 +82,13 @@ def from_json_dict(data: Any) -> ColouredSubdivision:
         if key not in data:
             raise SchemaError(f"missing key {key!r}")
     n_original, edges, counts, colours = _canonical_parts(data) or _checked_parts(data)
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise SchemaError("provenance must be an object")
     try:
         base = BaseGraph(n_original, edges)
         graph = SubdividedGraph(base, counts)
-        return ColouredSubdivision(graph, colours, tuple(data["palette"]), data.get("provenance", {}))
+        return ColouredSubdivision(graph, colours, tuple(data["palette"]), provenance)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -193,23 +208,28 @@ def from_json_str(text: str) -> ColouredSubdivision:
     return from_json_dict(data)
 
 
-def _fill(colour: int, palette: tuple[int, ...]) -> str:
-    idx = palette.index(colour) if colour in palette else 0
-    hue = idx / max(len(palette), 1)
-    r, g, b = colorsys.hsv_to_rgb(hue, 0.45, 0.95)
+def _fill(index: int, size: int) -> str:
+    """The fill of palette entry index out of size: evenly spaced hues."""
+    r, g, b = colorsys.hsv_to_rgb(index / max(size, 1), 0.45, 0.95)
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
 def to_dot(cs: ColouredSubdivision) -> str:
-    """DOT rendering: originals as boxes, division vertices as points."""
+    """DOT rendering: originals as boxes, division vertices as points.
+
+    Each colour's fill follows the first place it has in the palette, so
+    a palette with repeated or unsorted entries still gives each colour
+    one fill."""
+    palette, colour = cs.palette, cs.colour
+    fills: dict[int, str] = {}
+    for i, c in enumerate(palette):
+        fills.setdefault(c, _fill(i, len(palette)))
+    points = {c: '  v%%d [shape=point, fillcolor="%s", color="%s"];' % (f, f) for c, f in fills.items()}
+    n0, n = cs.graph.base.vertex_count, cs.graph.vertex_count
     lines = ["graph subdivision {", "  node [style=filled];"]
-    palette = cs.palette
-    for v in range(cs.graph.vertex_count):
-        fill = _fill(cs.colour[v], palette)
-        if cs.graph.is_original(v):
-            lines.append(f'  v{v} [shape=box, label="{v}:{cs.colour[v]}", fillcolor="{fill}"];')
-        else:
-            lines.append(f'  v{v} [shape=point, fillcolor="{fill}", color="{fill}"];')
-    lines.extend(f"  v{a} -- v{b};" for a, b in cs.graph.chain_edges())
+    lines += ['  v%d [shape=box, label="%d:%d", fillcolor="%s"];' % (v, v, c, fills[c])
+              for v, c in zip(range(n0), colour)]
+    lines += [points[c] % v for v, c in zip(range(n0, n), colour[n0:])]
+    lines += map("  v%d -- v%d;".__mod__, cs.graph.chain_edges())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import colorsys
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afsub
@@ -24,7 +25,7 @@ from afsub.graph_model import (
     path_graph,
     subdivide,
 )
-from afsub.serialize import SchemaError, from_json_dict, from_json_str, to_dot, to_json_dict, to_json_str
+from afsub.serialize import SchemaError, from_json_dict, from_json_str, to_dot, to_json_str
 from afsub.tree_constructions import (
     build_binary_tree_8,
     build_dary_banded,
@@ -35,6 +36,55 @@ from afsub.graph_model import complete_dary_tree, random_binary_tree
 
 
 PAW = BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))  # a triangle and a pendant edge
+
+
+def to_json_dict(cs: ColouredSubdivision) -> dict:
+    """The schema's document for cs, built entry by entry: json.dumps of it
+    with sorted keys and a 2-space indent is the oracle of to_json_str."""
+    vertices = [
+        {
+            "id": v,
+            "kind": "original" if cs.graph.is_original(v) else "division",
+            "colour": cs.colour[v],
+        }
+        for v in range(cs.graph.vertex_count)
+    ]
+    base_edges = [
+        {"u": u, "v": v, "division": list(path)}
+        for (u, v), path in zip(cs.graph.base.edges, cs.graph.division_paths)
+    ]
+    return {
+        "vertices": vertices,
+        "base_edges": base_edges,
+        "palette": list(cs.palette),
+        "provenance": cs.provenance,
+    }
+
+
+def oracle_json_str(cs: ColouredSubdivision) -> str:
+    return json.dumps(to_json_dict(cs), indent=2, sort_keys=True) + "\n"
+
+
+def oracle_fill(colour: int, palette: tuple[int, ...]) -> str:
+    idx = palette.index(colour) if colour in palette else 0
+    hue = idx / max(len(palette), 1)
+    r, g, b = colorsys.hsv_to_rgb(hue, 0.45, 0.95)
+    return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
+
+
+def oracle_to_dot(cs: ColouredSubdivision) -> str:
+    """to_dot one vertex at a time, each fill computed afresh: its oracle."""
+    lines = ["graph subdivision {", "  node [style=filled];"]
+    palette = cs.palette
+    for v in range(cs.graph.vertex_count):
+        fill = oracle_fill(cs.colour[v], palette)
+        if cs.graph.is_original(v):
+            lines.append(f'  v{v} [shape=box, label="{v}:{cs.colour[v]}", fillcolor="{fill}"];')
+        else:
+            lines.append(f'  v{v} [shape=point, fillcolor="{fill}", color="{fill}"];')
+    lines.extend(f"  v{a} -- v{b};" for a, b in cs.graph.chain_edges())
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def alternating_path_file(tmp_path, colours):
@@ -231,6 +281,23 @@ class TestSchemaErrors:
         assert parse_error(json.dumps(data)) == message
         assert loop_outcome(data) == ("error", message)
 
+    @pytest.mark.parametrize("value", [3, [1], "x", None])
+    def test_provenance_must_be_an_object(self, value, tmp_path, capsys):
+        data = small_document()
+        data["provenance"] = value
+        assert serialize._canonical_parts(data) is not None
+        assert parse_error(json.dumps(data)) == "provenance must be an object"
+        assert loop_outcome(data) == ("error", "provenance must be an object")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad)]) == 65
+        assert capsys.readouterr().err == "input error: provenance must be an object\n"
+
+    def test_missing_provenance_is_empty(self):
+        data = small_document()
+        del data["provenance"]
+        assert outcome(data) == loop_outcome(data) == (to_json_str(from_json_dict(small_document())), {})
+
     def test_size_guard_refuses_a_file(self, monkeypatch):
         data = to_json_dict(coloured_subdivision(subdivide(cycle_graph(3), [2, 0, 1]), range(6), {}))
         monkeypatch.setattr(graph_model, "MAX_VERTICES", 2)
@@ -245,20 +312,38 @@ class TestSchemaErrors:
         assert capsys.readouterr().err == "input error: vertex 0: bad kind 'leaf'\n"
 
 
+# JSON values whose encoding needs every kind of escape: quotes,
+# backslashes, newlines, control and non-ASCII characters
+provenance_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10 ** 20), 10 ** 20)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text('a"\\\n\t\x00é€😀', max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text('ab"\né', max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 @st.composite
-def canonical_documents(draw):
-    """to_json_dict of a random coloured subdivision: up to 6 originals,
-    each edge divided 0 to 3 times, with a small provenance."""
+def coloured_subdivisions(draw):
+    """A random coloured subdivision: up to 6 originals, each edge divided
+    0 to 3 times, colours from -2 to 4, a palette in any order that may
+    repeat entries, and a nested provenance."""
     n = draw(st.integers(0, 6))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=8)) if possible else []
     s = subdivide(BaseGraph(n, tuple(edges)), draw(st.lists(st.integers(0, 3), min_size=len(edges),
                                                              max_size=len(edges))))
-    colours = draw(st.lists(st.integers(-1, 4), min_size=s.vertex_count, max_size=s.vertex_count))
-    palette = sorted(set(colours) | set(draw(st.lists(st.integers(5, 7), max_size=2))))
-    provenance = draw(st.dictionaries(st.sampled_from("abc"), st.sampled_from((0, -7, "", "é", [1, {"x": None}])),
-                                      max_size=2))
-    return to_json_dict(ColouredSubdivision(s, tuple(colours), tuple(palette), provenance))
+    colours = draw(st.lists(st.integers(-2, 4), min_size=s.vertex_count, max_size=s.vertex_count))
+    palette = draw(st.permutations(sorted(set(colours) | set(draw(st.lists(st.integers(5, 7), max_size=2))))))
+    if palette:
+        palette += draw(st.lists(st.sampled_from(palette), max_size=2))
+    provenance = draw(st.dictionaries(st.text('abc"\né', max_size=3), provenance_values, max_size=3))
+    return ColouredSubdivision(s, tuple(colours), tuple(palette), provenance)
+
+
+@st.composite
+def canonical_documents(draw):
+    """to_json_dict of a random coloured subdivision."""
+    return to_json_dict(draw(coloured_subdivisions()))
 
 
 def outcome(data):
@@ -379,6 +464,35 @@ class TestBulkSchemaCheck:
         assert capsys.readouterr().out == report
 
 
+def edge_cases(test):
+    """test, run also on no vertices, originals without edges, and an
+    edge left undivided beside an unsorted palette that repeats a colour."""
+    for cs in (
+        ColouredSubdivision(subdivide(BaseGraph(0, ()), []), (), (), {}),
+        ColouredSubdivision(subdivide(BaseGraph(2, ()), []), (-1, -1), (-1,), {"s": 'a\n"b', "é": [{"x": None}]}),
+        ColouredSubdivision(subdivide(path_graph(3), [0, 2]), (3, 1, 3, -2, 1), (3, -2, 1, 3), {}),
+    ):
+        test = example(cs)(test)
+    return test
+
+
+class TestWriterOracles:
+    """to_json_str and to_dot write what their entry-by-entry oracles
+    write, byte for byte."""
+
+    @given(coloured_subdivisions())
+    @edge_cases
+    @settings(max_examples=200)
+    def test_to_json_str_matches_oracle(self, cs):
+        assert to_json_str(cs) == oracle_json_str(cs)
+
+    @given(coloured_subdivisions())
+    @edge_cases
+    @settings(max_examples=200)
+    def test_to_dot_matches_oracle(self, cs):
+        assert to_dot(cs) == oracle_to_dot(cs)
+
+
 class TestArtifactBytes:
     """Canonical JSON of the constructions is pinned byte for byte.
 
@@ -436,7 +550,10 @@ class TestArtifactBytes:
          "884b3771c6cf550c81ef610975b57db1d1337a2ecec3ae7ba55d4b3eb36e5442"),
         (lambda: build_dary_banded(2, 4, 12).coloured,
          "29e5be7f51abe1d909318564ac1698af12861b418e525601a7771496a873f899"),
-    ], ids=["graph14-K3", "binary-tree-h3", "dary-banded-2-4-12"])
+        # the digest of perfbench/reference.json's "export graph14-K4"
+        (lambda: colour_14(complete_graph(4)).coloured,
+         "267ca7527a75818bcdff0d70356cb0c2c10b85881441602a91488c1f1ba39c0a"),
+    ], ids=["graph14-K3", "binary-tree-h3", "dary-banded-2-4-12", "graph14-K4"])
     def test_dot_sha256(self, make, digest):
         # recorded before to_dot, adjacency and flatten shared
         # SubdividedGraph.chain_edges
