@@ -17,6 +17,7 @@ SubdividedGraph, which refuse more than MAX_VERTICES before allocating any.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,18 +38,33 @@ class BaseGraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        seen = set()
-        norm = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
+        edges = tuple(self.edges)
+        # checked in bulk first; the loop below runs only when that check
+        # fails, and raises its message for the first bad edge
+        try:
+            norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
+            lo, hi = zip(*norm) if norm else ((), ())
+            valid = (
+                all(map(operator.lt, lo, hi))
+                and min(lo, default=0) >= 0
+                and max(hi, default=-1) < self.vertex_count
+                and len(set(norm)) == len(norm)
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            seen = set()
+            norm = []
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                    raise ValueError(f"edge ({u}, {v}) outside vertex range")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise ValueError(f"duplicate edge {key}")
+                seen.add(key)
+                norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
 
     @cached_property

@@ -42,6 +42,7 @@ if TYPE_CHECKING:
 
 from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 from .graph_model import (
+    BaseGraph,
     ColouredGraph,
     ColouredSubdivision,
     StepBudgetExceeded,
@@ -140,31 +141,62 @@ def _window_count(length: int, max_length: Optional[int] = None) -> int:
     return half * (length - half)
 
 
-def _trace_degree2_components(adj) -> list[tuple[list[int], bool]]:
+def _degree2_components(graph: Union[BaseGraph, SubdividedGraph]) -> list[tuple[list[int], bool]]:
     """Components of a max-degree-2 graph as (vertex order, is_cycle).
 
     A path component is read from its smaller endpoint, a cycle from its
     smallest id toward that vertex's smaller neighbour.  Components are
-    ordered by the first vertex of their order.
+    ordered by the first vertex of their order.  Each order is built from
+    the base graph: base vertices joined by each base edge's division run,
+    read forward or reversed (a BaseGraph's runs are empty).  Every
+    component holds a base vertex, the ends of a path are base vertices,
+    and a cycle's smallest id is one, since division vertices come after
+    the base vertices.
     """
-    seen = [False] * len(adj)
-    comps: list[tuple[list[int], bool]] = []
-    for v in range(len(adj)):
-        if seen[v]:
-            continue
+    if isinstance(graph, SubdividedGraph):
+        base, runs = graph.base, graph.division_paths
+    else:
+        base, runs = graph, (range(0),) * len(graph.edges)
+    incident: list[list[int]] = [[] for _ in range(base.vertex_count)]
+    for i, (u, v) in enumerate(base.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    seen = [False] * base.vertex_count
+
+    def first_step(v: int, i: int) -> int:
+        """v's neighbour along base edge i."""
+        u, w = base.edges[i]
+        run = runs[i] if v == u else runs[i][::-1]
+        return run[0] if run else (w if v == u else u)
+
+    def read(v: int, i: int) -> list[int]:
+        """The order from base vertex v out along base edge i, to the other
+        end of a path or round to v."""
+        order = [v]
         seen[v] = True
-        members = [v]
-        for u in members:  # the list grows as the component is found
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(w)
-        ends = [u for u in members if len(adj[u]) <= 1]
-        order = [min(ends) if ends else v]  # v is a cycle's smallest id
-        while len(order) < len(members):
-            prev = order[-2] if len(order) > 1 else None
-            order.append(min(w for w in adj[order[-1]] if w != prev))
-        comps.append((order, not ends))
+        while True:
+            u, w = base.edges[i]
+            order.extend(runs[i] if v == u else reversed(runs[i]))
+            v = w if v == u else u
+            if seen[v]:  # back at a cycle's first vertex
+                return order
+            order.append(v)
+            seen[v] = True
+            out = [j for j in incident[v] if j != i]
+            if not out:
+                return order
+            i = out[0]
+
+    comps: list[tuple[list[int], bool]] = []
+    for v in range(base.vertex_count):  # paths, each from its smaller end
+        if not incident[v]:
+            seen[v] = True
+            comps.append(([v], False))
+        elif len(incident[v]) == 1 and not seen[v]:
+            comps.append((read(v, incident[v][0]), False))
+    for v in range(base.vertex_count):  # what is left lies on cycles
+        if not seen[v]:
+            comps.append((read(v, min(incident[v], key=lambda i: first_step(v, i))), True))
     comps.sort(key=lambda comp: comp[0][0])
     return comps
 
@@ -192,7 +224,7 @@ def _scan_maximal_paths(
     adj, colours = _view(c)
     step_cap = None if budget is None else len(adj) + 4 * budget
     if c.graph.max_degree_2:
-        paths: Iterable = _trace_degree2_components(adj)
+        paths: Iterable = _degree2_components(c.graph)
     else:
         paths = ((p, False) for p in enumerate_maximal_simple_paths(c.graph, step_budget=step_cap))
     windows = 0
@@ -222,12 +254,11 @@ def _scan_maximal_paths(
     return VerificationReport("anagram_free", None, paths_checked, mode)
 
 
-def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated; counts
-    must not be empty."""
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated, given
+    ends = counts.cumsum(); counts must not be empty."""
     import numpy as np
 
-    ends = counts.cumsum()
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
@@ -302,9 +333,10 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
     by_code = np.argsort(code)
     backward = by_code[np.searchsorted(code, head[forward] * n + tail[forward], sorter=by_code)]
     # the next directed edges of u -> v are v's other edges
-    nxt = _ragged_arange((np.cumsum(deg) - deg)[head], deg[head])
-    nxt = nxt[head[nxt] != np.repeat(tail, deg[head])]
-    nxt_count = deg[head] - 1
+    fan = deg[head]
+    nxt = _ragged_arange((np.cumsum(deg) - deg)[head], fan, fan.cumsum())
+    nxt = nxt[head[nxt] != np.repeat(tail, fan)]
+    nxt_count = fan - 1
     nxt_start = np.cumsum(nxt_count) - nxt_count
 
     rank, k = _ranks(colours)
@@ -330,17 +362,22 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
         ordered = np.sort(key)
         # an a-side key directly below its b-side match is even; the edges
         # come out sorted, and dict.fromkeys keeps each one once
-        low = ordered[:-1][ordered[1:] - ordered[:-1] == 1]
-        candidates = dict.fromkeys((low[low & np.uint64(1) == 0] >> shift).tolist())
+        adjacent = ordered[1:] - ordered[:-1] == 1
+        candidates: Iterable[int] = ()
+        if adjacent.any():
+            low = ordered[:-1][adjacent]
+            candidates = dict.fromkeys((low[low & np.uint64(1) == 0] >> shift).tolist())
 
         count = nxt_count[directed]
-        split = int(count[:split].sum())
-        directed = nxt[_ragged_arange(nxt_start[directed], count)]
+        ends = count.cumsum()
+        split = int(ends[split - 1])
+        directed = nxt[_ragged_arange(nxt_start[directed], count, ends)]
         key = key.repeat(count) + head_weight[directed]
         edge = (key >> shift).astype(np.intp)
         a_count = np.bincount(edge[:split], minlength=edges)
         b_count = np.bincount(edge[split:], minlength=edges)
-        live = (a_count > 0) & (b_count > 0)
+        a_has, b_has = a_count > 0, b_count > 0
+        live = a_has & b_has
 
         for e in candidates:
             a, b = int(tail[forward[e]]), int(head[forward[e]])
@@ -356,7 +393,7 @@ def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Verifica
             checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
             return VerificationReport("counterexample", ce, checked, "exhaustive")
         # an edge still present on one side only is dead
-        if np.count_nonzero(a_count) + np.count_nonzero(b_count) > 2 * np.count_nonzero(live):
+        if (a_has ^ b_has).any():
             keep = live[edge]
             directed, key = directed[keep], key[keep]
             split = int(np.count_nonzero(keep[:split]))

@@ -11,7 +11,11 @@ Abelian squares are found by one scanner for every length: prefix sums of
 one wrapping uint64 hash weight per symbol rank select candidate windows,
 and each candidate is confirmed by exact counts of its two halves, so the
 result is exact and deterministic.  _ranks and _hash_weights serve this
-scanner and the forest scan in verifier alike.
+scanner and the forest scan in verifier alike.  Squares are found exactly,
+from runs of matching positions.  Both scanners compare a block of
+consecutive half-lengths in one numpy call, one row per half-length read
+from a strided view of the padded word or prefix array, with at most
+_BLOCK_ELEMENTS elements a block.
 
 Symbols are 0-based integers; rendering as letters happens only at the CLI
 boundary.
@@ -20,6 +24,7 @@ boundary.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -106,6 +111,11 @@ def _hash_weights(k: int, bits: int) -> np.ndarray:
     return weights
 
 
+# Most elements one block of a word scan compares at once: the block is
+# as many consecutive half-lengths as fit, one row each.
+_BLOCK_ELEMENTS = 16_384
+
+
 def find_abelian_square(
     w: WordLike, *, length_major: bool = False, max_length: Optional[int] = None
 ) -> Optional[tuple[int, int]]:
@@ -119,14 +129,21 @@ def find_abelian_square(
 
     H[j] is the wrapping uint64 sum of one hash weight per symbol rank over
     w[:j], so halves with equal multisets have equal sums and every window
-    (i, 2L) with 2 * H[i+L] == H[i] + H[i+2L] is a candidate: one comparison
-    of three slices per half-length L finds them all.  Unequal multisets may
-    collide too, so each candidate is confirmed by exact counts of its two
-    halves, and one that fails is skipped: the result is exact and
-    deterministic.  Total work is O(|w|^2) in either order, plus O(L) for
-    each candidate checked.
+    (i, 2L) with 2 * H[i+L] == H[i] + H[i+2L] is a candidate.  H is padded
+    past the word, and two read-only strided views of it hold one row per
+    half-length L, starting at H[L] and at H[2L].  One comparison tests a
+    block of consecutive half-lengths, rows x m with m the starts still in
+    play and rows = max(1, _BLOCK_ELEMENTS // m).  The block's candidates
+    are taken in the scan order, (length, start) or (start, length).
+    Unequal multisets may collide too, so each candidate is confirmed by
+    exact counts of its two halves, and one that fails is skipped: the
+    result is exact and deterministic.  A candidate that runs past the word
+    fails too, as its second half is cut shorter than its first.
+    Total work is O(|w|^2) in either order, plus O(L) for each candidate
+    checked.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
     s = _symbols_of(w)
     n = len(s)
@@ -134,48 +151,100 @@ def find_abelian_square(
     if top < 1:
         return None
     rank, k = _ranks(s)
-    H = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(_hash_weights(k, 64)[rank], out=H[1:])
+    H = np.zeros(n + 2 * top, dtype=np.uint64)
+    np.cumsum(_hash_weights(k, 64)[rank], out=H[1 : n + 1])
     twice = H * np.uint64(2)
+    step = H.strides[0]
+    # row L - 1 of mid starts at twice[L], of far at H[2L]
+    mid = as_strided(twice[1:], shape=(top, n - 1), strides=(step, step), writeable=False)
+    far = as_strided(H[2:], shape=(top, n - 1), strides=(2 * step, step), writeable=False)
     best: Optional[tuple[int, int]] = None
     starts = n  # only starts below this can still come first
-    for L in range(1, top + 1):
+    L = 1
+    while L <= top:
         m = min(n - 2 * L + 1, starts)
-        for i in np.flatnonzero(twice[L : L + m] == H[:m] + H[2 * L : 2 * L + m]).tolist():
-            if np.array_equal(
-                np.bincount(rank[i : i + L], minlength=k),
-                np.bincount(rank[i + L : i + 2 * L], minlength=k),
-            ):
-                best, starts = (i, 2 * L), i
+        rows = min(max(1, _BLOCK_ELEMENTS // m), top - L + 1)
+        block = mid[L - 1 : L - 1 + rows, :m] == H[:m] + far[L - 1 : L - 1 + rows, :m]
+        if block.any():  # rarely true, and any costs far less than nonzero
+            if length_major:
+                found = zip(*(a.tolist() for a in np.nonzero(block)))
+            else:
+                found = ((r, i) for i, r in zip(*(a.tolist() for a in np.nonzero(block.T))))
+            for r, i in found:
+                half = L + r
+                if np.array_equal(
+                    np.bincount(rank[i : i + half], minlength=k),
+                    np.bincount(rank[i + half : i + 2 * half], minlength=k),
+                ):
+                    best, starts = (i, 2 * half), i
+                    break
+            if best is not None and (length_major or starts == 0):
                 break
-        if best is not None and (length_major or starts == 0):
-            break
+        L += rows
     return best
 
 
 def find_square(w: WordLike) -> Optional[tuple[int, int]]:
     """First factor WW (W non-empty) by (start, length) order, or None.
 
-    For each half-length L, a window is a square iff its first L positions
-    all match the symbol L places on, counted by a numpy cumulative sum
-    over the starts before the first hit so far.
+    The word is padded with a number below every symbol, and a read-only
+    strided view of it holds one row per half-length L,
+    starting at position L.  One comparison with the word's start marks
+    every position whose symbol differs from the one L places on, for a
+    block of consecutive half-lengths, each row between two extra marks.
+    (i, 2L) is a square iff its first L positions all match, that is iff a
+    run of at least L matches starts at i: so a row's first square starts
+    where the first such run does, read from the gaps between its marks.
+    A window that runs past the word compares a symbol with the padding, so
+    it is never a square.  A block has at most _BLOCK_ELEMENTS elements, and its hits are
+    taken in (start, length) order.
+
+    The scan is exact by construction.  It takes no positional hash:
+    polynomial hashes mod 2^64 collide on Thue-Morse-like words, so their
+    candidates would need confirming, and on thue_symbols(16384) one such
+    hash gave 12,288 false candidates.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
     s = _symbols_of(w)
     n = len(s)
+    top = n // 2
+    if top < 1:
+        return None
     a = np.asarray(s, dtype=np.int64)
+    a = np.concatenate((a, np.full(n, a.min() - 1)))
+    step = a.strides[0]
+    # row L - 1 of ahead starts at a[L]; a block reads at most n + top - 2
+    # positions of a row
+    ahead = as_strided(a[1:], shape=(top, n + top - 2), strides=(step, step), writeable=False)
     best: Optional[tuple[int, int]] = None
     starts = n  # only starts below this can still come first
-    for L in range(1, n // 2 + 1):
+    L = 1
+    while L <= top:
         m = min(n - 2 * L + 1, starts)
-        runs = np.concatenate([[0], np.cumsum(a[: L + m - 1] == a[L : 2 * L + m - 1])])
-        hits = np.flatnonzero(runs[L : L + m] - runs[:m] == L)
-        if hits.size:
-            starts = int(hits[0])
-            best = (starts, 2 * L)
-            if starts == 0:
-                break
+        # a block of rows half-lengths reads width = m + L + rows - 2
+        # positions per row, and rows * (width + 2) <= _BLOCK_ELEMENTS
+        c = m + L
+        rows = min(max(1, (math.isqrt(c * c + 4 * _BLOCK_ELEMENTS) - c) // 2), top - L + 1)
+        width = c + rows - 2
+        marks = np.ones((rows, width + 2), dtype=bool)
+        np.not_equal(a[:width], ahead[L - 1 : L - 1 + rows, :width], out=marks[:, 1:-1])
+        at = np.flatnonzero(marks)
+        # gap - 1 matches follow each mark; marks column j + 1 holds
+        # position j, so they start at the position numbered as the mark's
+        # column
+        gap = at[1:] - at[:-1]
+        long = np.flatnonzero(gap > L)
+        if long.size:
+            row, col = np.divmod(at[long], width + 2)
+            hit = (gap[long] > L + row) & (col < m)
+            if hit.any():
+                starts, r = divmod(int((col * rows + row)[hit].min()), rows)
+                best = (starts, 2 * (L + r))
+                if starts == 0:
+                    break
+        L += rows
     return best
 
 

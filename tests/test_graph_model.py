@@ -74,7 +74,34 @@ def sparse_graphs(draw, max_vertices=9):
     return BaseGraph(n, edges)
 
 
+def edge_by_edge(n, edges):
+    """The oracle of BaseGraph's edge check: each edge checked in turn, as
+    the normalised edge tuple or the message of the first bad edge."""
+    seen = []
+    for u, v in edges:
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) outside vertex range"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge {key}"
+        seen.append(key)
+    return tuple(seen)
+
+
 class TestBaseGraph:
+    @given(st.integers(0, 6), st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_check_agrees_edge_by_edge(self, n, edges):
+        # random pairs make self-loops, duplicates and out-of-range ends,
+        # often several in one list, so the first bad edge must win
+        try:
+            outcome = BaseGraph(n, tuple(edges)).edges
+        except ValueError as exc:
+            outcome = str(exc)
+        assert outcome == edge_by_edge(n, edges)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             BaseGraph(2, ((1, 1),))

@@ -98,6 +98,56 @@ def maximal_path_counterexample(c):
     return None
 
 
+def trace_degree2_components(adj):
+    """The oracle of verifier._degree2_components: each component found by
+    a walk over every vertex of the flattened graph, each step to the
+    smaller neighbour not just left."""
+    seen = [False] * len(adj)
+    comps = []
+    for v in range(len(adj)):
+        if seen[v]:
+            continue
+        seen[v] = True
+        members = [v]
+        for u in members:  # the list grows as the component is found
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    members.append(w)
+        ends = [u for u in members if len(adj[u]) <= 1]
+        order = [min(ends) if ends else v]  # v is a cycle's smallest id
+        while len(order) < len(members):
+            prev = order[-2] if len(order) > 1 else None
+            order.append(min(w for w in adj[order[-1]] if w != prev))
+        comps.append((order, not ends))
+    comps.sort(key=lambda comp: comp[0][0])
+    return comps
+
+
+class TestDegree2Components:
+    @given(degree2_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_plain_graphs_agree_with_the_vertex_walk(self, c):
+        assert verifier._degree2_components(c.graph) == trace_degree2_components(c.graph.adjacency)
+
+    @given(degree2_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_subdivisions_agree_with_the_vertex_walk(self, c, data):
+        # runs of 0 to 3 division vertices, read forward or reversed
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=len(c.graph.edges), max_size=len(c.graph.edges)))
+        s = subdivide(c.graph, counts)
+        assert verifier._degree2_components(s) == trace_degree2_components(s.adjacency)
+
+    def test_cycle_toward_a_division_vertex(self):
+        # C_3 with edge (0, 2) divided: 0's neighbours are 1 and division
+        # vertex 3, so the cycle reads from 0 toward 1
+        s = subdivide(cycle_graph(3), [0, 0, 1])
+        assert verifier._degree2_components(s) == [([0, 1, 2, 3], True)]
+        # with edge (0, 1) divided instead, 0 steps to 2 before 3
+        s = subdivide(cycle_graph(3), [1, 0, 0])
+        assert verifier._degree2_components(s) == [([0, 2, 1, 3], True)]
+
+
 class TestDegree2Scan:
     @given(degree2_graphs())
     @settings(max_examples=150, deadline=None)
@@ -288,6 +338,93 @@ def assert_scans_agree(adj, colours):
         assert scan_result(verifier._scan_forest, adj, colours, budget) == expected
 
 
+def previous_scan_forest(adj, colours, budget):
+    """The array scan as it was before it skipped empty candidate sets,
+    reused the growth cumsum for the new split and pruned by one xor: the
+    oracle of verifier._scan_forest, which must give the same report, or
+    trip the same ceiling, on every forest."""
+    n = len(adj)
+    deg = np.fromiter(map(len, adj), np.intp, n)
+    head = np.fromiter(itertools.chain.from_iterable(adj), np.intp, int(deg.sum()))
+    tail = np.repeat(np.arange(n), deg)
+    forward = np.flatnonzero(tail < head)
+    edges = len(forward)
+    code = tail * n + head
+    by_code = np.argsort(code)
+    backward = by_code[np.searchsorted(code, head[forward] * n + tail[forward], sorter=by_code)]
+
+    def ragged_arange(starts, counts):
+        ends = counts.cumsum()
+        return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+
+    nxt = ragged_arange((np.cumsum(deg) - deg)[head], deg[head])
+    nxt = nxt[head[nxt] != np.repeat(tail, deg[head])]
+    nxt_count = deg[head] - 1
+    nxt_start = np.cumsum(nxt_count) - nxt_count
+
+    rank, k = words._ranks(colours)
+    shift = np.uint64(64 - edges.bit_length())
+    bits = int(shift) - 1 - (n // 2).bit_length()
+    weight = (verifier._hash_weights(k, bits) << np.uint64(1))[rank]
+    head_weight = weight[head]
+    edge_key = np.arange(edges, dtype=np.uint64) << shift
+    directed = np.concatenate((backward, forward))
+    key = np.concatenate((edge_key | weight[tail[forward]], edge_key | weight[head[forward]] | np.uint64(1)))
+    split = edges
+    base = n // 2 + 1
+
+    def colour_weight(v):
+        return base ** int(rank[v])
+
+    halves = 2 * edges
+    depth = 1
+    while split:
+        if budget is not None and halves > budget:
+            raise WindowCeilingExceeded(halves, budget, unit="half-paths")
+        ordered = np.sort(key)
+        low = ordered[:-1][ordered[1:] - ordered[:-1] == 1]
+        candidates = dict.fromkeys((low[low & np.uint64(1) == 0] >> shift).tolist())
+
+        count = nxt_count[directed]
+        split = int(count[:split].sum())
+        directed = nxt[ragged_arange(nxt_start[directed], count)]
+        key = key.repeat(count) + head_weight[directed]
+        edge = (key >> shift).astype(np.intp)
+        a_count = np.bincount(edge[:split], minlength=edges)
+        b_count = np.bincount(edge[split:], minlength=edges)
+        live = (a_count > 0) & (b_count > 0)
+
+        for e in candidates:
+            a, b = int(tail[forward[e]]), int(head[forward[e]])
+            a_ends, a_parent = verifier._halves_by_signature(adj, colour_weight, a, b, depth)
+            b_ends, b_parent = verifier._halves_by_signature(adj, colour_weight, b, a, depth)
+            shared = a_ends.keys() & b_ends.keys()
+            if not shared:
+                continue
+            sig = min(shared)
+            a_half = verifier._climb(a_parent, a_ends[sig], a)
+            b_half = verifier._climb(b_parent, b_ends[sig], b)
+            ce = Counterexample.of(a_half + b_half[::-1], depth, colours)
+            checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
+            return VerificationReport("counterexample", ce, checked, "exhaustive")
+        if np.count_nonzero(a_count) + np.count_nonzero(b_count) > 2 * np.count_nonzero(live):
+            keep = live[edge]
+            directed, key = directed[keep], key[keep]
+            split = int(np.count_nonzero(keep[:split]))
+        halves += len(key)
+        depth += 1
+    return VerificationReport("anagram_free", None, halves, "exhaustive")
+
+
+def assert_matches_previous_scan(adj, colours):
+    """The scan and its previous form agree uncapped, and at ceilings one
+    below and at the previous form's count."""
+    count = previous_scan_forest(adj, colours, None).paths_checked
+    for budget in (None, count - 1, count):
+        expected = scan_result(previous_scan_forest, adj, colours, budget)
+        assert scan_result(verifier._scan_forest, adj, colours, budget) == expected
+
+
 def planted_copies(build, seeds):
     """Copies of a construction's colouring with a planted anagram: one
     vertex's colour is copied onto a neighbour (2 vertices) on even seeds,
@@ -351,6 +488,18 @@ class TestForestScan:
         # only the exact confirmation decides
         with mock.patch.object(verifier, "_hash_weights", colliding_weights):
             assert_scans_agree(c.graph.adjacency, c.colours)
+
+    @given(forests())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_previous_array_scan(self, c):
+        assert_matches_previous_scan(c.graph.adjacency, c.colours)
+
+    @pytest.mark.parametrize("name", sorted(PLANTED_BUILDS))
+    def test_matches_the_previous_array_scan_on_constructions(self, name):
+        c = PLANTED_BUILDS[name]().coloured
+        assert_matches_previous_scan(c.graph.adjacency, c.colour)
+        for adj, colours in planted_copies(PLANTED_BUILDS[name], range(12)):
+            assert_matches_previous_scan(adj, colours)
 
     def test_colliding_keys_on_constructions(self):
         def build():

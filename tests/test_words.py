@@ -196,6 +196,85 @@ class TestCollidingWeights:
                 assert_both_orders_match_oracles(symbols, cap)
 
 
+def edited(symbols, data, alphabet):
+    """symbols with up to three positions drawn and rewritten."""
+    symbols = list(symbols)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if symbols:
+            symbols[data.draw(st.integers(0, len(symbols) - 1))] = data.draw(st.integers(0, alphabet - 1))
+    return symbols
+
+
+small_blocks = st.sampled_from([1, 2, 3, 7, 40])
+
+
+class TestBlocksOfHalfLengths:
+    # a small block makes short words cross several blocks, with rows of
+    # different widths in one block
+
+    @given(st.lists(st.integers(0, 3), max_size=60), st.none() | st.integers(0, 62), small_blocks)
+    @settings(max_examples=200, deadline=None)
+    def test_abelian_both_orders(self, symbols, cap, block):
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block):
+            assert_both_orders_match_oracles(symbols, cap)
+
+    @given(st.data(), small_blocks)
+    @settings(max_examples=60, deadline=None)
+    def test_abelian_on_edited_keranen_prefixes(self, data, block):
+        n = data.draw(st.integers(0, 180))
+        symbols = edited(words.keranen_symbols(n), data, 4)
+        cap = data.draw(st.none() | st.integers(0, n + 2))
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block):
+            assert_both_orders_match_oracles(symbols, cap)
+
+    @given(st.lists(st.integers(0, 3), max_size=40), st.none() | st.integers(0, 42), small_blocks)
+    @settings(max_examples=100, deadline=None)
+    def test_abelian_under_equal_weights(self, symbols, cap, block):
+        # every window is a candidate, so the block's candidate order and
+        # the exact confirmation decide
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block), mock.patch.object(
+            words, "_hash_weights", equal_weights
+        ):
+            assert_both_orders_match_oracles(symbols, cap)
+
+    @given(st.lists(st.integers(0, 2), max_size=60), small_blocks)
+    @settings(max_examples=200, deadline=None)
+    def test_square(self, symbols, block):
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block):
+            assert find_square(symbols) == naive_square(symbols)
+
+    @given(st.data(), small_blocks)
+    @settings(max_examples=100, deadline=None)
+    def test_square_on_edited_thue_prefixes(self, data, block):
+        # Thue prefixes are square-free, so a few edits leave the first
+        # square anywhere in the word
+        symbols = edited(words.thue_symbols(data.draw(st.integers(0, 200))), data, 3)
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block):
+            assert find_square(symbols) == naive_square(symbols)
+
+    @pytest.mark.parametrize("block", [1, 5, 10, 16_384])
+    def test_a_later_block_keeps_the_shortest_at_the_first_start(self, block):
+        # no repetition starts at 0, and start 1 holds squares of several
+        # half-lengths, which fall in different blocks when blocks are small
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block):
+            assert find_square([0, 1, 1, 1, 1, 1, 1]) == (1, 2)
+            assert find_square([0, 1, 1, 1, 1, 0]) == (1, 2)
+            assert find_abelian_square([0, 1, 1, 1, 1, 1, 1]) == (1, 2)
+
+    def test_padding_matches_no_symbol(self):
+        # the window (1, 4) compares the last 0 (or -2) with the padding, so
+        # a padding equal to any symbol would make it a square
+        assert find_square([1, 2, 0, 2]) is None
+        assert find_square([-1, 2, -2, 2]) is None
+
+    @pytest.mark.parametrize("block", [1, 5, 16_384])
+    def test_square_free_and_anagram_free_prefixes(self, block):
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block):
+            assert find_square(words.thue_symbols(300)) is None
+            assert find_abelian_square(words.keranen_symbols(300)) is None
+            assert find_abelian_square(words.keranen_symbols(300), length_major=True) is None
+
+
 class TestHashWeights:
     def test_cached_weights_are_read_only(self):
         weights = words._hash_weights(5, 40)
