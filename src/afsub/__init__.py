@@ -19,6 +19,7 @@ from .graph_model import (
     path_graph,
     subdivide,
 )
+from .tree_constructions import extend_plus_4, prune_to_subtree
 from .words import Word, find_abelian_square, find_square, keranen_word, thue_word
 
 __version__ = "0.1.0"
@@ -32,12 +33,14 @@ __all__ = [
     "Word",
     "complete_dary_tree",
     "complete_graph",
+    "extend_plus_4",
     "find_abelian_square",
     "find_square",
     "k_subdivision",
     "keranen_word",
     "one_subdivision",
     "path_graph",
+    "prune_to_subtree",
     "subdivide",
     "thue_word",
     "__version__",

@@ -71,16 +71,6 @@ def _exact_root(value: Fraction, c: int) -> Optional[Fraction]:
     return None
 
 
-def multiset_count(k: int, c: int) -> int:
-    """Number of multisets of size at most k over c colours: C(k + c, c).
-
-    Exact arbitrary-precision integer (no overflow possible).
-    """
-    if k < 0 or c < 1:
-        raise ValueError("need k >= 0 and c >= 1")
-    return math.comb(k + c, c)
-
-
 def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
     """Anagram witness in an undersubdivided colouring of a complete graph.
 
@@ -248,23 +238,6 @@ def extract_monochromatic_subtree(
 def witness_children(t: RootedTree, w: MonochromaticWitness) -> dict[int, list[int]]:
     """Child lists of the witness subtree, in t's child order."""
     return {v: [c for c in t.children[v] if c in w.vertices] for v in w.vertices}
-
-
-def validate_monochromatic_witness(
-    t: RootedTree, colours: Sequence[int], d: int, target: int, w: MonochromaticWitness
-) -> bool:
-    """Recount the witness guarantees from scratch."""
-    kids = witness_children(t, w)
-    for v in w.vertices:
-        if v != w.root and t.parent[v] not in w.vertices:
-            return False
-    effective = {v for v in w.vertices if len(kids[v]) != 1}
-    if any(colours[v] != w.colour for v in effective):
-        return False
-    if any(len(kids[v]) < d for v in effective if kids[v]):
-        return False
-
-    return _effective_height(kids, w.root) >= target
 
 
 def tree_lower_bound(d: int, h_eff: int, h: int) -> int:

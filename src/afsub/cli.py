@@ -1,10 +1,10 @@
 """Command-line front end: construct, verify, bound, witness, export.
 
-Exit codes: 0 success (or no counterexample found), 1 word self-check
-failure, 2 verification counterexample, 3 window ceiling hit, 64 usage
-error (including construction parameters a builder rejects, running out
-of memory, a malformed window ceiling, and an output path that cannot be
-written), 65 malformed input file.
+Exit codes: 0 success (or no counterexample found), 1 self-check failure
+(word, or verify's counterexample recount), 2 verification counterexample,
+3 window ceiling hit, 64 usage error (including construction parameters a
+builder rejects, running out of memory, a malformed window ceiling, and an
+output path that cannot be written), 65 malformed input file.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .verifier import (
     check_restriction,
     find_anagram,
     find_anagram_sampled,
+    revalidate,
 )
 
 EXIT_OK = 0
@@ -315,6 +316,11 @@ def _run_verify(ns: argparse.Namespace) -> int:
     except WindowCeilingExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CEILING
+    # a --restrict counterexample lies on the restricted word, not on a path
+    ce = report.counterexample
+    if ce is not None and ns.restrict is None and not revalidate(ce, cs):
+        print("self-check failed: the counterexample is not an anagram path of the input", file=sys.stderr)
+        return EXIT_SELF_CHECK
     _write_json(_report_payload(report))
     return EXIT_OK if report.is_anagram_free else EXIT_COUNTEREXAMPLE
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graph_model import (
@@ -65,16 +64,6 @@ def density_sequence(m: int) -> tuple[int, ...]:
     while len(ts) < m:
         ts.append(15 + (25 * sum(ts)) // 3)
     return tuple(ts)
-
-
-def density_sequence_margin(n: int) -> Fraction:
-    """Exact value of t_n/15 - (5/9) * S, S the sum of the first n-1 terms.
-
-    Equals 1 - (25S mod 3)/45, so it lies in [43/45, 1]; correspondingly
-    floor(5S/9) <= floor(t_n/15) - 1.
-    """
-    ts = density_sequence(n)
-    return Fraction(ts[-1], 15) - Fraction(5, 9) * sum(ts[:-1])
 
 
 @dataclass(frozen=True)

@@ -177,19 +177,6 @@ class RootedTree:
     def height(self) -> int:
         return max(self.depth)
 
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.vertex_count) if not self.children[v])
-
-    def root_path(self, v: int) -> list[int]:
-        """Vertices from the root down to v, inclusive."""
-        path = []
-        cur: Optional[int] = v
-        while cur is not None:
-            path.append(cur)
-            cur = self.parent[cur]
-        path.reverse()
-        return path
-
 
 def tree_from_children(children: Sequence[Sequence[int]], root: int = 0) -> RootedTree:
     n = len(children)
@@ -274,9 +261,6 @@ class SubdividedGraph:
     @cached_property
     def vertex_count(self) -> int:
         return self.base.vertex_count + sum(self.counts)
-
-    def is_original(self, v: int) -> bool:
-        return v < self.base.vertex_count
 
     def chain_edges(self) -> Iterator[tuple[int, int]]:
         """Every edge of the subdivision: base edge by base edge, each one's

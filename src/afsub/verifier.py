@@ -122,12 +122,17 @@ class VerificationReport:
         return self.outcome == "anagram_free"
 
 
-def _view(c: Colourable) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def _colours(c: Colourable) -> tuple[int, ...]:
     if isinstance(c, ColouredSubdivision):
-        return c.graph.adjacency, c.colour
+        return c.colour
     if isinstance(c, ColouredGraph):
-        return c.graph.adjacency, c.colours
+        return c.colours
     raise TypeError(f"expected a coloured graph or subdivision, got {type(c)!r}")
+
+
+def _view(c: Colourable) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    colours = _colours(c)  # refuses other types before reading c.graph
+    return c.graph.adjacency, colours
 
 
 def _palette(c: Colourable) -> set[int]:
@@ -221,8 +226,8 @@ def _scan_maximal_paths(
     least 2 vertices, at most twice its floor(l/2)ceil(l/2) even windows.
     One step per start vertex adds at most n.
     """
-    adj, colours = _view(c)
-    step_cap = None if budget is None else len(adj) + 4 * budget
+    colours = _colours(c)
+    step_cap = None if budget is None else c.graph.vertex_count + 4 * budget
     if c.graph.max_degree_2:
         paths: Iterable = _degree2_components(c.graph)
     else:
@@ -434,9 +439,9 @@ def find_anagram(
     which a ColouredSubdivision answers from its base graph in
     O(originals), and a ColouredGraph from the graph itself.
     """
-    adj, colours = _view(c)
+    colours = _colours(c)
     if not c.graph.max_degree_2 and c.graph.is_forest:
-        return _scan_forest(adj, colours, max_windows)
+        return _scan_forest(c.graph.adjacency, colours, max_windows)
     return _scan_maximal_paths(c, max_windows, None, "exhaustive")
 
 
@@ -462,9 +467,10 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mode = f"sampled(budget={budget},seed={seed})"
-    adj, colours = _view(c)
+    colours = _colours(c)
     if c.graph.max_degree_2:
         return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
+    adj = c.graph.adjacency
     n = len(adj)
     rng = random.Random(seed)
     seen: set = set()
@@ -529,6 +535,7 @@ def check_restriction(
     return _scan_maximal_paths(c, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
 
 
+# Kept in src/, not tests/oracles.py: perfbench/workloads.py's set-up cross-check imports it.
 def naive_find_anagram(c: Colourable) -> VerificationReport:
     """Independent brute-force oracle: enumerate every simple path outright
     and compare half multisets directly.  Shares no scanning machinery with

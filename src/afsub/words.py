@@ -3,9 +3,7 @@
 An *anagram* (abelian square) is a word of even length whose two halves have
 equal symbol multisets.  A *square* is a word WW with W non-empty.  This
 module generates arbitrarily long square-free words on 3 symbols and
-anagram-free words on 4 symbols, detects both kinds of repetition, and
-implements the subsequence restriction operator used throughout the
-colouring constructions.
+anagram-free words on 4 symbols, and detects both kinds of repetition.
 
 Abelian squares are found by one scanner for every length: prefix sums of
 one wrapping uint64 hash weight per symbol rank select candidate windows,
@@ -26,9 +24,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,13 +56,6 @@ class Word:
     def __getitem__(self, i):
         return self.symbols[i]
 
-    @classmethod
-    def from_string(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
-        symbols = tuple(_LETTERS.index(ch) for ch in text)
-        if alphabet_size is None:
-            alphabet_size = max(symbols, default=-1) + 1 or 1
-        return cls(symbols, alphabet_size)
-
     def to_string(self) -> str:
         if self.alphabet_size > len(_LETTERS):
             raise ValueError("alphabet too large for letter rendering")
@@ -77,16 +67,6 @@ WordLike = Union[Word, Sequence[int]]
 
 def _symbols_of(w: WordLike) -> Sequence[int]:
     return w.symbols if isinstance(w, Word) else w
-
-
-def is_anagram(w: WordLike) -> bool:
-    """True iff w has even length >= 2 and its halves share one multiset."""
-    s = _symbols_of(w)
-    n = len(s)
-    if n < 2 or n % 2:
-        return False
-    h = n // 2
-    return Counter(s[:h]) == Counter(s[h:])
 
 
 def _ranks(symbols: Sequence[int]) -> tuple[np.ndarray, int]:
@@ -297,44 +277,3 @@ def thue_word(n: int) -> Word:
 def keranen_word(n: int) -> Word:
     """Length-n prefix of a fixed abelian-square-free word on {0, 1, 2, 3}."""
     return Word(tuple(keranen_symbols(n)), 4)
-
-
-def restrict(w: Word, keep: Iterable[int]) -> Word:
-    """Subsequence of w keeping exactly the positions whose symbol is in keep."""
-    keep_set = set(keep)
-    for sym in keep_set:
-        if not 0 <= sym < w.alphabet_size:
-            raise ValueError(f"symbol {sym} outside alphabet")
-    return Word(tuple(s for s in w.symbols if s in keep_set), w.alphabet_size)
-
-
-def longest_anagram_free(alphabet_size: int) -> tuple[int, Word]:
-    """Exhaustive search for the longest anagram-free word on 1-3 symbols.
-
-    Explores only words whose distinct symbols first appear in increasing
-    order; every word is a symbol permutation of such a word, and
-    permutations preserve anagram-freeness, so the search is exhaustive.
-    Returns the maximum length and the first witness found at that length.
-    """
-    if alphabet_size not in (1, 2, 3):
-        raise ValueError(
-            "exhaustive search only terminates for alphabets of size 1-3; "
-            "4 symbols admit arbitrarily long anagram-free words"
-        )
-    best_len = 0
-    best: tuple[int, ...] = ()
-    word: list[int] = []
-
-    def extend(used: int) -> None:
-        nonlocal best_len, best
-        if len(word) > best_len:
-            best_len = len(word)
-            best = tuple(word)
-        for sym in range(min(used + 1, alphabet_size)):
-            word.append(sym)
-            if not any(is_anagram(word[-2 * L :]) for L in range(1, len(word) // 2 + 1)):
-                extend(max(used, sym + 1))
-            word.pop()
-
-    extend(0)
-    return best_len, Word(best, alphabet_size)

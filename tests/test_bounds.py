@@ -16,12 +16,10 @@ from afsub.bounds import (
     height_condition_met,
     is_d_branch,
     kn_lower_bound,
-    multiset_count,
     seeded_complete_subdivision_colouring,
     seeded_tree_colouring,
     subdivision_tree_lower_bound,
     tree_lower_bound,
-    validate_monochromatic_witness,
 )
 from afsub.graph_model import (
     ColouredGraph,
@@ -33,6 +31,7 @@ from afsub.graph_model import (
     tree_to_base_graph,
 )
 from afsub.verifier import revalidate
+from oracles import multiset_count, validate_monochromatic_witness
 
 
 class TestKnLowerBound:

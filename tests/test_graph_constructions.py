@@ -12,7 +12,6 @@ from afsub.graph_constructions import (
     colour_merged,
     consecutive_thirds,
     density_sequence,
-    density_sequence_margin,
     doubling_sequence,
     oriented_division_path,
 )
@@ -66,8 +65,9 @@ class TestSequences:
     def test_density_margin_is_positive(self):
         # the operational condition-4 slack: (5/9) * sum of earlier terms is
         # strictly below t_n / 15
+        t = density_sequence(12)
         for n in range(2, 13):
-            assert density_sequence_margin(n) > 0
+            assert Fraction(t[n - 1], 15) - Fraction(5, 9) * sum(t[: n - 1]) > 0
 
     def test_density_integer_count_slack(self):
         # worst-case occurrence counts: ceil(t/2) per earlier third versus

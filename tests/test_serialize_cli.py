@@ -26,6 +26,7 @@ from afsub.graph_model import (
     subdivide,
 )
 from afsub.serialize import SchemaError, from_json_dict, from_json_str, to_dot, to_json_str
+from afsub.verifier import Counterexample, VerificationReport
 from afsub.tree_constructions import (
     build_binary_tree_8,
     build_dary_banded,
@@ -44,7 +45,7 @@ def to_json_dict(cs: ColouredSubdivision) -> dict:
     vertices = [
         {
             "id": v,
-            "kind": "original" if cs.graph.is_original(v) else "division",
+            "kind": "original" if v < cs.graph.base.vertex_count else "division",
             "colour": cs.colour[v],
         }
         for v in range(cs.graph.vertex_count)
@@ -78,7 +79,7 @@ def oracle_to_dot(cs: ColouredSubdivision) -> str:
     palette = cs.palette
     for v in range(cs.graph.vertex_count):
         fill = oracle_fill(cs.colour[v], palette)
-        if cs.graph.is_original(v):
+        if v < cs.graph.base.vertex_count:
             lines.append(f'  v{v} [shape=box, label="{v}:{cs.colour[v]}", fillcolor="{fill}"];')
         else:
             lines.append(f'  v{v} [shape=point, fillcolor="{fill}", color="{fill}"];')
@@ -629,6 +630,21 @@ class TestCliConstructVerify:
         assert payload["outcome"] == "counterexample"
         assert payload["counterexample"]["vertices"] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("scanner,flags", [
+        ("find_anagram", []),
+        ("find_anagram_sampled", ["--sample", "5", "--seed", "1"]),
+    ])
+    def test_forged_counterexample_fails_the_self_check(self, tmp_path, monkeypatch, capsys, scanner, flags):
+        # verify recounts the counterexample before it reports one: (0, 2)
+        # has equal halves but is no path of the file
+        bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
+        forged = VerificationReport("counterexample", Counterexample.of((0, 2), 1, (1, 2, 1, 2)), 1, "forged")
+        monkeypatch.setattr(cli, scanner, lambda *args, **kwargs: forged)
+        assert main(["verify", str(bad), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("self-check failed:") and captured.err.count("\n") == 1
+
     def test_ceiling_exit_3(self, tmp_path, monkeypatch, capsys):
         from afsub import words
 
@@ -665,9 +681,12 @@ class TestCliConstructVerify:
         monkeypatch.setenv("AFSUB_MAX_WINDOWS", "0")
         assert main(["verify", str(good), "--sample", "10", "--seed", "1"]) == 0
 
-    def test_restrict(self, tmp_path):
+    def test_restrict(self, tmp_path, capsys):
         bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
         assert main(["verify", str(bad), "--restrict", "1"]) == 2
+        # evidence on the restricted word, no path of the file, so verify
+        # does not recount it
+        assert json.loads(capsys.readouterr().out)["counterexample"]["vertices"] == [0, 2]
 
     @pytest.mark.parametrize("keep", ["", ","])
     def test_empty_restriction_exits_64(self, tmp_path, capsys, keep):

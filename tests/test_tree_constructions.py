@@ -21,6 +21,7 @@ from afsub.tree_constructions import (
     subdivision_step,
 )
 from afsub.verifier import check_restriction, find_anagram, naive_find_anagram
+from oracles import leaves, root_path
 
 
 class TestBinaryTree8:
@@ -62,8 +63,8 @@ class TestBinaryTree8:
         cs = lab.coloured
         edges = lab.tree.edges
         eidx = {e: i for i, e in enumerate(edges)}
-        for leaf in lab.tree.leaves():
-            rp = lab.tree.root_path(leaf)
+        for leaf in leaves(lab.tree):
+            rp = root_path(lab.tree, leaf)
             walk = [lab.tree.root]
             for u, v in zip(rp, rp[1:]):
                 walk.extend(cs.graph.division_paths[eidx[(u, v)]])
@@ -137,9 +138,9 @@ class TestDaryTree10:
         # path, the red subsequence must spell a prefix of the word
         edges = lab.tree.edges
         eidx = {e: i for i, e in enumerate(edges)}
-        for leaf in lab.tree.leaves():
+        for leaf in leaves(lab.tree):
             walk = []
-            rp = lab.tree.root_path(leaf)
+            rp = root_path(lab.tree, leaf)
             for u, v in zip(rp, rp[1:]):
                 walk.extend(cs.graph.division_paths[eidx[(u, v)]])
             reds = [cs.colour[v] - 2 for v in walk if lab.vertex_labels[v] == "red"]
