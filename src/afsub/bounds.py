@@ -8,24 +8,22 @@ find_anagram_undercoloured_tree do the analogous job for undercoloured
 subdivided trees, and dary_two_sided evaluates both sides of the resulting
 two-sided bound for complete d-ary trees.  Both witnesses key paths by
 verifier.multiset_of and build their Counterexample with Counterexample.of.
+
+The closed forms need only math; the witnesses import the graph model,
+the verifier and random where they use them, so that a bound loads none of
+them.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
 
-from .graph_model import (
-    ColouredSubdivision,
-    RootedTree,
-    complete_graph,
-    coloured_subdivision,
-    subdivide,
-)
-from .verifier import Counterexample, multiset_of
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from .graph_model import ColouredSubdivision, RootedTree
+    from .verifier import Counterexample
 
 _REL_TOL = 1e-9
 
@@ -46,11 +44,12 @@ def kn_lower_bound(n: int, c: int) -> float:
     """(c! * (n/c - 1))^(1/c) - c, exact where the root is integral.
 
     Any anagram-free c-colouring of a (<= k)-subdivision of the complete
-    graph on n vertices needs k at least this large.
+    graph on n vertices needs k at least this large.  The radicand
+    c! * (n/c - 1) = (c-1)! * (n - c) is an integer.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
-    inner = Fraction(math.factorial(c)) * (Fraction(n, c) - 1)
+    inner = math.factorial(c - 1) * (n - c)
     if inner < 0:
         raise ValueError("formula undefined for n < c (the bound is vacuous there)")
     if inner == 0:
@@ -61,14 +60,46 @@ def kn_lower_bound(n: int, c: int) -> float:
     return float(inner) ** (1.0 / c) - c
 
 
-def _exact_root(value: Fraction, c: int) -> Optional[Fraction]:
-    num = round(value.numerator ** (1.0 / c))
-    den = round(value.denominator ** (1.0 / c))
-    for p in (num - 1, num, num + 1):
-        for q in (den - 1, den, den + 1):
-            if p >= 0 and q >= 1 and p**c == value.numerator and q**c == value.denominator:
-                return Fraction(p, q)
-    return None
+def _exact_root(value: int, c: int) -> int | None:
+    """The integer c-th root of value, if it has one."""
+    guess = round(value ** (1.0 / c))
+    return next((p for p in (guess - 1, guess, guess + 1) if p >= 0 and p**c == value), None)
+
+
+class _Record:
+    """Equality, hashing, repr and immutability by the fields a subclass
+    lists in __slots__, as @dataclass(frozen=True) gives them.  Written out
+    so that importing bounds loads neither dataclasses nor inspect."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
@@ -83,6 +114,8 @@ def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
     palette has at most c colours and the maximum division count is below
     kn_lower_bound(n, c).
     """
+    from .verifier import multiset_of
+
     g = s.graph.base
     n = g.vertex_count
     expected = {(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -118,6 +151,8 @@ def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
 
 
 def _assemble_pigeonhole_witness(s: ColouredSubdivision, alpha: int, beta: int, shared: int) -> Counterexample:
+    from .verifier import Counterexample
+
     au, av = s.graph.base.edges[alpha]
     u = av if au == shared else au
     path_alpha = s.graph.division_path_from(alpha, u)  # runs u -> shared
@@ -125,14 +160,12 @@ def _assemble_pigeonhole_witness(s: ColouredSubdivision, alpha: int, beta: int, 
     return Counterexample.of((u, *path_alpha, shared, *path_beta), 1 + len(path_alpha), s.colour)
 
 
-@dataclass(frozen=True)
-class EffectiveStructure:
-    """Leaves and branch vertices of a rooted tree, with derived heights."""
+class EffectiveStructure(_Record):
+    """Leaves and branch vertices of a rooted tree, with derived heights:
+    tree, effective_vertices (a frozenset), effective_root and
+    effective_height."""
 
-    tree: RootedTree
-    effective_vertices: frozenset[int]
-    effective_root: int
-    effective_height: int
+    __slots__ = ("tree", "effective_vertices", "effective_root", "effective_height")
 
 
 def branch_vertices(t: RootedTree) -> list[int]:
@@ -168,13 +201,11 @@ def is_d_branch(t: RootedTree, d: int) -> bool:
     return all(len(t.children[v]) >= d for v in branch_vertices(t))
 
 
-@dataclass(frozen=True)
-class MonochromaticWitness:
-    """A subtree whose leaves and branch vertices all share one colour."""
+class MonochromaticWitness(_Record):
+    """A subtree whose leaves and branch vertices all share one colour:
+    colour, root and vertices (a frozenset)."""
 
-    colour: int
-    root: int
-    vertices: frozenset[int]
+    __slots__ = ("colour", "root", "vertices")
 
 
 def extract_monochromatic_subtree(
@@ -287,6 +318,8 @@ def find_anagram_undercoloured_tree(
     the half multisets because both are effective, hence share the
     monochromatic colour.  Refuses a tree of height above h.
     """
+    from .verifier import multiset_of
+
     if t.height > h:
         raise PreconditionError(f"tree height {t.height} exceeds h = {h}")
     eff = effective_structure(t)
@@ -322,6 +355,8 @@ def find_anagram_undercoloured_tree(
 
 
 def _assemble_tree_witness(colours: Sequence[int], p1: list[int], p2: list[int]) -> Counterexample:
+    from .verifier import Counterexample
+
     common = 0
     while common < min(len(p1), len(p2)) and p1[common] == p2[common]:
         common += 1
@@ -335,6 +370,10 @@ def _assemble_tree_witness(colours: Sequence[int], p1: list[int], p2: list[int])
 def seeded_complete_subdivision_colouring(n: int, c: int, k: int, seed: int) -> ColouredSubdivision:
     """Uniform (<= k)-subdivision of the complete graph on n vertices with a
     uniform c-colouring, both driven by one seed.  Witness-instance plumbing."""
+    import random
+
+    from .graph_model import coloured_subdivision, complete_graph, subdivide
+
     if n < 2 or c < 1 or k < 0:
         raise ValueError("need n >= 2, c >= 1, k >= 0")
     rng = random.Random(seed)
@@ -349,6 +388,8 @@ def seeded_complete_subdivision_colouring(n: int, c: int, k: int, seed: int) -> 
 
 def seeded_tree_colouring(t: RootedTree, x: int, seed: int) -> tuple[int, ...]:
     """Uniform x-colouring of a tree's vertices."""
+    import random
+
     if x < 1:
         raise ValueError("need at least one colour")
     rng = random.Random(seed)

@@ -1,5 +1,8 @@
 """Command-line front end: construct, verify, bound, witness, export.
 
+Each command loads only the modules it runs, so bound starts without the
+builders, the scanners, the serialiser or numpy.
+
 Exit codes: 0 success (or no counterexample found), 1 self-check failure
 (word, or verify's counterexample recount), 2 verification counterexample,
 3 window ceiling hit, 64 usage error (including construction parameters a
@@ -11,23 +14,60 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
-from typing import Optional, Sequence
 
-from . import bounds, graph_constructions, tree_constructions, words
-from .graph_model import BaseGraph, ColouredSubdivision, complete_dary_tree, random_binary_tree
-from .serialize import SchemaError, from_json_str, to_dot, to_json_str
-from .verifier import (
-    DEFAULT_MAX_WINDOWS,
-    VerificationReport,
-    WindowCeilingExceeded,
-    check_restriction,
-    find_anagram,
-    find_anagram_sampled,
-    revalidate,
-)
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from .graph_model import ColouredSubdivision
+    from .verifier import VerificationReport
+
+# Each name the commands call from this module, and the package module it
+# comes from (a module's own name names the module).  A name is bound here
+# when a command that uses its module runs, or when it is first read off
+# this module (PEP 562); a name already set here, such as a patched
+# function, is kept.
+_HOMES = {
+    "bounds": "bounds",
+    "graph_constructions": "graph_constructions",
+    "tree_constructions": "tree_constructions",
+    "words": "words",
+    "BaseGraph": "graph_model",
+    "complete_dary_tree": "graph_model",
+    "random_binary_tree": "graph_model",
+    "SchemaError": "serialize",
+    "from_json_str": "serialize",
+    "to_dot": "serialize",
+    "to_json_str": "serialize",
+    "DEFAULT_MAX_WINDOWS": "verifier",
+    "WindowCeilingExceeded": "verifier",
+    "check_restriction": "verifier",
+    "find_anagram": "verifier",
+    "find_anagram_sampled": "verifier",
+    "revalidate": "verifier",
+}
+
+
+def _load(*modules: str) -> None:
+    """Import modules and bind here each _HOMES name they hold, except a
+    name already bound: a replacement set on this module stays."""
+    bound = globals()
+    for name, home in _HOMES.items():
+        if home in modules and name not in bound:
+            module = importlib.import_module(f"{__package__}.{home}")
+            bound[name] = module if name == home else getattr(module, name)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOMES[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_SELF_CHECK = 1
@@ -49,10 +89,11 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> _Parser:
     """The afsub parser, built once per process.  Every leaf sets run, the
-    handler main calls; a construct leaf also sets build, and a bound or
-    witness leaf payload.  These look up the library functions they call
-    when they run, so a function replaced on its module after the parser
-    was built is the one called.
+    handler main calls, and uses, the modules main loads for it; a
+    construct leaf also sets build, and a bound or witness leaf payload.
+    These look up the library functions they call when they run, so a
+    function replaced on its module after the parser was built is the one
+    called.
     """
     p = _Parser(prog="afsub", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -61,7 +102,7 @@ def build_parser() -> _Parser:
     w.add_argument("--alphabet", type=int, choices=(3, 4), required=True)
     w.add_argument("--length", type=int, required=True)
     w.add_argument("-o", "--output")
-    w.set_defaults(run=_run_word)
+    w.set_defaults(run=_run_word, uses=("words",))
 
     c = sub.add_parser("construct", help="build a coloured subdivision")
     csub = c.add_subparsers(dest="construction", required=True)
@@ -94,7 +135,8 @@ def build_parser() -> _Parser:
     for sp in csub.choices.values():
         sp.add_argument("-o", "--output")
         sp.add_argument("--dot", help="also write a DOT rendering to this path")
-        sp.set_defaults(run=_run_construct)
+        builder = "graph_constructions" if sp in (g14, g8, gm) else "tree_constructions"
+        sp.set_defaults(run=_run_construct, uses=("graph_model", builder, "serialize", "verifier"))
 
     v = sub.add_parser("verify", help="check a coloured subdivision file")
     v.add_argument("file")
@@ -104,19 +146,20 @@ def build_parser() -> _Parser:
     v.add_argument("--max-windows", type=int, default=None)
     scope.add_argument("--restrict", default=None, metavar="COLOURS",
                        help="comma-separated colour ids: scan the restriction instead")
-    v.set_defaults(run=_run_verify)
+    v.set_defaults(run=_run_verify, uses=("serialize", "verifier"))
 
     b = sub.add_parser("bound", help="evaluate closed-form bounds")
     bsub = b.add_subparsers(dest="which", required=True)
     bk = bsub.add_parser("kn")
     bk.add_argument("--n", type=int, required=True)
     bk.add_argument("--c", type=int, required=True)
-    bk.set_defaults(run=_run_payload, payload=lambda ns: {"bound": bounds.kn_lower_bound(ns.n, ns.c)})
+    bk.set_defaults(run=_run_payload, uses=("bounds",),
+                    payload=lambda ns: {"bound": bounds.kn_lower_bound(ns.n, ns.c)})
     btr = bsub.add_parser("tree")
     btr.add_argument("--d", type=int, required=True)
     btr.add_argument("--heff", type=int, required=True)
     btr.add_argument("--h", type=int, required=True)
-    btr.set_defaults(run=_run_payload, payload=lambda ns: {
+    btr.set_defaults(run=_run_payload, uses=("bounds",), payload=lambda ns: {
         "bound": bounds.tree_lower_bound(ns.d, ns.heff, ns.h),
         "height_condition_met": bounds.height_condition_met(ns.d, ns.h),
     })
@@ -124,7 +167,7 @@ def build_parser() -> _Parser:
     bd.add_argument("--d", type=int, required=True)
     bd.add_argument("--h", type=int, required=True)
     bd.add_argument("--k", type=int, required=True)
-    bd.set_defaults(run=_run_payload, payload=lambda ns: dict(
+    bd.set_defaults(run=_run_payload, uses=("bounds",), payload=lambda ns: dict(
         zip(("lower", "upper"), bounds.dary_two_sided(ns.d, ns.h, ns.k))
     ))
 
@@ -135,23 +178,23 @@ def build_parser() -> _Parser:
     wk.add_argument("--c", type=int, required=True)
     wk.add_argument("--k", type=int, required=True)
     wk.add_argument("--seed", type=int, required=True)
-    wk.set_defaults(run=_run_payload, payload=_witness_kn)
+    wk.set_defaults(run=_run_payload, uses=("bounds",), payload=_witness_kn)
     wtr = wsub.add_parser("tree")
     wtr.add_argument("--d", type=int, required=True)
     wtr.add_argument("--h", type=int, required=True)
     wtr.add_argument("--x", type=int, required=True)
     wtr.add_argument("--seed", type=int, required=True)
-    wtr.set_defaults(run=_run_payload, payload=_witness_tree)
+    wtr.set_defaults(run=_run_payload, uses=("bounds", "graph_model"), payload=_witness_tree)
 
     e = sub.add_parser("export", help="export a subdivision file")
     e.add_argument("file")
     e.add_argument("--dot", required=True, help="output DOT path")
-    e.set_defaults(run=_run_export)
+    e.set_defaults(run=_run_export, uses=("serialize",))
 
     return p
 
 
-def _window_ceiling(flag: Optional[int]) -> int:
+def _window_ceiling(flag: int | None) -> int:
     """The --max-windows flag, else AFSUB_MAX_WINDOWS, else the default.
     Only construct and the exhaustive and --restrict verifies read it."""
     if flag is None:
@@ -165,7 +208,7 @@ def _window_ceiling(flag: Optional[int]) -> int:
     return flag
 
 
-def _write(text: str, path: Optional[str]) -> None:
+def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
@@ -359,9 +402,10 @@ def _run_export(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = build_parser().parse_args(argv)
+        _load(*ns.uses)
         return ns.run(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -369,7 +413,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:  # the size guard counts vertices, not bytes
         print("usage error: the command ran out of memory", file=sys.stderr)
         return EXIT_USAGE
-    except SchemaError as exc:
+    except Exception as exc:
+        # only a command that loaded serialize can raise its SchemaError
+        if not isinstance(exc, globals().get("SchemaError", ())):
+            raise
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -26,11 +26,13 @@ accelerator, over the maximal-path and degree-2 scans and the window
 ceiling, and check_discriminating audits the four structural conditions
 that make a sequence-subdivision colouring anagram-free from the
 bipartition its labels hold.  Every counterexample records its first half's multiset_of,
-through Counterexample.of.
+through Counterexample.of.  Only check_discriminating imports
+graph_constructions, so verify loads no builder.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from collections import Counter
@@ -40,7 +42,6 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 if TYPE_CHECKING:
     import numpy as np
 
-from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 from .graph_model import (
     BaseGraph,
     ColouredGraph,
@@ -570,8 +571,10 @@ def naive_find_anagram(c: Colourable) -> VerificationReport:
 
 
 def revalidate(ce: Counterexample, c: Colourable) -> bool:
-    """Soundness recount: halves equal, multiset as recorded, path contiguous."""
-    adj, colours = _view(c)
+    """Soundness recount: halves equal, multiset as recorded, path
+    contiguous.  A subdivision's steps are read from its base edges and
+    division runs (_joined), so its adjacency is not built."""
+    colours = _colours(c)
     if len(ce.vertices) != 2 * ce.split:
         return False
     left = multiset_of(colours, ce.vertices[: ce.split])
@@ -579,7 +582,36 @@ def revalidate(ce: Counterexample, c: Colourable) -> bool:
         return False
     if len(set(ce.vertices)) != len(ce.vertices):
         return False
-    return all(b in adj[a] for a, b in zip(ce.vertices, ce.vertices[1:]))
+    steps = zip(ce.vertices, ce.vertices[1:])
+    if isinstance(c.graph, SubdividedGraph):
+        return _joined(c.graph, steps)
+    adj = c.graph.adjacency
+    return all(b in adj[a] for a, b in steps)
+
+
+def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
+    """Whether every step (a, b) is an edge of g, read as
+    _degree2_components reads g: a division vertex's neighbours are the ids
+    beside it in its run, or the run's base endpoint at either end, and two
+    base vertices are joined by a base edge with no division vertices."""
+    n0, n = g.base.vertex_count, g.vertex_count
+    runs = g.division_paths
+    undivided = None  # built at the first step between two base vertices
+    for a, b in steps:
+        if not (0 <= a < n and 0 <= b < n):
+            return False
+        if a < n0 and b < n0:
+            if undivided is None:
+                undivided = {e for e, k in zip(g.base.edges, g.counts) if not k}
+            if (min(a, b), max(a, b)) not in undivided:
+                return False
+            continue
+        x, y = (a, b) if a >= n0 else (b, a)  # x is a division vertex
+        i = bisect.bisect_right(runs, x, key=lambda run: run.start) - 1
+        run, (u, v) = runs[i], g.base.edges[i]
+        if y != (x - 1 if x > run.start else u) and y != (x + 1 if x < run.stop - 1 else v):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -621,6 +653,8 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
     does not cover the base graph, or a division path's length is not a
     multiple of 3.
     """
+    from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
+
     g, bipartition = s.base, labels.bipartition
     if len(bipartition) != g.vertex_count:
         raise ValueError("labels do not describe this subdivision")

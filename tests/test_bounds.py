@@ -1,11 +1,16 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from afsub.bounds import (
+    EffectiveStructure,
     MonochromaticWitness,
     PreconditionError,
     dary_two_sided,
@@ -55,6 +60,20 @@ class TestKnLowerBound:
     def test_rejects_n_below_c(self):
         with pytest.raises(ValueError):
             kn_lower_bound(3, 4)
+
+    def test_integer_radicand_matches_the_rational_form(self):
+        # the radicand c! * (n/c - 1), evaluated in rationals as written
+        def rational_form(n, c):
+            inner = Fraction(math.factorial(c)) * (Fraction(n, c) - 1)
+            if inner == 0:
+                return float(-c)
+            root = round(float(inner) ** (1.0 / c))
+            exact = [p for p in (root - 1, root, root + 1) if p >= 0 and Fraction(p) ** c == inner]
+            return float(exact[0] - c) if exact else float(inner) ** (1.0 / c) - c
+
+        for n in range(1, 300):
+            for c in range(1, min(n, 12) + 1):
+                assert kn_lower_bound(n, c) == rational_form(n, c), (n, c)
 
 
 def multiset_count_by_summation(k, c):
@@ -141,6 +160,51 @@ class TestEffectiveStructure:
         assert eff.effective_root == 1
         assert eff.effective_height == 1
         assert is_d_branch(t, 2)
+
+
+@dataclasses.dataclass(frozen=True)
+class WitnessTwin:
+    """What MonochromaticWitness was: a frozen dataclass with its fields."""
+
+    colour: int
+    root: int
+    vertices: frozenset
+
+
+class TestWitnessRecords:
+    """The witness records compare, hash, print and refuse assignment as
+    the frozen dataclasses they replace did."""
+
+    def test_behaves_as_its_frozen_dataclass_twin(self):
+        vertices = frozenset({0, 1, 2})
+        w, twin = MonochromaticWitness(1, 0, vertices), WitnessTwin(1, 0, vertices)
+        assert w == MonochromaticWitness(1, 0, frozenset({2, 1, 0}))
+        assert w != MonochromaticWitness(0, 0, vertices) and w != MonochromaticWitness(1, 0, frozenset())
+        assert hash(w) == hash(twin) == hash(MonochromaticWitness(1, 0, frozenset(vertices)))
+        assert repr(w) == repr(twin).replace("WitnessTwin", "MonochromaticWitness")
+        assert (w.colour, w.root, w.vertices) == (1, 0, vertices)
+        # no equality across types, as a dataclass has none
+        assert w != twin and w != (1, 0, vertices)
+        assert len({w, MonochromaticWitness(1, 0, vertices)}) == 1
+
+    def test_is_immutable(self):
+        w = MonochromaticWitness(1, 0, frozenset({0}))
+        for attempt in (lambda: setattr(w, "colour", 2), lambda: setattr(w, "extra", 2),
+                        lambda: delattr(w, "root")):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert w == MonochromaticWitness(1, 0, frozenset({0}))
+
+    def test_checks_its_field_count(self):
+        with pytest.raises(TypeError):
+            MonochromaticWitness(1, 0)
+        with pytest.raises(TypeError):
+            EffectiveStructure(1, 2, 3, 4, 5)
+
+    def test_copies_and_pickles(self):
+        eff = effective_structure(complete_dary_tree(2, 2))
+        for again in (copy.copy(eff), copy.deepcopy(eff), pickle.loads(pickle.dumps(eff))):
+            assert again == eff and type(again) is EffectiveStructure
 
 
 class TestExtractMonochromatic:

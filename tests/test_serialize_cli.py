@@ -898,35 +898,140 @@ def run_python(*args):
 
 
 class TestDeferredNumpy:
-    """Only the scanners import numpy, so bound and witness start without it."""
+    """Each command loads only the modules it runs.  Only the scanners
+    import numpy, so bound and witness start without it, bound loads no
+    module of the package but bounds, and verify no builder."""
 
-    # runs main on its arguments, then prints whether numpy was loaded
+    # runs main on its arguments, then prints its exit code, whether numpy
+    # was loaded, and the package modules that were
     SCRIPT = (
         "import sys\n"
         "from afsub import cli\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('afsub')))\n"
     )
+    WITNESS = {"afsub.bounds", "afsub.graph_model", "afsub.verifier", "afsub.words"}
+    # the package modules each command loads besides afsub and afsub.cli
+    LOADS = {
+        (): set(),
+        ("bound", "kn"): {"afsub.bounds"},
+        ("bound", "tree"): {"afsub.bounds"},
+        ("bound", "dary"): {"afsub.bounds"},
+        ("witness", "tree"): WITNESS,
+        ("witness", "kn"): WITNESS,
+    }
 
-    def numpy_loaded(self, *argv) -> bool:
+    def loaded(self, *argv) -> tuple[bool, set[str]]:
+        """Whether numpy was loaded, and the package modules that were."""
         proc = run_python("-c", self.SCRIPT, *argv)
-        code, loaded = proc.stdout.splitlines()[-1].split()
+        code, numpy, *modules = proc.stdout.splitlines()[-1].split()
         assert code == "0", proc.stderr
-        return loaded == "True"
+        return numpy == "True", set(modules)
 
     @pytest.mark.parametrize("argv", [
         (),
         ("bound", "kn", "--n", "100", "--c", "2"),
         ("witness", "tree", "--d", "2", "--h", "3", "--x", "1", "--seed", "0"),
         ("witness", "kn", "--n", "30", "--c", "2", "--k", "1", "--seed", "4"),
+        ("bound", "tree", "--d", "2", "--heff", "16", "--h", "16"),
+        ("bound", "dary", "--d", "2", "--h", "16", "--k", "12"),
     ])
     def test_not_loaded(self, argv):
-        assert not self.numpy_loaded(*argv)
+        numpy, modules = self.loaded(*argv)
+        assert not numpy
+        assert modules == {"afsub", "afsub.cli"} | self.LOADS[argv[:2]]
 
     def test_loaded_by_verify_of_a_tree(self, tmp_path):
         tree = tmp_path / "tree.json"
         tree.write_text(to_json_str(build_binary_tree_8(complete_dary_tree(2, 2)).coloured))
-        assert self.numpy_loaded("verify", str(tree))
+        numpy, modules = self.loaded("verify", str(tree))
+        assert numpy
+        assert modules == {"afsub", "afsub.cli", "afsub.serialize", "afsub.graph_model", "afsub.verifier",
+                           "afsub.words"}
+
+    def test_import_afsub_loads_no_submodule(self):
+        proc = run_python("-c", "import sys, afsub; print(*[m for m in sys.modules if m.startswith('afsub')])")
+        assert proc.stdout.split() == ["afsub"], proc.stderr
+
+
+class TestLazyNames:
+    """Names are bound on first use, never over a replacement: a function
+    set on afsub.cli before any command runs is the one every command
+    calls, and every export of the package resolves."""
+
+    # replaces each scanner and serialiser on afsub.cli with a counting
+    # wrapper of the real one, runs four commands, and prints their exit
+    # codes, the wrappers' calls and whether cli still holds every wrapper
+    SCRIPT = (
+        "import sys\n"
+        "import afsub.cli as cli\n"
+        "from afsub import serialize, verifier\n"
+        "names = {'to_json_str': serialize, 'from_json_str': serialize, 'to_dot': serialize,\n"
+        "         'find_anagram': verifier, 'find_anagram_sampled': verifier}\n"
+        "calls = []\n"
+        "def counting(name, real):\n"
+        "    def fake(*args, **kwargs):\n"
+        "        calls.append(name)\n"
+        "        return real(*args, **kwargs)\n"
+        "    return fake\n"
+        "fakes = {name: counting(name, getattr(module, name)) for name, module in names.items()}\n"
+        "for name, fake in fakes.items():\n"
+        "    setattr(cli, name, fake)\n"
+        "tree, dot = sys.argv[1:]\n"
+        "codes = [cli.main(argv) for argv in (\n"
+        "    ['construct', 'binary-tree', '--height', '2', '-o', tree, '--dot', dot],\n"
+        "    ['verify', tree], ['verify', tree, '--sample', '5', '--seed', '1'], ['export', tree, '--dot', dot])]\n"
+        "print(*codes, *calls, all(getattr(cli, name) is fake for name, fake in fakes.items()))\n"
+    )
+
+    def test_replacements_set_before_any_command_are_called(self, tmp_path):
+        proc = run_python("-c", self.SCRIPT, str(tmp_path / "t.json"), str(tmp_path / "t.dot"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == [
+            "0", "0", "0", "0",
+            "to_json_str", "to_dot", "find_anagram",  # construct, then its summary's scan
+            "from_json_str", "find_anagram",
+            "from_json_str", "find_anagram_sampled",
+            "from_json_str", "to_dot",
+            "True",
+        ]
+
+    def test_traced_names_resolve_in_a_fresh_process(self):
+        # the names the benchmark tracer reads off afsub.cli, each with the
+        # module that defines it (or is it)
+        homes = {
+            "main": "afsub.cli", "to_json_str": "afsub.serialize", "from_json_str": "afsub.serialize",
+            "to_dot": "afsub.serialize", "find_anagram": "afsub.verifier", "find_anagram_sampled": "afsub.verifier",
+            "bounds": "afsub.bounds", "tree_constructions": "afsub.tree_constructions",
+            "graph_constructions": "afsub.graph_constructions", "words": "afsub.words",
+        }
+        code = (
+            "import types, afsub.cli as cli\n"
+            f"for name in {list(homes)!r}:\n"
+            "    value = getattr(cli, name)\n"
+            "    print(value.__name__ if isinstance(value, types.ModuleType) else value.__module__)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.stdout.split() == list(homes.values()), proc.stderr
+
+    def test_unknown_names_raise_attribute_error(self):
+        for module in (afsub, cli):
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+    def test_every_export_resolves(self):
+        code = (
+            "import afsub\n"
+            "from afsub import *\n"
+            "names = [name for name in afsub.__all__ if name != '__version__']\n"
+            "homes = [getattr(afsub, name).__module__ for name in names]\n"
+            "print(all(name in dir(afsub) for name in afsub.__all__), all(name in globals() for name in names),\n"
+            "      __version__, *sorted(set(homes)))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.stdout.split() == [
+            "True", "True", "0.1.0", "afsub.graph_model", "afsub.tree_constructions", "afsub.words",
+        ], proc.stderr
 
 
 class TestModuleEntry:

@@ -59,11 +59,16 @@ def _overrides(qualname: str) -> bool:
     return any(method in vars(base) for base in bases)
 
 
+# Module-level functions that Python itself calls (PEP 562).
+MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
 def unused_definitions(src: Path = SRC) -> list[str]:
     """Every definition in src that nothing outside it uses, counting uses
     in src, scripts/, perfbench/*.py, pyproject.toml and afsub.__all__.  A
     use inside a definition found unused does not count, so a helper that
-    only unused code calls is found too."""
+    only unused code calls is found too.  A module's __getattr__ and
+    __dir__ count as used: Python calls them (PEP 562)."""
     modules = {p.stem for p in src.glob("*.py")}
     refs = defaultdict(list)
     for path in (*src.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")):
@@ -77,6 +82,8 @@ def unused_definitions(src: Path = SRC) -> list[str]:
         if name in afsub.__all__ or re.search(rf"\b{re.escape(name)}\b", pyproject):
             return True
         if is_method and _overrides(qualname):
+            return True
+        if not is_method and name in MODULE_HOOKS:
             return True
         kinds = ("attr", "module", "string") if is_method else ("name", "module", "string")
         return any(

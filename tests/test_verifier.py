@@ -22,6 +22,7 @@ from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
     ColouredSubdivision,
+    coloured_subdivision,
     complete_dary_tree,
     complete_graph,
     cycle_graph,
@@ -597,6 +598,31 @@ class TestFindAnagram:
         genuine = Counterexample((0, 1, 2, 3), 2, ((1, 1), (2, 1)))
         assert revalidate(genuine, coloured_path([1, 2, 2, 1]))
         assert not revalidate(Counterexample(vertices, split, multiset), coloured_path(colours))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_subdivision_steps_match_the_adjacency(self, seed):
+        # every ordered pair, so reversed and non-adjacent pairs too, and ids
+        # just outside the graph
+        rng = random.Random(seed)
+        n0 = rng.randint(1, 7)
+        edges = tuple((u, v) for u, v in itertools.combinations(range(n0), 2) if rng.random() < 0.5)
+        g = subdivide(BaseGraph(n0, edges), [rng.choice((0, 0, 1, 2, 3)) for _ in edges])
+        n = g.vertex_count
+        adj = g.flatten().adjacency
+        for a, b in itertools.product(range(-1, n + 1), repeat=2):
+            assert verifier._joined(g, [(a, b)]) == (0 <= a < n and 0 <= b < n and b in adj[a]), (a, b)
+
+    def test_revalidate_leaves_the_adjacency_unbuilt(self):
+        # planted: a base vertex and the first two vertices of its division
+        # run share a colour; the first is its neighbour, the second is not
+        cs = colour_14(path_graph(2)).coloured
+        u, first = cs.graph.base.edges[0][0], cs.graph.division_paths[0][0]
+        colour = list(cs.colour)
+        colour[first] = colour[first + 1] = colour[u]
+        planted = from_json_str(to_json_str(coloured_subdivision(cs.graph, colour, cs.provenance)))
+        assert revalidate(Counterexample.of((u, first), 1, planted.colour), planted)
+        assert not revalidate(Counterexample.of((u, first + 1), 1, planted.colour), planted)
+        assert "adjacency" not in planted.graph.__dict__
 
     def test_deterministic_counterexample(self):
         c = coloured_path([1, 1, 2, 2, 1, 1])
