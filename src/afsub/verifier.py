@@ -6,13 +6,15 @@ graph, by one of three scanners:
 - a graph of maximum degree 2 is read as one word per component, and a
   cycle's word is scanned cyclically with windows capped at the cycle's
   length;
-- any other forest is scanned from the centre edge of each even path: the
-  two halves of every path are grown from that edge one vertex at a time,
-  every live edge's frontier at once in flat numpy arrays, and matched by
-  one sort of hash keys per depth, which never misses an anagram; each
-  candidate edge is confirmed by exact multiset signatures, so the
-  counterexample is a shortest anagram, and the work is counted in
-  half-paths;
+- any other forest is scanned from the centre edge of each even path:
+  depth 1 compares the colours at the two ends of each edge, and after it
+  a walk table read off the base graph grows the two halves of every
+  path, every live edge's frontier at once in flat numpy arrays, by a
+  block of depths per round of at most _BLOCK_ELEMENTS keys.  Each hash
+  key carries its depth in its top bits, so one sort matches a whole block
+  and never misses an anagram; each candidate is confirmed by exact
+  multiset signatures, so the counterexample is a shortest anagram, and
+  the work is counted in half-paths;
 - every other graph has its maximal simple paths enumerated, since every
   simple path is a contiguous window of one, and their even windows tested
   by words.find_abelian_square: hashed prefix sums, with weights drawn by
@@ -33,7 +35,7 @@ graph_constructions, so verify loads no builder.
 from __future__ import annotations
 
 import bisect
-import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from .graph_model import (
     SubdividedGraph,
     enumerate_maximal_simple_paths,
 )
-from .words import _hash_weights, _ranks, find_abelian_square
+from .words import _BLOCK_ELEMENTS, _hash_weights, _ranks, find_abelian_square
 
 DEFAULT_MAX_WINDOWS = 10_000_000
 
@@ -268,24 +270,114 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray, ends: np.ndarray) -> 
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
-def _halves_by_signature(adj, colour_weight, root: int, away: int, depth: int):
-    """The depth-vertex halves leaving root away from away, as a map from
-    each exact signature to the smallest end vertex carrying it, and the
-    parent of every vertex the walk reached."""
-    parent = {root: away}
-    layer = {root: colour_weight(root)}
+def _chain_ends(graph: Union[BaseGraph, SubdividedGraph]) -> tuple[np.ndarray, ...]:
+    """The ends (x, y) of every edge of graph, each vertex's degree less
+    one, and each base edge's first and last edge.  Edges are numbered
+    chain by chain, as SubdividedGraph.chain_edges lists them: base edge
+    i's chain u, division run, v takes the ids after chain i - 1's, and its
+    j-th edge joins chain[j] to chain[j + 1].  So the division vertex
+    before edge e of chain i is n0 + e - i - 1, of degree 2; a BaseGraph is
+    a chain of one edge per edge."""
+    import numpy as np
+
+    if isinstance(graph, SubdividedGraph):
+        base, counts = graph.base, np.array(graph.counts, dtype=np.intp)
+    else:
+        base, counts = graph, np.zeros(len(graph.edges), dtype=np.intp)
+    n0 = base.vertex_count
+    uv = np.array(base.edges, dtype=np.intp).reshape(-1, 2)
+    last = np.cumsum(counts + 1) - 1
+    first = last - counts
+    chain = np.repeat(np.arange(len(counts)), counts + 1)
+    x = np.arange(n0 - 1, n0 - 1 + len(chain)) - chain
+    y = x + 1
+    x[first], y[last] = uv[:, 0], uv[:, 1]
+    grow = np.ones(graph.vertex_count, dtype=np.intp)
+    grow[:n0] = np.bincount(uv.ravel(), minlength=n0) - 1
+    return x, y, grow, first, last
+
+
+def _next_edges(x, y, grow, first, last) -> tuple[np.ndarray, ...]:
+    """The directed edges that continue each directed edge of _chain_ends'
+    edges, as a CSR (nxt, start, count): directed edge e runs x[e] -> y[e]
+    and E + e runs y[e] -> x[e].  Into a division vertex the one way on is
+    the next edge of the chain, e + 1 or E + e - 1.  A chain enters a base
+    vertex by its last edge forward or its first edge backward, and the
+    ways on are every edge out of that vertex, the reverses of the edges
+    into it, but the one back."""
+    import numpy as np
+
+    edges = len(x)
+    count = grow[np.concatenate((y, x))]
+    start = np.cumsum(count) - count
+    nxt = np.concatenate((np.arange(1, edges + 1), np.arange(edges - 1, 2 * edges - 1))).repeat(count)
+    into = np.concatenate((last, first + edges))
+    back = np.concatenate((last + edges, first))
+    at = np.concatenate((y[last], x[first]))
+    order = np.argsort(at, kind="stable")
+    fan = grow[at] + 1
+    turns = back[order][_ragged_arange(at[order].searchsorted(at), fan, fan.cumsum())]
+    nxt[_ragged_arange(start[into], fan - 1, (fan - 1).cumsum())] = turns[turns != back.repeat(fan)]
+    return nxt, start, count
+
+
+def _walk_table(nxt, start, count, head_weight, tags) -> tuple[np.ndarray, ...]:
+    """Every walk of 1 .. B steps along the CSR (nxt, start, count) from
+    each directed edge, one row per edge: its walks of 1 step, then of 2
+    steps, and so on.  B is at most len(tags), and steps past the first are
+    added only while the table holds at most _BLOCK_ELEMENTS walks.  A walk
+    of s steps weighs tags[s - 1] plus the head_weight of each of its edges.
+    Returns reach, with reach[s - 1, d] the walks of at most s steps from d,
+    each row's start, and each walk's weight and last directed edge."""
+    import numpy as np
+
+    # level s lists the walks of s + 1 steps, grouped by first edge
+    owners, ends, sums = [np.repeat(np.arange(len(count)), count)], [nxt], [head_weight[nxt]]
+    total = len(nxt)
+    while len(ends) < len(tags) and total:
+        c = count[ends[-1]]
+        grown = c.cumsum()
+        total += int(grown[-1])
+        if total > _BLOCK_ELEMENTS or not grown[-1]:
+            break
+        ends.append(nxt[_ragged_arange(start[ends[-1]], c, grown)])
+        owners.append(owners[-1].repeat(c))
+        sums.append(sums[-1].repeat(c) + head_weight[ends[-1]])
+    steps, rows = len(ends), len(count)
+    step = np.repeat(np.arange(steps), [len(e) for e in ends])
+    group = step * rows + np.concatenate(owners)
+    walks = np.bincount(group, minlength=steps * rows)
+    # a (step, edge) group starts at listed in the levels, at placed in the rows
+    listed = walks.cumsum() - walks
+    by_row = walks.reshape(steps, rows).T.ravel()
+    placed = (by_row.cumsum() - by_row).reshape(rows, steps)
+    at = np.arange(len(group)) + (placed.T.ravel() - listed)[group]
+    weight = np.empty(len(group), dtype=np.uint64)
+    weight[at] = np.concatenate(sums) + tags[step]
+    last = np.empty(len(group), dtype=np.intp)
+    last[at] = np.concatenate(ends)
+    return walks.reshape(steps, rows).cumsum(axis=0), placed[:, 0].copy(), weight, last
+
+
+def _halves_by_signature(links, colour_weight, first: int, depth: int):
+    """The depth-vertex halves that enter along directed edge first and walk
+    on by links = (nxt, start, count, head), as a map from each exact
+    signature to the smallest end vertex carrying it, and the parent of
+    every vertex the walk reached past first's head."""
+    nxt, start, count, head = links
+    parent: dict[int, int] = {}
+    layer = {first: colour_weight(head[first])}
     for _ in range(depth - 1):
         grown = {}
-        for v, sig in layer.items():
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    grown[w] = sig + colour_weight(w)
+        for d, sig in layer.items():
+            for x in nxt[start[d] : start[d] + count[d]]:
+                parent[head[x]] = head[d]
+                grown[x] = sig + colour_weight(head[x])
         layer = grown
     ends: dict[int, int] = {}
-    for v, sig in layer.items():
-        if v < ends.get(sig, v + 1):
-            ends[sig] = v
+    for d, sig in layer.items():
+        if head[d] < ends.get(sig, head[d] + 1):
+            ends[sig] = head[d]
     return ends, parent
 
 
@@ -297,114 +389,176 @@ def _climb(parent: dict[int, int], v: int, root: int) -> list[int]:
     return path
 
 
-def _scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> VerificationReport:
-    """Centre-edge scan of a forest, one depth at a time.
+def _scan_forest(
+    graph: Union[BaseGraph, SubdividedGraph], colours: Sequence[int], budget: Optional[int]
+) -> VerificationReport:
+    """Centre-edge scan of a forest, a block of depths per round.
 
     An even path of 2L vertices has a unique centre edge (a, b); its halves
     are an L-vertex walk leaving a away from b and one leaving b away from
     a, which in a forest are disjoint and always join into a simple path.
+    The scan decides L = 1, 2, ... in turn and stops at the first L whose
+    halves hold an anagram.  An edge is live at depth L while both its sides
+    have halves, and budget caps the half-paths of live edges, summed over
+    all depths.
 
-    The frontiers of all live edges at depth L are held in two flat arrays,
-    the directed tree edge (previous vertex, end) and the key of each half:
-    every a side first, then every b side, each grouped by edge in (min id,
-    max id) order.  A precomputed CSR lists the directed edges that
-    continue each directed edge, so one repeat and one gather grow every
-    frontier by a depth.  An edge is dropped, found by bincount, once
-    either side is empty, and budget caps the half-paths held in frontiers,
-    summed over all depths.
+    Depth 1 needs no tables: a half is one vertex, so edge (a, b) is an
+    anagram exactly when a and b share a colour.  After it the scan builds
+    its tables from the base graph (_chain_ends, _next_edges, _walk_table)
+    and holds the frontiers of all live edges in two flat arrays, the
+    directed edge and the key of each half, every a side before every b
+    side.  Each round grows them by a block of depths with one ragged
+    gather from the walk table, which lists every walk of 1 .. B steps from
+    each directed edge with its weight sum.  B stops where the table would
+    pass _BLOCK_ELEMENTS walks, where the step tag would leave fewer than
+    32 hash bits, or at isqrt(n // 2): a table step costs about what a round
+    does, and a forest has at most n // 2 depths.  A round takes the most
+    depths, up to B, whose block holds at most _BLOCK_ELEMENTS keys, and at
+    least one, so large frontiers go one depth per round.
 
-    A key packs the edge id in its high bits, then the sum of the hash
-    weights of the half's colour ranks, each doubled, and the side (0 for
-    a, 1 for b) in the lowest bit.  The sum never carries into the edge
-    bits, so equal colour multisets on one edge give
-    keys that differ in the side bit alone and sort next to each other: one
-    sort per depth finds every edge with an anagram, and never misses one.
-    Unequal multisets may collide too, so each candidate edge is confirmed,
-    in edge order, by the exact signatures of its halves: the sum of base
-    ** rank(colour) with base = n // 2 + 1.  A half has at most n // 2
-    vertices, so no digit carries and equal signatures mean equal colour
-    multisets; a candidate without an exact match is skipped.
+    A key packs, from the top, its step in the round times the edge count
+    plus its edge id (the tag), then the sum of the hash weights of the
+    half's colour ranks, each doubled, then the side (0 for a, 1 for b).
+    The sum never carries into the tag, so equal colour multisets on one
+    edge at one depth give keys that differ in the side bit alone and sort
+    next to each other: one sort per round finds every (depth, edge) with an
+    anagram, and never misses one.  One bincount per side counts the halves
+    of each (depth, edge), which tells the live edges; only their halves
+    are sorted, so the sort also gives the half-paths of each depth, and
+    with them the ceiling trip.  The halves of live edges at the block's
+    last depth carry over to the next round.
+
+    Unequal multisets may collide, so candidates are confirmed depth by
+    depth, each depth's in (min id, max id) edge order, by the exact
+    signatures of their halves: the sum of base ** rank(colour) with base =
+    n // 2 + 1.  A half has at most n // 2 vertices, so no digit carries and
+    equal signatures mean equal colour multisets; a candidate without an
+    exact match is skipped.  A hit's count adds the next depth's half-paths
+    of the live edges before its edge, as the depth-at-a-time scan counted
+    them.
     """
     import numpy as np
 
-    n = len(adj)
-    deg = np.fromiter(map(len, adj), np.intp, n)
-    head = np.fromiter(itertools.chain.from_iterable(adj), np.intp, int(deg.sum()))
-    tail = np.repeat(np.arange(n), deg)
-    # directed edges are numbered by their place in adj, and each edge a < b
-    # by the place of a -> b among them
-    forward = np.flatnonzero(tail < head)
-    edges = len(forward)
-    code = tail * n + head
-    by_code = np.argsort(code)
-    backward = by_code[np.searchsorted(code, head[forward] * n + tail[forward], sorter=by_code)]
-    # the next directed edges of u -> v are v's other edges
-    fan = deg[head]
-    nxt = _ragged_arange((np.cumsum(deg) - deg)[head], fan, fan.cumsum())
-    nxt = nxt[head[nxt] != np.repeat(tail, fan)]
-    nxt_count = fan - 1
-    nxt_start = np.cumsum(nxt_count) - nxt_count
-
+    x, y, grow, *chains = _chain_ends(graph)
+    edges, n = len(x), graph.vertex_count
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    every = np.arange(edges)
     rank, k = _ranks(colours)
-    shift = np.uint64(64 - edges.bit_length())
-    bits = int(shift) - 1 - (n // 2).bit_length()
-    weight = (_hash_weights(k, bits) << np.uint64(1))[rank]
-    head_weight = weight[head]
-    edge_key = np.arange(edges, dtype=np.uint64) << shift
-    # a's halves end at a (directed edge b -> a), then b's halves at b
-    directed = np.concatenate((backward, forward))
-    key = np.concatenate((edge_key | weight[tail[forward]], edge_key | weight[head[forward]] | np.uint64(1)))
-    split = edges
     base = n // 2 + 1
+
+    def checked(halves, e, a_edge, a_grow, b_edge, b_grow) -> int:
+        """halves plus the next depth's half-paths of the live edges before
+        edge e, from each half's edge and its number of ways on."""
+        a = np.bincount(a_edge, a_grow, minlength=edges)
+        b = np.bincount(b_edge, b_grow, minlength=edges)
+        before = (lo < lo[e]) | ((lo == lo[e]) & (hi < hi[e]))
+        return halves + int((a + b)[before & (a > 0) & (b > 0)].sum())
+
+    halves = 2 * edges
+    if not edges:
+        return VerificationReport("anagram_free", None, halves, "exhaustive")
+    if budget is not None and halves > budget:
+        raise WindowCeilingExceeded(halves, budget, unit="half-paths")
+    same = np.flatnonzero(rank[x] == rank[y])
+    if same.size:
+        e = int(same[np.lexsort((hi[same], lo[same]))[0]])
+        ce = Counterexample.of((int(lo[e]), int(hi[e])), 1, colours)
+        return VerificationReport("counterexample", ce, checked(halves, e, every, grow[x], every, grow[y]), "exhaustive")
+
+    nxt, start, count = _next_edges(x, y, grow, *chains)
+    nbits = n.bit_length()
+    most = max(1, min(math.isqrt(n // 2), (1 << max(31 - nbits, 0)) // edges))
+    shift = np.uint64(64 - (most * edges - 1).bit_length())
+    weight = (_hash_weights(k, int(shift) - 1 - nbits) << np.uint64(1))[rank]
+    head = np.concatenate((y, x))
+    tags = np.arange(most, dtype=np.uint64) * np.uint64(edges) << shift
+    reach, row, table_weight, table_end = _walk_table(nxt, start, count, weight[head], tags)
+    steps = len(reach)
+    links = None
+
+    def confirm(e: int, depth: int) -> Optional[Counterexample]:
+        """The counterexample centred on edge e at depth, if its halves
+        share an exact signature."""
+        nonlocal links
+        if links is None:
+            links = (nxt.tolist(), start.tolist(), count.tolist(), head.tolist())
+        a, b = int(lo[e]), int(hi[e])
+        into_a, into_b = (edges + e, e) if a == x[e] else (e, edges + e)
+        a_ends, a_parent = _halves_by_signature(links, colour_weight, into_a, depth)
+        b_ends, b_parent = _halves_by_signature(links, colour_weight, into_b, depth)
+        shared = a_ends.keys() & b_ends.keys()
+        if not shared:
+            return None
+        sig = min(shared)
+        a_half = _climb(a_parent, a_ends[sig], a)
+        b_half = _climb(b_parent, b_ends[sig], b)
+        return Counterexample.of(a_half + b_half[::-1], depth, colours)
 
     def colour_weight(v: int) -> int:
         return base ** int(rank[v])
 
-    halves = 2 * edges
+    # a's halves end at x (directed edge E + e), then b's halves at y
+    edge_key = every.astype(np.uint64) << shift
+    directed = np.concatenate((every + edges, every))
+    key = np.concatenate((edge_key | weight[x], edge_key | weight[y] | np.uint64(1)))
+    split = edges
     depth = 1
     while split:
-        if budget is not None and halves > budget:
-            raise WindowCeilingExceeded(halves, budget, unit="half-paths")
-        ordered = np.sort(key)
-        # an a-side key directly below its b-side match is even; the edges
-        # come out sorted, and dict.fromkeys keeps each one once
-        adjacent = ordered[1:] - ordered[:-1] == 1
-        candidates: Iterable[int] = ()
-        if adjacent.any():
-            low = ordered[:-1][adjacent]
-            candidates = dict.fromkeys((low[low & np.uint64(1) == 0] >> shift).tolist())
-
-        count = nxt_count[directed]
-        ends = count.cumsum()
-        split = int(ends[split - 1])
-        directed = nxt[_ragged_arange(nxt_start[directed], count, ends)]
-        key = key.repeat(count) + head_weight[directed]
-        edge = (key >> shift).astype(np.intp)
-        a_count = np.bincount(edge[:split], minlength=edges)
-        b_count = np.bincount(edge[split:], minlength=edges)
+        span = 1
+        if steps > 1 and len(key) <= _BLOCK_ELEMENTS:
+            sizes = reach @ np.bincount(directed, minlength=len(row))
+            span = max(1, int(sizes.searchsorted(_BLOCK_ELEMENTS, side="right")))
+        ways = reach[span - 1][directed]  # the walks each half grows into
+        ends = ways.cumsum()
+        if not ends[-1]:
+            break
+        idx = _ragged_arange(row[directed], ways, ends)
+        cut = int(ends[split - 1])
+        grown = key.repeat(ways) + table_weight[idx]
+        tag = (grown >> shift).view(np.intp)
+        a_count = np.bincount(tag[:cut], minlength=span * edges)
+        b_count = np.bincount(tag[cut:], minlength=span * edges)
         a_has, b_has = a_count > 0, b_count > 0
         live = a_has & b_has
-
-        for e in candidates:
-            a, b = int(tail[forward[e]]), int(head[forward[e]])
-            a_ends, a_parent = _halves_by_signature(adj, colour_weight, a, b, depth)
-            b_ends, b_parent = _halves_by_signature(adj, colour_weight, b, a, depth)
-            shared = a_ends.keys() & b_ends.keys()
-            if not shared:
-                continue
-            sig = min(shared)
-            a_half = _climb(a_parent, a_ends[sig], a)
-            b_half = _climb(b_parent, b_ends[sig], b)
-            ce = Counterexample.of(a_half + b_half[::-1], depth, colours)
-            checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
-            return VerificationReport("counterexample", ce, checked, "exhaustive")
-        # an edge still present on one side only is dead
-        if (a_has ^ b_has).any():
-            keep = live[edge]
-            directed, key = directed[keep], key[keep]
-            split = int(np.count_nonzero(keep[:split]))
-        halves += len(key)
-        depth += 1
+        # keep only the halves of edges live at their depth
+        if span > 1 or (a_has ^ b_has).any():
+            keep = live[tag]
+            idx, grown = idx[keep], grown[keep]
+            cut = int(np.count_nonzero(keep[:cut]))
+        ordered = np.sort(grown)
+        # the half-paths up to each depth of the block, read off the sort
+        total = [halves + int(size) for size in ordered.searchsorted(tags[1:span])] if span > 1 else []
+        total.append(halves + len(ordered))
+        within = span  # the depths of the block within the ceiling
+        if budget is not None and total[-1] > budget:
+            within = next(s for s, count_s in enumerate(total) if count_s > budget)
+        adjacent = ordered[1:] - ordered[:-1] == 1
+        if adjacent.any():
+            low = ordered[:-1][adjacent]
+            step, edge = np.divmod((low[low & np.uint64(1) == 0] >> shift).astype(np.intp), edges)
+            first = np.lexsort((hi[edge], lo[edge], step))
+            for s, e in dict.fromkeys(zip(step[first].tolist(), edge[first].tolist())):
+                if s >= within:
+                    break
+                ce = confirm(e, depth + s + 1)
+                if ce is None:
+                    continue
+                tag = (grown >> shift).astype(np.intp) - s * edges
+                at = (tag >= 0) & (tag < edges)
+                on = count[table_end[idx[at]]]
+                cut_at = int(np.count_nonzero(at[:cut]))
+                ends_at = tag[at]
+                count_at = checked(total[s], e, ends_at[:cut_at], on[:cut_at], ends_at[cut_at:], on[cut_at:])
+                return VerificationReport("counterexample", ce, count_at, "exhaustive")
+        if within < span:
+            raise WindowCeilingExceeded(total[within], budget, unit="half-paths")
+        if span > 1:  # the next round grows from the block's last depth
+            keep = grown >= tags[span - 1]
+            idx, grown = idx[keep], grown[keep] - tags[span - 1]
+            cut = int(np.count_nonzero(keep[:cut]))
+        directed, key, split = table_end[idx], grown, cut
+        halves = total[-1]
+        depth += span
     return VerificationReport("anagram_free", None, halves, "exhaustive")
 
 
@@ -421,12 +575,17 @@ def find_anagram(
       that vertex's smaller neighbour, its windows (start, length) over
       order + order[:-1] with length at most m.
     - Any other forest is scanned from the centre edges of its even paths
-      (_scan_forest), one half-length at a time, so the counterexample is
-      a shortest anagram.  Ties go to the smallest centre edge (a, b) by
-      (min id, max id), then to the smallest shared half signature, then on
-      each side to the smallest end vertex; the path is listed from a's
-      half end to b's.  max_windows caps the half-paths compared, and
-      paths_checked reports their number.
+      (_scan_forest), half-length by half-length, so the counterexample is
+      a shortest anagram.  Depth 1 is read off the edges' end colours;
+      later depths are grown and matched a block per round, each round at
+      most _BLOCK_ELEMENTS keys tagged with their depth in their top bits,
+      from a walk table built after depth 1.  Ties go to the smallest
+      centre edge (a, b) by (min id, max id), then to the smallest shared
+      half signature, then on each side to the smallest end vertex; the
+      path is listed from a's half end to b's.  max_windows caps the
+      half-paths compared, and paths_checked reports their number, as the
+      depth-at-a-time scan counted them.  The scan reads the base graph
+      and the division runs, so a subdivision's adjacency is not built.
     - Every other graph has its maximal simple paths scanned in canonical
       order, each one's even windows in (start, length) order.  Refuses to
       take more than n + 4 * max_windows DFS steps enumerating paths,
@@ -442,7 +601,7 @@ def find_anagram(
     """
     colours = _colours(c)
     if not c.graph.max_degree_2 and c.graph.is_forest:
-        return _scan_forest(c.graph.adjacency, colours, max_windows)
+        return _scan_forest(c.graph, colours, max_windows)
     return _scan_maximal_paths(c, max_windows, None, "exhaustive")
 
 

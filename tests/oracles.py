@@ -1,17 +1,24 @@
 """Brute-force oracles and helpers that only the tests use.
 
 Each restates a rule directly and slowly, so a test can check the package's
-own code against it; none of them ships in afsub.
+own code against it; none of them ships in afsub.  depth_scan_forest is
+the forest scan as it was before it grew blocks of depths, kept as the
+reference the block scan must match report for report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from afsub import verifier, words
 from afsub.bounds import MonochromaticWitness, _effective_height, witness_children
 from afsub.graph_model import RootedTree
+from afsub.verifier import Counterexample, VerificationReport, WindowCeilingExceeded
 from afsub.words import _LETTERS, Word
 
 
@@ -108,3 +115,143 @@ def root_path(t: RootedTree, v: int) -> list[int]:
     while t.parent[path[-1]] is not None:
         path.append(t.parent[path[-1]])
     return path[::-1]
+
+
+def halves_by_signature(adj, colour_weight, root: int, away: int, depth: int):
+    """The depth-vertex halves leaving root away from away, as a map from
+    each exact signature to the smallest end vertex carrying it, and the
+    parent of every vertex the walk reached."""
+    parent = {root: away}
+    layer = {root: colour_weight(root)}
+    for _ in range(depth - 1):
+        grown = {}
+        for v, sig in layer.items():
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    grown[w] = sig + colour_weight(w)
+        layer = grown
+    ends: dict[int, int] = {}
+    for v, sig in layer.items():
+        if v < ends.get(sig, v + 1):
+            ends[sig] = v
+    return ends, parent
+
+
+def climb(parent: dict[int, int], v: int, root: int) -> list[int]:
+    """The vertices from v up to root, by parent links."""
+    path = [v]
+    while path[-1] != root:
+        path.append(parent[path[-1]])
+    return path
+
+
+def depth_scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> VerificationReport:
+    """The centre-edge scan of a forest one depth at a time, about 30 numpy
+    calls per depth: the oracle of verifier._scan_forest, which must give
+    the same report, or trip the same ceiling, on every forest.
+
+    An even path of 2L vertices has a unique centre edge (a, b); its halves
+    are an L-vertex walk leaving a away from b and one leaving b away from
+    a, which in a forest are disjoint and always join into a simple path.
+
+    The frontiers of all live edges at depth L are held in two flat arrays,
+    the directed tree edge (previous vertex, end) and the key of each half:
+    every a side first, then every b side, each grouped by edge in (min id,
+    max id) order.  A precomputed CSR lists the directed edges that
+    continue each directed edge, so one repeat and one gather grow every
+    frontier by a depth.  An edge is dropped, found by bincount, once
+    either side is empty, and budget caps the half-paths held in frontiers,
+    summed over all depths.
+
+    A key packs the edge id in its high bits, then the sum of the hash
+    weights of the half's colour ranks, each doubled, and the side (0 for
+    a, 1 for b) in the lowest bit.  The sum never carries into the edge
+    bits, so equal colour multisets on one edge give
+    keys that differ in the side bit alone and sort next to each other: one
+    sort per depth finds every edge with an anagram, and never misses one.
+    Unequal multisets may collide too, so each candidate edge is confirmed,
+    in edge order, by the exact signatures of its halves: the sum of base
+    ** rank(colour) with base = n // 2 + 1.  A half has at most n // 2
+    vertices, so no digit carries and equal signatures mean equal colour
+    multisets; a candidate without an exact match is skipped.
+    """
+    n = len(adj)
+    deg = np.fromiter(map(len, adj), np.intp, n)
+    head = np.fromiter(itertools.chain.from_iterable(adj), np.intp, int(deg.sum()))
+    tail = np.repeat(np.arange(n), deg)
+    # directed edges are numbered by their place in adj, and each edge a < b
+    # by the place of a -> b among them
+    forward = np.flatnonzero(tail < head)
+    edges = len(forward)
+    code = tail * n + head
+    by_code = np.argsort(code)
+    backward = by_code[np.searchsorted(code, head[forward] * n + tail[forward], sorter=by_code)]
+    # the next directed edges of u -> v are v's other edges
+    fan = deg[head]
+    nxt = verifier._ragged_arange((np.cumsum(deg) - deg)[head], fan, fan.cumsum())
+    nxt = nxt[head[nxt] != np.repeat(tail, fan)]
+    nxt_count = fan - 1
+    nxt_start = np.cumsum(nxt_count) - nxt_count
+
+    rank, k = words._ranks(colours)
+    shift = np.uint64(64 - edges.bit_length())
+    bits = int(shift) - 1 - (n // 2).bit_length()
+    weight = (verifier._hash_weights(k, bits) << np.uint64(1))[rank]
+    head_weight = weight[head]
+    edge_key = np.arange(edges, dtype=np.uint64) << shift
+    # a's halves end at a (directed edge b -> a), then b's halves at b
+    directed = np.concatenate((backward, forward))
+    key = np.concatenate((edge_key | weight[tail[forward]], edge_key | weight[head[forward]] | np.uint64(1)))
+    split = edges
+    base = n // 2 + 1
+
+    def colour_weight(v: int) -> int:
+        return base ** int(rank[v])
+
+    halves = 2 * edges
+    depth = 1
+    while split:
+        if budget is not None and halves > budget:
+            raise WindowCeilingExceeded(halves, budget, unit="half-paths")
+        ordered = np.sort(key)
+        # an a-side key directly below its b-side match is even; the edges
+        # come out sorted, and dict.fromkeys keeps each one once
+        adjacent = ordered[1:] - ordered[:-1] == 1
+        candidates: Iterable[int] = ()
+        if adjacent.any():
+            low = ordered[:-1][adjacent]
+            candidates = dict.fromkeys((low[low & np.uint64(1) == 0] >> shift).tolist())
+
+        count = nxt_count[directed]
+        ends = count.cumsum()
+        split = int(ends[split - 1])
+        directed = nxt[verifier._ragged_arange(nxt_start[directed], count, ends)]
+        key = key.repeat(count) + head_weight[directed]
+        edge = (key >> shift).astype(np.intp)
+        a_count = np.bincount(edge[:split], minlength=edges)
+        b_count = np.bincount(edge[split:], minlength=edges)
+        a_has, b_has = a_count > 0, b_count > 0
+        live = a_has & b_has
+
+        for e in candidates:
+            a, b = int(tail[forward[e]]), int(head[forward[e]])
+            a_ends, a_parent = halves_by_signature(adj, colour_weight, a, b, depth)
+            b_ends, b_parent = halves_by_signature(adj, colour_weight, b, a, depth)
+            shared = a_ends.keys() & b_ends.keys()
+            if not shared:
+                continue
+            sig = min(shared)
+            a_half = climb(a_parent, a_ends[sig], a)
+            b_half = climb(b_parent, b_ends[sig], b)
+            ce = Counterexample.of(a_half + b_half[::-1], depth, colours)
+            checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
+            return VerificationReport("counterexample", ce, checked, "exhaustive")
+        # an edge still present on one side only is dead
+        if (a_has ^ b_has).any():
+            keep = live[edge]
+            directed, key = directed[keep], key[keep]
+            split = int(np.count_nonzero(keep[:split]))
+        halves += len(key)
+        depth += 1
+    return VerificationReport("anagram_free", None, halves, "exhaustive")

@@ -29,6 +29,7 @@ from afsub.graph_model import (
     enumerate_maximal_simple_paths,
     path_graph,
     subdivide,
+    tree_to_base_graph,
 )
 from afsub.serialize import from_json_str, to_json_str
 from afsub.tree_constructions import build_binary_tree_8, build_dary_banded, build_dary_tree_10
@@ -43,7 +44,7 @@ from afsub.verifier import (
     naive_find_anagram,
     revalidate,
 )
-from oracles import is_anagram
+from oracles import climb, depth_scan_forest, halves_by_signature, is_anagram
 
 
 def coloured_path(colours):
@@ -340,13 +341,14 @@ def scan_result(scan, adj, colours, budget):
         return (exc.windows, exc.ceiling, exc.steps, exc.unit, str(exc))
 
 
-def assert_scans_agree(adj, colours):
+def assert_scans_agree(graph, colours):
     """The array scan and the scalar oracle agree uncapped, and at ceilings
     one below and at the oracle's count."""
+    adj = graph.adjacency
     count = scalar_scan_forest(adj, colours, None).paths_checked
     for budget in (None, count - 1, count):
         expected = scan_result(scalar_scan_forest, adj, colours, budget)
-        assert scan_result(verifier._scan_forest, adj, colours, budget) == expected
+        assert scan_result(verifier._scan_forest, graph, colours, budget) == expected
 
 
 def previous_scan_forest(adj, colours, budget):
@@ -407,14 +409,14 @@ def previous_scan_forest(adj, colours, budget):
 
         for e in candidates:
             a, b = int(tail[forward[e]]), int(head[forward[e]])
-            a_ends, a_parent = verifier._halves_by_signature(adj, colour_weight, a, b, depth)
-            b_ends, b_parent = verifier._halves_by_signature(adj, colour_weight, b, a, depth)
+            a_ends, a_parent = halves_by_signature(adj, colour_weight, a, b, depth)
+            b_ends, b_parent = halves_by_signature(adj, colour_weight, b, a, depth)
             shared = a_ends.keys() & b_ends.keys()
             if not shared:
                 continue
             sig = min(shared)
-            a_half = verifier._climb(a_parent, a_ends[sig], a)
-            b_half = verifier._climb(b_parent, b_ends[sig], b)
+            a_half = climb(a_parent, a_ends[sig], a)
+            b_half = climb(b_parent, b_ends[sig], b)
             ce = Counterexample.of(a_half + b_half[::-1], depth, colours)
             checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
             return VerificationReport("counterexample", ce, checked, "exhaustive")
@@ -427,13 +429,14 @@ def previous_scan_forest(adj, colours, budget):
     return VerificationReport("anagram_free", None, halves, "exhaustive")
 
 
-def assert_matches_previous_scan(adj, colours):
+def assert_matches_previous_scan(graph, colours):
     """The scan and its previous form agree uncapped, and at ceilings one
     below and at the previous form's count."""
+    adj = graph.adjacency
     count = previous_scan_forest(adj, colours, None).paths_checked
     for budget in (None, count - 1, count):
         expected = scan_result(previous_scan_forest, adj, colours, budget)
-        assert scan_result(verifier._scan_forest, adj, colours, budget) == expected
+        assert scan_result(verifier._scan_forest, graph, colours, budget) == expected
 
 
 def planted_copies(build, seeds):
@@ -452,7 +455,7 @@ def planted_copies(build, seeds):
         planted = list(colours)
         for i, v in enumerate(path):
             planted[v] = colours[path[i % (len(path) // 2)]]
-        yield adj, tuple(planted)
+        yield c.graph, tuple(planted)
 
 
 PLANTED_BUILDS = {
@@ -466,6 +469,72 @@ PLANTED_BUILDS = {
 def colliding_weights(k, bits):
     """Hash weights that give every half of an edge's side the same key."""
     return np.zeros(k, dtype=np.uint64)
+
+
+@st.composite
+def subdivided_forests(draw, max_divisions=30):
+    """A subdivision of a random base forest: trees and isolated vertices
+    with shuffled ids, the first tree's root of degree 3, each base edge
+    divided 0 to max_divisions times.  Colours come from k = 2 to 4: a word
+    with no two equal neighbours (the parity, Thue's square-free word, or
+    Keränen's anagram-free word), read from a drawn offset at each vertex's
+    id or at its distance from its component's first vertex, and on one
+    draw in four one vertex repainted, so that some scans stop at depth 1
+    and others run past it."""
+    sizes = [draw(st.integers(4, 7))] + draw(st.lists(st.integers(1, 5), max_size=2))
+    n0 = sum(sizes)
+    ids = draw(st.permutations(range(n0)))
+    edges = [(ids[0], ids[1]), (ids[0], ids[2]), (ids[0], ids[3])]
+    first = 0
+    for size in sizes:
+        for v in range(max(first + 1, 4), first + size):
+            edges.append((ids[v], ids[draw(st.integers(first, v - 1))]))
+        first += size
+    counts = draw(st.lists(st.integers(0, max_divisions), min_size=len(edges), max_size=len(edges)))
+    s = subdivide(BaseGraph(n0, tuple(edges)), counts)
+    k = draw(st.sampled_from((4, 3, 2)))
+    offset = draw(st.integers(0, 1000))
+    word = {2: [v % 2 for v in range(offset + s.vertex_count)], 3: words.thue_symbols(offset + s.vertex_count),
+            4: words.keranen_symbols(offset + s.vertex_count)}[k][offset:]
+    place = list(range(s.vertex_count))
+    if draw(st.booleans()):  # by distance, so that paths read the word out and back
+        adj, place = s.adjacency, [None] * s.vertex_count
+        for root in range(s.vertex_count):
+            if place[root] is None:
+                place[root], layer = 0, [root]
+                for v in layer:  # the list grows as the component is walked
+                    for w in adj[v]:
+                        if place[w] is None:
+                            place[w] = place[v] + 1
+                            layer.append(w)
+    colours = [word[p] for p in place]
+    if draw(st.integers(0, 3)) == 0:
+        colours[draw(st.integers(0, s.vertex_count - 1))] = draw(st.integers(0, k - 1))
+    return ColouredSubdivision(s, tuple(colours), tuple(sorted(set(colours))))
+
+
+def assert_matches_depth_scan(graph, colours, budgets=()):
+    """The scan and the depth-at-a-time scan agree uncapped, at ceilings one
+    below and at the depth scan's count, and at every budget given."""
+    adj = graph.adjacency
+    count = depth_scan_forest(adj, colours, None).paths_checked
+    for budget in (None, count - 1, count, *budgets):
+        expected = scan_result(depth_scan_forest, adj, colours, budget)
+        assert scan_result(verifier._scan_forest, graph, colours, budget) == expected
+
+
+def walk_steps(graph, colours):
+    """The scan's report, and the steps of each walk table it built."""
+    built = []
+
+    def recorded(*args):
+        table = walk_table(*args)
+        built.append(len(table[0]))
+        return table
+
+    walk_table = verifier._walk_table
+    with mock.patch.object(verifier, "_walk_table", recorded):
+        return verifier._scan_forest(graph, colours, None), built
 
 
 class TestForestScan:
@@ -483,14 +552,14 @@ class TestForestScan:
     @given(forests())
     @settings(max_examples=300, deadline=None)
     def test_array_scan_matches_scalar_oracle(self, c):
-        assert_scans_agree(c.graph.adjacency, c.colours)
+        assert_scans_agree(c.graph, c.colours)
 
     @pytest.mark.parametrize("name", sorted(PLANTED_BUILDS))
     def test_array_scan_matches_scalar_oracle_on_constructions(self, name):
         c = PLANTED_BUILDS[name]().coloured
-        assert_scans_agree(c.graph.adjacency, c.colour)
-        for adj, colours in planted_copies(PLANTED_BUILDS[name], range(6)):
-            assert_scans_agree(adj, colours)
+        assert_scans_agree(c.graph, c.colour)
+        for graph, colours in planted_copies(PLANTED_BUILDS[name], range(6)):
+            assert_scans_agree(graph, colours)
 
     @given(forests())
     @settings(max_examples=100, deadline=None)
@@ -498,19 +567,19 @@ class TestForestScan:
         # every edge with both sides live is a candidate at every depth, so
         # only the exact confirmation decides
         with mock.patch.object(verifier, "_hash_weights", colliding_weights):
-            assert_scans_agree(c.graph.adjacency, c.colours)
+            assert_scans_agree(c.graph, c.colours)
 
     @given(forests())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_previous_array_scan(self, c):
-        assert_matches_previous_scan(c.graph.adjacency, c.colours)
+        assert_matches_previous_scan(c.graph, c.colours)
 
     @pytest.mark.parametrize("name", sorted(PLANTED_BUILDS))
     def test_matches_the_previous_array_scan_on_constructions(self, name):
         c = PLANTED_BUILDS[name]().coloured
-        assert_matches_previous_scan(c.graph.adjacency, c.colour)
-        for adj, colours in planted_copies(PLANTED_BUILDS[name], range(12)):
-            assert_matches_previous_scan(adj, colours)
+        assert_matches_previous_scan(c.graph, c.colour)
+        for graph, colours in planted_copies(PLANTED_BUILDS[name], range(12)):
+            assert_matches_previous_scan(graph, colours)
 
     def test_colliding_keys_on_constructions(self):
         def build():
@@ -518,9 +587,9 @@ class TestForestScan:
 
         c = build().coloured
         with mock.patch.object(verifier, "_hash_weights", colliding_weights):
-            assert_scans_agree(c.graph.adjacency, c.colour)
-            for adj, colours in planted_copies(build, range(6)):
-                assert_scans_agree(adj, colours)
+            assert_scans_agree(c.graph, c.colour)
+            for graph, colours in planted_copies(build, range(6)):
+                assert_scans_agree(graph, colours)
 
     def test_counterexample_order(self):
         # 0-1-2-3 with 1-4-5-6-7 and 1-8: vertex 1 has degree 3
@@ -564,6 +633,89 @@ class TestForestScan:
         assert f"more than {halves - 1} half-paths (reached {halves})" in str(exc.value)
         report = find_anagram(c, max_windows=halves)
         assert (report.outcome, report.paths_checked, report.mode) == ("anagram_free", halves, "exhaustive")
+
+    @given(subdivided_forests())
+    @settings(max_examples=150, deadline=None)
+    def test_subdivided_forests_match_both_oracles(self, c):
+        assert_scans_agree(c.graph, c.colour)
+        assert_matches_depth_scan(c.graph, c.colour)
+
+    @given(subdivided_forests(max_divisions=6))
+    @settings(max_examples=60, deadline=None)
+    def test_colliding_keys_on_subdivided_forests(self, c):
+        with mock.patch.object(verifier, "_hash_weights", colliding_weights):
+            assert_scans_agree(c.graph, c.colour)
+            assert_matches_depth_scan(c.graph, c.colour)
+
+    def test_planted_anagram_at_every_depth(self):
+        # binary-tree h=4 is scanned to depth 40.  Along a longest path,
+        # centred on its middle, L new colours painted twice over, in the
+        # same order, are an anagram of half-length L, and every other
+        # anagram would need a colour the tree had: so the shortest anagram
+        # is the planted one, for L = 1 .. 40, at every offset of the blocks
+        c = build_binary_tree_8(complete_dary_tree(2, 4)).coloured
+        adj = c.graph.adjacency
+        assert depth_scan_forest(adj, c.colour, None).paths_checked == 5646
+        ends = [0]
+        for _ in range(2):  # the far end of a far end is a longest path's end
+            parent = {ends[-1]: None}
+            order = [ends[-1]]
+            for v in order:
+                for w in adj[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        order.append(w)
+            ends.append(order[-1])
+        path = [ends[-1]]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        assert len(path) == 81
+        for half in range(1, 41):
+            colours = list(c.colour)
+            for i, v in enumerate(path[40 - half : 40 + half]):
+                colours[v] = 8 + i % half
+            ce = verifier._scan_forest(c.graph, tuple(colours), None).counterexample
+            assert (ce.split, set(ce.vertices)) == (half, set(path[40 - half : 40 + half]))
+            assert_matches_depth_scan(c.graph, tuple(colours))
+
+    def test_ceilings_inside_the_blocks(self):
+        # a ceiling trips at the first depth whose running count passes it,
+        # wherever that depth falls in its round's block
+        for build in (PLANTED_BUILDS["binary-tree-h5"], lambda: build_binary_tree_8(complete_dary_tree(2, 4))):
+            c = build().coloured
+            count = depth_scan_forest(c.graph.adjacency, c.colour, None).paths_checked
+            assert_matches_depth_scan(c.graph, c.colour, range(0, count, count // 97))
+
+    def test_star_and_complete_tree_keep_a_one_step_table(self):
+        # a 200-leaf star's first step already holds 39,800 walks; the
+        # complete binary tree of height 11 has 12,278 one-step walks, which
+        # multiply at every step, so a second step would pass
+        # _BLOCK_ELEMENTS.  Both scans go past depth 1.
+        star = BaseGraph(201, tuple((0, leaf) for leaf in range(1, 201)))
+        colours = (0,) + tuple(1 + leaf % 3 for leaf in range(200))
+        tree = subdivide(tree_to_base_graph(complete_dary_tree(2, 11)), [0] * 4094)
+        by_depth = tuple(words.keranen_symbols(12)[(v + 1).bit_length() - 1] for v in range(4095))
+        for graph, colours in ((star, colours), (tree, by_depth)):
+            assert walk_steps(graph, colours)[1] == [1]
+            assert_matches_depth_scan(graph, colours)
+        # on a subdivided tree the table does grow
+        c = build_binary_tree_8(complete_dary_tree(2, 4)).coloured
+        assert walk_steps(c.graph, c.colour)[1] == [8]
+
+    def test_find_anagram_leaves_the_adjacency_unbuilt(self):
+        # the forest scan reads the base graph and the division runs, on a
+        # verdict and on a counterexample found past depth 1
+        text = to_json_str(build_binary_tree_8(complete_dary_tree(2, 3)).coloured)
+        cs = from_json_str(text)
+        assert find_anagram(cs).outcome == "anagram_free"
+        assert "adjacency" not in cs.graph.__dict__
+        run = cs.graph.division_paths[0]
+        colour = list(cs.colour)
+        colour[run[2]], colour[run[3]] = colour[run[0]], colour[run[1]]
+        planted = from_json_str(to_json_str(coloured_subdivision(cs.graph, colour, cs.provenance)))
+        ce = find_anagram(planted).counterexample
+        assert ce.split == 2 and revalidate(ce, planted)
+        assert "adjacency" not in planted.graph.__dict__
 
 
 class TestFindAnagram:
