@@ -38,34 +38,27 @@ class BaseGraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        edges = tuple(self.edges)
-        # checked in bulk first; the loop below runs only when that check
-        # fails, and raises its message for the first bad edge
-        try:
-            norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
-            lo, hi = zip(*norm) if norm else ((), ())
-            valid = (
-                all(map(operator.lt, lo, hi))
-                and min(lo, default=0) >= 0
-                and max(hi, default=-1) < self.vertex_count
-                and len(set(norm)) == len(norm)
-            )
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            seen = set()
-            norm = []
-            for u, v in edges:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                    raise ValueError(f"edge ({u}, {v}) outside vertex range")
-                key = (min(u, v), max(u, v))
-                if key in seen:
-                    raise ValueError(f"duplicate edge {key}")
-                seen.add(key)
-                norm.append(key)
-        object.__setattr__(self, "edges", tuple(norm))
+        n, edges = self.vertex_count, tuple(self.edges)
+        norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
+        lo, hi = [u for u, _ in norm], [v for _, v in norm]
+        first: dict[tuple[int, int], int] = {}  # each edge's first place
+        # per rule, in the order an edge is checked: whether every edge
+        # keeps it, tested at once, and whether edge i breaks it.  A failed
+        # rule is walked for its first breach; the earliest breach, by the
+        # first rule broken there, names the error, as edge by edge
+        rules = (
+            (all(map(operator.ne, lo, hi)), lambda i: lo[i] == hi[i]),
+            (min(lo, default=0) >= 0 and max(hi, default=-1) < n, lambda i: not (0 <= lo[i] and hi[i] < n)),
+            (len(set(norm)) == len(norm), lambda i: first.setdefault(norm[i], i) != i),
+        )
+        breaches = [(next(filter(breaks, range(len(norm)))), rule)
+                    for rule, (keeps, breaks) in enumerate(rules) if not keeps]
+        if breaches:
+            i, rule = min(breaches)
+            (u, v), key = edges[i], norm[i]
+            raise ValueError((f"self-loop at vertex {u}", f"edge ({u}, {v}) outside vertex range",
+                              f"duplicate edge {key}")[rule])
+        object.__setattr__(self, "edges", norm)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -279,28 +272,12 @@ class SubdividedGraph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples, equal to those of the flattened graph,
-        built from the division runs: division vertex x has neighbours
-        (x - 1, x + 1) unless it ends its run, where the run's base
-        endpoint takes a place, and only the originals are sorted."""
-        n0, n = self.base.vertex_count, self.vertex_count
-        adj: list[tuple[int, ...]] = list(zip(range(-1, n - 1), range(1, n + 1)))
-        originals: list[list[int]] = [[] for _ in range(n0)]
-        for (u, v), path in zip(self.base.edges, self.division_paths):
-            if not path:
-                originals[u].append(v)
-                originals[v].append(u)
-                continue
-            first, last = path.start, path.stop - 1
-            originals[u].append(first)
-            originals[v].append(last)
-            if first == last:
-                adj[first] = (u, v)
-            else:
-                adj[first] = (u, first + 1)
-                adj[last] = (v, last - 1)
-        adj[:n0] = [tuple(sorted(ns)) for ns in originals]
-        return tuple(adj)
+        """Sorted neighbour tuples of the flattened graph, built from
+        chain_edges by the flattened graph's own rule.  The forest and
+        degree-2 scans and revalidate read the base graph and the division
+        runs instead; maximal-path enumeration, the sampler and the naive
+        oracle build this."""
+        return _adjacency(self.vertex_count, self.chain_edges())
 
     # A subdivision has maximum degree at most 2, or is a forest, exactly
     # when its base graph does: division vertices have degree 2, originals

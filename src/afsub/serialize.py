@@ -1,17 +1,19 @@
 """Canonical JSON interchange and DOT export for coloured subdivisions.
 
 Schema:
-{"vertices": [{"id": int, "kind": "original"|"division", "colour": int|null}],
+{"vertices": [{"id": int, "kind": "original"|"division", "colour": int}],
  "base_edges": [{"u": int, "v": int, "division": [int, ...]}],
  "palette": [int], "provenance": {...}}
 
 Serialisation is canonical (sorted keys, 2-space indent, one scalar per
 line, [] for an empty list, ASCII escapes, a trailing newline), so parse
-followed by serialise is byte-identical.  Parsing checks the canonical
-layout in bulk first (vertex i has id i, originals first, the division
-lists concatenating to the division ids in order); only a file that fails
-it is read entry by entry, which accepts vertex entries in any order,
-names the first error, and refuses division ids out of that order too.
+followed by serialise is byte-identical.  There is one reader: its checks
+run in a fixed order, each as one test over a whole list, and only a
+failed test walks its list for the first offending entry, whose message
+it raises.  So a file with several defects gets the first failed check's
+message.  Vertex entries may come in any order; division ids must run
+from the originals' count in edge order, and an edge with two or more
+division vertices must be written u < v, since they run from u to v.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import colorsys
 import itertools
 import json
-from typing import Any, Optional
+import operator
+from typing import Any, Iterable
 
 from .graph_model import BaseGraph, ColouredSubdivision, SubdividedGraph
 
@@ -67,21 +70,17 @@ def from_json_dict(data: Any) -> ColouredSubdivision:
     """Check data against the schema and build the subdivision.
 
     Ids, endpoints, colours and palette entries must be JSON integers, not
-    booleans, and provenance, when present, an object.  A canonical file,
-    as to_json_str writes one, passes a bulk check first: one
-    comprehension per field, then whole-list comparisons and one test of
-    the set of types.
-    Only when that check fails does the per-entry loop run, which raises
-    SchemaError at the first failed check with that check's own message,
-    or accepts a valid file whose entries are out of canonical order.
-    Both build the same subdivision.
+    booleans, and provenance, when present, an object.  The checks run in
+    one fixed order, each as one test over a whole list, and the first
+    that fails raises SchemaError with its own message, naming the first
+    entry that breaks it (_parts).  Vertex entries may come in any order.
     """
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
     for key in ("vertices", "base_edges", "palette"):
         if key not in data:
             raise SchemaError(f"missing key {key!r}")
-    n_original, edges, counts, colours = _canonical_parts(data) or _checked_parts(data)
+    n_original, edges, counts, colours = _parts(data)
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise SchemaError("provenance must be an object")
@@ -93,111 +92,92 @@ def from_json_dict(data: Any) -> ColouredSubdivision:
         raise SchemaError(str(exc)) from exc
 
 
-def _canonical_parts(data: dict) -> Optional[tuple]:
-    """(originals, edges, division counts, colours) when data has the
-    canonical layout, else None: vertex i has id i, the originals come
-    first, the division lists concatenate to the division ids in order,
-    and every id, endpoint, colour and palette entry is an int.  Every
-    file it accepts passes each check of _checked_parts."""
-    vertices, base_edges, palette = data["vertices"], data["base_edges"], data["palette"]
-    if not (type(vertices) is list and type(base_edges) is list and type(palette) is list):
-        return None
-    if not {type(e) for e in vertices} | {type(e) for e in base_edges} <= {dict}:
-        return None
+def _refuse(messages: Iterable[str]) -> None:
+    """Raise SchemaError with the first of messages, if there is one."""
+    for message in messages:
+        raise SchemaError(message)
+
+
+def _fields(entries: list, keys: tuple[str, ...], what: str) -> list[list]:
+    """Per key, the list of the entries' values: each entry must be an
+    object holding every key."""
+    if not set(map(type, entries)) <= {dict}:
+        _refuse(f"{what} entries must be objects" for e in entries if not isinstance(e, dict))
     try:
-        ids = [e["id"] for e in vertices]
-        kinds = [e["kind"] for e in vertices]
-        colours = tuple([e["colour"] for e in vertices])
-        us = [e["u"] for e in base_edges]
-        vs = [e["v"] for e in base_edges]
-        divisions = [e["division"] for e in base_edges]
+        return [[e[key] for e in entries] for key in keys]
     except KeyError:
-        return None
-    n = len(vertices)
-    n_original = kinds.count("original")
-    if not (ids == list(range(n)) and kinds == ["original"] * n_original + ["division"] * (n - n_original)):
-        return None
-    if not {type(x) for x in divisions} <= {list}:
-        return None
-    flat = list(itertools.chain.from_iterable(divisions))
-    types = set(map(type, itertools.chain(ids, colours, us, vs, flat, palette)))
-    if not (types <= {int} and flat == list(range(n_original, n))):
-        return None
-    if us and not (0 <= min(us) and 0 <= min(vs) and max(us) < n_original and max(vs) < n_original):
-        return None
-    return n_original, tuple(zip(us, vs)), tuple(map(len, divisions)), colours
+        _refuse(f"{what} entry missing {key!r}" for e in entries for key in keys if key not in e)
+        raise
 
 
-def _checked_parts(data: dict) -> tuple:
-    """The same parts as _canonical_parts, checked entry by entry."""
+def _parts(data: dict) -> tuple:
+    """(originals, edges, division counts, colours) of a schema document.
+
+    Each rule is one test over its whole list, in a fixed order, and only
+    a failed test walks the list (_refuse) for the first entry that breaks
+    the rule.  A test may be stricter than its rule: a type set refuses a
+    dict subclass or a null colour, and u < v an undivided edge written
+    v, u.  Its walk then finds nothing, and the checks go on.  A canonical
+    file passes the tests of its ids and its division ids at once."""
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise SchemaError("vertices must be a list")
     n = len(vertices)
-    kinds: list[str] = [""] * n
-    colours: list = [None] * n
-    seen_ids = set()
-    for entry in vertices:
-        if not isinstance(entry, dict):
-            raise SchemaError("vertex entries must be objects")
-        for key in ("id", "kind", "colour"):
-            if key not in entry:
-                raise SchemaError(f"vertex entry missing {key!r}")
-        vid = entry["id"]
-        if not (type(vid) is int and 0 <= vid < n):
-            raise SchemaError(f"vertex id {vid!r} out of range")
-        if vid in seen_ids:
-            raise SchemaError(f"duplicate vertex id {vid}")
-        seen_ids.add(vid)
-        kind = entry["kind"]
-        if kind not in ("original", "division"):
-            raise SchemaError(f"vertex {vid}: bad kind {kind!r}")
-        kinds[vid] = kind
-        colour = entry["colour"]
-        if not (colour is None or type(colour) is int):
-            raise SchemaError(f"vertex {vid}: colour must be int or null")
-        colours[vid] = colour
-
+    ids, kinds, colours = _fields(vertices, ("id", "kind", "colour"), "vertex")
+    int_ids = set(map(type, ids)) <= {int}
+    if not (int_ids and ids == list(range(n))):
+        if not (int_ids and min(ids, default=0) >= 0 and max(ids, default=-1) < n):
+            _refuse(f"vertex id {v!r} out of range" for v in ids if not (type(v) is int and 0 <= v < n))
+        first: dict = {}  # each id's first place, so a later place repeats it
+        _refuse(f"duplicate vertex id {v}" for i, v in enumerate(ids) if first.setdefault(v, i) != i)
+        # ids are now 0 .. n - 1 in another order: read the entries by id
+        order = sorted(range(n), key=ids.__getitem__)
+        kinds, colours = [kinds[i] for i in order], [colours[i] for i in order]
     n_original = kinds.count("original")
+    if n_original + kinds.count("division") < n:
+        _refuse(f"vertex {v}: bad kind {k!r}" for v, k in enumerate(kinds) if k not in ("original", "division"))
+    if not set(map(type, colours)) <= {int}:
+        _refuse(f"vertex {v}: colour must be int or null" for v, c in enumerate(colours)
+                if not (c is None or type(c) is int))
     if "division" in kinds[:n_original]:
         raise SchemaError("original vertices must occupy the low id range")
 
     base_edges = data["base_edges"]
     if not isinstance(base_edges, list):
         raise SchemaError("base_edges must be a list")
-    edges = []
-    divisions = []
-    covered: set[int] = set()
-    for entry in base_edges:
-        if not isinstance(entry, dict):
-            raise SchemaError("edge entries must be objects")
-        for key in ("u", "v", "division"):
-            if key not in entry:
-                raise SchemaError(f"edge entry missing {key!r}")
-        u, v, division = entry["u"], entry["v"], entry["division"]
-        if not (type(u) is int and type(v) is int and 0 <= u < n_original and 0 <= v < n_original):
-            raise SchemaError(f"edge ({u!r}, {v!r}) endpoints must be original vertex ids")
-        if not isinstance(division, list):
-            raise SchemaError("division must be a list of vertex ids")
-        for dv in division:
-            if not (type(dv) is int and n_original <= dv < n and kinds[dv] == "division"):
-                raise SchemaError(f"division vertex {dv!r} invalid")
-            if dv in covered:
-                raise SchemaError(f"division vertex {dv} listed twice")
-            covered.add(dv)
-        edges.append((u, v))
-        divisions.append(division)
-    if len(covered) != n - n_original:
-        raise SchemaError("some division vertices belong to no edge")
+    us, vs, divisions = _fields(base_edges, ("u", "v", "division"), "edge")
+    ends = us + vs
+    if not (set(map(type, ends)) <= {int} and min(ends, default=0) >= 0 and max(ends, default=-1) < n_original):
+        _refuse(f"edge ({u!r}, {v!r}) endpoints must be original vertex ids" for u, v in zip(us, vs)
+                if not (type(u) is int and type(v) is int and 0 <= u < n_original and 0 <= v < n_original))
+    if not set(map(type, divisions)) <= {list}:
+        _refuse("division must be a list of vertex ids" for d in divisions if not isinstance(d, list))
+    flat = list(itertools.chain.from_iterable(divisions))
+    # a canonical list of division ids passes every division check
+    int_flat = set(map(type, flat)) <= {int}
+    sequential = int_flat and flat == list(range(n_original, n))
+    if not sequential:
+        if not (int_flat and min(flat, default=n) >= n_original and max(flat, default=-1) < n):
+            _refuse(f"division vertex {dv!r} invalid" for dv in flat
+                    if not (type(dv) is int and n_original <= dv < n))
+        first = {}
+        _refuse(f"division vertex {dv} listed twice" for i, dv in enumerate(flat) if first.setdefault(dv, i) != i)
+        if len(flat) != n - n_original:
+            raise SchemaError("some division vertices belong to no edge")
 
     palette = data["palette"]
-    if not (isinstance(palette, list) and all(type(c) is int for c in palette)):
+    if not (isinstance(palette, list) and set(map(type, palette)) <= {int}):
         raise SchemaError("palette must be a list of ints")
     if None in colours:
         raise SchemaError("all vertices must be coloured")
-    if list(itertools.chain.from_iterable(divisions)) != list(range(n_original, n)):
+    if not sequential:
         raise SchemaError("division vertex ids must be sequential per edge")
-    return n_original, tuple(edges), tuple(map(len, divisions)), tuple(colours)
+    # BaseGraph stores an edge as (min, max), and its division ids run from
+    # the first end, so a path listed from the larger end would be reversed
+    if not all(map(operator.lt, us, vs)):
+        _refuse(f"edge ({u}, {v}) has {len(d)} division vertices, so it must have u < v"
+                for u, v, d in zip(us, vs, divisions) if u > v and len(d) > 1)
+    return n_original, tuple(zip(us, vs)), tuple(map(len, divisions)), tuple(colours)
 
 
 def from_json_str(text: str) -> ColouredSubdivision:

@@ -730,11 +730,11 @@ def naive_find_anagram(c: Colourable) -> VerificationReport:
 
 
 def revalidate(ce: Counterexample, c: Colourable) -> bool:
-    """Soundness recount: halves equal, multiset as recorded, path
-    contiguous.  A subdivision's steps are read from its base edges and
-    division runs (_joined), so its adjacency is not built."""
+    """Soundness recount: vertices in the graph, halves equal, multiset as
+    recorded, path contiguous.  A subdivision's steps are read from its
+    base edges and division runs (_joined), so its adjacency is not built."""
     colours = _colours(c)
-    if len(ce.vertices) != 2 * ce.split:
+    if len(ce.vertices) != 2 * ce.split or not all(0 <= v < len(colours) for v in ce.vertices):
         return False
     left = multiset_of(colours, ce.vertices[: ce.split])
     if left != multiset_of(colours, ce.vertices[ce.split :]) or left != ce.multiset:
@@ -752,13 +752,12 @@ def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
     """Whether every step (a, b) is an edge of g, read as
     _degree2_components reads g: a division vertex's neighbours are the ids
     beside it in its run, or the run's base endpoint at either end, and two
-    base vertices are joined by a base edge with no division vertices."""
-    n0, n = g.base.vertex_count, g.vertex_count
+    base vertices are joined by a base edge with no division vertices.
+    Each id must be a vertex of g, as revalidate checks first."""
+    n0 = g.base.vertex_count
     runs = g.division_paths
     undivided = None  # built at the first step between two base vertices
     for a, b in steps:
-        if not (0 <= a < n and 0 <= b < n):
-            return False
         if a < n0 and b < n0:
             if undivided is None:
                 undivided = {e for e, k in zip(g.base.edges, g.counts) if not k}

@@ -3,7 +3,8 @@
 Each restates a rule directly and slowly, so a test can check the package's
 own code against it; none of them ships in afsub.  depth_scan_forest is
 the forest scan as it was before it grew blocks of depths, kept as the
-reference the block scan must match report for report.
+reference the block scan must match report for report, and checked_parts
+the schema reader as one loop over the entries.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from afsub import verifier, words
 from afsub.bounds import MonochromaticWitness, _effective_height, witness_children
 from afsub.graph_model import RootedTree
+from afsub.serialize import SchemaError
 from afsub.verifier import Counterexample, VerificationReport, WindowCeilingExceeded
 from afsub.words import _LETTERS, Word
 
@@ -255,3 +257,78 @@ def depth_scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Ver
         halves += len(key)
         depth += 1
     return VerificationReport("anagram_free", None, halves, "exhaustive")
+
+
+def checked_parts(data: dict) -> tuple:
+    """(originals, edges, division counts, colours) of a schema document,
+    checked entry by entry: the reference loop of serialize._parts, which
+    must build the same parts or raise the same SchemaError on every file
+    with one defect."""
+    vertices = data["vertices"]
+    if not isinstance(vertices, list):
+        raise SchemaError("vertices must be a list")
+    n = len(vertices)
+    kinds: list[str] = [""] * n
+    colours: list = [None] * n
+    seen_ids = set()
+    for entry in vertices:
+        if not isinstance(entry, dict):
+            raise SchemaError("vertex entries must be objects")
+        for key in ("id", "kind", "colour"):
+            if key not in entry:
+                raise SchemaError(f"vertex entry missing {key!r}")
+        vid = entry["id"]
+        if not (type(vid) is int and 0 <= vid < n):
+            raise SchemaError(f"vertex id {vid!r} out of range")
+        if vid in seen_ids:
+            raise SchemaError(f"duplicate vertex id {vid}")
+        seen_ids.add(vid)
+        kind = entry["kind"]
+        if kind not in ("original", "division"):
+            raise SchemaError(f"vertex {vid}: bad kind {kind!r}")
+        kinds[vid] = kind
+        colour = entry["colour"]
+        if not (colour is None or type(colour) is int):
+            raise SchemaError(f"vertex {vid}: colour must be int or null")
+        colours[vid] = colour
+
+    n_original = kinds.count("original")
+    if "division" in kinds[:n_original]:
+        raise SchemaError("original vertices must occupy the low id range")
+
+    base_edges = data["base_edges"]
+    if not isinstance(base_edges, list):
+        raise SchemaError("base_edges must be a list")
+    edges = []
+    divisions = []
+    covered: set[int] = set()
+    for entry in base_edges:
+        if not isinstance(entry, dict):
+            raise SchemaError("edge entries must be objects")
+        for key in ("u", "v", "division"):
+            if key not in entry:
+                raise SchemaError(f"edge entry missing {key!r}")
+        u, v, division = entry["u"], entry["v"], entry["division"]
+        if not (type(u) is int and type(v) is int and 0 <= u < n_original and 0 <= v < n_original):
+            raise SchemaError(f"edge ({u!r}, {v!r}) endpoints must be original vertex ids")
+        if not isinstance(division, list):
+            raise SchemaError("division must be a list of vertex ids")
+        for dv in division:
+            if not (type(dv) is int and n_original <= dv < n and kinds[dv] == "division"):
+                raise SchemaError(f"division vertex {dv!r} invalid")
+            if dv in covered:
+                raise SchemaError(f"division vertex {dv} listed twice")
+            covered.add(dv)
+        edges.append((u, v))
+        divisions.append(division)
+    if len(covered) != n - n_original:
+        raise SchemaError("some division vertices belong to no edge")
+
+    palette = data["palette"]
+    if not (isinstance(palette, list) and all(type(c) is int for c in palette)):
+        raise SchemaError("palette must be a list of ints")
+    if None in colours:
+        raise SchemaError("all vertices must be coloured")
+    if list(itertools.chain.from_iterable(divisions)) != list(range(n_original, n)):
+        raise SchemaError("division vertex ids must be sequential per edge")
+    return n_original, tuple(edges), tuple(map(len, divisions)), tuple(colours)

@@ -34,6 +34,7 @@ from afsub.tree_constructions import (
     prune_to_subtree,
 )
 from afsub.graph_model import complete_dary_tree, random_binary_tree
+from oracles import checked_parts
 
 
 PAW = BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))  # a triangle and a pendant edge
@@ -239,6 +240,35 @@ class TestSchemaErrors:
         data["base_edges"].append({"u": 1, "v": 0, "division": [3]})
         assert parse_error(json.dumps(data)) == "duplicate edge (0, 1)"
 
+    @pytest.mark.parametrize("u, v, code, err", [
+        (1, 0, 65, "input error: edge (1, 0) has 2 division vertices, so it must have u < v\n"),
+        (0, 1, 0, ""),
+    ], ids=["reversed", "in-order"])
+    def test_reversed_divided_edge_is_refused(self, tmp_path, capsys, u, v, code, err):
+        # read from u = 1, the path 1-2-3-0 has the anagram 1-2 (colours
+        # 1, 1); stored as (0, 1), its run would be read 0-2-3-1, which has none
+        data = {
+            "vertices": [
+                {"id": 0, "kind": "original", "colour": 0},
+                {"id": 1, "kind": "original", "colour": 1},
+                {"id": 2, "kind": "division", "colour": 1},
+                {"id": 3, "kind": "division", "colour": 2},
+            ],
+            "base_edges": [{"u": u, "v": v, "division": [2, 3]}],
+            "palette": [0, 1, 2],
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == code
+        assert capsys.readouterr().err == err
+
+    def test_one_vertex_reversed_edge_reads_as_before(self):
+        # one division vertex reads the same from either end
+        data = small_document()
+        data["base_edges"][0].update(u=1, v=0)
+        assert outcome(data) == loop_outcome(data) == outcome(small_document())
+        assert from_json_dict(data).graph == from_json_dict(small_document()).graph
+
     @pytest.mark.parametrize("apply, message", [
         (edit("vertices", 1, "id", True), "vertex id True out of range"),
         (edit("vertices", 0, "id", False), "vertex id False out of range"),
@@ -278,7 +308,6 @@ class TestSchemaErrors:
         data = to_json_dict(coloured_subdivision(subdivide(cycle_graph(3), [2, 0, 1]), range(6), {}))
         for entry, division in zip(data["base_edges"], divisions):
             entry["division"] = division
-        assert serialize._canonical_parts(data) is None
         assert parse_error(json.dumps(data)) == message
         assert loop_outcome(data) == ("error", message)
 
@@ -286,7 +315,6 @@ class TestSchemaErrors:
     def test_provenance_must_be_an_object(self, value, tmp_path, capsys):
         data = small_document()
         data["provenance"] = value
-        assert serialize._canonical_parts(data) is not None
         assert parse_error(json.dumps(data)) == "provenance must be an object"
         assert loop_outcome(data) == ("error", "provenance must be an object")
         bad = tmp_path / "bad.json"
@@ -363,15 +391,15 @@ def exhausted(*_args, **_kwargs):
 
 
 def loop_outcome(data):
-    """outcome with the bulk check switched off, so the loop reads every
-    document."""
-    with mock.patch.object(serialize, "_canonical_parts", lambda data: None):
+    """outcome with the parts read by the reference loop
+    oracles.checked_parts in place of the reader's."""
+    with mock.patch.object(serialize, "_parts", checked_parts):
         return outcome(data)
 
 
 @st.composite
 def mutated_documents(draw):
-    """A canonical document with one defect that the bulk check must turn
+    """A canonical document with one defect that the reader must turn
     away: a dropped key, a true or 1.0 id or colour, a true or out-of-range
     endpoint, a duplicate id, a division id out of order, or a dict where a
     list belongs."""
@@ -421,22 +449,19 @@ def mutated_documents(draw):
 
 
 class TestBulkSchemaCheck:
-    """from_json_dict checks a canonical file in bulk and falls back to the
-    per-entry loop otherwise; either way it builds or refuses alike."""
+    """from_json_dict checks each rule in bulk over a whole list; it builds
+    or refuses alike with the reference loop oracles.checked_parts."""
 
     @given(canonical_documents())
     @settings(max_examples=150)
     def test_bulk_check_and_loop_build_equal_subdivisions(self, data):
-        bulk = serialize._canonical_parts(data)
-        assert bulk is not None
-        assert bulk == serialize._checked_parts(data)
+        assert serialize._parts(data) == checked_parts(data)
         assert outcome(data) == loop_outcome(data)
         assert outcome(data) == (json.dumps(data, indent=2, sort_keys=True) + "\n", data["provenance"])
 
     @given(mutated_documents())
     @settings(max_examples=300)
     def test_mutated_documents_get_the_loops_error(self, data):
-        assert serialize._canonical_parts(data) is None
         assert outcome(data) == loop_outcome(data)
 
     @given(canonical_documents(), st.randoms(use_true_random=False))
@@ -444,9 +469,7 @@ class TestBulkSchemaCheck:
     def test_shuffled_vertex_entries_parse_through_the_loop(self, data, rng):
         expected = outcome(data)
         rng.shuffle(data["vertices"])
-        if [e["id"] for e in data["vertices"]] != list(range(len(data["vertices"]))):
-            assert serialize._canonical_parts(data) is None
-        assert outcome(data) == expected
+        assert outcome(data) == expected == loop_outcome(data)
 
     def test_reversed_vertex_entries_verify_alike(self, tmp_path, capsys):
         cs = build_binary_tree_8(complete_dary_tree(2, 3)).coloured
@@ -458,7 +481,6 @@ class TestBulkSchemaCheck:
         canonical.write_text(json.dumps(data))
         data["vertices"].reverse()
         reversed_.write_text(json.dumps(data))
-        assert serialize._canonical_parts(data) is None
         assert main(["verify", str(canonical)]) == 2
         report = capsys.readouterr().out
         assert main(["verify", str(reversed_)]) == 2

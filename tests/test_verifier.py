@@ -44,7 +44,7 @@ from afsub.verifier import (
     naive_find_anagram,
     revalidate,
 )
-from oracles import climb, depth_scan_forest, halves_by_signature, is_anagram
+from oracles import depth_scan_forest, is_anagram
 
 
 def coloured_path(colours):
@@ -341,101 +341,14 @@ def scan_result(scan, adj, colours, budget):
         return (exc.windows, exc.ceiling, exc.steps, exc.unit, str(exc))
 
 
-def assert_scans_agree(graph, colours):
-    """The array scan and the scalar oracle agree uncapped, and at ceilings
-    one below and at the oracle's count."""
+def assert_matches(oracle, graph, colours, budgets=()):
+    """verifier._scan_forest and oracle, a forest scan of (adjacency,
+    colours, budget), agree uncapped, at ceilings one below and at the
+    oracle's count, and at every budget given."""
     adj = graph.adjacency
-    count = scalar_scan_forest(adj, colours, None).paths_checked
-    for budget in (None, count - 1, count):
-        expected = scan_result(scalar_scan_forest, adj, colours, budget)
-        assert scan_result(verifier._scan_forest, graph, colours, budget) == expected
-
-
-def previous_scan_forest(adj, colours, budget):
-    """The array scan as it was before it skipped empty candidate sets,
-    reused the growth cumsum for the new split and pruned by one xor: the
-    oracle of verifier._scan_forest, which must give the same report, or
-    trip the same ceiling, on every forest."""
-    n = len(adj)
-    deg = np.fromiter(map(len, adj), np.intp, n)
-    head = np.fromiter(itertools.chain.from_iterable(adj), np.intp, int(deg.sum()))
-    tail = np.repeat(np.arange(n), deg)
-    forward = np.flatnonzero(tail < head)
-    edges = len(forward)
-    code = tail * n + head
-    by_code = np.argsort(code)
-    backward = by_code[np.searchsorted(code, head[forward] * n + tail[forward], sorter=by_code)]
-
-    def ragged_arange(starts, counts):
-        ends = counts.cumsum()
-        return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
-
-    nxt = ragged_arange((np.cumsum(deg) - deg)[head], deg[head])
-    nxt = nxt[head[nxt] != np.repeat(tail, deg[head])]
-    nxt_count = deg[head] - 1
-    nxt_start = np.cumsum(nxt_count) - nxt_count
-
-    rank, k = words._ranks(colours)
-    shift = np.uint64(64 - edges.bit_length())
-    bits = int(shift) - 1 - (n // 2).bit_length()
-    weight = (verifier._hash_weights(k, bits) << np.uint64(1))[rank]
-    head_weight = weight[head]
-    edge_key = np.arange(edges, dtype=np.uint64) << shift
-    directed = np.concatenate((backward, forward))
-    key = np.concatenate((edge_key | weight[tail[forward]], edge_key | weight[head[forward]] | np.uint64(1)))
-    split = edges
-    base = n // 2 + 1
-
-    def colour_weight(v):
-        return base ** int(rank[v])
-
-    halves = 2 * edges
-    depth = 1
-    while split:
-        if budget is not None and halves > budget:
-            raise WindowCeilingExceeded(halves, budget, unit="half-paths")
-        ordered = np.sort(key)
-        low = ordered[:-1][ordered[1:] - ordered[:-1] == 1]
-        candidates = dict.fromkeys((low[low & np.uint64(1) == 0] >> shift).tolist())
-
-        count = nxt_count[directed]
-        split = int(count[:split].sum())
-        directed = nxt[ragged_arange(nxt_start[directed], count)]
-        key = key.repeat(count) + head_weight[directed]
-        edge = (key >> shift).astype(np.intp)
-        a_count = np.bincount(edge[:split], minlength=edges)
-        b_count = np.bincount(edge[split:], minlength=edges)
-        live = (a_count > 0) & (b_count > 0)
-
-        for e in candidates:
-            a, b = int(tail[forward[e]]), int(head[forward[e]])
-            a_ends, a_parent = halves_by_signature(adj, colour_weight, a, b, depth)
-            b_ends, b_parent = halves_by_signature(adj, colour_weight, b, a, depth)
-            shared = a_ends.keys() & b_ends.keys()
-            if not shared:
-                continue
-            sig = min(shared)
-            a_half = climb(a_parent, a_ends[sig], a)
-            b_half = climb(b_parent, b_ends[sig], b)
-            ce = Counterexample.of(a_half + b_half[::-1], depth, colours)
-            checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
-            return VerificationReport("counterexample", ce, checked, "exhaustive")
-        if np.count_nonzero(a_count) + np.count_nonzero(b_count) > 2 * np.count_nonzero(live):
-            keep = live[edge]
-            directed, key = directed[keep], key[keep]
-            split = int(np.count_nonzero(keep[:split]))
-        halves += len(key)
-        depth += 1
-    return VerificationReport("anagram_free", None, halves, "exhaustive")
-
-
-def assert_matches_previous_scan(graph, colours):
-    """The scan and its previous form agree uncapped, and at ceilings one
-    below and at the previous form's count."""
-    adj = graph.adjacency
-    count = previous_scan_forest(adj, colours, None).paths_checked
-    for budget in (None, count - 1, count):
-        expected = scan_result(previous_scan_forest, adj, colours, budget)
+    count = oracle(adj, colours, None).paths_checked
+    for budget in (None, count - 1, count, *budgets):
+        expected = scan_result(oracle, adj, colours, budget)
         assert scan_result(verifier._scan_forest, graph, colours, budget) == expected
 
 
@@ -513,16 +426,6 @@ def subdivided_forests(draw, max_divisions=30):
     return ColouredSubdivision(s, tuple(colours), tuple(sorted(set(colours))))
 
 
-def assert_matches_depth_scan(graph, colours, budgets=()):
-    """The scan and the depth-at-a-time scan agree uncapped, at ceilings one
-    below and at the depth scan's count, and at every budget given."""
-    adj = graph.adjacency
-    count = depth_scan_forest(adj, colours, None).paths_checked
-    for budget in (None, count - 1, count, *budgets):
-        expected = scan_result(depth_scan_forest, adj, colours, budget)
-        assert scan_result(verifier._scan_forest, graph, colours, budget) == expected
-
-
 def walk_steps(graph, colours):
     """The scan's report, and the steps of each walk table it built."""
     built = []
@@ -552,14 +455,14 @@ class TestForestScan:
     @given(forests())
     @settings(max_examples=300, deadline=None)
     def test_array_scan_matches_scalar_oracle(self, c):
-        assert_scans_agree(c.graph, c.colours)
+        assert_matches(scalar_scan_forest, c.graph, c.colours)
 
     @pytest.mark.parametrize("name", sorted(PLANTED_BUILDS))
     def test_array_scan_matches_scalar_oracle_on_constructions(self, name):
         c = PLANTED_BUILDS[name]().coloured
-        assert_scans_agree(c.graph, c.colour)
+        assert_matches(scalar_scan_forest, c.graph, c.colour)
         for graph, colours in planted_copies(PLANTED_BUILDS[name], range(6)):
-            assert_scans_agree(graph, colours)
+            assert_matches(scalar_scan_forest, graph, colours)
 
     @given(forests())
     @settings(max_examples=100, deadline=None)
@@ -567,19 +470,19 @@ class TestForestScan:
         # every edge with both sides live is a candidate at every depth, so
         # only the exact confirmation decides
         with mock.patch.object(verifier, "_hash_weights", colliding_weights):
-            assert_scans_agree(c.graph, c.colours)
+            assert_matches(scalar_scan_forest, c.graph, c.colours)
 
     @given(forests())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_previous_array_scan(self, c):
-        assert_matches_previous_scan(c.graph, c.colours)
+        assert_matches(depth_scan_forest, c.graph, c.colours)
 
     @pytest.mark.parametrize("name", sorted(PLANTED_BUILDS))
     def test_matches_the_previous_array_scan_on_constructions(self, name):
         c = PLANTED_BUILDS[name]().coloured
-        assert_matches_previous_scan(c.graph, c.colour)
+        assert_matches(depth_scan_forest, c.graph, c.colour)
         for graph, colours in planted_copies(PLANTED_BUILDS[name], range(12)):
-            assert_matches_previous_scan(graph, colours)
+            assert_matches(depth_scan_forest, graph, colours)
 
     def test_colliding_keys_on_constructions(self):
         def build():
@@ -587,9 +490,9 @@ class TestForestScan:
 
         c = build().coloured
         with mock.patch.object(verifier, "_hash_weights", colliding_weights):
-            assert_scans_agree(c.graph, c.colour)
+            assert_matches(scalar_scan_forest, c.graph, c.colour)
             for graph, colours in planted_copies(build, range(6)):
-                assert_scans_agree(graph, colours)
+                assert_matches(scalar_scan_forest, graph, colours)
 
     def test_counterexample_order(self):
         # 0-1-2-3 with 1-4-5-6-7 and 1-8: vertex 1 has degree 3
@@ -637,15 +540,15 @@ class TestForestScan:
     @given(subdivided_forests())
     @settings(max_examples=150, deadline=None)
     def test_subdivided_forests_match_both_oracles(self, c):
-        assert_scans_agree(c.graph, c.colour)
-        assert_matches_depth_scan(c.graph, c.colour)
+        assert_matches(scalar_scan_forest, c.graph, c.colour)
+        assert_matches(depth_scan_forest, c.graph, c.colour)
 
     @given(subdivided_forests(max_divisions=6))
     @settings(max_examples=60, deadline=None)
     def test_colliding_keys_on_subdivided_forests(self, c):
         with mock.patch.object(verifier, "_hash_weights", colliding_weights):
-            assert_scans_agree(c.graph, c.colour)
-            assert_matches_depth_scan(c.graph, c.colour)
+            assert_matches(scalar_scan_forest, c.graph, c.colour)
+            assert_matches(depth_scan_forest, c.graph, c.colour)
 
     def test_planted_anagram_at_every_depth(self):
         # binary-tree h=4 is scanned to depth 40.  Along a longest path,
@@ -676,7 +579,7 @@ class TestForestScan:
                 colours[v] = 8 + i % half
             ce = verifier._scan_forest(c.graph, tuple(colours), None).counterexample
             assert (ce.split, set(ce.vertices)) == (half, set(path[40 - half : 40 + half]))
-            assert_matches_depth_scan(c.graph, tuple(colours))
+            assert_matches(depth_scan_forest, c.graph, tuple(colours))
 
     def test_ceilings_inside_the_blocks(self):
         # a ceiling trips at the first depth whose running count passes it,
@@ -684,7 +587,7 @@ class TestForestScan:
         for build in (PLANTED_BUILDS["binary-tree-h5"], lambda: build_binary_tree_8(complete_dary_tree(2, 4))):
             c = build().coloured
             count = depth_scan_forest(c.graph.adjacency, c.colour, None).paths_checked
-            assert_matches_depth_scan(c.graph, c.colour, range(0, count, count // 97))
+            assert_matches(depth_scan_forest, c.graph, c.colour, range(0, count, count // 97))
 
     def test_star_and_complete_tree_keep_a_one_step_table(self):
         # a 200-leaf star's first step already holds 39,800 walks; the
@@ -697,7 +600,7 @@ class TestForestScan:
         by_depth = tuple(words.keranen_symbols(12)[(v + 1).bit_length() - 1] for v in range(4095))
         for graph, colours in ((star, colours), (tree, by_depth)):
             assert walk_steps(graph, colours)[1] == [1]
-            assert_matches_depth_scan(graph, colours)
+            assert_matches(depth_scan_forest, graph, colours)
         # on a subdivided tree the table does grow
         c = build_binary_tree_8(complete_dary_tree(2, 4)).coloured
         assert walk_steps(c.graph, c.colour)[1] == [8]
@@ -754,15 +657,30 @@ class TestFindAnagram:
     @pytest.mark.parametrize("seed", range(40))
     def test_subdivision_steps_match_the_adjacency(self, seed):
         # every ordered pair, so reversed and non-adjacent pairs too, and ids
-        # just outside the graph
+        # just outside the graph, as a two-vertex counterexample on a
+        # one-colour copy: revalidate refuses an id outside the graph before
+        # _joined reads the step
         rng = random.Random(seed)
         n0 = rng.randint(1, 7)
         edges = tuple((u, v) for u, v in itertools.combinations(range(n0), 2) if rng.random() < 0.5)
         g = subdivide(BaseGraph(n0, edges), [rng.choice((0, 0, 1, 2, 3)) for _ in edges])
         n = g.vertex_count
         adj = g.flatten().adjacency
+        one_colour = ColouredSubdivision(g, (0,) * n, (0,))
         for a, b in itertools.product(range(-1, n + 1), repeat=2):
-            assert verifier._joined(g, [(a, b)]) == (0 <= a < n and 0 <= b < n and b in adj[a]), (a, b)
+            ce = Counterexample((a, b), 1, ((0, 1),))
+            assert revalidate(ce, one_colour) == (0 <= a < n and 0 <= b < n and b in adj[a]), (a, b)
+
+    @pytest.mark.parametrize("c", [
+        ColouredGraph(path_graph(3), (0, 1, 1)),
+        coloured_subdivision(subdivide(path_graph(2), [1]), (0, 1, 1), {}),
+    ], ids=["graph", "subdivision"])
+    def test_revalidate_refuses_ids_outside_the_graph(self, c):
+        # vertices 1 and 2 share colour 1 and are adjacent in both; vertex -1
+        # would index vertex 2's colour, and vertex 3 has none
+        assert revalidate(Counterexample((1, 2), 1, ((1, 1),)), c)
+        for vertices in ((-1, 1), (1, -1), (3, 2), (2, 3)):
+            assert not revalidate(Counterexample(vertices, 1, ((1, 1),)), c)
 
     def test_revalidate_leaves_the_adjacency_unbuilt(self):
         # planted: a base vertex and the first two vertices of its division
