@@ -14,7 +14,7 @@ one result type, SequenceConstruction(coloured, labels).  The helper
 sequence-subdivides the 1-subdivision of the input by
 build_sequence_subdivision, then colours the originals by their
 bipartition class and each division path's thirds by the builder's rule.
-The labels hold only the bipartition: the edge order (_sequence_ranks) and
+The labels are the bipartition alone: the edge order (_sequence_ranks) and
 each path's thirds (consecutive_thirds of oriented_division_path) follow
 from it, and check_discriminating derives them by the same rules.
 """
@@ -66,18 +66,6 @@ def density_sequence(m: int) -> tuple[int, ...]:
     return tuple(ts)
 
 
-@dataclass(frozen=True)
-class SequenceSubdivisionLabels:
-    """The proper 2-colouring a sequence-subdivision is built on.
-
-    bipartition[v] is 0 (black) or 1 (white) for each base vertex v.  The
-    edge order is that of _sequence_ranks, and edge i's X, Y, Z are the
-    consecutive_thirds of oriented_division_path(s, labels, i).
-    """
-
-    bipartition: tuple[int, ...]
-
-
 def _sequence_ranks(g: BaseGraph, bipartition: Sequence[int]) -> list[int]:
     """1-based edge ranks of a sequence-subdivision.
 
@@ -98,13 +86,13 @@ def _sequence_ranks(g: BaseGraph, bipartition: Sequence[int]) -> list[int]:
 
 def build_sequence_subdivision(
     g: BaseGraph, bipartition: Sequence[int], t: Sequence[int]
-) -> tuple[SubdividedGraph, SequenceSubdivisionLabels]:
+) -> tuple[SubdividedGraph, tuple[int, ...]]:
     """Subdivide edge e of a properly 2-coloured graph 3 * t[rank(e) - 1] times.
 
-    Ranks are those of _sequence_ranks, and the labels hold the
-    bipartition alone.  Edge i's thirds are the consecutive_thirds of its
-    oriented_division_path, so X is adjacent to the white end and Z to the
-    black.
+    Ranks are those of _sequence_ranks, and the labels returned are the
+    bipartition as a tuple.  Edge i's thirds are the consecutive_thirds of
+    its oriented_division_path, so X is adjacent to the white end and Z to
+    the black.
     """
     bipartition = tuple(bipartition)
     if len(bipartition) != g.vertex_count or any(b not in (0, 1) for b in bipartition):
@@ -119,13 +107,13 @@ def build_sequence_subdivision(
         raise ValueError("sequence terms must be positive")
 
     s = subdivide(g, [3 * t[r - 1] for r in _sequence_ranks(g, bipartition)])
-    return s, SequenceSubdivisionLabels(bipartition)
+    return s, bipartition
 
 
-def oriented_division_path(s: SubdividedGraph, labels: SequenceSubdivisionLabels, i: int) -> tuple[int, ...]:
+def oriented_division_path(s: SubdividedGraph, bipartition: Sequence[int], i: int) -> tuple[int, ...]:
     """Division path of edge i ordered from its white end."""
     u, v = s.base.edges[i]
-    return s.division_path_from(i, u if labels.bipartition[u] == 1 else v)
+    return s.division_path_from(i, u if bipartition[u] == 1 else v)
 
 
 def consecutive_thirds(path: Sequence[int]) -> tuple:
@@ -136,10 +124,10 @@ def consecutive_thirds(path: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class SequenceConstruction:
-    """A coloured sequence-subdivision together with its labelling."""
+    """A coloured sequence-subdivision and its labels, the bipartition."""
 
     coloured: ColouredSubdivision
-    labels: SequenceSubdivisionLabels
+    labels: tuple[int, ...]
 
 
 def _sequence_construction(

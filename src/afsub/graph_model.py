@@ -356,9 +356,11 @@ def enumerate_maximal_simple_paths(g, *, step_budget: Optional[int] = None) -> I
     """Simple paths that cannot be extended at either end, once up to
     reversal, in deterministic (first endpoint, sequence) order.
 
-    step_budget, when given, caps the number of DFS extensions; exceeding it
-    raises StepBudgetExceeded.  Every simple path is a contiguous window of
-    some maximal path, so scanning windows of these covers all paths.
+    The DFS is one loop over a stack of iterators, the start vertices and
+    then each path vertex's neighbours.  Each vertex entered is one step,
+    and with step_budget given the step past it raises StepBudgetExceeded
+    before its vertex is entered.  Every simple path is a contiguous window
+    of some maximal path, so scanning windows of these covers all paths.
     In a forest maximal paths run leaf to leaf, so only leaves seed the DFS;
     g is a BaseGraph or a SubdividedGraph, whose is_forest reads its base
     graph.
@@ -368,45 +370,32 @@ def enumerate_maximal_simple_paths(g, *, step_budget: Optional[int] = None) -> I
     steps = 0
     path: list[int] = []
     on_path = [False] * n
-
-    def enter(v: int, frames: list) -> None:
-        nonlocal steps
-        steps += 1
-        if step_budget is not None and steps > step_budget:
-            raise StepBudgetExceeded(steps)
-        path.append(v)
-        on_path[v] = True
-        frames.append([v, iter(adj[v]), False])
-
-    def walk(start: int):
-        frames: list = []
-        enter(start, frames)
-        while frames:
-            frame = frames[-1]
-            descended = False
-            for w in frame[1]:
-                if not on_path[w]:
-                    frame[2] = True
-                    enter(w, frames)
-                    descended = True
-                    break
-            if descended:
-                continue
-            if not frame[2]:  # dead end: check maximality at the start end too
-                if all(on_path[w] for w in adj[path[0]]):
-                    tup = tuple(path)
-                    if tup <= tup[::-1]:
-                        yield tup
-            on_path[frame[0]] = False
-            path.pop()
-            frames.pop()
-
     if g.is_forest:
-        starts: Iterable[int] = (v for v in range(n) if len(adj[v]) <= 1)
+        starts: Iterator[int] = (v for v in range(n) if len(adj[v]) <= 1)
     else:
-        starts = range(n)
-    for start in starts:
-        yield from walk(start)
+        starts = iter(range(n))
+    ways = [starts]
+    entered = False  # whether path[-1] was entered since the last step back
+    while True:
+        for w in ways[-1]:
+            if not on_path[w]:
+                steps += 1
+                if step_budget is not None and steps > step_budget:
+                    raise StepBudgetExceeded(steps)
+                path.append(w)
+                ways.append(iter(adj[w]))
+                on_path[w] = entered = True
+                break
+        else:
+            if not path:
+                return
+            # no way on: path[-1] is a dead end if just entered; check the start end too
+            if entered and all(on_path[w] for w in adj[path[0]]):
+                tup = tuple(path)
+                if tup <= tup[::-1]:
+                    yield tup
+            on_path[path.pop()] = entered = False
+            ways.pop()
 
 
 class StepBudgetExceeded(Exception):

@@ -20,16 +20,18 @@ graph, by one of three scanners:
   by words.find_abelian_square: hashed prefix sums, with weights drawn by
   the forest scan's _hash_weights, each candidate confirmed by exact counts.
 
-A graph's is_forest and max_degree_2 choose the scanner, and a subdivision
-answers both from its base graph.  find_anagram_sampled trades certainty
-for scale, and hands max-degree-2 graphs to their exhaustive scan.
+Every scanner reads a SubdividedGraph, a ColouredGraph as its zero-count
+subdivision (_subdivision), whose is_forest and max_degree_2, answered
+from its base graph, choose the scanner.  find_anagram_sampled trades
+certainty for scale, and hands max-degree-2 graphs to their exhaustive
+scan; it and the maximal-path scan test each path's word by _path_anagram.
 check_restriction applies the colour-restriction operator as a refutation
 accelerator, over the maximal-path and degree-2 scans and the window
 ceiling, and check_discriminating audits the four structural conditions
 that make a sequence-subdivision colouring anagram-free from the
-bipartition its labels hold.  Every counterexample records its first half's multiset_of,
-through Counterexample.of.  Only check_discriminating imports
-graph_constructions, so verify loads no builder.
+bipartition, a construction's labels.  Every counterexample records its
+first half's multiset_of, through Counterexample.of.  Only
+check_discriminating imports graph_constructions, so verify loads no builder.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .graph_model import (
-    BaseGraph,
     ColouredGraph,
     ColouredSubdivision,
     StepBudgetExceeded,
@@ -133,15 +134,13 @@ def _colours(c: Colourable) -> tuple[int, ...]:
     raise TypeError(f"expected a coloured graph or subdivision, got {type(c)!r}")
 
 
-def _view(c: Colourable) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def _subdivision(c: Colourable) -> tuple[SubdividedGraph, tuple[int, ...]]:
+    """The one graph form the scanners read, and c's colours: a
+    ColouredGraph is read as its zero-count subdivision."""
     colours = _colours(c)  # refuses other types before reading c.graph
-    return c.graph.adjacency, colours
-
-
-def _palette(c: Colourable) -> set[int]:
-    if isinstance(c, ColouredSubdivision):
-        return set(c.palette)
-    return set(c.colours)
+    if isinstance(c, ColouredGraph):
+        return SubdividedGraph(c.graph, (0,) * len(c.graph.edges)), colours
+    return c.graph, colours
 
 
 def _window_count(length: int, max_length: Optional[int] = None) -> int:
@@ -149,22 +148,19 @@ def _window_count(length: int, max_length: Optional[int] = None) -> int:
     return half * (length - half)
 
 
-def _degree2_components(graph: Union[BaseGraph, SubdividedGraph]) -> list[tuple[list[int], bool]]:
+def _degree2_components(graph: SubdividedGraph) -> list[tuple[list[int], bool]]:
     """Components of a max-degree-2 graph as (vertex order, is_cycle).
 
     A path component is read from its smaller endpoint, a cycle from its
     smallest id toward that vertex's smaller neighbour.  Components are
     ordered by the first vertex of their order.  Each order is built from
     the base graph: base vertices joined by each base edge's division run,
-    read forward or reversed (a BaseGraph's runs are empty).  Every
+    read from the end the order reaches first (division_path_from).  Every
     component holds a base vertex, the ends of a path are base vertices,
     and a cycle's smallest id is one, since division vertices come after
     the base vertices.
     """
-    if isinstance(graph, SubdividedGraph):
-        base, runs = graph.base, graph.division_paths
-    else:
-        base, runs = graph, (range(0),) * len(graph.edges)
+    base = graph.base
     incident: list[list[int]] = [[] for _ in range(base.vertex_count)]
     for i, (u, v) in enumerate(base.edges):
         incident[u].append(i)
@@ -174,7 +170,7 @@ def _degree2_components(graph: Union[BaseGraph, SubdividedGraph]) -> list[tuple[
     def first_step(v: int, i: int) -> int:
         """v's neighbour along base edge i."""
         u, w = base.edges[i]
-        run = runs[i] if v == u else runs[i][::-1]
+        run = graph.division_path_from(i, v)
         return run[0] if run else (w if v == u else u)
 
     def read(v: int, i: int) -> list[int]:
@@ -184,7 +180,7 @@ def _degree2_components(graph: Union[BaseGraph, SubdividedGraph]) -> list[tuple[
         seen[v] = True
         while True:
             u, w = base.edges[i]
-            order.extend(runs[i] if v == u else reversed(runs[i]))
+            order.extend(graph.division_path_from(i, v))
             v = w if v == u else u
             if seen[v]:  # back at a cycle's first vertex
                 return order
@@ -209,8 +205,19 @@ def _degree2_components(graph: Union[BaseGraph, SubdividedGraph]) -> list[tuple[
     return comps
 
 
+def _path_anagram(path: Sequence[int], colours: Sequence[int], **order) -> Optional[Counterexample]:
+    """The first anagram of path's colour word in the scan order that the
+    keywords order (max_length= or length_major=) pass to
+    find_abelian_square, as a counterexample on path's vertices, or None."""
+    hit = find_abelian_square([colours[v] for v in path], **order)
+    if hit is None:
+        return None
+    start, length = hit
+    return Counterexample.of(path[start : start + length], length // 2, colours)
+
+
 def _scan_maximal_paths(
-    c: Colourable, budget: Optional[int], keep: Optional[set[int]], mode: str
+    graph: SubdividedGraph, colours: Sequence[int], budget: Optional[int], keep: Optional[set[int]], mode: str
 ) -> VerificationReport:
     """Scan the colour word of every maximal simple path, in canonical order.
 
@@ -229,12 +236,11 @@ def _scan_maximal_paths(
     least 2 vertices, at most twice its floor(l/2)ceil(l/2) even windows.
     One step per start vertex adds at most n.
     """
-    colours = _colours(c)
-    step_cap = None if budget is None else c.graph.vertex_count + 4 * budget
-    if c.graph.max_degree_2:
-        paths: Iterable = _degree2_components(c.graph)
+    step_cap = None if budget is None else graph.vertex_count + 4 * budget
+    if graph.max_degree_2:
+        paths: Iterable = _degree2_components(graph)
     else:
-        paths = ((p, False) for p in enumerate_maximal_simple_paths(c.graph, step_budget=step_cap))
+        paths = ((p, False) for p in enumerate_maximal_simple_paths(graph, step_budget=step_cap))
     windows = 0
     paths_checked = 0
     try:
@@ -248,15 +254,9 @@ def _scan_maximal_paths(
             if budget is not None and windows > budget:
                 raise WindowCeilingExceeded(windows, budget)
             paths_checked += 1
-            hit = find_abelian_square([colours[v] for v in path], max_length=cap)
-            if hit is not None:
-                start, length = hit
-                return VerificationReport(
-                    "counterexample",
-                    Counterexample.of(path[start : start + length], length // 2, colours),
-                    paths_checked,
-                    mode,
-                )
+            ce = _path_anagram(path, colours, max_length=cap)
+            if ce is not None:
+                return VerificationReport("counterexample", ce, paths_checked, mode)
     except StepBudgetExceeded as exc:
         raise WindowCeilingExceeded(windows, step_cap, steps=exc.steps) from exc
     return VerificationReport("anagram_free", None, paths_checked, mode)
@@ -270,20 +270,17 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray, ends: np.ndarray) -> 
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
-def _chain_ends(graph: Union[BaseGraph, SubdividedGraph]) -> tuple[np.ndarray, ...]:
+def _chain_ends(graph: SubdividedGraph) -> tuple[np.ndarray, ...]:
     """The ends (x, y) of every edge of graph, each vertex's degree less
     one, and each base edge's first and last edge.  Edges are numbered
     chain by chain, as SubdividedGraph.chain_edges lists them: base edge
     i's chain u, division run, v takes the ids after chain i - 1's, and its
     j-th edge joins chain[j] to chain[j + 1].  So the division vertex
-    before edge e of chain i is n0 + e - i - 1, of degree 2; a BaseGraph is
-    a chain of one edge per edge."""
+    before edge e of chain i is n0 + e - i - 1, of degree 2; an undivided
+    base edge is a chain of one edge."""
     import numpy as np
 
-    if isinstance(graph, SubdividedGraph):
-        base, counts = graph.base, np.array(graph.counts, dtype=np.intp)
-    else:
-        base, counts = graph, np.zeros(len(graph.edges), dtype=np.intp)
+    base, counts = graph.base, np.array(graph.counts, dtype=np.intp)
     n0 = base.vertex_count
     uv = np.array(base.edges, dtype=np.intp).reshape(-1, 2)
     last = np.cumsum(counts + 1) - 1
@@ -390,7 +387,7 @@ def _climb(parent: dict[int, int], v: int, root: int) -> list[int]:
 
 
 def _scan_forest(
-    graph: Union[BaseGraph, SubdividedGraph], colours: Sequence[int], budget: Optional[int]
+    graph: SubdividedGraph, colours: Sequence[int], budget: Optional[int]
 ) -> VerificationReport:
     """Centre-edge scan of a forest, a block of depths per round.
 
@@ -595,14 +592,15 @@ def find_anagram(
     path-windows.  Every counterexample is deterministic, and
     max_windows=None lifts every cap.
 
-    The scanner is chosen by c.graph.max_degree_2 and c.graph.is_forest,
-    which a ColouredSubdivision answers from its base graph in
-    O(originals), and a ColouredGraph from the graph itself.
+    A ColouredGraph is scanned as its zero-count subdivision, so every
+    scanner reads one graph form.  The scanner is chosen by the
+    subdivision's max_degree_2 and is_forest, which it answers from its
+    base graph in O(originals).
     """
-    colours = _colours(c)
-    if not c.graph.max_degree_2 and c.graph.is_forest:
-        return _scan_forest(c.graph, colours, max_windows)
-    return _scan_maximal_paths(c, max_windows, None, "exhaustive")
+    graph, colours = _subdivision(c)
+    if not graph.max_degree_2 and graph.is_forest:
+        return _scan_forest(graph, colours, max_windows)
+    return _scan_maximal_paths(graph, colours, max_windows, None, "exhaustive")
 
 
 def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationReport:
@@ -627,10 +625,10 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mode = f"sampled(budget={budget},seed={seed})"
-    colours = _colours(c)
-    if c.graph.max_degree_2:
-        return _scan_maximal_paths(c, None, None, f"{mode}:exhaustive")
-    adj = c.graph.adjacency
+    graph, colours = _subdivision(c)
+    if graph.max_degree_2:
+        return _scan_maximal_paths(graph, colours, None, None, f"{mode}:exhaustive")
+    adj = graph.adjacency
     n = len(adj)
     rng = random.Random(seed)
     seen: set = set()
@@ -645,22 +643,20 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
             nxt = options[0] if len(options) == 1 else rng.choice(options)
             path.append(nxt)
             visited.add(nxt)
-        while True:  # forced backward extension, to merge overlapping samples
-            head_options = [w for w in adj[path[0]] if w not in visited]
-            if len(head_options) != 1:
-                break
-            path.insert(0, head_options[0])
-            visited.add(head_options[0])
+        head, back = path[0], []  # forced backward extension, to merge overlapping samples
+        while len(head_options := [w for w in adj[head] if w not in visited]) == 1:
+            head = head_options[0]
+            back.append(head)
+            visited.add(head)
+        path[:0] = reversed(back)
         tup = tuple(path)
         key = min(tup, tup[::-1])
         if key in seen:
             continue
         if len(seen) < SAMPLED_SEEN_CAP:
             seen.add(key)
-        hit = find_abelian_square([colours[v] for v in path], length_major=True)
-        if hit is not None:
-            start, length = hit
-            ce = Counterexample.of(path[start : start + length], length // 2, colours)
+        ce = _path_anagram(path, colours, length_major=True)
+        if ce is not None:
             return VerificationReport("counterexample", ce, sample + 1, mode)
     return VerificationReport("anagram_free", None, budget, mode)
 
@@ -689,10 +685,11 @@ def check_restriction(
     keep_set = set(keep)
     if not keep_set:
         raise ValueError("keep-colours are empty: an empty restriction certifies nothing")
-    extra = keep_set - _palette(c)
+    graph, colours = _subdivision(c)
+    extra = keep_set.difference(c.palette if isinstance(c, ColouredSubdivision) else colours)
     if extra:
         raise ValueError(f"keep-colours {sorted(extra)} not in palette")
-    return _scan_maximal_paths(c, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
+    return _scan_maximal_paths(graph, colours, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
 
 
 # Kept in src/, not tests/oracles.py: perfbench/workloads.py's set-up cross-check imports it.
@@ -700,7 +697,8 @@ def naive_find_anagram(c: Colourable) -> VerificationReport:
     """Independent brute-force oracle: enumerate every simple path outright
     and compare half multisets directly.  Shares no scanning machinery with
     find_anagram; used to cross-check it."""
-    adj, colours = _view(c)
+    graph, colours = _subdivision(c)
+    adj = graph.adjacency
     n = len(adj)
     found: list[tuple[int, ...]] = []
 
@@ -730,11 +728,11 @@ def naive_find_anagram(c: Colourable) -> VerificationReport:
 
 
 def revalidate(ce: Counterexample, c: Colourable) -> bool:
-    """Soundness recount: vertices in the graph, halves equal, multiset as
-    recorded, path contiguous.  A subdivision's steps are read from its
-    base edges and division runs (_joined), so its adjacency is not built."""
+    """Soundness recount: halves non-empty, vertices in the graph, halves
+    equal, multiset as recorded, path contiguous.  A subdivision's steps are
+    read from its base edges and division runs (_joined), not its adjacency."""
     colours = _colours(c)
-    if len(ce.vertices) != 2 * ce.split or not all(0 <= v < len(colours) for v in ce.vertices):
+    if ce.split < 1 or len(ce.vertices) != 2 * ce.split or not all(0 <= v < len(colours) for v in ce.vertices):
         return False
     left = multiset_of(colours, ce.vertices[: ce.split])
     if left != multiset_of(colours, ce.vertices[ce.split :]) or left != ce.multiset:
@@ -790,7 +788,7 @@ class DiscriminatingReport:
         return not self.witnesses
 
 
-def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -> DiscriminatingReport:
+def check_discriminating(s: SubdividedGraph, bipartition: Sequence[int], colouring: Sequence[int]) -> DiscriminatingReport:
     """Audit the four discriminating-colouring conditions.
 
     (1) originals carry the proper 2-colouring and its two colours appear
@@ -804,8 +802,8 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
     (4) for every edge q and family Q, the C(Q)-vertices of Q(q) outnumber
         the C(Q)-vertices of all lower-ranked Q(e) combined (exact counts).
 
-    The labels hold only the bipartition, and the audit derives the rest by
-    the builder's own rules: each edge's X, Y, Z are the consecutive_thirds
+    bipartition is a construction's labels, and the audit derives the rest
+    by the builder's own rules: each edge's X, Y, Z are the consecutive_thirds
     of its oriented_division_path, and the edge order is that of
     _sequence_ranks.  It raises ValueError when the bipartition
     does not cover the base graph, or a division path's length is not a
@@ -813,12 +811,12 @@ def check_discriminating(s: SubdividedGraph, labels, colouring: Sequence[int]) -
     """
     from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 
-    g, bipartition = s.base, labels.bipartition
+    g = s.base
     if len(bipartition) != g.vertex_count:
         raise ValueError("labels do not describe this subdivision")
     thirds = []
     for i in range(len(g.edges)):
-        path = oriented_division_path(s, labels, i)
+        path = oriented_division_path(s, bipartition, i)
         if len(path) % 3:
             raise ValueError(f"division path of edge {i} has {len(path)} vertices, not a multiple of 3")
         thirds.append(consecutive_thirds(path))

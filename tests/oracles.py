@@ -3,8 +3,10 @@
 Each restates a rule directly and slowly, so a test can check the package's
 own code against it; none of them ships in afsub.  depth_scan_forest is
 the forest scan as it was before it grew blocks of depths, kept as the
-reference the block scan must match report for report, and checked_parts
-the schema reader as one loop over the entries.
+reference the block scan must match report for report, checked_parts
+the schema reader as one loop over the entries, and maximal_paths_by_frames
+the maximal-path walker as two closures over [vertex, iterator, flag]
+frames, the reference of graph_model.enumerate_maximal_simple_paths.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from afsub import verifier, words
 from afsub.bounds import MonochromaticWitness, _effective_height, witness_children
-from afsub.graph_model import RootedTree
+from afsub.graph_model import RootedTree, StepBudgetExceeded
 from afsub.serialize import SchemaError
 from afsub.verifier import Counterexample, VerificationReport, WindowCeilingExceeded
 from afsub.words import _LETTERS, Word
@@ -332,3 +334,55 @@ def checked_parts(data: dict) -> tuple:
     if list(itertools.chain.from_iterable(divisions)) != list(range(n_original, n)):
         raise SchemaError("division vertex ids must be sequential per edge")
     return n_original, tuple(edges), tuple(map(len, divisions)), tuple(colours)
+
+
+def maximal_paths_by_frames(g, *, step_budget: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The maximal simple paths of g, once up to reversal, in (first
+    endpoint, sequence) order, by a walker of two closures over [vertex,
+    iterator, descended] frames: the reference of
+    graph_model.enumerate_maximal_simple_paths, which must yield the same
+    paths in the same order and trip step_budget at the same step."""
+    adj = g.adjacency
+    n = len(adj)
+    steps = 0
+    path: list[int] = []
+    on_path = [False] * n
+
+    def enter(v: int, frames: list) -> None:
+        nonlocal steps
+        steps += 1
+        if step_budget is not None and steps > step_budget:
+            raise StepBudgetExceeded(steps)
+        path.append(v)
+        on_path[v] = True
+        frames.append([v, iter(adj[v]), False])
+
+    def walk(start: int):
+        frames: list = []
+        enter(start, frames)
+        while frames:
+            frame = frames[-1]
+            descended = False
+            for w in frame[1]:
+                if not on_path[w]:
+                    frame[2] = True
+                    enter(w, frames)
+                    descended = True
+                    break
+            if descended:
+                continue
+            if not frame[2]:  # dead end: check maximality at the start end too
+                if all(on_path[w] for w in adj[path[0]]):
+                    tup = tuple(path)
+                    if tup <= tup[::-1]:
+                        yield tup
+            on_path[frame[0]] = False
+            path.pop()
+            frames.pop()
+
+    if g.is_forest:
+        starts: Iterable[int] = (v for v in range(n) if len(adj[v]) <= 1)
+    else:
+        starts = range(n)
+    for start in starts:
+        yield from walk(start)

@@ -87,7 +87,7 @@ class TestBuildSequenceSubdivision:
         g = path_graph(2)
         s, labels = build_sequence_subdivision(one_subdivision(g), one_bipartition(g), (1, 2))
         assert sorted(len(p) for p in s.division_paths) == [3, 6]
-        assert labels.bipartition == (0, 0, 1)
+        assert labels == (0, 0, 1)
 
     def test_whites_ranked_above_blacks(self):
         # vertex ranks as the construction defines them: a bijection onto
@@ -134,7 +134,7 @@ class TestBuildSequenceSubdivision:
             x, y, z = consecutive_thirds(oriented)
             assert len(x) == len(y) == len(z) == len(s.division_paths[i]) // 3
             assert [*x, *y, *z] == list(oriented)
-            white = u if labels.bipartition[u] == 1 else v
+            white = u if labels[u] == 1 else v
             black = v if white == u else u
             assert white in s.adjacency[x[0]]
             assert black in s.adjacency[z[-1]]
@@ -367,10 +367,10 @@ class TestSequenceConstruction:
         assert isinstance(c, SequenceConstruction)
         one = one_subdivision(g)
         assert c.coloured.graph.base == one
-        assert c.labels.bipartition == one_bipartition(g)
+        assert c.labels == one_bipartition(g)
         t = [len(c.coloured.graph.division_paths[i]) // 3 for i in range(len(one.edges))]
         by_rank = [0] * len(t)
-        for i, r in enumerate(_sequence_ranks(one, c.labels.bipartition)):
+        for i, r in enumerate(_sequence_ranks(one, c.labels)):
             by_rank[r - 1] = t[i]
         s, labels = build_sequence_subdivision(one, one_bipartition(g), by_rank)
         assert s == c.coloured.graph

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from afsub import graph_model
 from afsub.graph_model import (
     BaseGraph,
     RootedTree,
+    StepBudgetExceeded,
     SubdividedGraph,
     _adjacency,
     complete_dary_tree,
@@ -24,7 +26,7 @@ from afsub.graph_model import (
     tree_from_children,
     tree_to_base_graph,
 )
-from oracles import leaves, root_path
+from oracles import leaves, maximal_paths_by_frames, root_path
 
 
 def enumerate_simple_paths(g):
@@ -73,6 +75,36 @@ def sparse_graphs(draw, max_vertices=9):
     m = draw(st.integers(0, min(len(possible), n + 2)))
     edges = draw(st.permutations(possible).map(lambda p: tuple(p[:m])))
     return BaseGraph(n, edges)
+
+
+@st.composite
+def walker_graphs(draw):
+    """A sparse graph on up to 7 vertices, with cycles and branch vertices
+    as drawn, left plain or with each edge divided 0 to 3 times."""
+    g = draw(sparse_graphs(max_vertices=7))
+    if draw(st.booleans()):
+        return g
+    return subdivide(g, draw(st.lists(st.integers(0, 3), min_size=len(g.edges), max_size=len(g.edges))))
+
+
+def walk_result(walk, g, budget):
+    """The paths walk yields on g under step_budget=budget, and the step
+    at which it trips the budget, or None if it finishes."""
+    paths = []
+    try:
+        for path in walk(g, step_budget=budget):
+            paths.append(path)
+    except StepBudgetExceeded as exc:
+        return paths, exc.steps
+    return paths, None
+
+
+def steps_taken(walk, g):
+    """The DFS steps walk takes on g: the least step_budget it finishes
+    within.  Each step enters a distinct directed simple path, so there are
+    at most twice as many as simple paths up to reversal."""
+    budgets = range(2 * len(enumerate_simple_paths(g)) + 1)
+    return bisect.bisect_left(budgets, True, key=lambda b: walk_result(walk, g, b)[1] is None)
 
 
 def edge_by_edge(n, edges):
@@ -344,6 +376,17 @@ class TestMaximalPaths:
                     windows.add(min(win, win[::-1]))
         for path in enumerate_simple_paths(g):
             assert min(path, path[::-1]) in windows
+
+    @given(walker_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_frame_walker(self, g):
+        # the same paths in the same order, and under a step budget one
+        # below the walk's steps and at them, the same trip or none
+        steps = steps_taken(maximal_paths_by_frames, g)
+        assert walk_result(maximal_paths_by_frames, g, steps - 1)[1] == steps
+        for budget in (None, steps - 1, steps):
+            assert walk_result(enumerate_maximal_simple_paths, g, budget) == walk_result(
+                maximal_paths_by_frames, g, budget)
 
     @given(sparse_graphs(max_vertices=7))
     @settings(max_examples=30, deadline=None)

@@ -471,6 +471,22 @@ class TestBulkSchemaCheck:
         rng.shuffle(data["vertices"])
         assert outcome(data) == expected == loop_outcome(data)
 
+    @pytest.mark.parametrize("edits, reader, loop", [
+        ([edit("vertices", 1, "id", 0), edit("vertices", 2, "id", 5)],
+         "vertex id 5 out of range", "duplicate vertex id 0"),
+        ([edit("vertices", 0, "colour", True), edit("vertices", 1, "kind", "bogus")],
+         "vertex 1: bad kind 'bogus'", "vertex 0: colour must be int or null"),
+    ], ids=["ids", "colour-and-kind"])
+    def test_several_defects_are_named_in_rule_order(self, edits, reader, loop):
+        # the reader tests one rule at a time over the whole list, so the
+        # first rule broken names the error; the reference loop names the
+        # first entry that breaks any rule.  With several defects they differ
+        data = small_document()
+        for apply in edits:
+            apply(data)
+        assert outcome(data) == ("error", reader)
+        assert loop_outcome(data) == ("error", loop)
+
     def test_reversed_vertex_entries_verify_alike(self, tmp_path, capsys):
         cs = build_binary_tree_8(complete_dary_tree(2, 3)).coloured
         colours = list(cs.colour)

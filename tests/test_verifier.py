@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from afsub import verifier, words
 from afsub.graph_constructions import (
-    SequenceSubdivisionLabels,
     build_sequence_subdivision,
     colour_14,
     colour_merged,
@@ -132,7 +130,8 @@ class TestDegree2Components:
     @given(degree2_graphs())
     @settings(max_examples=150, deadline=None)
     def test_plain_graphs_agree_with_the_vertex_walk(self, c):
-        assert verifier._degree2_components(c.graph) == trace_degree2_components(c.graph.adjacency)
+        s = subdivide(c.graph, [0] * len(c.graph.edges))
+        assert verifier._degree2_components(s) == trace_degree2_components(c.graph.adjacency)
 
     @given(degree2_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -345,6 +344,8 @@ def assert_matches(oracle, graph, colours, budgets=()):
     """verifier._scan_forest and oracle, a forest scan of (adjacency,
     colours, budget), agree uncapped, at ceilings one below and at the
     oracle's count, and at every budget given."""
+    if isinstance(graph, BaseGraph):  # the scan takes a subdivision
+        graph = subdivide(graph, [0] * len(graph.edges))
     adj = graph.adjacency
     count = oracle(adj, colours, None).paths_checked
     for budget in (None, count - 1, count, *budgets):
@@ -594,7 +595,7 @@ class TestForestScan:
         # complete binary tree of height 11 has 12,278 one-step walks, which
         # multiply at every step, so a second step would pass
         # _BLOCK_ELEMENTS.  Both scans go past depth 1.
-        star = BaseGraph(201, tuple((0, leaf) for leaf in range(1, 201)))
+        star = subdivide(BaseGraph(201, tuple((0, leaf) for leaf in range(1, 201))), [0] * 200)
         colours = (0,) + tuple(1 + leaf % 3 for leaf in range(200))
         tree = subdivide(tree_to_base_graph(complete_dary_tree(2, 11)), [0] * 4094)
         by_depth = tuple(words.keranen_symbols(12)[(v + 1).bit_length() - 1] for v in range(4095))
@@ -681,6 +682,15 @@ class TestFindAnagram:
         assert revalidate(Counterexample((1, 2), 1, ((1, 1),)), c)
         for vertices in ((-1, 1), (1, -1), (3, 2), (2, 3)):
             assert not revalidate(Counterexample(vertices, 1, ((1, 1),)), c)
+
+    @pytest.mark.parametrize("c", [
+        ColouredGraph(path_graph(3), (0, 1, 1)),
+        coloured_subdivision(subdivide(path_graph(2), [1]), (0, 1, 1), {}),
+    ], ids=["graph", "subdivision"])
+    def test_revalidate_refuses_an_empty_counterexample(self, c):
+        # its two halves share the empty multiset, but no anagram is empty
+        assert not revalidate(Counterexample((), 0, ()), c)
+        assert revalidate(Counterexample((1, 2), 1, ((1, 1),)), c)
 
     def test_revalidate_leaves_the_adjacency_unbuilt(self):
         # planted: a base vertex and the first two vertices of its division
@@ -807,9 +817,17 @@ class TestBaseGraphDispatch:
         flat = cs.graph.flatten()
         assert cs.graph.max_degree_2 == flat.max_degree_2 == all(len(ns) <= 2 for ns in flat.adjacency)
         assert cs.graph.is_forest == flat.is_forest
-        assert find_anagram(cs) == find_anagram(ColouredGraph(flat, cs.colour))
+        plain = ColouredGraph(flat, cs.colour)
+        report = find_anagram(cs)
+        assert report == find_anagram(plain)
         sampled = find_anagram_sampled(cs, 5, 3)
-        assert sampled == find_anagram_sampled(ColouredGraph(flat, cs.colour), 5, 3)
+        assert sampled == find_anagram_sampled(plain, 5, 3)
+        assert check_restriction(cs, cs.palette) == check_restriction(plain, cs.palette)
+        naive = naive_find_anagram(cs)
+        assert naive == naive_find_anagram(plain)
+        assert report.outcome == naive.outcome
+        if report.counterexample is not None:
+            assert revalidate(report.counterexample, cs) and revalidate(report.counterexample, plain)
 
     def test_other_types_are_refused(self):
         with pytest.raises(TypeError, match="expected a coloured graph or subdivision"):
@@ -861,6 +879,24 @@ class TestFindAnagramSampled:
         report = find_anagram_sampled(c, 2000, 3)
         assert report.outcome == "counterexample"
         assert revalidate(report.counterexample, c)
+
+    def test_planted_paw_reports_are_pinned(self):
+        # graph14 of the paw with division vertex 101 of base edge 6 given
+        # the colour of vertex 100: vertices 297, 298 and 299 then share
+        # colour 7.  The walks of the 20 seeds end on either side of the
+        # planted vertex 298, so a backward extension read in the wrong
+        # order would move the counterexample
+        cs = colour_14(BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))).coloured
+        run = cs.graph.division_paths[6]
+        colour = list(cs.colour)
+        colour[run[101]] = colour[run[100]]
+        planted = coloured_subdivision(cs.graph, colour, cs.provenance)
+        after = {2, 3, 5, 7, 9, 11, 12, 15, 17}  # the seeds that end at (299, 298)
+        for seed in range(1, 21):
+            report = find_anagram_sampled(planted, 40, seed)
+            ce = report.counterexample
+            assert (ce.vertices, ce.split, ce.multiset) == ((299, 298) if seed in after else (297, 298), 1, ((7, 1),))
+            assert (report.paths_checked, report.mode) == (2 if seed == 2 else 1, f"sampled(budget=40,seed={seed})")
 
     def test_deterministic_per_seed(self):
         c = seeded_instance(77)
@@ -957,14 +993,14 @@ class TestCheckDiscriminating:
 
     def test_bipartition_of_the_wrong_length_raises(self):
         c = colour_14(path_graph(2))
-        labels = dataclasses.replace(c.labels, bipartition=c.labels.bipartition[:-1])
+        labels = c.labels[:-1]
         with pytest.raises(ValueError, match="do not describe"):
             check_discriminating(c.coloured.graph, labels, c.coloured.colour)
 
     def test_path_length_not_a_multiple_of_3_raises(self):
         # the builder gives every edge 3 * t division vertices
         s = subdivide(path_graph(2), [4])
-        labels = SequenceSubdivisionLabels((0, 1))
+        labels = (0, 1)
         colours = [0, 1] + [2, 3, 2, 4]
         with pytest.raises(ValueError, match="division path of edge 0 has 4 vertices"):
             check_discriminating(s, labels, colours)
