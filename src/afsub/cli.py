@@ -4,7 +4,7 @@ Each command loads only the modules it runs, so bound starts without the
 builders, the scanners, the serialiser or numpy.
 
 Exit codes: 0 success (or no counterexample found), 1 self-check failure
-(word, or verify's counterexample recount), 2 verification counterexample,
+(of word, verify or witness), 2 verification counterexample,
 3 window ceiling hit, 64 usage error (including construction parameters a
 builder rejects, running out of memory, a malformed window ceiling, and an
 output path that cannot be written), 65 malformed input file.
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
     from collections.abc import Sequence
 
     from .graph_model import ColouredSubdivision
-    from .verifier import VerificationReport
+    from .verifier import Counterexample, VerificationReport
 
 # Each name the commands call from this module, and the package module it
 # comes from (a module's own name names the module).  A name is bound here
@@ -37,8 +37,10 @@ _HOMES = {
     "tree_constructions": "tree_constructions",
     "words": "words",
     "BaseGraph": "graph_model",
+    "ColouredGraph": "graph_model",
     "complete_dary_tree": "graph_model",
     "random_binary_tree": "graph_model",
+    "tree_to_base_graph": "graph_model",
     "SchemaError": "serialize",
     "from_json_str": "serialize",
     "to_dot": "serialize",
@@ -79,6 +81,10 @@ EXIT_BAD_INPUT = 65
 
 class UsageError(Exception):
     pass
+
+
+class SelfCheckFailed(Exception):
+    """A command's output failed its own check; main exits EXIT_SELF_CHECK."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,13 +184,13 @@ def build_parser() -> _Parser:
     wk.add_argument("--c", type=int, required=True)
     wk.add_argument("--k", type=int, required=True)
     wk.add_argument("--seed", type=int, required=True)
-    wk.set_defaults(run=_run_payload, uses=("bounds",), payload=_witness_kn)
+    wk.set_defaults(run=_run_payload, uses=("bounds", "verifier"), payload=_witness_kn)
     wtr = wsub.add_parser("tree")
     wtr.add_argument("--d", type=int, required=True)
     wtr.add_argument("--h", type=int, required=True)
     wtr.add_argument("--x", type=int, required=True)
     wtr.add_argument("--seed", type=int, required=True)
-    wtr.set_defaults(run=_run_payload, uses=("bounds", "graph_model"), payload=_witness_tree)
+    wtr.set_defaults(run=_run_payload, uses=("bounds", "graph_model", "verifier"), payload=_witness_tree)
 
     e = sub.add_parser("export", help="export a subdivision file")
     e.add_argument("file")
@@ -298,8 +304,7 @@ def _run_word(ns: argparse.Namespace) -> int:
         word = words.keranen_word(ns.length)
         ok = words.find_abelian_square(word) is None
     if not ok:
-        print("self-check failed: generated word contains a repetition", file=sys.stderr)
-        return EXIT_SELF_CHECK
+        raise SelfCheckFailed("generated word contains a repetition")
     _write(word.to_string() + "\n", ns.output)
     return EXIT_OK
 
@@ -362,8 +367,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
     # a --restrict counterexample lies on the restricted word, not on a path
     ce = report.counterexample
     if ce is not None and ns.restrict is None and not revalidate(ce, cs):
-        print("self-check failed: the counterexample is not an anagram path of the input", file=sys.stderr)
-        return EXIT_SELF_CHECK
+        raise SelfCheckFailed("the counterexample is not an anagram path of the input")
     _write_json(_report_payload(report))
     return EXIT_OK if report.is_anagram_free else EXIT_COUNTEREXAMPLE
 
@@ -377,13 +381,20 @@ def _run_payload(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _witness(ce: Counterexample, c: ColouredSubdivision) -> dict:
+    """ce's payload, once revalidate has recounted it on c."""
+    if not revalidate(ce, c):
+        raise SelfCheckFailed("the witness is not an anagram path of its colouring")
+    return {"vertices": list(ce.vertices), "split": ce.split}
+
+
 def _witness_kn(ns: argparse.Namespace) -> dict:
     cs = bounds.seeded_complete_subdivision_colouring(ns.n, ns.c, ns.k, ns.seed)
     ce = bounds.find_anagram_pigeonhole(cs, ns.c)
     return {
         "bound": bounds.kn_lower_bound(ns.n, ns.c),
         "k": ns.k,
-        "witness": {"vertices": list(ce.vertices), "split": ce.split},
+        "witness": _witness(ce, cs),
     }
 
 
@@ -393,7 +404,7 @@ def _witness_tree(ns: argparse.Namespace) -> dict:
     ce = bounds.find_anagram_undercoloured_tree(tree, colours, ns.x, ns.d, ns.h)
     return {
         "bound": bounds.tree_lower_bound(ns.d, bounds.effective_structure(tree).effective_height, ns.h),
-        "witness": {"vertices": list(ce.vertices), "split": ce.split},
+        "witness": _witness(ce, ColouredGraph(tree_to_base_graph(tree), colours)),
     }
 
 
@@ -410,6 +421,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SelfCheckFailed as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     except MemoryError:  # the size guard counts vertices, not bytes
         print("usage error: the command ran out of memory", file=sys.stderr)
         return EXIT_USAGE

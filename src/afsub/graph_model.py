@@ -273,10 +273,13 @@ class SubdividedGraph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuples of the flattened graph, built from
-        chain_edges by the flattened graph's own rule.  The forest and
-        degree-2 scans and revalidate read the base graph and the division
-        runs instead; maximal-path enumeration, the sampler and the naive
-        oracle build this."""
+        chain_edges by the flattened graph's own rule, or the base graph's
+        own when there are no division vertices.  The forest and degree-2
+        scans and revalidate read the base graph and the division runs
+        instead; maximal-path enumeration, the sampler and the naive oracle
+        build this."""
+        if self.vertex_count == self.base.vertex_count:
+            return self.base.adjacency
         return _adjacency(self.vertex_count, self.chain_edges())
 
     # A subdivision has maximum degree at most 2, or is a forest, exactly
@@ -308,18 +311,6 @@ def k_subdivision(g: BaseGraph, k: int) -> SubdividedGraph:
 
 
 @dataclass(frozen=True)
-class ColouredGraph:
-    """A base graph with a total vertex colouring."""
-
-    graph: BaseGraph
-    colours: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.colours) != self.graph.vertex_count:
-            raise ValueError("colouring must be total")
-
-
-@dataclass(frozen=True)
 class ColouredSubdivision:
     """A subdivided graph with a total colouring and palette metadata."""
 
@@ -344,6 +335,12 @@ class ColouredSubdivision:
 def coloured_subdivision(graph: SubdividedGraph, colour: Sequence[int], provenance: dict) -> ColouredSubdivision:
     colour = tuple(colour)
     return ColouredSubdivision(graph, colour, tuple(sorted(set(colour))), provenance)
+
+
+def ColouredGraph(graph: BaseGraph, colours: Sequence[int]) -> ColouredSubdivision:
+    """A base graph with a total colouring, as its zero-count coloured
+    subdivision: its colours are .colour and its base graph .graph.base."""
+    return coloured_subdivision(SubdividedGraph(graph, (0,) * len(graph.edges)), colours, {})
 
 
 def one_subdivision(g: BaseGraph) -> BaseGraph:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph_model import (
-    ColouredGraph,
     ColouredSubdivision,
     RootedTree,
     SubdividedGraph,
@@ -270,20 +269,21 @@ def build_dary_banded(d: int, hprime: int, k: int) -> LabelledTreeSubdivision:
 
 
 def extend_plus_4(
-    base: ColouredGraph,
+    base: ColouredSubdivision,
     s: SubdividedGraph,
     new_colours: Optional[Sequence[int]] = None,
 ) -> ColouredSubdivision:
     """Colour a subdivision of an anagram-free-coloured graph with 4 extra colours.
 
-    Originals keep their colours; each edge's division path gets a fresh
+    base is a ColouredGraph, the zero-count subdivision of s's base graph;
+    originals keep its colours, and each edge's division path gets a fresh
     prefix of the canonical anagram-free 4-symbol word over four colours
     disjoint from the base palette.  The base colouring must itself be
     anagram-free for the result to be.
     """
-    if s.base != base.graph:
+    if s.base != base.graph.base or any(base.graph.counts):
         raise ValueError("subdivision does not match the coloured base graph")
-    base_palette = set(base.colours)
+    base_palette = set(base.palette)
     if new_colours is None:
         start = max(base_palette, default=-1) + 1
         new_colours = tuple(range(start, start + 4))
@@ -294,7 +294,7 @@ def extend_plus_4(
         if set(new_colours) & base_palette:
             raise ValueError("palette collision: new colours overlap the base palette")
 
-    colours = list(base.colours) + [0] * (s.vertex_count - base.graph.vertex_count)
+    colours = list(base.colour) + [0] * (s.vertex_count - base.graph.vertex_count)
     for path in s.division_paths:
         word = keranen_symbols(len(path))
         for dv, sym in zip(path, word):

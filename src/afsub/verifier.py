@@ -20,9 +20,9 @@ graph, by one of three scanners:
   by words.find_abelian_square: hashed prefix sums, with weights drawn by
   the forest scan's _hash_weights, each candidate confirmed by exact counts.
 
-Every scanner reads a SubdividedGraph, a ColouredGraph as its zero-count
-subdivision (_subdivision), whose is_forest and max_degree_2, answered
-from its base graph, choose the scanner.  find_anagram_sampled trades
+Every entry point takes a ColouredSubdivision, a ColouredGraph being the
+zero-count one; its SubdividedGraph's is_forest and max_degree_2, read
+off the base graph, choose the scanner.  find_anagram_sampled trades
 certainty for scale, and hands max-degree-2 graphs to their exhaustive
 scan; it and the maximal-path scan test each path's word by _path_anagram.
 check_restriction applies the colour-restriction operator as a refutation
@@ -41,13 +41,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .graph_model import (
-    ColouredGraph,
     ColouredSubdivision,
     StepBudgetExceeded,
     SubdividedGraph,
@@ -60,8 +59,6 @@ DEFAULT_MAX_WINDOWS = 10_000_000
 # Most distinct sampled walks find_anagram_sampled remembers, to bound its
 # memory on long runs.
 SAMPLED_SEEN_CAP = 200_000
-
-Colourable = Union[ColouredSubdivision, ColouredGraph]
 
 
 class WindowCeilingExceeded(Exception):
@@ -124,23 +121,6 @@ class VerificationReport:
     @property
     def is_anagram_free(self) -> bool:
         return self.outcome == "anagram_free"
-
-
-def _colours(c: Colourable) -> tuple[int, ...]:
-    if isinstance(c, ColouredSubdivision):
-        return c.colour
-    if isinstance(c, ColouredGraph):
-        return c.colours
-    raise TypeError(f"expected a coloured graph or subdivision, got {type(c)!r}")
-
-
-def _subdivision(c: Colourable) -> tuple[SubdividedGraph, tuple[int, ...]]:
-    """The one graph form the scanners read, and c's colours: a
-    ColouredGraph is read as its zero-count subdivision."""
-    colours = _colours(c)  # refuses other types before reading c.graph
-    if isinstance(c, ColouredGraph):
-        return SubdividedGraph(c.graph, (0,) * len(c.graph.edges)), colours
-    return c.graph, colours
 
 
 def _window_count(length: int, max_length: Optional[int] = None) -> int:
@@ -560,7 +540,7 @@ def _scan_forest(
 
 
 def find_anagram(
-    c: Colourable, *, max_windows: Optional[int] = DEFAULT_MAX_WINDOWS
+    c: ColouredSubdivision, *, max_windows: Optional[int] = DEFAULT_MAX_WINDOWS
 ) -> VerificationReport:
     """Exhaustive anagram search over every simple path of c, by one of
     three scanners.
@@ -592,18 +572,18 @@ def find_anagram(
     path-windows.  Every counterexample is deterministic, and
     max_windows=None lifts every cap.
 
-    A ColouredGraph is scanned as its zero-count subdivision, so every
-    scanner reads one graph form.  The scanner is chosen by the
-    subdivision's max_degree_2 and is_forest, which it answers from its
-    base graph in O(originals).
+    A ColouredGraph is its zero-count subdivision, so every scanner reads
+    one graph form.  The scanner is chosen by the subdivision's
+    max_degree_2 and is_forest, which it answers from its base graph in
+    O(originals).
     """
-    graph, colours = _subdivision(c)
+    graph, colours = c.graph, c.colour
     if not graph.max_degree_2 and graph.is_forest:
         return _scan_forest(graph, colours, max_windows)
     return _scan_maximal_paths(graph, colours, max_windows, None, "exhaustive")
 
 
-def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationReport:
+def find_anagram_sampled(c: ColouredSubdivision, budget: int, seed: int) -> VerificationReport:
     """Sampled anagram search: random simple-path walks with restart.
 
     Each sample grows a simple path from a uniform start vertex by uniform
@@ -625,7 +605,7 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mode = f"sampled(budget={budget},seed={seed})"
-    graph, colours = _subdivision(c)
+    graph, colours = c.graph, c.colour
     if graph.max_degree_2:
         return _scan_maximal_paths(graph, colours, None, None, f"{mode}:exhaustive")
     adj = graph.adjacency
@@ -662,7 +642,7 @@ def find_anagram_sampled(c: Colourable, budget: int, seed: int) -> VerificationR
 
 
 def check_restriction(
-    c: Colourable, keep: Iterable[int], *, max_windows: int = DEFAULT_MAX_WINDOWS
+    c: ColouredSubdivision, keep: Iterable[int], *, max_windows: int = DEFAULT_MAX_WINDOWS
 ) -> VerificationReport:
     """Scan the keep-colour restriction of every maximal path for anagrams.
 
@@ -680,25 +660,24 @@ def check_restriction(
     where find_anagram decides: on the binary-tree h=6 construction the
     full palette trips the default ceiling after 10,066,084 path-windows.
     Raises ValueError on an empty keep set, whose restriction is empty on
-    every path and so certifies nothing.
+    every path and so certifies nothing, and on colours outside c.palette,
+    which for a ColouredGraph is the set of its colours.
     """
     keep_set = set(keep)
     if not keep_set:
         raise ValueError("keep-colours are empty: an empty restriction certifies nothing")
-    graph, colours = _subdivision(c)
-    extra = keep_set.difference(c.palette if isinstance(c, ColouredSubdivision) else colours)
+    extra = keep_set.difference(c.palette)
     if extra:
         raise ValueError(f"keep-colours {sorted(extra)} not in palette")
-    return _scan_maximal_paths(graph, colours, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
+    return _scan_maximal_paths(c.graph, c.colour, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
 
 
 # Kept in src/, not tests/oracles.py: perfbench/workloads.py's set-up cross-check imports it.
-def naive_find_anagram(c: Colourable) -> VerificationReport:
+def naive_find_anagram(c: ColouredSubdivision) -> VerificationReport:
     """Independent brute-force oracle: enumerate every simple path outright
     and compare half multisets directly.  Shares no scanning machinery with
     find_anagram; used to cross-check it."""
-    graph, colours = _subdivision(c)
-    adj = graph.adjacency
+    adj, colours = c.graph.adjacency, c.colour
     n = len(adj)
     found: list[tuple[int, ...]] = []
 
@@ -727,11 +706,11 @@ def naive_find_anagram(c: Colourable) -> VerificationReport:
     return VerificationReport("anagram_free", None, paths, "naive")
 
 
-def revalidate(ce: Counterexample, c: Colourable) -> bool:
+def revalidate(ce: Counterexample, c: ColouredSubdivision) -> bool:
     """Soundness recount: halves non-empty, vertices in the graph, halves
-    equal, multiset as recorded, path contiguous.  A subdivision's steps are
-    read from its base edges and division runs (_joined), not its adjacency."""
-    colours = _colours(c)
+    equal, multiset as recorded, path contiguous.  Steps are read from the
+    base edges and division runs (_joined), not the adjacency."""
+    colours = c.colour
     if ce.split < 1 or len(ce.vertices) != 2 * ce.split or not all(0 <= v < len(colours) for v in ce.vertices):
         return False
     left = multiset_of(colours, ce.vertices[: ce.split])
@@ -739,11 +718,7 @@ def revalidate(ce: Counterexample, c: Colourable) -> bool:
         return False
     if len(set(ce.vertices)) != len(ce.vertices):
         return False
-    steps = zip(ce.vertices, ce.vertices[1:])
-    if isinstance(c.graph, SubdividedGraph):
-        return _joined(c.graph, steps)
-    adj = c.graph.adjacency
-    return all(b in adj[a] for a, b in steps)
+    return _joined(c.graph, zip(ce.vertices, ce.vertices[1:]))
 
 
 def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
@@ -751,9 +726,9 @@ def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
     _degree2_components reads g: a division vertex's neighbours are the ids
     beside it in its run, or the run's base endpoint at either end, and two
     base vertices are joined by a base edge with no division vertices.
-    Each id must be a vertex of g, as revalidate checks first."""
+    Each id must be a vertex of g, as revalidate checks first.  Only a
+    step onto a division vertex reads (and so builds) the runs."""
     n0 = g.base.vertex_count
-    runs = g.division_paths
     undivided = None  # built at the first step between two base vertices
     for a, b in steps:
         if a < n0 and b < n0:
@@ -763,6 +738,7 @@ def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
                 return False
             continue
         x, y = (a, b) if a >= n0 else (b, a)  # x is a division vertex
+        runs = g.division_paths
         i = bisect.bisect_right(runs, x, key=lambda run: run.start) - 1
         run, (u, v) = runs[i], g.base.edges[i]
         if y != (x - 1 if x > run.start else u) and y != (x + 1 if x < run.stop - 1 else v):

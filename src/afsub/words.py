@@ -25,7 +25,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,7 +62,7 @@ class Word:
         return "".join(_LETTERS[s] for s in self.symbols)
 
 
-WordLike = Union[Word, Sequence[int]]
+WordLike = Word | Sequence[int]
 
 
 def _symbols_of(w: WordLike) -> Sequence[int]:

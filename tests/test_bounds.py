@@ -304,7 +304,10 @@ class TestUndercolouredTree:
         t = complete_dary_tree(16, 3)
         colours = seeded_tree_colouring(t, 2, seed)
         ce = find_anagram_undercoloured_tree(t, colours, 2, 16, 3)
-        assert revalidate(ce, ColouredGraph(tree_to_base_graph(t), colours))
+        inst = ColouredGraph(tree_to_base_graph(t), colours)
+        assert revalidate(ce, inst)
+        # a recount on a graph without division vertices builds no runs
+        assert "division_paths" not in inst.graph.__dict__
 
     def test_rejects_tree_taller_than_h(self):
         t = complete_dary_tree(2, 3)

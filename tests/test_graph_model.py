@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from afsub import graph_model
 from afsub.graph_model import (
     BaseGraph,
+    ColouredGraph,
     RootedTree,
     StepBudgetExceeded,
     SubdividedGraph,
     _adjacency,
+    coloured_subdivision,
     complete_dary_tree,
     complete_graph,
     cycle_graph,
@@ -205,6 +207,25 @@ class TestSubdivide:
         assert list(itertools.chain.from_iterable(paths)) == list(range(g.vertex_count, s.vertex_count))
         assert s.adjacency == _adjacency(s.vertex_count, s.chain_edges())
         assert s.adjacency == s.flatten().adjacency
+
+    @given(sparse_graphs())
+    @settings(max_examples=50)
+    def test_zero_count_adjacency_is_the_base_graphs(self, g):
+        assert subdivide(g, [0] * len(g.edges)).adjacency is g.adjacency
+
+
+class TestColouredGraph:
+    @given(sparse_graphs(), st.data())
+    @settings(max_examples=80)
+    def test_is_the_zero_count_coloured_subdivision(self, g, data):
+        colours = data.draw(st.lists(st.integers(0, 4), min_size=g.vertex_count, max_size=g.vertex_count))
+        c = ColouredGraph(g, colours)
+        assert c == coloured_subdivision(subdivide(g, [0] * len(g.edges)), colours, {})
+        assert (c.graph.base, c.colour) == (g, tuple(colours))
+
+    def test_colouring_must_be_total(self):
+        with pytest.raises(ValueError, match="^colouring must be total$"):
+            ColouredGraph(path_graph(3), (0, 1))
 
 
 class TestSizeGuard:

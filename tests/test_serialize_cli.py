@@ -683,6 +683,20 @@ class TestCliConstructVerify:
         assert captured.out == ""
         assert captured.err.startswith("self-check failed:") and captured.err.count("\n") == 1
 
+    def test_self_check_messages_are_pinned(self, tmp_path, monkeypatch, capsys):
+        # the stderr of word's and verify's self-check failures, byte for byte
+        from afsub import words
+
+        monkeypatch.setattr(words, "find_abelian_square", lambda *args, **kwargs: (0, 2))
+        assert main(["word", "--alphabet", "4", "--length", "8"]) == 1
+        assert capsys.readouterr() == ("", "self-check failed: generated word contains a repetition\n")
+        bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
+        forged = VerificationReport("counterexample", Counterexample.of((0, 2), 1, (1, 2, 1, 2)), 1, "forged")
+        monkeypatch.setattr(cli, "find_anagram", lambda *args, **kwargs: forged)
+        assert main(["verify", str(bad)]) == 1
+        expected = "self-check failed: the counterexample is not an anagram path of the input\n"
+        assert capsys.readouterr() == ("", expected)
+
     def test_ceiling_exit_3(self, tmp_path, monkeypatch, capsys):
         from afsub import words
 
@@ -890,6 +904,21 @@ class TestCliBoundWitness:
 
     def test_witness_requires_seed(self):
         assert main(["witness", "kn", "--n", "30", "--c", "2", "--k", "1"]) == 64
+
+    @pytest.mark.parametrize("argv,finder", [
+        (["witness", "kn", "--n", "30", "--c", "2", "--k", "1", "--seed", "4"], "find_anagram_pigeonhole"),
+        (["witness", "tree", "--d", "16", "--h", "3", "--x", "2", "--seed", "1"], "find_anagram_undercoloured_tree"),
+    ])
+    def test_forged_witness_fails_the_self_check(self, monkeypatch, capsys, argv, finder):
+        # witness recounts its witness with revalidate before it prints it
+        from afsub import bounds
+
+        forged = Counterexample((1, 2), 1, ((0, 1),))
+        monkeypatch.setattr(bounds, finder, lambda *args, **kwargs: forged)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "self-check failed: the witness is not an anagram path of its colouring\n"
 
 
 class TestCachedParser:

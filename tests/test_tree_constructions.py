@@ -355,6 +355,12 @@ class TestExtendPlus4:
         with pytest.raises(ValueError):
             extend_plus_4(base, s)
 
+    def test_divided_base_rejected(self):
+        # the base must be a ColouredGraph, the zero-count subdivision of s's base
+        divided = extend_plus_4(ColouredGraph(path_graph(2), (0, 1)), k_subdivision(path_graph(2), 1))
+        with pytest.raises(ValueError, match="^subdivision does not match the coloured base graph$"):
+            extend_plus_4(divided, k_subdivision(path_graph(2), 2))
+
     def test_restriction_to_new_colours_traces_division_paths(self):
         base = ColouredGraph(path_graph(2), (0, 1))
         s = k_subdivision(path_graph(2), 5)
