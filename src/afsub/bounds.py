@@ -1,105 +1,34 @@
-"""Closed-form bounds and constructive lower-bound witnesses.
+"""Constructive lower-bound witnesses.
 
-kn_lower_bound gives the minimum division count a c-colourable anagram-free
-subdivision of the complete graph must have; find_anagram_pigeonhole turns
-a violation of that bound into a concrete anagram by grouping clique edges
-by division-multiset.  extract_monochromatic_subtree and
-find_anagram_undercoloured_tree do the analogous job for undercoloured
-subdivided trees, and dary_two_sided evaluates both sides of the resulting
-two-sided bound for complete d-ary trees.  Both witnesses key paths by
-verifier.multiset_of and build their Counterexample with Counterexample.of.
-
-The closed forms need only math; the witnesses import the graph model,
-the verifier and random where they use them, so that a bound loads none of
-them.
+find_anagram_pigeonhole turns a violation of kn_lower_bound into a
+concrete anagram by grouping clique edges by division-multiset.
+extract_monochromatic_subtree and find_anagram_undercoloured_tree do the
+analogous job for subdivided trees coloured below tree_lower_bound.  Both
+witnesses key paths by verifier.multiset_of and build their Counterexample
+with Counterexample.of.  The closed forms live in closed_forms, which a
+bound loads alone; they are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
+import random
+from dataclasses import dataclass
+from typing import Sequence
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from collections.abc import Sequence
-
-    from .graph_model import ColouredSubdivision, RootedTree
-    from .verifier import Counterexample
-
-_REL_TOL = 1e-9
-
-
-class PreconditionError(ValueError):
-    pass
+from .closed_forms import (
+    PreconditionError,
+    dary_two_sided,
+    height_condition_met,
+    kn_lower_bound,
+    subdivision_tree_lower_bound,
+    tree_lower_bound,
+)
+from .graph_model import ColouredSubdivision, RootedTree, coloured_subdivision, complete_graph, subdivide
+from .verifier import Counterexample, multiset_of
 
 
 class WitnessSearchFailed(RuntimeError):
     """A guaranteed witness could not be produced; indicates a build defect."""
-
-
-def _ceil_tol(x: float) -> int:
-    return math.ceil(x - _REL_TOL)
-
-
-def kn_lower_bound(n: int, c: int) -> float:
-    """(c! * (n/c - 1))^(1/c) - c, exact where the root is integral.
-
-    Any anagram-free c-colouring of a (<= k)-subdivision of the complete
-    graph on n vertices needs k at least this large.  The radicand
-    c! * (n/c - 1) = (c-1)! * (n - c) is an integer.
-    """
-    if n < 1 or c < 1:
-        raise ValueError("need n >= 1 and c >= 1")
-    inner = math.factorial(c - 1) * (n - c)
-    if inner < 0:
-        raise ValueError("formula undefined for n < c (the bound is vacuous there)")
-    if inner == 0:
-        return float(-c)
-    root = _exact_root(inner, c)
-    if root is not None:
-        return float(root - c)
-    return float(inner) ** (1.0 / c) - c
-
-
-def _exact_root(value: int, c: int) -> int | None:
-    """The integer c-th root of value, if it has one."""
-    guess = round(value ** (1.0 / c))
-    return next((p for p in (guess - 1, guess, guess + 1) if p >= 0 and p**c == value), None)
-
-
-class _Record:
-    """Equality, hashing, repr and immutability by the fields a subclass
-    lists in __slots__, as @dataclass(frozen=True) gives them.  Written out
-    so that importing bounds loads neither dataclasses nor inspect."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
@@ -114,8 +43,6 @@ def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
     palette has at most c colours and the maximum division count is below
     kn_lower_bound(n, c).
     """
-    from .verifier import multiset_of
-
     g = s.graph.base
     n = g.vertex_count
     expected = {(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -151,8 +78,6 @@ def find_anagram_pigeonhole(s: ColouredSubdivision, c: int) -> Counterexample:
 
 
 def _assemble_pigeonhole_witness(s: ColouredSubdivision, alpha: int, beta: int, shared: int) -> Counterexample:
-    from .verifier import Counterexample
-
     au, av = s.graph.base.edges[alpha]
     u = av if au == shared else au
     path_alpha = s.graph.division_path_from(alpha, u)  # runs u -> shared
@@ -160,12 +85,14 @@ def _assemble_pigeonhole_witness(s: ColouredSubdivision, alpha: int, beta: int, 
     return Counterexample.of((u, *path_alpha, shared, *path_beta), 1 + len(path_alpha), s.colour)
 
 
-class EffectiveStructure(_Record):
-    """Leaves and branch vertices of a rooted tree, with derived heights:
-    tree, effective_vertices (a frozenset), effective_root and
-    effective_height."""
+@dataclass(frozen=True)
+class EffectiveStructure:
+    """Leaves and branch vertices of a rooted tree, with derived heights."""
 
-    __slots__ = ("tree", "effective_vertices", "effective_root", "effective_height")
+    tree: RootedTree
+    effective_vertices: frozenset
+    effective_root: int
+    effective_height: int
 
 
 def branch_vertices(t: RootedTree) -> list[int]:
@@ -201,11 +128,13 @@ def is_d_branch(t: RootedTree, d: int) -> bool:
     return all(len(t.children[v]) >= d for v in branch_vertices(t))
 
 
-class MonochromaticWitness(_Record):
-    """A subtree whose leaves and branch vertices all share one colour:
-    colour, root and vertices (a frozenset)."""
+@dataclass(frozen=True)
+class MonochromaticWitness:
+    """A subtree whose leaves and branch vertices all share one colour."""
 
-    __slots__ = ("colour", "root", "vertices")
+    colour: int
+    root: int
+    vertices: frozenset
 
 
 def extract_monochromatic_subtree(
@@ -271,40 +200,6 @@ def witness_children(t: RootedTree, w: MonochromaticWitness) -> dict[int, list[i
     return {v: [c for c in t.children[v] if c in w.vertices] for v in w.vertices}
 
 
-def tree_lower_bound(d: int, h_eff: int, h: int) -> int:
-    """ceil(sqrt(h_eff / log_d(h))): colours any anagram-free colouring of a
-    d-branch tree of effective height h_eff and height at most h must use.
-
-    The pigeonhole guarantee behind the bound assumes h >= sqrt(d); the
-    formula is evaluated for any h >= 2 (see height_condition_met).
-    """
-    if d < 2:
-        raise PreconditionError("need d >= 2")
-    if h < 2:
-        raise PreconditionError("need h >= 2")
-    if h_eff < 0:
-        raise PreconditionError("effective height must be non-negative")
-    if h_eff == 0:
-        return 0
-    return _ceil_tol(math.sqrt(h_eff / math.log(h, d)))
-
-
-def height_condition_met(d: int, h: int) -> bool:
-    """Whether (d, h) meets the height floor h >= max(2, sqrt(d)) that the
-    counting argument behind tree_lower_bound assumes."""
-    return h >= max(2.0, math.sqrt(d))
-
-
-def subdivision_tree_lower_bound(d: int, h: int, k: int) -> float:
-    """sqrt(h / log_b(h * (k+1))) with b = min(d, (h * (k+1))^2): the lower
-    bound for the k-subdivision of the complete d-ary tree of height h."""
-    if d < 2 or h < 1 or k < 0:
-        raise ValueError("need d >= 2, h >= 1, k >= 0")
-    target = h * (k + 1)
-    base = min(d, target**2)
-    return math.sqrt(h / math.log(target, base))
-
-
 def find_anagram_undercoloured_tree(
     t: RootedTree, colours: Sequence[int], x: int, d: int, h: int
 ) -> Counterexample:
@@ -318,8 +213,6 @@ def find_anagram_undercoloured_tree(
     the half multisets because both are effective, hence share the
     monochromatic colour.  Refuses a tree of height above h.
     """
-    from .verifier import multiset_of
-
     if t.height > h:
         raise PreconditionError(f"tree height {t.height} exceeds h = {h}")
     eff = effective_structure(t)
@@ -355,8 +248,6 @@ def find_anagram_undercoloured_tree(
 
 
 def _assemble_tree_witness(colours: Sequence[int], p1: list[int], p2: list[int]) -> Counterexample:
-    from .verifier import Counterexample
-
     common = 0
     while common < min(len(p1), len(p2)) and p1[common] == p2[common]:
         common += 1
@@ -370,10 +261,6 @@ def _assemble_tree_witness(colours: Sequence[int], p1: list[int], p2: list[int])
 def seeded_complete_subdivision_colouring(n: int, c: int, k: int, seed: int) -> ColouredSubdivision:
     """Uniform (<= k)-subdivision of the complete graph on n vertices with a
     uniform c-colouring, both driven by one seed.  Witness-instance plumbing."""
-    import random
-
-    from .graph_model import coloured_subdivision, complete_graph, subdivide
-
     if n < 2 or c < 1 or k < 0:
         raise ValueError("need n >= 2, c >= 1, k >= 0")
     rng = random.Random(seed)
@@ -388,21 +275,7 @@ def seeded_complete_subdivision_colouring(n: int, c: int, k: int, seed: int) -> 
 
 def seeded_tree_colouring(t: RootedTree, x: int, seed: int) -> tuple[int, ...]:
     """Uniform x-colouring of a tree's vertices."""
-    import random
-
     if x < 1:
         raise ValueError("need at least one colour")
     rng = random.Random(seed)
     return tuple(rng.randrange(x) for _ in range(t.vertex_count))
-
-
-def dary_two_sided(d: int, h: int, k: int) -> tuple[float, float]:
-    """Lower and upper bounds on the anagram-free chromatic number of the
-    k-subdivision of the complete d-ary tree of height h."""
-    if d < 2 or h < 1:
-        raise ValueError("need d >= 2 and h >= 1")
-    if k <= 2 * d:
-        raise ValueError("need k > 2d")
-    lower = subdivision_tree_lower_bound(d, h, k)
-    upper = 10 * h / math.log(k / (2 * d), d + 1) + 14
-    return lower, upper

@@ -1,13 +1,16 @@
 """Command-line front end: construct, verify, bound, witness, export.
 
-Each command loads only the modules it runs, so bound starts without the
-builders, the scanners, the serialiser or numpy.
+Each command loads only the modules it runs, so bound loads closed_forms
+alone: no witness search, builder, scanner, serialiser, dataclasses or
+numpy.
 
 Exit codes: 0 success (or no counterexample found), 1 self-check failure
 (of word, verify or witness), 2 verification counterexample,
 3 window ceiling hit, 64 usage error (including construction parameters a
-builder rejects, running out of memory, a malformed window ceiling, and an
-output path that cannot be written), 65 malformed input file.
+builder rejects, a word longer than graph_model.MAX_VERTICES, a bound
+past float range, running out of memory, a malformed window ceiling, and
+an output path that cannot be written), 65 malformed input file
+(including an edge file with a vertex id of MAX_VERTICES or more).
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ if TYPE_CHECKING:
 # function, is kept.
 _HOMES = {
     "bounds": "bounds",
+    "closed_forms": "closed_forms",
+    "graph_model": "graph_model",
     "graph_constructions": "graph_constructions",
     "tree_constructions": "tree_constructions",
     "words": "words",
@@ -108,7 +113,7 @@ def build_parser() -> _Parser:
     w.add_argument("--alphabet", type=int, choices=(3, 4), required=True)
     w.add_argument("--length", type=int, required=True)
     w.add_argument("-o", "--output")
-    w.set_defaults(run=_run_word, uses=("words",))
+    w.set_defaults(run=_run_word, uses=("graph_model", "words"))
 
     c = sub.add_parser("construct", help="build a coloured subdivision")
     csub = c.add_subparsers(dest="construction", required=True)
@@ -159,22 +164,22 @@ def build_parser() -> _Parser:
     bk = bsub.add_parser("kn")
     bk.add_argument("--n", type=int, required=True)
     bk.add_argument("--c", type=int, required=True)
-    bk.set_defaults(run=_run_payload, uses=("bounds",),
-                    payload=lambda ns: {"bound": bounds.kn_lower_bound(ns.n, ns.c)})
+    bk.set_defaults(run=_run_payload, uses=("closed_forms",),
+                    payload=lambda ns: {"bound": closed_forms.kn_lower_bound(ns.n, ns.c)})
     btr = bsub.add_parser("tree")
     btr.add_argument("--d", type=int, required=True)
     btr.add_argument("--heff", type=int, required=True)
     btr.add_argument("--h", type=int, required=True)
-    btr.set_defaults(run=_run_payload, uses=("bounds",), payload=lambda ns: {
-        "bound": bounds.tree_lower_bound(ns.d, ns.heff, ns.h),
-        "height_condition_met": bounds.height_condition_met(ns.d, ns.h),
+    btr.set_defaults(run=_run_payload, uses=("closed_forms",), payload=lambda ns: {
+        "bound": closed_forms.tree_lower_bound(ns.d, ns.heff, ns.h),
+        "height_condition_met": closed_forms.height_condition_met(ns.d, ns.h),
     })
     bd = bsub.add_parser("dary")
     bd.add_argument("--d", type=int, required=True)
     bd.add_argument("--h", type=int, required=True)
     bd.add_argument("--k", type=int, required=True)
-    bd.set_defaults(run=_run_payload, uses=("bounds",), payload=lambda ns: dict(
-        zip(("lower", "upper"), bounds.dary_two_sided(ns.d, ns.h, ns.k))
+    bd.set_defaults(run=_run_payload, uses=("closed_forms",), payload=lambda ns: dict(
+        zip(("lower", "upper"), closed_forms.dary_two_sided(ns.d, ns.h, ns.k))
     ))
 
     wt = sub.add_parser("witness", help="construct lower-bound anagram witnesses")
@@ -262,6 +267,8 @@ def _read_edge_file(path: str) -> BaseGraph:
         raise SchemaError("edge file is empty")
     if min(ids) < 0:
         raise SchemaError("vertex ids must be non-negative")
+    if max(ids) >= graph_model.MAX_VERTICES:
+        raise SchemaError(f"vertex ids must be below {graph_model.MAX_VERTICES}")
     pairs = list(zip(ids[0::2], ids[1::2]))
     try:
         return BaseGraph(max(ids) + 1, tuple(pairs))
@@ -297,6 +304,8 @@ def _report_payload(report: VerificationReport) -> dict:
 def _run_word(ns: argparse.Namespace) -> int:
     if ns.length < 0:
         raise UsageError("--length must be non-negative")
+    if ns.length > graph_model.MAX_VERTICES:
+        raise UsageError(f"--length must be at most {graph_model.MAX_VERTICES}")
     if ns.alphabet == 3:
         word = words.thue_word(ns.length)
         ok = words.find_square(word) is None
@@ -375,7 +384,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
 def _run_payload(ns: argparse.Namespace) -> int:
     try:
         payload = ns.payload(ns)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a value past float range
         raise UsageError(str(exc))
     _write_json(payload)
     return EXIT_OK

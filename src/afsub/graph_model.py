@@ -11,7 +11,9 @@ BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape, and
 a SubdividedGraph answers both from its base graph.
 
 Every builder allocates its vertices through complete_dary_tree and
-SubdividedGraph, which refuse more than MAX_VERTICES before allocating any.
+SubdividedGraph, which refuse more than MAX_VERTICES before allocating any;
+dary_tree_vertex_count refuses a tree from its height before its size is
+computed.
 """
 
 from __future__ import annotations
@@ -180,13 +182,24 @@ def tree_from_children(children: Sequence[Sequence[int]], root: int = 0) -> Root
     return RootedTree(tuple(parent), tuple(tuple(cs) for cs in children), root)
 
 
+def dary_tree_vertex_count(d: int, h: int) -> int:
+    """The vertex count of the complete d-ary tree of height h, refused
+    above MAX_VERTICES.  A height at which d**h alone has more than 2**14
+    bits is refused before d**h is computed, which a huge height makes
+    endless."""
+    if d > 1 and h * (d.bit_length() - 1) > 1 << 14:
+        raise ValueError(f"complete {d}-ary tree of height {h} has more than {MAX_VERTICES} vertices")
+    n = h + 1 if d == 1 else (d ** (h + 1) - 1) // (d - 1)
+    if n > MAX_VERTICES:
+        raise ValueError(f"complete {d}-ary tree of height {h} has {n} vertices, more than {MAX_VERTICES}")
+    return n
+
+
 def complete_dary_tree(d: int, h: int) -> RootedTree:
     """Complete d-ary tree of height h with breadth-first vertex ids."""
     if d < 1 or h < 0:
         raise ValueError("need d >= 1 and h >= 0")
-    n = h + 1 if d == 1 else (d ** (h + 1) - 1) // (d - 1)
-    if n > MAX_VERTICES:
-        raise ValueError(f"complete {d}-ary tree of height {h} has {n} vertices, more than {MAX_VERTICES}")
+    n = dary_tree_vertex_count(d, h)
     children: list[tuple[int, ...]] = []
     next_id = 1
     level = [0]

@@ -31,6 +31,7 @@ from .graph_model import (
     SubdividedGraph,
     complete_dary_tree,
     coloured_subdivision,
+    dary_tree_vertex_count,
     subdivide,
     tree_to_base_graph,
 )
@@ -237,9 +238,12 @@ def band_parameters(d: int, hprime: int, k: int) -> tuple[int, int]:
 
     x is the least integer with (2d)^x * (d+1)^hprime <= k^x, i.e. the
     ceiling of hprime / log_{d+1}(k / 2d), computed in exact integers.
+    Refuses a tree of more than MAX_VERTICES vertices before (d+1)^hprime
+    is computed.
     """
     if k <= 2 * d:
         raise ValueError("need k > 2d")
+    dary_tree_vertex_count(d, hprime)
     lhs_base = 2 * d
     grow = (d + 1) ** hprime
     x = 1

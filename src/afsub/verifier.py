@@ -410,9 +410,8 @@ def _scan_forest(
     signatures of their halves: the sum of base ** rank(colour) with base =
     n // 2 + 1.  A half has at most n // 2 vertices, so no digit carries and
     equal signatures mean equal colour multisets; a candidate without an
-    exact match is skipped.  A hit's count adds the next depth's half-paths
-    of the live edges before its edge, as the depth-at-a-time scan counted
-    them.
+    exact match is skipped.  A hit's count is the half-paths of every depth
+    up to its own.
     """
     import numpy as np
 
@@ -423,14 +422,6 @@ def _scan_forest(
     rank, k = _ranks(colours)
     base = n // 2 + 1
 
-    def checked(halves, e, a_edge, a_grow, b_edge, b_grow) -> int:
-        """halves plus the next depth's half-paths of the live edges before
-        edge e, from each half's edge and its number of ways on."""
-        a = np.bincount(a_edge, a_grow, minlength=edges)
-        b = np.bincount(b_edge, b_grow, minlength=edges)
-        before = (lo < lo[e]) | ((lo == lo[e]) & (hi < hi[e]))
-        return halves + int((a + b)[before & (a > 0) & (b > 0)].sum())
-
     halves = 2 * edges
     if not edges:
         return VerificationReport("anagram_free", None, halves, "exhaustive")
@@ -440,7 +431,7 @@ def _scan_forest(
     if same.size:
         e = int(same[np.lexsort((hi[same], lo[same]))[0]])
         ce = Counterexample.of((int(lo[e]), int(hi[e])), 1, colours)
-        return VerificationReport("counterexample", ce, checked(halves, e, every, grow[x], every, grow[y]), "exhaustive")
+        return VerificationReport("counterexample", ce, halves, "exhaustive")
 
     nxt, start, count = _next_edges(x, y, grow, *chains)
     nbits = n.bit_length()
@@ -518,15 +509,8 @@ def _scan_forest(
                 if s >= within:
                     break
                 ce = confirm(e, depth + s + 1)
-                if ce is None:
-                    continue
-                tag = (grown >> shift).astype(np.intp) - s * edges
-                at = (tag >= 0) & (tag < edges)
-                on = count[table_end[idx[at]]]
-                cut_at = int(np.count_nonzero(at[:cut]))
-                ends_at = tag[at]
-                count_at = checked(total[s], e, ends_at[:cut_at], on[:cut_at], ends_at[cut_at:], on[cut_at:])
-                return VerificationReport("counterexample", ce, count_at, "exhaustive")
+                if ce is not None:
+                    return VerificationReport("counterexample", ce, total[s], "exhaustive")
         if within < span:
             raise WindowCeilingExceeded(total[within], budget, unit="half-paths")
         if span > 1:  # the next round grows from the block's last depth
@@ -560,9 +544,10 @@ def find_anagram(
       centre edge (a, b) by (min id, max id), then to the smallest shared
       half signature, then on each side to the smallest end vertex; the
       path is listed from a's half end to b's.  max_windows caps the
-      half-paths compared, and paths_checked reports their number, as the
-      depth-at-a-time scan counted them.  The scan reads the base graph
-      and the division runs, so a subdivision's adjacency is not built.
+      half-paths compared, and paths_checked reports their number: on a
+      counterexample, those of every depth up to its own.  The scan reads
+      the base graph and the division runs, so a subdivision's adjacency
+      is not built.
     - Every other graph has its maximal simple paths scanned in canonical
       order, each one's even windows in (start, length) order.  Refuses to
       take more than n + 4 * max_windows DFS steps enumerating paths,

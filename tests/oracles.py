@@ -249,8 +249,7 @@ def depth_scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Ver
             a_half = climb(a_parent, a_ends[sig], a)
             b_half = climb(b_parent, b_ends[sig], b)
             ce = Counterexample.of(a_half + b_half[::-1], depth, colours)
-            checked = halves + int((a_count[:e] + b_count[:e])[live[:e]].sum())
-            return VerificationReport("counterexample", ce, checked, "exhaustive")
+            return VerificationReport("counterexample", ce, halves, "exhaustive")
         # an edge still present on one side only is dead
         if (a_has ^ b_has).any():
             keep = live[edge]

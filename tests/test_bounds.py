@@ -57,6 +57,16 @@ class TestKnLowerBound:
         # c = 2: inner 2(n/2 - 1) = n - 2; perfect square at n = 51: 49
         assert kn_lower_bound(51, 2) == 5.0
 
+    def test_radicand_past_float_range(self):
+        # (c-1)! * (n - c) = 199! * 800 has 1,248 bits: the root is taken by
+        # logarithms there, and by the float power everywhere below
+        inner = math.factorial(199) * 800
+        assert inner.bit_length() == 1248
+        assert kn_lower_bound(1000, 200) == pytest.approx(math.exp(math.log(inner) / 200) - 200, rel=1e-12)
+        assert kn_lower_bound(10**400, 2) == pytest.approx(1e200, rel=1e-12)
+        with pytest.raises(OverflowError):  # the bound n - 2 itself is past float range
+            kn_lower_bound(10**400, 1)
+
     def test_rejects_n_below_c(self):
         with pytest.raises(ValueError):
             kn_lower_bound(3, 4)
@@ -172,8 +182,8 @@ class WitnessTwin:
 
 
 class TestWitnessRecords:
-    """The witness records compare, hash, print and refuse assignment as
-    the frozen dataclasses they replace did."""
+    """The witness records compare, hash, print, copy and refuse assignment
+    as frozen dataclasses do."""
 
     def test_behaves_as_its_frozen_dataclass_twin(self):
         vertices = frozenset({0, 1, 2})

@@ -252,6 +252,13 @@ class TestSizeGuard:
             complete_dary_tree(1, 15)
 
 
+    def test_complete_dary_tree_refuses_a_huge_height_from_the_height(self):
+        # 2 ** (10**20 + 1), the closed form, would never be computed
+        refused = f"^complete 2-ary tree of height {10**20} has more than 10000000 vertices$"
+        with pytest.raises(ValueError, match=refused):
+            complete_dary_tree(2, 10**20)
+
+
 class TestKSubdivision:
     def test_k3_once(self):
         assert k_subdivision(complete_graph(3), 1).vertex_count == 6

@@ -622,6 +622,16 @@ class TestCliWord:
     def test_usage_error_exit_64(self, capsys):
         assert main(["word", "--alphabet", "5", "--length", "3"]) == 64
 
+    @pytest.mark.parametrize("alphabet", ["3", "4"])
+    def test_length_past_the_vertex_cap_exit_64(self, monkeypatch, capsys, alphabet):
+        # a small cap, so that a broken guard fails fast instead of growing
+        # the word cache until the process is killed
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 100)
+        assert main(["word", "--alphabet", alphabet, "--length", "100"]) == 0
+        capsys.readouterr()
+        assert main(["word", "--alphabet", alphabet, "--length", "101"]) == 64
+        assert capsys.readouterr().err == "usage error: --length must be at most 100\n"
+
 
 class TestCliConstructVerify:
     def test_binary_tree_height2(self, tmp_path, capsys):
@@ -870,6 +880,16 @@ class TestCliConstructVerify:
         edges.write_text("0 1 2\n")
         assert main(["construct", "graph14", "--edges", str(edges)]) == 65
 
+    @pytest.mark.parametrize("big", [10**20, 10**7])
+    def test_edge_file_id_at_the_vertex_cap_exit_65(self, tmp_path, capsys, big):
+        # refused before any per-vertex list of that length is built
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 {big}\n")
+        assert main(["construct", "graph14", "--edges", str(edges)]) == 65
+        assert capsys.readouterr().err == "input error: vertex ids must be below 10000000\n"
+        edges.write_text("0 1\n")
+        assert main(["construct", "graph14", "--edges", str(edges), "-o", str(tmp_path / "p2.json")]) == 0
+
 
 class TestCliBoundWitness:
     def test_bound_kn(self, capsys):
@@ -890,6 +910,24 @@ class TestCliBoundWitness:
 
     def test_bound_dary_rejects_small_k(self, capsys):
         assert main(["bound", "dary", "--d", "2", "--h", "16", "--k", "4"]) == 64
+
+    def test_bound_kn_radicand_past_float_range(self, capsys):
+        # the radicand 199! * 800 has 1,248 bits
+        assert main(["bound", "kn", "--n", "1000", "--c", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] == pytest.approx(-124.5786, abs=1e-4)
+
+    @pytest.mark.parametrize("argv", [
+        ["kn", "--n", str(10**400), "--c", "1"],
+        ["tree", "--d", "2", "--heff", str(10**400), "--h", "16"],
+        ["tree", "--d", str(10**400), "--heff", "16", "--h", "16"],
+        ["tree", "--d", str(10**24), "--heff", str(10**307), "--h", "2"],
+        ["dary", "--d", "2", "--h", str(10**400), "--k", "12"],
+        ["dary", "--d", "2", "--h", str(10**18), "--k", str(10**400)],
+    ], ids=["kn", "tree-heff", "tree-d", "tree-infinite", "dary-h", "dary-k"])
+    def test_bound_past_float_range_exit_64(self, capsys, argv):
+        assert main(["bound", *argv]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
 
     def test_witness_kn(self, capsys):
         assert main(["witness", "kn", "--n", "30", "--c", "2", "--k", "1", "--seed", "4"]) == 0
@@ -967,23 +1005,26 @@ def run_python(*args):
 class TestDeferredNumpy:
     """Each command loads only the modules it runs.  Only the scanners
     import numpy, so bound and witness start without it, bound loads no
-    module of the package but bounds, and verify no builder."""
+    module of the package but closed_forms, and no dataclasses, and verify
+    no builder."""
 
     # runs main on its arguments, then prints its exit code, whether numpy
-    # was loaded, and the package modules that were
+    # was loaded, and the package modules that were, with dataclasses
     SCRIPT = (
         "import sys\n"
         "from afsub import cli\n"
         "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('afsub')))\n"
+        "print(code, 'numpy' in sys.modules,\n"
+        "      *sorted(m for m in sys.modules if m.startswith('afsub') or m == 'dataclasses'))\n"
     )
-    WITNESS = {"afsub.bounds", "afsub.graph_model", "afsub.verifier", "afsub.words"}
-    # the package modules each command loads besides afsub and afsub.cli
+    WITNESS = {"afsub.bounds", "afsub.closed_forms", "afsub.graph_model", "afsub.verifier", "afsub.words",
+               "dataclasses"}
+    # the modules each command loads besides afsub and afsub.cli
     LOADS = {
         (): set(),
-        ("bound", "kn"): {"afsub.bounds"},
-        ("bound", "tree"): {"afsub.bounds"},
-        ("bound", "dary"): {"afsub.bounds"},
+        ("bound", "kn"): {"afsub.closed_forms"},
+        ("bound", "tree"): {"afsub.closed_forms"},
+        ("bound", "dary"): {"afsub.closed_forms"},
         ("witness", "tree"): WITNESS,
         ("witness", "kn"): WITNESS,
     }
@@ -1014,7 +1055,7 @@ class TestDeferredNumpy:
         numpy, modules = self.loaded("verify", str(tree))
         assert numpy
         assert modules == {"afsub", "afsub.cli", "afsub.serialize", "afsub.graph_model", "afsub.verifier",
-                           "afsub.words"}
+                           "afsub.words", "dataclasses"}
 
     def test_import_afsub_loads_no_submodule(self):
         proc = run_python("-c", "import sys, afsub; print(*[m for m in sys.modules if m.startswith('afsub')])")
@@ -1226,8 +1267,14 @@ class TestCliBadParameters:
         ["construct", "dary", "--d", "2", "--height", "1", "--dot", "MISSING/t.dot"],
         ["word", "--alphabet", "4", "--length", "5", "-o", "MISSING/w.txt"],
         ["export", "TREE", "--dot", "MISSING/t.dot"],
+        # refused from the height, before 2 ** (10**20 + 1) is computed
+        ["construct", "dary", "--d", "2", "--height", str(10**20)],
+        ["construct", "binary-tree", "--height", str(10**20)],
+        ["construct", "dary-banded", "--d", "2", "--height", str(10**20), "--k", "5"],
+        ["witness", "tree", "--d", "2", "--h", str(10**20), "--x", "1", "--seed", "0"],
     ], ids=["dary-d1", "dary-negative-height", "banded-small-k", "merged-k0",
-            "construct-output", "construct-dot", "word-output", "export-dot"])
+            "construct-output", "construct-dot", "word-output", "export-dot",
+            "dary-huge-height", "binary-tree-huge-height", "banded-huge-height", "witness-tree-huge-height"])
     def test_usage_error_exit_64(self, tmp_path, capsys, argv):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n")

@@ -261,6 +261,13 @@ class TestDaryBanded:
         assert band_parameters(2, 4, 12) == (4, 1)
         assert band_parameters(2, 1, 13) == (1, 1)
 
+    def test_band_parameters_refuse_a_huge_height_first(self):
+        # (d+1) ** hprime is never computed; a bad k is still named first
+        with pytest.raises(ValueError, match="^complete 2-ary tree of height 10+ has more than 10000000 "):
+            band_parameters(2, 10**20, 5)
+        with pytest.raises(ValueError, match="^need k > 2d$"):
+            band_parameters(2, 10**20, 4)
+
     def test_case_h4_k12(self):
         b = build_dary_banded(2, 4, 12)
         assert b.coloured.provenance["bands"] == 4  # palette capped at 10 * 4 = 40

@@ -325,9 +325,9 @@ def scalar_scan_forest(adj, colours, budget):
                 continue
             right = [(w, v, sig + weight[w]) for v, prev, sig in right for w in adj[v] if w != prev]
             if right:
-                halves += len(left) + len(right)
                 grown.append((a, b, left, right))
         live = grown
+        halves += sum(len(left) + len(right) for _, _, left, right in grown)
         depth += 1
     return VerificationReport("anagram_free", None, halves, "exhaustive")
 
