@@ -28,16 +28,21 @@ def kn_lower_bound(n: int, c: int) -> float:
 
     Any anagram-free c-colouring of a (<= k)-subdivision of the complete
     graph on n vertices needs k at least this large.  The radicand
-    c! * (n/c - 1) = (c-1)! * (n - c) is an integer.  Raises OverflowError
-    only when the bound itself is past float range.
+    c! * (n/c - 1) = (c-1)! * (n - c) is an integer, taken exactly while
+    (c-1)! is within float range.  From c = 172 on it is not, and the root
+    is exp((lgamma(c) + ln(n - c)) / c), within about 1e-12 of the exact
+    one relative, without computing (c-1)!.  Raises OverflowError only when
+    the bound itself is past float range.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
-    inner = math.factorial(c - 1) * (n - c)
-    if inner < 0:
+    if n < c:
         raise ValueError("formula undefined for n < c (the bound is vacuous there)")
-    if inner == 0:
+    if n == c:
         return float(-c)
+    if c >= 172:  # 171! is past float range
+        return math.exp((math.lgamma(c) + math.log(n - c)) / c) - c
+    inner = math.factorial(c - 1) * (n - c)
     root = _exact_root(inner, c)
     if root is not None:
         return float(root - c)

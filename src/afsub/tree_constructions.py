@@ -22,6 +22,7 @@ already anagram-free graph with four extra colours.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -237,9 +238,12 @@ def band_parameters(d: int, hprime: int, k: int) -> tuple[int, int]:
     """Number of bands x and band height for the banded construction.
 
     x is the least integer with (2d)^x * (d+1)^hprime <= k^x, i.e. the
-    ceiling of hprime / log_{d+1}(k / 2d), computed in exact integers.
-    Refuses a tree of more than MAX_VERTICES vertices before (d+1)^hprime
-    is computed.
+    ceiling of hprime / log_{d+1}(k / 2d).  The float form, less two, is
+    where an exact integer search starts; it steps x up by running
+    products, so a wide tree, whose x runs to the tens of thousands, costs
+    a few big-integer powers.  x = 1 when k >= 2d * (d+1)^hprime.  Refuses
+    a tree of more than MAX_VERTICES vertices before (d+1)^hprime is
+    computed.
     """
     if k <= 2 * d:
         raise ValueError("need k > 2d")
@@ -247,8 +251,11 @@ def band_parameters(d: int, hprime: int, k: int) -> tuple[int, int]:
     lhs_base = 2 * d
     grow = (d + 1) ** hprime
     x = 1
-    while lhs_base**x * grow > k**x:
-        x += 1
+    if k < lhs_base * grow:  # else x = 1; here k fits a float
+        x = max(1, math.floor(hprime * math.log(d + 1) / math.log1p((k - lhs_base) / lhs_base)) - 2)
+    lhs, rhs = lhs_base**x * grow, k**x
+    while lhs > rhs:
+        lhs, rhs, x = lhs * lhs_base, rhs * k, x + 1
     band = -(-hprime // x)
     return x, band
 

@@ -56,10 +56,6 @@ from .words import _BLOCK_ELEMENTS, _hash_weights, _ranks, find_abelian_square
 
 DEFAULT_MAX_WINDOWS = 10_000_000
 
-# Most distinct sampled walks find_anagram_sampled remembers, to bound its
-# memory on long runs.
-SAMPLED_SEEN_CAP = 200_000
-
 
 class WindowCeilingExceeded(Exception):
     """Raised when exhaustive verification would exceed the window ceiling.
@@ -250,52 +246,44 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray, ends: np.ndarray) -> 
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
-def _chain_ends(graph: SubdividedGraph) -> tuple[np.ndarray, ...]:
-    """The ends (x, y) of every edge of graph, each vertex's degree less
-    one, and each base edge's first and last edge.  Edges are numbered
-    chain by chain, as SubdividedGraph.chain_edges lists them: base edge
-    i's chain u, division run, v takes the ids after chain i - 1's, and its
-    j-th edge joins chain[j] to chain[j + 1].  So the division vertex
-    before edge e of chain i is n0 + e - i - 1, of degree 2; an undivided
-    base edge is a chain of one edge."""
+def _chain_ends(graph: SubdividedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The ends (x, y) of every edge of graph.  Edges are numbered chain by
+    chain, as SubdividedGraph.chain_edges lists them: base edge i's chain u,
+    division run, v takes the ids after chain i - 1's, and its j-th edge
+    joins chain[j] to chain[j + 1].  So the division vertex before edge e
+    of chain i is n0 + e - i - 1; an undivided base edge is a chain of one
+    edge."""
     import numpy as np
 
     base, counts = graph.base, np.array(graph.counts, dtype=np.intp)
     n0 = base.vertex_count
     uv = np.array(base.edges, dtype=np.intp).reshape(-1, 2)
     last = np.cumsum(counts + 1) - 1
-    first = last - counts
     chain = np.repeat(np.arange(len(counts)), counts + 1)
     x = np.arange(n0 - 1, n0 - 1 + len(chain)) - chain
     y = x + 1
-    x[first], y[last] = uv[:, 0], uv[:, 1]
-    grow = np.ones(graph.vertex_count, dtype=np.intp)
-    grow[:n0] = np.bincount(uv.ravel(), minlength=n0) - 1
-    return x, y, grow, first, last
+    x[last - counts], y[last] = uv[:, 0], uv[:, 1]
+    return x, y
 
 
-def _next_edges(x, y, grow, first, last) -> tuple[np.ndarray, ...]:
-    """The directed edges that continue each directed edge of _chain_ends'
-    edges, as a CSR (nxt, start, count): directed edge e runs x[e] -> y[e]
-    and E + e runs y[e] -> x[e].  Into a division vertex the one way on is
-    the next edge of the chain, e + 1 or E + e - 1.  A chain enters a base
-    vertex by its last edge forward or its first edge backward, and the
-    ways on are every edge out of that vertex, the reverses of the edges
-    into it, but the one back."""
+def _next_edges(x, y, n: int) -> tuple[np.ndarray, ...]:
+    """The directed edges that continue each directed edge of the edges
+    (x, y) on n vertices, as a CSR (nxt, start, count): directed edge e
+    runs x[e] -> y[e] and E + e runs y[e] -> x[e], and the ways on from a
+    directed edge are every directed edge that leaves its head but its own
+    reverse, in id order.  The directed edges sorted stably by tail list
+    each vertex's out-edges together; one ragged gather reads them off for
+    every head, and one mask drops the reverses.  x and y must not be
+    empty."""
     import numpy as np
 
-    edges = len(x)
-    count = grow[np.concatenate((y, x))]
-    start = np.cumsum(count) - count
-    nxt = np.concatenate((np.arange(1, edges + 1), np.arange(edges - 1, 2 * edges - 1))).repeat(count)
-    into = np.concatenate((last, first + edges))
-    back = np.concatenate((last + edges, first))
-    at = np.concatenate((y[last], x[first]))
-    order = np.argsort(at, kind="stable")
-    fan = grow[at] + 1
-    turns = back[order][_ragged_arange(at[order].searchsorted(at), fan, fan.cumsum())]
-    nxt[_ragged_arange(start[into], fan - 1, (fan - 1).cumsum())] = turns[turns != back.repeat(fan)]
-    return nxt, start, count
+    tail, head = np.concatenate((x, y)), np.concatenate((y, x))
+    out = np.bincount(tail, minlength=n)
+    fan = out[head]
+    ways = np.argsort(tail, kind="stable")[_ragged_arange((out.cumsum() - out)[head], fan, fan.cumsum())]
+    back = np.concatenate((np.arange(len(x), len(tail)), np.arange(len(x))))
+    count = fan - 1
+    return ways[ways != back.repeat(fan)], count.cumsum() - count, count
 
 
 def _walk_table(nxt, start, count, head_weight, tags) -> tuple[np.ndarray, ...]:
@@ -305,7 +293,9 @@ def _walk_table(nxt, start, count, head_weight, tags) -> tuple[np.ndarray, ...]:
     added only while the table holds at most _BLOCK_ELEMENTS walks.  A walk
     of s steps weighs tags[s - 1] plus the head_weight of each of its edges.
     Returns reach, with reach[s - 1, d] the walks of at most s steps from d,
-    each row's start, and each walk's weight and last directed edge."""
+    each row's start, and each walk's weight and last directed edge.  Each
+    level lists its walks grouped by first edge in row order, so one stable
+    sort of the levels by first edge lays the rows out."""
     import numpy as np
 
     # level s lists the walks of s + 1 steps, grouped by first edge
@@ -322,18 +312,11 @@ def _walk_table(nxt, start, count, head_weight, tags) -> tuple[np.ndarray, ...]:
         sums.append(sums[-1].repeat(c) + head_weight[ends[-1]])
     steps, rows = len(ends), len(count)
     step = np.repeat(np.arange(steps), [len(e) for e in ends])
-    group = step * rows + np.concatenate(owners)
-    walks = np.bincount(group, minlength=steps * rows)
-    # a (step, edge) group starts at listed in the levels, at placed in the rows
-    listed = walks.cumsum() - walks
-    by_row = walks.reshape(steps, rows).T.ravel()
-    placed = (by_row.cumsum() - by_row).reshape(rows, steps)
-    at = np.arange(len(group)) + (placed.T.ravel() - listed)[group]
-    weight = np.empty(len(group), dtype=np.uint64)
-    weight[at] = np.concatenate(sums) + tags[step]
-    last = np.empty(len(group), dtype=np.intp)
-    last[at] = np.concatenate(ends)
-    return walks.reshape(steps, rows).cumsum(axis=0), placed[:, 0].copy(), weight, last
+    owner = np.concatenate(owners)
+    by_row = np.argsort(owner, kind="stable")
+    reach = np.bincount(step * rows + owner, minlength=steps * rows).reshape(steps, rows).cumsum(axis=0)
+    row = reach[-1].cumsum() - reach[-1]
+    return reach, row, (np.concatenate(sums) + tags[step])[by_row], np.concatenate(ends)[by_row]
 
 
 def _halves_by_signature(links, colour_weight, first: int, depth: int):
@@ -381,10 +364,13 @@ def _scan_forest(
 
     Depth 1 needs no tables: a half is one vertex, so edge (a, b) is an
     anagram exactly when a and b share a colour.  After it the scan builds
-    its tables from the base graph (_chain_ends, _next_edges, _walk_table)
-    and holds the frontiers of all live edges in two flat arrays, the
-    directed edge and the key of each half, every a side before every b
-    side.  Each round grows them by a block of depths with one ragged
+    its tables from the base graph (_chain_ends, _next_edges, _walk_table).
+    No output depends on the order of the ways on within a row: rounds
+    sort their keys, candidates go in (step, lo, hi) order, each signature
+    keeps its smallest end vertex, and in a forest each vertex has one
+    parent per side.  The scan holds the frontiers of all live edges in
+    two flat arrays, the directed edge and the key of each half, every a
+    side before every b side.  Each round grows them by a block of depths with one ragged
     gather from the walk table, which lists every walk of 1 .. B steps from
     each directed edge with its weight sum.  B stops where the table would
     pass _BLOCK_ELEMENTS walks, where the step tag would leave fewer than
@@ -415,7 +401,7 @@ def _scan_forest(
     """
     import numpy as np
 
-    x, y, grow, *chains = _chain_ends(graph)
+    x, y = _chain_ends(graph)
     edges, n = len(x), graph.vertex_count
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     every = np.arange(edges)
@@ -433,7 +419,7 @@ def _scan_forest(
         ce = Counterexample.of((int(lo[e]), int(hi[e])), 1, colours)
         return VerificationReport("counterexample", ce, halves, "exhaustive")
 
-    nxt, start, count = _next_edges(x, y, grow, *chains)
+    nxt, start, count = _next_edges(x, y, n)
     nbits = n.bit_length()
     most = max(1, min(math.isqrt(n // 2), (1 << max(31 - nbits, 0)) // edges))
     shift = np.uint64(64 - (most * edges - 1).bit_length())
@@ -574,18 +560,15 @@ def find_anagram_sampled(c: ColouredSubdivision, budget: int, seed: int) -> Veri
     Each sample grows a simple path from a uniform start vertex by uniform
     unvisited-neighbour steps until stuck, extends it backwards while the
     extension is forced, and scans all even windows of the result (shortest
-    first), skipping extensions already scanned.  The scanned path covers
-    every window of the sampled one.  Absence of a counterexample is NOT a
+    first).  The scanned path covers every window of the sampled one.  A
+    walk that repeats an earlier one, or its reverse, is scanned again: the
+    first scan found no anagram on it, and the scan is deterministic, so
+    the repeat finds none either.  Absence of a counterexample is NOT a
     certificate.
 
     On a graph of maximum degree 2 the exhaustive scan of find_anagram costs
     less than about three sampled walks, so it runs instead, without a
     ceiling, and the mode ends in ":exhaustive"; that verdict is exhaustive.
-
-    Once SAMPLED_SEEN_CAP distinct walks are remembered, later new walks are
-    no longer recorded, so a repeat of one of them is scanned again.  That
-    costs time only: the scan is deterministic, so the verdict and the
-    counterexample are unaffected.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -596,7 +579,6 @@ def find_anagram_sampled(c: ColouredSubdivision, budget: int, seed: int) -> Veri
     adj = graph.adjacency
     n = len(adj)
     rng = random.Random(seed)
-    seen: set = set()
     for sample in range(budget):
         start = rng.randrange(n)
         path = [start]
@@ -608,18 +590,12 @@ def find_anagram_sampled(c: ColouredSubdivision, budget: int, seed: int) -> Veri
             nxt = options[0] if len(options) == 1 else rng.choice(options)
             path.append(nxt)
             visited.add(nxt)
-        head, back = path[0], []  # forced backward extension, to merge overlapping samples
+        head, back = path[0], []  # forced backward extension, so the scan covers more windows
         while len(head_options := [w for w in adj[head] if w not in visited]) == 1:
             head = head_options[0]
             back.append(head)
             visited.add(head)
         path[:0] = reversed(back)
-        tup = tuple(path)
-        key = min(tup, tup[::-1])
-        if key in seen:
-            continue
-        if len(seen) < SAMPLED_SEEN_CAP:
-            seen.add(key)
         ce = _path_anagram(path, colours, length_major=True)
         if ce is not None:
             return VerificationReport("counterexample", ce, sample + 1, mode)

@@ -27,6 +27,7 @@ from afsub.bounds import (
     tree_lower_bound,
 )
 from afsub.graph_model import (
+    BaseGraph,
     ColouredGraph,
     complete_dary_tree,
     complete_graph,
@@ -66,6 +67,19 @@ class TestKnLowerBound:
         assert kn_lower_bound(10**400, 2) == pytest.approx(1e200, rel=1e-12)
         with pytest.raises(OverflowError):  # the bound n - 2 itself is past float range
             kn_lower_bound(10**400, 1)
+
+    def test_past_float_factorial(self):
+        # from c = 172, (c-1)! is past float range and the root is taken
+        # from lgamma(c) + ln(n - c); it agrees with the exact radicand's
+        for c in (172, 200, 500, 1000):
+            for n in (c + 1, c + 1000, 10**6, 10**30):
+                exact = math.exp(math.log(math.factorial(c - 1) * (n - c)) / c) - c
+                assert kn_lower_bound(n, c) == pytest.approx(exact, rel=1e-12), (n, c)
+        # c = 10**6, against (c-1)! taken as a sum of logs
+        n, c = 2_000_000, 1_000_000
+        log_inner = math.fsum(math.log(i) for i in range(1, c)) + math.log(n - c)
+        assert kn_lower_bound(n, c) == pytest.approx(math.exp(log_inner / c) - c, rel=1e-9)
+        assert kn_lower_bound(171, 171) == -171.0 and kn_lower_bound(172, 172) == -172.0
 
     def test_rejects_n_below_c(self):
         with pytest.raises(ValueError):
@@ -147,6 +161,11 @@ class TestPigeonhole:
         s = k_subdivision(path_graph(3), 0)
         cs = coloured_subdivision(s, (0, 0, 0), {})
         with pytest.raises(PreconditionError):
+            find_anagram_pigeonhole(cs, 2)
+        # completeness is read off the edge count: K_10 less one edge
+        s = k_subdivision(BaseGraph(10, tuple(itertools.combinations(range(10), 2))[1:]), 0)
+        cs = coloured_subdivision(s, (0,) * 10, {})
+        with pytest.raises(PreconditionError, match="not a complete graph"):
             find_anagram_pigeonhole(cs, 2)
 
     def test_rejects_too_many_colours(self):

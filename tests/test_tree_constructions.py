@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from afsub import words
@@ -260,6 +262,29 @@ class TestDaryBanded:
     def test_band_parameters_exact(self):
         assert band_parameters(2, 4, 12) == (4, 1)
         assert band_parameters(2, 1, 13) == (1, 1)
+
+    def test_band_parameters_match_the_stepwise_search(self):
+        # the search from x = 1, one pair of powers per x, that the float
+        # start replaced
+        def stepwise(d, hprime, k):
+            x = 1
+            while (2 * d) ** x * (d + 1) ** hprime > k**x:
+                x += 1
+            return x, -(-hprime // x)
+
+        rng = random.Random(3)
+        for _ in range(1000):
+            d = rng.randint(2, 40)
+            hprime = rng.randint(1, 4 if d > 9 else 6)
+            k = 2 * d + rng.choice((1, 2, rng.randint(1, 100), rng.randint(1, 10**9), 10**30))
+            assert band_parameters(d, hprime, k) == stepwise(d, hprime, k), (d, hprime, k)
+
+    def test_band_parameters_of_a_wide_tree(self):
+        # 48,045 bands, which the stepwise search reaches only after 48,045
+        # pairs of ever larger powers
+        x, band = band_parameters(3000, 1, 6001)
+        assert (x, band) == (48_045, 1)
+        assert 6000**x * 3001 <= 6001**x and 6000 ** (x - 1) * 3001 > 6001 ** (x - 1)
 
     def test_band_parameters_refuse_a_huge_height_first(self):
         # (d+1) ** hprime is never computed; a bad k is still named first

@@ -439,6 +439,78 @@ def walk_steps(graph, colours):
         return verifier._scan_forest(graph, colours, None), built
 
 
+def directed_ids(graph):
+    """Each directed edge (tail, head) of graph by its id in the forest
+    scan's numbering: edge e of chain_edges runs x -> y as e and y -> x as
+    E + e."""
+    pairs = list(graph.chain_edges())
+    return {pair: d for d, pair in enumerate(pairs + [(b, a) for a, b in pairs])}
+
+
+def brute_ways_on(graph):
+    """For each directed edge id, the set of directed edges that leave its
+    head, its own reverse aside."""
+    ids = directed_ids(graph)
+    leaving = {}
+    for (a, b), d in ids.items():
+        leaving.setdefault(a, set()).add(d)
+    return {d: leaving[b] - {ids[b, a]} for (a, b), d in ids.items()}
+
+
+def brute_walks(graph, d, steps, vertex_weight):
+    """(steps, weight sum of the heads, last directed edge) of every walk of
+    1 .. steps steps on from directed edge d that never turns back."""
+    ids, adj = directed_ids(graph), graph.adjacency
+    (a, b), = (pair for pair, e in ids.items() if e == d)
+    walks, layer = [], [(a, b, 0)]
+    for s in range(1, steps + 1):
+        layer = [(v, w, total + vertex_weight[w]) for u, v, total in layer for w in adj[v] if w != u]
+        walks += [(s, total, ids[v, w]) for v, w, total in layer]
+    return walks
+
+
+class TestForestTables:
+    @staticmethod
+    def assert_ways_on(graph):
+        x, y = verifier._chain_ends(graph)
+        nxt, start, count = verifier._next_edges(x, y, graph.vertex_count)
+        brute = brute_ways_on(graph)
+        assert len(count) == len(brute)
+        for d, ways in brute.items():
+            row = nxt[start[d] : start[d] + count[d]].tolist()
+            assert (sorted(row), set(row)) == (sorted(ways), ways), d
+
+    @given(subdivided_forests(max_divisions=6))
+    @settings(max_examples=100, deadline=None)
+    def test_next_edges_match_brute_force(self, c):
+        self.assert_ways_on(c.graph)
+
+    def test_next_edges_on_a_star(self):
+        self.assert_ways_on(subdivide(BaseGraph(201, tuple((0, leaf) for leaf in range(1, 201))), [0] * 200))
+
+    @given(subdivided_forests(max_divisions=6), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_table_rows_match_brute_force(self, c, most):
+        graph = c.graph
+        x, y = verifier._chain_ends(graph)
+        links = verifier._next_edges(x, y, graph.vertex_count)
+        vertex_weight = np.random.default_rng(len(x)).integers(0, 1 << 20, graph.vertex_count, dtype=np.uint64)
+        tags = np.arange(most, dtype=np.uint64) << np.uint64(40)
+        reach, row, weight, last = verifier._walk_table(*links, vertex_weight[np.concatenate((y, x))], tags)
+        steps = len(reach)
+        assert reach.shape == (steps, 2 * len(x)) and 1 <= steps <= most
+        for d in range(2 * len(x)):
+            walks = brute_walks(graph, d, steps + 1, vertex_weight.tolist())
+            if steps < most:  # the table stops early only where no walk goes on
+                assert all(s <= steps for s, _, _ in walks)
+            walks = [walk for walk in walks if walk[0] <= steps]
+            assert reach[:, d].tolist() == [sum(s <= t for s, _, _ in walks) for t in range(1, steps + 1)]
+            cells = range(row[d], row[d] + reach[-1, d])
+            listed = [(int(weight[i]) >> 40, int(weight[i]) & ((1 << 40) - 1), int(last[i])) for i in cells]
+            assert [s for s, _, _ in listed] == sorted(s for s, _, _ in listed)  # rows list 1 step first
+            assert sorted(listed) == sorted((s - 1, total, e) for s, total, e in walks)
+
+
 class TestForestScan:
     @given(forests())
     @settings(max_examples=300, deadline=None)
@@ -878,23 +950,56 @@ class TestFindAnagramSampled:
         assert report.outcome == "counterexample"
         assert revalidate(report.counterexample, c)
 
-    def test_planted_paw_reports_are_pinned(self):
-        # graph14 of the paw with division vertex 101 of base edge 6 given
-        # the colour of vertex 100: vertices 297, 298 and 299 then share
-        # colour 7.  The walks of the 20 seeds end on either side of the
-        # planted vertex 298, so a backward extension read in the wrong
-        # order would move the counterexample
+    @staticmethod
+    def paw_and_planted():
+        """graph14 of the paw, and its copy with division vertex 101 of base
+        edge 6 given the colour of vertex 100: vertices 297, 298 and 299
+        then share colour 7."""
         cs = colour_14(BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))).coloured
         run = cs.graph.division_paths[6]
         colour = list(cs.colour)
         colour[run[101]] = colour[run[100]]
-        planted = coloured_subdivision(cs.graph, colour, cs.provenance)
+        return cs, coloured_subdivision(cs.graph, colour, cs.provenance)
+
+    def test_planted_paw_reports_are_pinned(self):
+        # the walks of the 20 seeds end on either side of the planted
+        # vertex 298, so a backward extension read in the wrong order would
+        # move the counterexample
+        _, planted = self.paw_and_planted()
         after = {2, 3, 5, 7, 9, 11, 12, 15, 17}  # the seeds that end at (299, 298)
         for seed in range(1, 21):
             report = find_anagram_sampled(planted, 40, seed)
             ce = report.counterexample
             assert (ce.vertices, ce.split, ce.multiset) == ((299, 298) if seed in after else (297, 298), 1, ((7, 1),))
             assert (report.paths_checked, report.mode) == (2 if seed == 2 else 1, f"sampled(budget=40,seed={seed})")
+
+    def test_repeated_walks_are_scanned_again_with_the_same_reports(self):
+        # the walks of these runs repeat; reports taken before the sampler
+        # stopped skipping repeats.  A repeat was anagram-free when first
+        # scanned, so scanning it again changes no report
+        paw, planted = self.paw_and_planted()
+        star = ColouredGraph(BaseGraph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5))), (1, 2, 2, 3, 4, 1))
+        scanned = []
+        path_anagram = verifier._path_anagram
+
+        def recorded(path, colours, **order):
+            scanned.append(min(tuple(path), tuple(path[::-1])))
+            return path_anagram(path, colours, **order)
+
+        cases = [
+            (planted, 300, 1, ("counterexample", (297, 298), 1), 1, 1),
+            (paw, 300, 1, ("anagram_free", None, 300), 300, 39),
+            (star, 2000, 4, ("counterexample", (5, 0), 12), 12, 9),
+            (star, 2000, 8, ("counterexample", (0, 5), 7), 7, 6),
+        ]
+        with mock.patch.object(verifier, "_path_anagram", recorded):
+            for c, budget, seed, expected, scans, distinct in cases:
+                scanned.clear()
+                report = find_anagram_sampled(c, budget, seed)
+                ce = report.counterexample
+                assert (report.outcome, ce and ce.vertices, report.paths_checked) == expected
+                assert report.mode == f"sampled(budget={budget},seed={seed})"
+                assert (len(scanned), len(set(scanned))) == (scans, distinct)
 
     def test_deterministic_per_seed(self):
         c = seeded_instance(77)
