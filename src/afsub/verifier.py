@@ -29,9 +29,12 @@ check_restriction applies the colour-restriction operator as a refutation
 accelerator, over the maximal-path and degree-2 scans and the window
 ceiling, and check_discriminating audits the four structural conditions
 that make a sequence-subdivision colouring anagram-free from the
-bipartition, a construction's labels.  Every counterexample records its
-first half's multiset_of, through Counterexample.of.  Only
-check_discriminating imports graph_constructions, so verify loads no builder.
+bipartition, a construction's labels, in linear time: it recognises each
+division path's word as a refinement of a Keränen prefix, or of three
+disjoint ones, and scans only the words it cannot recognise.  Every
+counterexample records its first half's multiset_of, through
+Counterexample.of.  Only check_discriminating imports graph_constructions,
+so verify loads no builder.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .graph_model import (
     SubdividedGraph,
     enumerate_maximal_simple_paths,
 )
-from .words import _BLOCK_ELEMENTS, _hash_weights, _ranks, find_abelian_square
+from .words import _BLOCK_ELEMENTS, _hash_weights, _ranks, find_abelian_square, keranen_symbols
 
 DEFAULT_MAX_WINDOWS = 10_000_000
 
@@ -405,7 +408,7 @@ def _scan_forest(
     edges, n = len(x), graph.vertex_count
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     every = np.arange(edges)
-    rank, k = _ranks(colours)
+    rank, distinct = _ranks(colours)
     base = n // 2 + 1
 
     halves = 2 * edges
@@ -423,7 +426,7 @@ def _scan_forest(
     nbits = n.bit_length()
     most = max(1, min(math.isqrt(n // 2), (1 << max(31 - nbits, 0)) // edges))
     shift = np.uint64(64 - (most * edges - 1).bit_length())
-    weight = (_hash_weights(k, int(shift) - 1 - nbits) << np.uint64(1))[rank]
+    weight = (_hash_weights(len(distinct), int(shift) - 1 - nbits) << np.uint64(1))[rank]
     head = np.concatenate((y, x))
     tags = np.arange(most, dtype=np.uint64) * np.uint64(edges) << shift
     reach, row, table_weight, table_end = _walk_table(nxt, start, count, weight[head], tags)
@@ -709,12 +712,14 @@ def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
 
 @dataclass(frozen=True)
 class DiscriminatingReport:
-    """The witness of each failed discriminating condition, keyed 1..4, and
-    the colours each family X, Y, Z owns exclusively.  Condition n holds
-    exactly when it has no witness."""
+    """The witness of each failed discriminating condition, keyed 1..4, the
+    colours each family X, Y, Z owns exclusively, and the edges whose
+    division-path words condition 2 scanned, not having recognised them.
+    Condition n holds exactly when it has no witness."""
 
     witnesses: dict
     exclusive_colours: dict
+    scanned: tuple[int, ...] = ()
 
     @property
     def conditions(self) -> tuple[bool, bool, bool, bool]:
@@ -723,6 +728,16 @@ class DiscriminatingReport:
     @property
     def passed(self) -> bool:
         return not self.witnesses
+
+
+def _refines(word: np.ndarray, reference: np.ndarray, k: int) -> bool:
+    """Whether each colour rank (below k) of word occurs only at positions
+    where reference, as long as word, carries one symbol."""
+    import numpy as np
+
+    symbol_of = np.zeros(k, reference.dtype)
+    symbol_of[word] = reference
+    return bool(np.array_equal(symbol_of[word], reference))
 
 
 def check_discriminating(s: SubdividedGraph, bipartition: Sequence[int], colouring: Sequence[int]) -> DiscriminatingReport:
@@ -742,67 +757,106 @@ def check_discriminating(s: SubdividedGraph, bipartition: Sequence[int], colouri
     bipartition is a construction's labels, and the audit derives the rest
     by the builder's own rules: each edge's X, Y, Z are the consecutive_thirds
     of its oriented_division_path, and the edge order is that of
-    _sequence_ranks.  It raises ValueError when the bipartition
-    does not cover the base graph, or a division path's length is not a
-    multiple of 3.
+    _sequence_ranks.  It raises ValueError when the bipartition does not
+    cover the base graph or labels a vertex other than 0 or 1, when the
+    colouring does not cover the subdivision, or when a division path's
+    length is not a multiple of 3.
+
+    Condition 2 rests on V. Keränen, "Abelian squares are avoidable on 4
+    letters" (ICALP 1992): no prefix of words.keranen_symbols has an
+    abelian square.  A word refines a reference as long as itself when each
+    of its colours occurs only where the reference carries one symbol.  Two
+    lemmas make recognition sound:
+    - refinement: an abelian square in a word that refines a reference
+      maps, colour by symbol, onto an abelian square of the reference at
+      the same place;
+    - disjoint blocks: in a word cut into blocks over pairwise disjoint
+      colour sets, every abelian square lies inside one block, since
+      otherwise the colours of the first block it touches would occur in
+      its first half only, or those of the last block in its second half.
+    So a division path read from its white end is anagram-free, and is not
+    scanned, when (a) its X, Y, Z thirds have pairwise disjoint colour sets
+    and each refines the Keränen prefix of its own length (graph14,
+    graph-merged), or (b) the whole word refines the prefix of its length
+    (graph8).  Every other path is scanned by find_abelian_square from its
+    u end, in edge order up to the first hit, and listed in scanned; a
+    recognised path has no hit, so the witness is that of a full scan.
+    Conditions 1, 3 and 4 are passes over arrays of the division vertices'
+    colour ranks, each third a contiguous run of ids, and keep the first
+    witness in vertex and edge order.  So where every path is recognised,
+    the audit takes time linear in the vertex count.
     """
+    import numpy as np
+
     from .graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 
     g = s.base
-    if len(bipartition) != g.vertex_count:
+    n0 = g.vertex_count
+    if len(bipartition) != n0:
         raise ValueError("labels do not describe this subdivision")
-    thirds = []
-    for i in range(len(g.edges)):
-        path = oriented_division_path(s, bipartition, i)
-        if len(path) % 3:
-            raise ValueError(f"division path of edge {i} has {len(path)} vertices, not a multiple of 3")
-        thirds.append(consecutive_thirds(path))
-    edge_rank = _sequence_ranks(g, bipartition)
+    if any(b not in (0, 1) for b in bipartition):
+        raise ValueError("bipartition must assign 0 (black) or 1 (white) to every vertex")
+    if len(colouring) != s.vertex_count:
+        raise ValueError("colouring does not cover this subdivision")
+    if (bad := next((i for i, k in enumerate(s.counts) if k % 3), None)) is not None:
+        raise ValueError(f"division path of edge {bad} has {s.counts[bad]} vertices, not a multiple of 3")
+    rank, palette = _ranks(colouring)
+    k = len(palette)
+    # each edge's word of colour ranks, read from its white end: the
+    # oriented path is the division path itself or its reverse
+    path_words = [
+        rank[run.start : run.stop][:: oriented_division_path(s, bipartition, i).step]
+        for i, run in enumerate(s.division_paths)
+    ]
+    thirds = [consecutive_thirds(word) for word in path_words]
     witnesses: dict = {}  # condition n fails exactly when witnesses[n] is set
 
     # condition 1
-    black = {colouring[v] for v in range(g.vertex_count) if bipartition[v] == 0}
-    white = {colouring[v] for v in range(g.vertex_count) if bipartition[v] == 1}
-    reserved = black | white
+    black = {colouring[v] for v in range(n0) if bipartition[v] == 0}
+    white = {colouring[v] for v in range(n0) if bipartition[v] == 1}
+    original = np.zeros(k, bool)
+    original[rank[:n0]] = True
     if len(black) > 1 or len(white) > 1 or (black and white and black == white):
         witnesses[1] = ("original colour classes not a 2-colouring", sorted(black), sorted(white))
     elif (edge := next((e for e in g.edges if bipartition[e[0]] == bipartition[e[1]]), None)) is not None:
         witnesses[1] = ("bipartition not proper on edge", edge)
-    elif (v := next((v for p in s.division_paths for v in p if colouring[v] in reserved), None)) is not None:
-        witnesses[1] = ("original colour reused on division vertex", v)
+    elif (reused := original[rank[n0:]]).any():
+        witnesses[1] = ("original colour reused on division vertex", n0 + int(reused.argmax()))
 
-    # condition 2
-    for i, path in enumerate(s.division_paths):
-        word = [colouring[v] for v in path]
-        hit = find_abelian_square(word)
+    # condition 2: recognise each word by test (a) or (b), or scan it
+    prefix = np.array(keranen_symbols(max(s.counts, default=0)), np.intp)
+    scanned = []
+    for i, word in enumerate(path_words):
+        t = len(word) // 3
+        blocks = np.concatenate((prefix[:t], prefix[:t] + 4, prefix[:t] + 8))
+        if _refines(word, blocks, k) or _refines(word, prefix[: 3 * t], k):
+            continue
+        scanned.append(i)
+        hit = find_abelian_square([colouring[v] for v in s.division_paths[i]])
         if hit is not None:
             witnesses[2] = ("division path of edge carries an anagram", i, hit)
             break
 
-    # condition 3: infer C(Q) as colours exclusive to family Q
-    family_of: dict[int, set[str]] = {}
-    for v in range(g.vertex_count):
-        family_of.setdefault(colouring[v], set()).add("original")
-    for i in range(len(g.edges)):
-        for name, third in zip("XYZ", thirds[i]):
-            for v in third:
-                family_of.setdefault(colouring[v], set()).add(name)
-    exclusive = {
-        name: {c for c, fams in family_of.items() if fams == {name}} for name in "XYZ"
-    }
-    if not all(exclusive[name] for name in "XYZ"):
+    # condition 3: infer C(Q) as the colours exclusive to family Q
+    family = np.zeros((3, k), bool)
+    for parts in thirds:
+        for q, third in enumerate(parts):
+            family[q, third] = True
+    sole = family & ~original & (family.sum(axis=0) == 1)
+    exclusive = {name: {palette[r] for r in np.flatnonzero(sole[q]).tolist()} for q, name in enumerate("XYZ")}
+    if not all(exclusive.values()):
         witnesses[3] = ("families without an exclusive colour", [n for n in "XYZ" if not exclusive[n]])
 
     # condition 4: exact prefix counting in edge-rank order
+    edge_rank = _sequence_ranks(g, bipartition)
     order = sorted(range(len(g.edges)), key=edge_rank.__getitem__)
-    for name, qidx in (("X", 0), ("Y", 1), ("Z", 2)):
-        cq = exclusive[name]
-        if not cq:
+    for q, name in enumerate("XYZ"):
+        if not exclusive[name]:
             witnesses[4] = ("no C(Q) to count for family", name)
             break
         running = 0
         for i in order:
-            here = sum(1 for v in thirds[i][qidx] if colouring[v] in cq)
+            here = int(np.count_nonzero(sole[q][thirds[i][q]]))
             if running >= here:
                 witnesses[4] = ("prefix count not dominated", name, i, running, here)
                 break
@@ -810,4 +864,4 @@ def check_discriminating(s: SubdividedGraph, bipartition: Sequence[int], colouri
         if 4 in witnesses:
             break
 
-    return DiscriminatingReport(witnesses, exclusive)
+    return DiscriminatingReport(witnesses, exclusive, tuple(scanned))

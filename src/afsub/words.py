@@ -9,8 +9,9 @@ Abelian squares are found by one scanner for every length: prefix sums of
 one wrapping uint64 hash weight per symbol rank select candidate windows,
 and each candidate is confirmed by exact counts of its two halves, so the
 result is exact and deterministic.  _ranks and _hash_weights serve this
-scanner and the forest scan in verifier alike.  Squares are found exactly,
-from runs of matching positions.  Both scanners compare a block of
+scanner and the forest scan in verifier alike, and _ranks serves the
+discriminating audit too.  Squares are found exactly, from runs of
+matching positions.  Both scanners compare a block of
 consecutive half-lengths in one numpy call, one row per half-length read
 from a strided view of the padded word or prefix array, with at most
 _BLOCK_ELEMENTS elements a block.
@@ -69,13 +70,14 @@ def _symbols_of(w: WordLike) -> Sequence[int]:
     return w.symbols if isinstance(w, Word) else w
 
 
-def _ranks(symbols: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Each symbol's rank among the distinct symbols, in sorted order, as
-    an intp array, and the number of distinct symbols."""
+def _ranks(symbols: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """Each symbol's rank among the distinct symbols, as an intp array, and
+    the distinct symbols in sorted order, the rank of each its index."""
     import numpy as np
 
-    rank_of = {sym: r for r, sym in enumerate(sorted(set(symbols)))}
-    return np.fromiter(map(rank_of.__getitem__, symbols), np.intp, len(symbols)), len(rank_of)
+    distinct = sorted(set(symbols))
+    rank_of = {sym: r for r, sym in enumerate(distinct)}
+    return np.fromiter(map(rank_of.__getitem__, symbols), np.intp, len(symbols)), distinct
 
 
 @functools.lru_cache(maxsize=64)
@@ -130,7 +132,8 @@ def find_abelian_square(
     top = (n if max_length is None else min(n, max_length)) // 2
     if top < 1:
         return None
-    rank, k = _ranks(s)
+    rank, distinct = _ranks(s)
+    k = len(distinct)
     H = np.zeros(n + 2 * top, dtype=np.uint64)
     np.cumsum(_hash_weights(k, 64)[rank], out=H[1 : n + 1])
     twice = H * np.uint64(2)

@@ -6,7 +6,9 @@ the forest scan as it was before it grew blocks of depths, kept as the
 reference the block scan must match report for report, checked_parts
 the schema reader as one loop over the entries, and maximal_paths_by_frames
 the maximal-path walker as two closures over [vertex, iterator, flag]
-frames, the reference of graph_model.enumerate_maximal_simple_paths.
+frames, the reference of graph_model.enumerate_maximal_simple_paths, and
+scanned_check_discriminating the discriminating audit with condition 2 by
+a quadratic scan of every division path.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import numpy as np
 
 from afsub import verifier, words
 from afsub.bounds import MonochromaticWitness, _effective_height, witness_children
+from afsub.graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
 from afsub.graph_model import RootedTree, StepBudgetExceeded
 from afsub.serialize import SchemaError
-from afsub.verifier import Counterexample, VerificationReport, WindowCeilingExceeded
-from afsub.words import _LETTERS, Word
+from afsub.verifier import Counterexample, DiscriminatingReport, VerificationReport, WindowCeilingExceeded
+from afsub.words import _LETTERS, Word, find_abelian_square
 
 
 def word_from_string(text: str, alphabet_size: Optional[int] = None) -> Word:
@@ -198,10 +201,10 @@ def depth_scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Ver
     nxt_count = fan - 1
     nxt_start = np.cumsum(nxt_count) - nxt_count
 
-    rank, k = words._ranks(colours)
+    rank, distinct = words._ranks(colours)
     shift = np.uint64(64 - edges.bit_length())
     bits = int(shift) - 1 - (n // 2).bit_length()
-    weight = (verifier._hash_weights(k, bits) << np.uint64(1))[rank]
+    weight = (verifier._hash_weights(len(distinct), bits) << np.uint64(1))[rank]
     head_weight = weight[head]
     edge_key = np.arange(edges, dtype=np.uint64) << shift
     # a's halves end at a (directed edge b -> a), then b's halves at b
@@ -385,3 +388,74 @@ def maximal_paths_by_frames(g, *, step_budget: Optional[int] = None) -> Iterator
         starts = range(n)
     for start in starts:
         yield from walk(start)
+
+
+def scanned_check_discriminating(s, bipartition: Sequence[int], colouring: Sequence[int]) -> DiscriminatingReport:
+    """verifier.check_discriminating as it was when condition 2 scanned every
+    division path with find_abelian_square and conditions 1, 3 and 4 walked
+    the vertices one by one: the reference its recognition and array passes
+    must match, witness for witness and colour for colour.  It takes labels
+    of 0 and 1 on trust."""
+    g = s.base
+    if len(bipartition) != g.vertex_count:
+        raise ValueError("labels do not describe this subdivision")
+    thirds = []
+    for i in range(len(g.edges)):
+        path = oriented_division_path(s, bipartition, i)
+        if len(path) % 3:
+            raise ValueError(f"division path of edge {i} has {len(path)} vertices, not a multiple of 3")
+        thirds.append(consecutive_thirds(path))
+    edge_rank = _sequence_ranks(g, bipartition)
+    witnesses: dict = {}  # condition n fails exactly when witnesses[n] is set
+
+    # condition 1
+    black = {colouring[v] for v in range(g.vertex_count) if bipartition[v] == 0}
+    white = {colouring[v] for v in range(g.vertex_count) if bipartition[v] == 1}
+    reserved = black | white
+    if len(black) > 1 or len(white) > 1 or (black and white and black == white):
+        witnesses[1] = ("original colour classes not a 2-colouring", sorted(black), sorted(white))
+    elif (edge := next((e for e in g.edges if bipartition[e[0]] == bipartition[e[1]]), None)) is not None:
+        witnesses[1] = ("bipartition not proper on edge", edge)
+    elif (v := next((v for p in s.division_paths for v in p if colouring[v] in reserved), None)) is not None:
+        witnesses[1] = ("original colour reused on division vertex", v)
+
+    # condition 2
+    for i, path in enumerate(s.division_paths):
+        word = [colouring[v] for v in path]
+        hit = find_abelian_square(word)
+        if hit is not None:
+            witnesses[2] = ("division path of edge carries an anagram", i, hit)
+            break
+
+    # condition 3: infer C(Q) as colours exclusive to family Q
+    family_of: dict[int, set[str]] = {}
+    for v in range(g.vertex_count):
+        family_of.setdefault(colouring[v], set()).add("original")
+    for i in range(len(g.edges)):
+        for name, third in zip("XYZ", thirds[i]):
+            for v in third:
+                family_of.setdefault(colouring[v], set()).add(name)
+    exclusive = {
+        name: {c for c, fams in family_of.items() if fams == {name}} for name in "XYZ"
+    }
+    if not all(exclusive[name] for name in "XYZ"):
+        witnesses[3] = ("families without an exclusive colour", [n for n in "XYZ" if not exclusive[n]])
+
+    # condition 4: exact prefix counting in edge-rank order
+    order = sorted(range(len(g.edges)), key=edge_rank.__getitem__)
+    for name, qidx in (("X", 0), ("Y", 1), ("Z", 2)):
+        cq = exclusive[name]
+        if not cq:
+            witnesses[4] = ("no C(Q) to count for family", name)
+            break
+        running = 0
+        for i in order:
+            here = sum(1 for v in thirds[i][qidx] if colouring[v] in cq)
+            if running >= here:
+                witnesses[4] = ("prefix count not dominated", name, i, running, here)
+                break
+            running += here
+        if 4 in witnesses:
+            break
+
+    return DiscriminatingReport(witnesses, exclusive)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from afsub import verifier, words
 from afsub.graph_constructions import (
     build_sequence_subdivision,
+    colour_8,
     colour_14,
     colour_merged,
     consecutive_thirds,
@@ -42,7 +44,7 @@ from afsub.verifier import (
     naive_find_anagram,
     revalidate,
 )
-from oracles import depth_scan_forest, is_anagram
+from oracles import depth_scan_forest, is_anagram, scanned_check_discriminating
 
 
 def coloured_path(colours):
@@ -1059,6 +1061,70 @@ class TestCheckRestriction:
                     assert not is_anagram(window)
 
 
+GALLERY_GRAPHS = {
+    "P2": path_graph(2),
+    "P3": path_graph(3),
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "K4": complete_graph(4),
+    "paw": BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3))),
+}
+# graph14 and graph-merged (k = 1, 2) of every gallery graph, graph8 of the
+# two it can build at test scale
+GALLERY_AUDITS = (
+    *(f"graph14-{g}" for g in GALLERY_GRAPHS),
+    *(f"merged{k}-{g}" for k in (1, 2) for g in GALLERY_GRAPHS if len(GALLERY_GRAPHS[g].edges) >= k),
+    "graph8-P2",
+    "graph8-P3",
+)
+
+
+@functools.cache
+def gallery_audit(name):
+    """The construction a gallery audit name stands for, built once."""
+    kind, graph = name.split("-")
+    g = GALLERY_GRAPHS[graph]
+    if kind.startswith("merged"):
+        return colour_merged(g, int(kind[len("merged") :]))
+    return {"graph14": colour_14, "graph8": colour_8}[kind](g)
+
+
+def assert_same_audit(s, labels, colours):
+    """check_discriminating against the scanning oracle; returns its report."""
+    report = check_discriminating(s, labels, colours)
+    oracle = scanned_check_discriminating(s, labels, colours)
+    assert report.witnesses == oracle.witnesses
+    assert report.exclusive_colours == oracle.exclusive_colours
+    return report
+
+
+@st.composite
+def near_keranen_words(draw):
+    """A word of 3t colours read from a reference, either the Keränen prefix
+    of length 3t or three blocks of the prefix of length t over symbols
+    0-3, 4-7 and 8-11, each symbol coloured by one of its own colours.
+    Merged blocks share their colours, so the blocks are not disjoint, and
+    an edit moves one position to a fresh colour or another symbol's."""
+    t = draw(st.integers(1, 1000))
+    blocks, merged = draw(st.booleans()), draw(st.booleans())
+    if blocks:
+        reference = [4 * q * (not merged) + sym for q in range(3) for sym in words.keranen_symbols(t)]
+    else:
+        reference = words.keranen_symbols(3 * t)
+    width = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    colours = [2 + width * sym + rng.randrange(width) for sym in reference]
+    edit = draw(st.sampled_from(("none", "fresh", "symbol")))
+    if edit != "none":
+        j = draw(st.integers(0, 3 * t - 1))
+        if edit == "fresh":
+            colours[j] = 2 + width * 12
+        else:
+            sym = draw(st.sampled_from([x for x in range(12 if blocks and not merged else 4) if x != reference[j]]))
+            colours[j] = 2 + width * sym + rng.randrange(width)
+    return colours
+
+
 class TestCheckDiscriminating:
     def test_sound_construction_passes(self):
         c = colour_14(path_graph(2))
@@ -1077,6 +1143,9 @@ class TestCheckDiscriminating:
         report = check_discriminating(c.coloured.graph, c.labels, colours)
         assert not report.conditions[1]
         assert not report.passed
+        # neither test recognises a monochromatic word, so the first is scanned
+        assert report.scanned == (0,)
+        assert report.witnesses[2] == ("division path of edge carries an anagram", 0, (0, 2))
 
     def test_constant_sequence_fails_condition_4(self):
         # three-edge bipartite path with t = (1, 1, 1): later thirds cannot
@@ -1099,6 +1168,64 @@ class TestCheckDiscriminating:
         labels = c.labels[:-1]
         with pytest.raises(ValueError, match="do not describe"):
             check_discriminating(c.coloured.graph, labels, c.coloured.colour)
+
+    @pytest.mark.parametrize("labels", [(0, 0, 0, 2, 2), (7, 0, 0, 1, 1)])
+    def test_labels_other_than_0_and_1_raise(self, labels):
+        # with no white class, condition 1 would never reserve colour 1
+        c = colour_14(path_graph(3))
+        with pytest.raises(ValueError, match=r"bipartition must assign 0 \(black\) or 1 \(white\) to every vertex"):
+            check_discriminating(c.coloured.graph, labels, c.coloured.colour)
+
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_colouring_of_the_wrong_length_raises(self, cut):
+        c = colour_14(path_graph(2))
+        colours = c.coloured.colour[:-1] if cut < 0 else c.coloured.colour + (2,)
+        with pytest.raises(ValueError, match="colouring does not cover"):
+            check_discriminating(c.coloured.graph, c.labels, colours)
+
+    @pytest.mark.parametrize("name", GALLERY_AUDITS)
+    def test_gallery_is_recognised_and_matches_the_oracle(self, name):
+        c = gallery_audit(name)
+        report = assert_same_audit(c.coloured.graph, c.labels, c.coloured.colour)
+        assert report.scanned == ()
+        assert report.conditions[:3] == (True, True, True)
+
+    @given(st.sampled_from(GALLERY_AUDITS), st.sampled_from(("recolour", "flip", "swap")), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutations_match_the_oracle(self, name, kind, data):
+        c = gallery_audit(name)
+        s, labels, colours = c.coloured.graph, c.labels, list(c.coloured.colour)
+        n0, m = s.base.vertex_count, len(s.base.edges)
+        if kind == "recolour":  # one division vertex to any palette colour
+            moved = [data.draw(st.integers(n0, s.vertex_count - 1))]
+            colours[moved[0]] = data.draw(st.sampled_from(c.coloured.palette))
+        elif kind == "flip":  # one original to the other class's colour
+            colours[data.draw(st.integers(0, n0 - 1))] ^= 1
+            moved = []
+        else:  # two division vertices of different families swap colours
+            q, r = data.draw(st.permutations(range(3)))[:2]
+            moved = []
+            for family in (q, r):
+                third = consecutive_thirds(oriented_division_path(s, labels, data.draw(st.integers(0, m - 1))))[family]
+                moved.append(third[data.draw(st.integers(0, len(third) - 1))])
+            colours[moved[0]], colours[moved[1]] = colours[moved[1]], colours[moved[0]]
+        report = assert_same_audit(s, labels, colours)
+        # a mutated path that recognition still accepts has no anagram
+        stop = report.witnesses[2][1] if 2 in report.witnesses else m
+        for i in {i for i, run in enumerate(s.division_paths) for v in moved if v in run}:
+            if i < stop and i not in report.scanned:
+                assert words.find_abelian_square([colours[v] for v in s.division_paths[i]]) is None
+
+    @given(near_keranen_words())
+    @settings(max_examples=200, deadline=None)
+    def test_recognised_words_have_no_abelian_square(self, colours):
+        # one edge, read from its white end 0: the word is its division path
+        s = subdivide(path_graph(2), [len(colours)])
+        report = check_discriminating(s, (1, 0), [1, 0, *colours])
+        hit = words.find_abelian_square(colours)
+        if report.scanned == ():
+            assert hit is None
+        assert (2 in report.witnesses) == (hit is not None)
 
     def test_path_length_not_a_multiple_of_3_raises(self):
         # the builder gives every edge 3 * t division vertices
