@@ -4,13 +4,16 @@ Each command loads only the modules it runs, so bound loads closed_forms
 alone: no witness search, builder, scanner, serialiser, dataclasses or
 numpy.
 
-Exit codes: 0 success (or no counterexample found), 1 self-check failure
-(of word, verify or witness), 2 verification counterexample,
-3 window ceiling hit, 64 usage error (including construction parameters a
-builder rejects, a word longer than graph_model.MAX_VERTICES, a bound
-past float range, running out of memory, a malformed window ceiling, and
-an output path that cannot be written), 65 malformed input file
-(including an edge file with a vertex id of MAX_VERTICES or more).
+Exit codes: 0 success (or no counterexample found, or for verify
+--restrict no anagram of a restricted word), 1 self-check failure (of
+word, verify or witness), 2 verification counterexample, recounted by
+revalidate, 3 undecided (a window ceiling hit, or for verify --restrict
+an anagram of a restricted word, which proves nothing), 64 usage error
+(including construction parameters a builder rejects, a word longer than
+graph_model.MAX_VERTICES, a bound past float range, running out of
+memory, a malformed window ceiling, and an output path that cannot be
+written), 65 malformed input file (including an edge file with a vertex
+id of MAX_VERTICES or more).
 """
 
 from __future__ import annotations
@@ -293,7 +296,7 @@ def _report_payload(report: VerificationReport) -> dict:
     }
     if report.counterexample is not None:
         ce = report.counterexample
-        payload["counterexample"] = {
+        payload[report.outcome] = {
             "vertices": list(ce.vertices),
             "split": ce.split,
             "multiset": {str(c): k for c, k in ce.multiset},
@@ -373,12 +376,11 @@ def _run_verify(ns: argparse.Namespace) -> int:
     except WindowCeilingExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CEILING
-    # a --restrict counterexample lies on the restricted word, not on a path
-    ce = report.counterexample
-    if ce is not None and ns.restrict is None and not revalidate(ce, cs):
+    if report.outcome == "counterexample" and not revalidate(report.counterexample, cs):
         raise SelfCheckFailed("the counterexample is not an anagram path of the input")
     _write_json(_report_payload(report))
-    return EXIT_OK if report.is_anagram_free else EXIT_COUNTEREXAMPLE
+    # an anagram of a restricted word decides nothing about the file
+    return {"counterexample": EXIT_COUNTEREXAMPLE, "restricted_anagram": EXIT_CEILING}.get(report.outcome, EXIT_OK)
 
 
 def _run_payload(ns: argparse.Namespace) -> int:

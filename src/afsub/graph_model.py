@@ -2,7 +2,9 @@
 
 Vertex ids are dense non-negative integers.  A SubdividedGraph is a base
 graph and one division count per edge; division_paths numbers the division
-vertices after the originals, sequentially per edge in edge-list order.
+vertices after the originals, sequentially per edge in edge-list order.  A
+RootedTree is its ordered child lists and its root: RootedTree.parent is
+derived from the child lists.
 SubdividedGraph.chain_edges, SubdividedGraph.division_path_from,
 RootedTree.edges and RootedTree.sibling_labels are the one home of how the
 package lists a subdivision's edges, reads a division path from one end,
@@ -116,36 +118,42 @@ def cycle_graph(n: int) -> BaseGraph:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Rooted tree with ordered child lists; parent[root] is None."""
+    """Rooted tree given by its ordered child lists; parent[root] is None."""
 
-    parent: tuple[Optional[int], ...]
     children: tuple[tuple[int, ...], ...]
-    root: int
+    root: int = 0
 
     def __post_init__(self):
-        n = len(self.parent)
-        if len(self.children) != n:
-            raise ValueError("parent/children length mismatch")
-        if not 0 <= self.root < n or self.parent[self.root] is not None:
+        children = tuple(map(tuple, self.children))
+        object.__setattr__(self, "children", children)
+        n, root = len(children), self.root
+        listed = [c for cs in children for c in cs]
+        if listed and not (min(listed) >= 0 and max(listed) < n):
+            raise ValueError(f"child {next(c for c in listed if not 0 <= c < n)} outside vertex range")
+        heard = set(listed)
+        if len(heard) != len(listed):
+            raise ValueError("a vertex is listed as a child twice")
+        if not 0 <= root < n or root in heard:
             raise ValueError("root must have no parent")
-        reached = 0
-        stack = [self.root]
-        seen = [False] * n
-        seen[self.root] = True
-        while stack:
-            v = stack.pop()
-            reached += 1
-            for c in self.children[v]:
-                if seen[c] or self.parent[c] != v:
-                    raise ValueError("children inconsistent with parent map")
-                seen[c] = True
-                stack.append(c)
-        if reached != n:
+        # each vertex is listed at most once and the root never, so this
+        # walk enters each vertex at most once: a cycle is never reached
+        order = [root]
+        for v in order:
+            order.extend(children[v])
+        if len(order) != n:
             raise ValueError("tree not connected")
 
     @property
     def vertex_count(self) -> int:
-        return len(self.parent)
+        return len(self.children)
+
+    @cached_property
+    def parent(self) -> tuple[Optional[int], ...]:
+        parent: list[Optional[int]] = [None] * self.vertex_count
+        for v, cs in enumerate(self.children):
+            for c in cs:
+                parent[c] = v
+        return tuple(parent)
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
@@ -173,15 +181,6 @@ class RootedTree:
         return max(self.depth)
 
 
-def tree_from_children(children: Sequence[Sequence[int]], root: int = 0) -> RootedTree:
-    n = len(children)
-    parent: list[Optional[int]] = [None] * n
-    for v, cs in enumerate(children):
-        for c in cs:
-            parent[c] = v
-    return RootedTree(tuple(parent), tuple(tuple(cs) for cs in children), root)
-
-
 def dary_tree_vertex_count(d: int, h: int) -> int:
     """The vertex count of the complete d-ary tree of height h, refused
     above MAX_VERTICES.  A height at which d**h alone has more than 2**14
@@ -200,20 +199,8 @@ def complete_dary_tree(d: int, h: int) -> RootedTree:
     if d < 1 or h < 0:
         raise ValueError("need d >= 1 and h >= 0")
     n = dary_tree_vertex_count(d, h)
-    children: list[tuple[int, ...]] = []
-    next_id = 1
-    level = [0]
-    for _ in range(h):
-        new_level = []
-        for _v in level:
-            kids = tuple(range(next_id, next_id + d))
-            next_id += d
-            children.append(kids)
-            new_level.extend(kids)
-        level = new_level
-    children.extend(() for _ in level)
-    assert len(children) == n
-    return tree_from_children(children)
+    inner = (n - 1) // d  # every vertex above the last level has d children
+    return RootedTree(tuple(range(d * v + 1, d * v + d + 1) for v in range(inner)) + ((),) * (n - inner))
 
 
 def random_binary_tree(max_height: int, seed: int) -> RootedTree:
@@ -235,7 +222,7 @@ def random_binary_tree(max_height: int, seed: int) -> RootedTree:
             depth.append(depth[v] + 1)
             children[v].append(c)
             frontier.append(c)
-    return tree_from_children([tuple(cs) for cs in children])
+    return RootedTree(children)
 
 
 def tree_to_base_graph(t: RootedTree) -> BaseGraph:

@@ -25,9 +25,10 @@ zero-count one; its SubdividedGraph's is_forest and max_degree_2, read
 off the base graph, choose the scanner.  find_anagram_sampled trades
 certainty for scale, and hands max-degree-2 graphs to their exhaustive
 scan; it and the maximal-path scan test each path's word by _path_anagram.
-check_restriction applies the colour-restriction operator as a refutation
-accelerator, over the maximal-path and degree-2 scans and the window
-ceiling, and check_discriminating audits the four structural conditions
+check_restriction scans the keep-colour restrictions of the paths, over
+the maximal-path and degree-2 scans and the window ceiling, which can
+certify only that no anagram has a keep-coloured vertex, and
+check_discriminating audits the four structural conditions
 that make a sequence-subdivision colouring anagram-free from the
 bipartition, a construction's labels, in linear time: it recognises each
 division path's word as a refinement of a Keränen prefix, or of three
@@ -43,7 +44,7 @@ import bisect
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -112,7 +113,7 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    outcome: str  # "anagram_free" | "counterexample"
+    outcome: str  # "anagram_free" | "counterexample", or check_restriction's two
     counterexample: Optional[Counterexample]
     paths_checked: int
     mode: str
@@ -366,8 +367,10 @@ def _scan_forest(
     all depths.
 
     Depth 1 needs no tables: a half is one vertex, so edge (a, b) is an
-    anagram exactly when a and b share a colour.  After it the scan builds
-    its tables from the base graph (_chain_ends, _next_edges, _walk_table).
+    anagram exactly when a and b share a colour.  Edge (a, b) is live at
+    depth 2 exactly when a and b both have degree 2 or more; where no edge
+    is, as in a star, the scan ends after depth 1.  Otherwise it builds its
+    tables from the base graph (_chain_ends, _next_edges, _walk_table).
     No output depends on the order of the ways on within a row: rounds
     sort their keys, candidates go in (step, lo, hi) order, each signature
     keeps its smallest end vertex, and in a forest each vertex has one
@@ -421,6 +424,9 @@ def _scan_forest(
         e = int(same[np.lexsort((hi[same], lo[same]))[0]])
         ce = Counterexample.of((int(lo[e]), int(hi[e])), 1, colours)
         return VerificationReport("counterexample", ce, halves, "exhaustive")
+    degree = np.bincount(np.concatenate((x, y)), minlength=n)
+    if not np.any((degree[x] > 1) & (degree[y] > 1)):  # no edge is live at depth 2
+        return VerificationReport("anagram_free", None, halves, "exhaustive")
 
     nxt, start, count = _next_edges(x, y, n)
     nbits = n.bit_length()
@@ -611,12 +617,13 @@ def check_restriction(
     """Scan the keep-colour restriction of every maximal path for anagrams.
 
     A window of a path restricts to a window of the path's restricted word,
-    so a restricted word with no anagram certifies that no path window with
-    a non-empty restriction is an anagram (restriction of an anagram is an
-    anagram or empty).  A reported counterexample is an anagram of the
-    restricted word: its vertices need not be contiguous in c, so it is
-    evidence, not a certified anagram of c.  On a graph of maximum degree 2
-    each component is restricted and scanned as find_anagram scans it.
+    and the restriction of an anagram is an anagram or empty.  So the
+    outcome "restriction_anagram_free" (no restricted word has an anagram)
+    certifies only that no anagram of c has a keep-coloured vertex.  The
+    outcome "restricted_anagram" proves nothing about c: its counterexample
+    is an anagram of a restricted word, whose vertices need not be a path
+    of c.  On a graph of maximum degree 2 each component is restricted and
+    scanned as find_anagram scans it.
     Refuses to scan past max_windows windows of the restricted words, or
     (off max degree 2) to take more than n + 4 * max_windows DFS steps
     enumerating paths.  Forests are scanned by maximal paths too, not by
@@ -633,7 +640,8 @@ def check_restriction(
     extra = keep_set.difference(c.palette)
     if extra:
         raise ValueError(f"keep-colours {sorted(extra)} not in palette")
-    return _scan_maximal_paths(c.graph, c.colour, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
+    report = _scan_maximal_paths(c.graph, c.colour, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
+    return replace(report, outcome="restriction_anagram_free" if report.is_anagram_free else "restricted_anagram")
 
 
 # Kept in src/, not tests/oracles.py: perfbench/workloads.py's set-up cross-check imports it.

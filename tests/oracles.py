@@ -6,9 +6,11 @@ the forest scan as it was before it grew blocks of depths, kept as the
 reference the block scan must match report for report, checked_parts
 the schema reader as one loop over the entries, and maximal_paths_by_frames
 the maximal-path walker as two closures over [vertex, iterator, flag]
-frames, the reference of graph_model.enumerate_maximal_simple_paths, and
+frames, the reference of graph_model.enumerate_maximal_simple_paths,
 scanned_check_discriminating the discriminating audit with condition 2 by
-a quadratic scan of every division path.
+a quadratic scan of every division path, parent_map_tree a rooted tree
+stored as a parent map beside its child lists, and level_loop_children the
+complete d-ary tree's child lists built level by level.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -122,6 +125,82 @@ def root_path(t: RootedTree, v: int) -> list[int]:
     while t.parent[path[-1]] is not None:
         path.append(t.parent[path[-1]])
     return path[::-1]
+
+
+@dataclass(frozen=True)
+class ParentMapTree:
+    """A rooted tree stored twice, as a parent map and as ordered child
+    lists, whose constructor checks that the two copies agree: how
+    graph_model.RootedTree stored a tree before it became its child lists
+    alone.  depth, edges and sibling_labels are read off the parent map."""
+
+    parent: tuple[Optional[int], ...]
+    children: tuple[tuple[int, ...], ...]
+    root: int
+
+    def __post_init__(self):
+        n = len(self.parent)
+        if len(self.children) != n:
+            raise ValueError("parent/children length mismatch")
+        if not 0 <= self.root < n or self.parent[self.root] is not None:
+            raise ValueError("root must have no parent")
+        reached = 0
+        stack = [self.root]
+        seen = [False] * n
+        seen[self.root] = True
+        while stack:
+            v = stack.pop()
+            reached += 1
+            for c in self.children[v]:
+                if seen[c] or self.parent[c] != v:
+                    raise ValueError("children inconsistent with parent map")
+                seen[c] = True
+                stack.append(c)
+        if reached != n:
+            raise ValueError("tree not connected")
+
+    @property
+    def depth(self) -> tuple[int, ...]:
+        return tuple(len(root_path(self, v)) - 1 for v in range(len(self.parent)))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        pairs = [(p, c) for c, p in enumerate(self.parent) if p is not None]
+        return tuple(sorted(pairs, key=lambda e: (e[0], self.children[e[0]].index(e[1]))))
+
+    @property
+    def sibling_labels(self) -> tuple[int, ...]:
+        return tuple(self.children[p].index(c) + 1 for p, c in self.edges)
+
+
+def parent_map_tree(children: Sequence[Sequence[int]], root: int = 0) -> ParentMapTree:
+    """The ParentMapTree of children, its parent map read off the child
+    lists.  Python wraps a negative id, so children=((-1,), ()) builds the
+    tree with edge (0, 1); an id of n or more raises IndexError."""
+    n = len(children)
+    parent: list[Optional[int]] = [None] * n
+    for v, cs in enumerate(children):
+        for c in cs:
+            parent[c] = v
+    return ParentMapTree(tuple(parent), tuple(tuple(cs) for cs in children), root)
+
+
+def level_loop_children(d: int, h: int) -> list[tuple[int, ...]]:
+    """The child lists of the complete d-ary tree of height h, built level
+    by level with breadth-first ids."""
+    children: list[tuple[int, ...]] = []
+    next_id = 1
+    level = [0]
+    for _ in range(h):
+        new_level = []
+        for _v in level:
+            kids = tuple(range(next_id, next_id + d))
+            next_id += d
+            children.append(kids)
+            new_level.extend(kids)
+        level = new_level
+    children.extend(() for _ in level)
+    return children
 
 
 def halves_by_signature(adj, colour_weight, root: int, away: int, depth: int):

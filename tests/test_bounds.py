@@ -29,11 +29,11 @@ from afsub.bounds import (
 from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
+    RootedTree,
     complete_dary_tree,
     complete_graph,
     coloured_subdivision,
     k_subdivision,
-    tree_from_children,
     tree_to_base_graph,
 )
 from afsub.verifier import revalidate
@@ -184,7 +184,7 @@ class TestEffectiveStructure:
 
     def test_spine_with_one_branch(self):
         # path of two vertices ending in a branch: effective height 1
-        t = tree_from_children([(1,), (2, 3), (), ()])
+        t = RootedTree([(1,), (2, 3), (), ()])
         eff = effective_structure(t)
         assert eff.effective_root == 1
         assert eff.effective_height == 1
@@ -270,7 +270,7 @@ class TestExtractMonochromatic:
                 children.extend([v + 1] for v in range(first, first + 399))
                 children.append([c])
                 children[u][j] = first
-        t = tree_from_children(children)
+        t = RootedTree(children)
         assert t.vertex_count == 5615
         colours = (0,) * t.vertex_count
         w = extract_monochromatic_subtree(t, colours, 2, [3])
@@ -289,7 +289,7 @@ class TestExtractMonochromatic:
             extract_monochromatic_subtree(t, (0,) * t.vertex_count, 2, (3,))
 
     def test_rejects_non_d_branch(self):
-        t = tree_from_children([(1,), (2, 3), (), ()])
+        t = RootedTree([(1,), (2, 3), (), ()])
         with pytest.raises(PreconditionError):
             extract_monochromatic_subtree(t, (0, 0, 0, 0), 3, (1,))
 

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import operator
 import random
 
 import networkx as nx
@@ -25,10 +26,9 @@ from afsub.graph_model import (
     path_graph,
     random_binary_tree,
     subdivide,
-    tree_from_children,
     tree_to_base_graph,
 )
-from oracles import leaves, maximal_paths_by_frames, root_path
+from oracles import leaves, level_loop_children, maximal_paths_by_frames, parent_map_tree, root_path
 
 
 def enumerate_simple_paths(g):
@@ -87,6 +87,51 @@ def walker_graphs(draw):
     if draw(st.booleans()):
         return g
     return subdivide(g, draw(st.lists(st.integers(0, 3), min_size=len(g.edges), max_size=len(g.edges))))
+
+
+@st.composite
+def child_lists(draw):
+    """Child lists and a root: a random tree on 1..7 vertices, either kept
+    or given one defect (a repeated child, the root listed as a child, a
+    cycle, an unreached vertex, an id out of range, a child renamed to its
+    negative alias id - n), or arbitrary lists of small ids."""
+    defect = draw(st.sampled_from(["none", "none", "repeat", "root", "cycle", "unreached", "range", "negative",
+                                   "arbitrary"]))
+    if defect == "arbitrary":
+        n = draw(st.integers(0, 5))
+        lists = draw(st.lists(st.lists(st.integers(-2, n + 1), max_size=3), min_size=n, max_size=n))
+        return lists, draw(st.integers(-1, n))
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        children[order[draw(st.integers(0, i - 1))]].append(order[i])
+    root, inner = order[0], order[1:]
+    at = draw(st.integers(0, n - 1))
+    if defect == "repeat" and inner:
+        children[at].append(draw(st.sampled_from(inner)))
+    elif defect == "root":
+        children[at].append(root)
+    elif defect == "cycle" and inner:
+        # hang a non-root vertex under itself or one of its own descendants
+        c = draw(st.sampled_from(inner))
+        below = [c]
+        for v in below:
+            below.extend(children[v])
+        next(cs for cs in children if c in cs).remove(c)
+        children[draw(st.sampled_from(below))].append(c)
+    elif defect == "unreached":
+        children.append([])
+    elif defect == "range":
+        children[at].append(n + draw(st.integers(0, 2)))
+    elif defect == "negative" and inner:
+        c = draw(st.sampled_from(inner))
+        cs = next(cs for cs in children if c in cs)
+        cs[cs.index(c)] = c - n
+    return [draw(st.permutations(cs)) for cs in children], root
+
+
+tree_facts = operator.attrgetter("parent", "depth", "edges", "sibling_labels")
 
 
 def walk_result(walk, g, budget):
@@ -296,13 +341,44 @@ class TestCompleteDaryTree:
 
 
 class TestRootedTree:
-    def test_rejects_cycle(self):
+    @pytest.mark.parametrize("children", [
+        ((1,), (2,), (1,)),  # 1 listed twice, 1-2 a cycle
+        ((), (2,), (1,)),  # the cycle 1-2, unreached from the root
+        ((), ()),
+        ((1,), (0,)),  # the root listed as a child
+        ((2,), ()),
+        ((-1,), ()),  # the negative alias of vertex 1
+        (),
+    ])
+    def test_rejects(self, children):
         with pytest.raises(ValueError):
-            RootedTree((None, 0, 1), ((1,), (2,), (1,)), 0)
+            RootedTree(children)
 
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            RootedTree((None, None), ((), ()), 0)
+    @given(child_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_what_the_parent_map_oracle_accepts(self, case):
+        # the same trees as when a tree was stored as a parent map beside
+        # its child lists, but a negative id, which that form read as its
+        # alias id + n, is refused
+        children, root = case
+        try:
+            old = parent_map_tree(children, root)
+        except (ValueError, IndexError):
+            old = None
+        negative = any(c < 0 for cs in children for c in cs)
+        try:
+            t = RootedTree(children, root)
+        except ValueError:
+            assert old is None or negative
+            return
+        assert old is not None and not negative
+        assert tree_facts(t) == tree_facts(old)
+
+    @pytest.mark.parametrize("d,h", [*itertools.product(range(1, 6), range(6)), (16, 3)])
+    def test_complete_dary_tree_matches_the_level_loop(self, d, h):
+        t, old = complete_dary_tree(d, h), parent_map_tree(level_loop_children(d, h))
+        assert t.children == old.children
+        assert tree_facts(t) == tree_facts(old)
 
     def test_root_path(self):
         t = complete_dary_tree(2, 2)
@@ -453,5 +529,5 @@ class TestOneSubdivision:
 
 
 def test_tree_to_base_graph_edge_order():
-    t = tree_from_children([(1, 2), (), ()])
+    t = RootedTree([(1, 2), (), ()])
     assert tree_to_base_graph(t).edges == ((0, 1), (0, 2))

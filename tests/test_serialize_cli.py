@@ -744,11 +744,21 @@ class TestCliConstructVerify:
         assert main(["verify", str(good), "--sample", "10", "--seed", "1"]) == 0
 
     def test_restrict(self, tmp_path, capsys):
+        # an anagram of a restricted word is evidence on no path of the
+        # file, so it decides nothing: exit 3, under its own key
         bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
-        assert main(["verify", str(bad), "--restrict", "1"]) == 2
-        # evidence on the restricted word, no path of the file, so verify
-        # does not recount it
-        assert json.loads(capsys.readouterr().out)["counterexample"]["vertices"] == [0, 2]
+        assert main(["verify", str(bad), "--restrict", "1"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert (report["outcome"], report["restricted_anagram"]["vertices"]) == ("restricted_anagram", [0, 2])
+        assert "counterexample" not in report
+        free = alternating_path_file(tmp_path, (0, 1, 0))
+        assert main(["verify", str(free), "--restrict", "0"]) == 3
+        assert json.loads(capsys.readouterr().out)["restricted_anagram"]["vertices"] == [0, 2]
+        # 1 2 2 has the anagram 2 2, with no vertex of colour 1
+        bad = alternating_path_file(tmp_path, (1, 2, 2))
+        assert main(["verify", str(bad), "--restrict", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "restriction_anagram_free"
+        assert main(["verify", str(bad)]) == 2
 
     @pytest.mark.parametrize("keep", ["", ","])
     def test_empty_restriction_exits_64(self, tmp_path, capsys, keep):
@@ -1213,9 +1223,9 @@ class TestCliDispatchBytes:
         (["verify", "TREE", "--sample", "50", "--seed", "3"], 0,
          "aba3e12de18286aa9984cb347586c0876c0752b9e9e900dd528dde5d0ebbd1cb", ""),
         (["verify", "TREE", "--restrict", "0,1,2"], 0,
-         "c2c798652529f822dacea08d54b9156d15e40d56ee44412bb1816b212c243aff", ""),
-        (["verify", "BAD", "--restrict", "1"], 2,
-         "ceafca26c24b0c579b1dabaff05c2a423c837d90f32ccc5d445199ea68c88bac", ""),
+         "464c74079959649189622553af979327fa05c79caaa944e81756934e6bae32ec", ""),
+        (["verify", "BAD", "--restrict", "1"], 3,
+         "d584ff3786a9cce5b904334be5cc2a3c02d39968b9b97ada6643d47095d1707d", ""),
         (["bound", "kn", "--n", "100", "--c", "2"], 0,
          "8a404027567e1ee7bacf5b14a3dacc9e5884587bd8bc4a2a0fb319bdd543e837", ""),
         (["bound", "tree", "--d", "2", "--heff", "16", "--h", "16"], 0,
@@ -1239,7 +1249,7 @@ class TestCliDispatchBytes:
     ], ids=["word-3", "word-4", "construct-binary-tree", "construct-binary-tree-random",
             "construct-dary", "construct-dary-banded", "construct-graph14",
             "construct-graph8", "construct-graph-merged", "verify", "verify-counterexample",
-            "verify-sample", "verify-restrict", "verify-restrict-counterexample",
+            "verify-sample", "verify-restrict", "verify-restrict-anagram",
             "bound-kn", "bound-tree", "bound-dary", "witness-kn", "witness-tree",
             "export", "verify-ceiling", "construct-height-0", "bound-dary-small-k",
             "witness-no-seed"])

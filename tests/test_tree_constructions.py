@@ -5,12 +5,12 @@ import pytest
 from afsub import words
 from afsub.graph_model import (
     ColouredGraph,
+    RootedTree,
     complete_dary_tree,
     complete_graph,
     k_subdivision,
     path_graph,
     random_binary_tree,
-    tree_from_children,
 )
 from afsub.tree_constructions import (
     EmbeddingError,
@@ -91,7 +91,7 @@ class TestBinaryTree8:
                 assert got == {lab.vertex_labels[c] for c in kids} == {1, 2}
 
     def test_height_zero_is_single_coloured_vertex(self):
-        lab = build_binary_tree_8(tree_from_children([()]))
+        lab = build_binary_tree_8(RootedTree([()]))
         assert lab.coloured.graph.vertex_count == 1
         assert len(lab.coloured.palette) == 1
 
@@ -174,14 +174,14 @@ class TestPruneToSubtree:
 
     def test_prune_to_root_leaf_path(self):
         full = build_dary_tree_10(2, 2)
-        spine = tree_from_children([(1,), (2,), ()])
+        spine = RootedTree([(1,), (2,), ()])
         pruned = prune_to_subtree(full, spine)
         assert find_anagram(pruned.coloured).outcome == "anagram_free"
         assert len(pruned.coloured.palette) <= 10
 
     def test_binary_subtree_of_ternary(self):
         full = build_dary_tree_10(3, 2)
-        t = tree_from_children([(1, 2), (3, 4), (), (), ()])
+        t = RootedTree([(1, 2), (3, 4), (), (), ()])
         pruned = prune_to_subtree(full, t)
         assert set(pruned.coloured.palette) <= set(full.coloured.palette)
         assert find_anagram(pruned.coloured).outcome == "anagram_free"
@@ -211,13 +211,13 @@ class TestPruneToSubtree:
 
     def test_too_wide_rejected(self):
         full = build_dary_tree_10(2, 2)
-        wide = tree_from_children([(1, 2, 3), (), (), ()])
+        wide = RootedTree([(1, 2, 3), (), (), ()])
         with pytest.raises(EmbeddingError):
             prune_to_subtree(full, wide)
 
     def test_too_deep_rejected(self):
         full = build_dary_tree_10(2, 1)
-        deep = tree_from_children([(1,), (2,), ()])
+        deep = RootedTree([(1,), (2,), ()])
         with pytest.raises(EmbeddingError):
             prune_to_subtree(full, deep)
 
@@ -398,4 +398,4 @@ class TestExtendPlus4:
         s = k_subdivision(path_graph(2), 5)
         out = extend_plus_4(base, s)
         report = check_restriction(out, set(out.palette) - {0, 1})
-        assert report.outcome == "anagram_free"
+        assert report.outcome == "restriction_anagram_free"

@@ -176,10 +176,10 @@ class TestDegree2Scan:
             with pytest.raises(ValueError, match="empty"):
                 check_restriction(c, keep)
             return
-        expected = "anagram_free"
+        expected = "restriction_anagram_free"
         for path in enumerate_maximal_simple_paths(c.graph):  # every rotation
             if words.find_abelian_square([c.colour[v] for v in path if c.colour[v] in keep]):
-                expected = "counterexample"
+                expected = "restricted_anagram"
         report = check_restriction(c, keep)
         assert report.outcome == expected
         if report.counterexample is not None:
@@ -192,7 +192,7 @@ class TestDegree2Scan:
         cs = from_json_str(to_json_str(colour_14(path_graph(2)).coloured))
         assert find_anagram(cs).outcome == "anagram_free"
         assert find_anagram_sampled(cs, 5, 1).outcome == "anagram_free"
-        assert check_restriction(cs, cs.palette).outcome == "anagram_free"
+        assert check_restriction(cs, cs.palette).outcome == "restriction_anagram_free"
         assert "adjacency" not in cs.graph.__dict__
 
     def test_cycle_counterexample_order(self):
@@ -567,8 +567,23 @@ class TestForestScan:
             for graph, colours in planted_copies(build, range(6)):
                 assert_matches(scalar_scan_forest, graph, colours)
 
-    def test_counterexample_order(self):
-        # 0-1-2-3 with 1-4-5-6-7 and 1-8: vertex 1 has degree 3
+    def test_star_ends_after_depth_1_without_tables(self):
+        # no edge of a star has both ends of degree 2 or more, so no edge
+        # is live at depth 2 and the scan builds no table
+        for leaves in range(1, 201):
+            graph = subdivide(BaseGraph(leaves + 1, tuple((0, leaf) for leaf in range(1, leaves + 1))), [0] * leaves)
+            free = (0, *(1 + leaf % 3 for leaf in range(leaves)))
+            for colours in (free, free[:-1] + (0,)):  # the last leaf takes the hub's colour
+                with mock.patch.object(verifier, "_next_edges", wraps=verifier._next_edges) as next_edges, \
+                        mock.patch.object(verifier, "_walk_table", wraps=verifier._walk_table) as walk_table:
+                    assert_matches(depth_scan_forest, graph, colours)
+                    report = verifier._scan_forest(graph, colours, None)
+                next_edges.assert_not_called()
+                walk_table.assert_not_called()
+                assert report.paths_checked == 2 * leaves
+                assert report.is_anagram_free == (colours == free)
+
+
         edges = ((0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7), (1, 8))
         g = BaseGraph(9, edges)
         # 1 2 1 2 on 0-1-2-3 and 3 4 3 4 on 4-5-6-7: both 4-vertex anagrams,
@@ -663,12 +678,12 @@ class TestForestScan:
             assert_matches(depth_scan_forest, c.graph, c.colour, range(0, count, count // 97))
 
     def test_star_and_complete_tree_keep_a_one_step_table(self):
-        # a 200-leaf star's first step already holds 39,800 walks; the
-        # complete binary tree of height 11 has 12,278 one-step walks, which
-        # multiply at every step, so a second step would pass
-        # _BLOCK_ELEMENTS.  Both scans go past depth 1.
-        star = subdivide(BaseGraph(201, tuple((0, leaf) for leaf in range(1, 201))), [0] * 200)
-        colours = (0,) + tuple(1 + leaf % 3 for leaf in range(200))
+        # a 200-leg star with legs of two edges has 39,800 one-step walks
+        # through its hub; the complete binary tree of height 11 has 12,278
+        # one-step walks, which multiply at every step, so a second step
+        # would pass _BLOCK_ELEMENTS.  Both scans go past depth 1.
+        star = subdivide(BaseGraph(201, tuple((0, leaf) for leaf in range(1, 201))), [1] * 200)
+        colours = (0, *(1 + (leg + 1) % 3 for leg in range(200)), *(1 + leg % 3 for leg in range(200)))
         tree = subdivide(tree_to_base_graph(complete_dary_tree(2, 11)), [0] * 4094)
         by_depth = tuple(words.keranen_symbols(12)[(v + 1).bit_length() - 1] for v in range(4095))
         for graph, colours in ((star, colours), (tree, by_depth)):
@@ -1014,8 +1029,18 @@ class TestCheckRestriction:
     def test_forward_witness(self):
         # restriction of an anagram to one colour is an anagram
         report = check_restriction(coloured_path([1, 2, 1, 2]), {1})
-        assert report.outcome == "counterexample"
+        assert report.outcome == "restricted_anagram"
         assert report.counterexample.vertices == (0, 2)
+
+    def test_outcomes_claim_only_what_a_restriction_shows(self):
+        # 0 1 0 is anagram-free, but its restriction to colour 0 is the
+        # anagram 0 0 on vertices 0 and 2, which are not a path
+        report = check_restriction(coloured_path([0, 1, 0]), {0})
+        assert (report.outcome, report.counterexample.vertices) == ("restricted_anagram", (0, 2))
+        # 1 2 2 has the anagram 2 2, which has no vertex of colour 1
+        report = check_restriction(coloured_path([1, 2, 2]), {1})
+        assert (report.outcome, report.counterexample) == ("restriction_anagram_free", None)
+        assert not report.is_anagram_free
 
     def test_empty_keep_is_refused(self):
         # an empty restriction is empty on every path, so it certifies
@@ -1044,7 +1069,7 @@ class TestCheckRestriction:
     def test_full_palette_restriction_certifies(self):
         sym = words.keranen_symbols(40)
         report = check_restriction(coloured_path(sym), {0, 1, 2, 3})
-        assert report.outcome == "anagram_free"
+        assert report.outcome == "restriction_anagram_free"
 
     @pytest.mark.parametrize("seed", range(25))
     def test_monotone_refutation(self, seed):
