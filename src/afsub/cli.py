@@ -4,11 +4,9 @@ Each command loads only the modules it runs, so bound loads closed_forms
 alone: no witness search, builder, scanner, serialiser, dataclasses or
 numpy.
 
-Exit codes: 0 success (or no counterexample found, or for verify
---restrict no anagram of a restricted word), 1 self-check failure (of
-word, verify or witness), 2 verification counterexample, recounted by
-revalidate, 3 undecided (a window ceiling hit, or for verify --restrict
-an anagram of a restricted word, which proves nothing), 64 usage error
+Exit codes: 0 success (or no counterexample found), 1 self-check failure
+(of word, verify or witness), 2 verification counterexample, recounted by
+revalidate, 3 undecided (a window ceiling hit), 64 usage error
 (including construction parameters a builder rejects, a word longer than
 graph_model.MAX_VERTICES, a bound past float range, running out of
 memory, a malformed window ceiling, and an output path that cannot be
@@ -55,7 +53,6 @@ _HOMES = {
     "to_json_str": "serialize",
     "DEFAULT_MAX_WINDOWS": "verifier",
     "WindowCeilingExceeded": "verifier",
-    "check_restriction": "verifier",
     "find_anagram": "verifier",
     "find_anagram_sampled": "verifier",
     "revalidate": "verifier",
@@ -154,12 +151,9 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="check a coloured subdivision file")
     v.add_argument("file")
-    scope = v.add_mutually_exclusive_group()
-    scope.add_argument("--sample", type=int, default=None, metavar="N")
+    v.add_argument("--sample", type=int, default=None, metavar="N")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--max-windows", type=int, default=None)
-    scope.add_argument("--restrict", default=None, metavar="COLOURS",
-                       help="comma-separated colour ids: scan the restriction instead")
     v.set_defaults(run=_run_verify, uses=("serialize", "verifier"))
 
     b = sub.add_parser("bound", help="evaluate closed-form bounds")
@@ -210,7 +204,7 @@ def build_parser() -> _Parser:
 
 def _window_ceiling(flag: int | None) -> int:
     """The --max-windows flag, else AFSUB_MAX_WINDOWS, else the default.
-    Only construct and the exhaustive and --restrict verifies read it."""
+    Only construct and the exhaustive verify read it."""
     if flag is None:
         raw = os.environ.get("AFSUB_MAX_WINDOWS", str(DEFAULT_MAX_WINDOWS))
         try:
@@ -296,7 +290,7 @@ def _report_payload(report: VerificationReport) -> dict:
     }
     if report.counterexample is not None:
         ce = report.counterexample
-        payload[report.outcome] = {
+        payload["counterexample"] = {
             "vertices": list(ce.vertices),
             "split": ce.split,
             "multiset": {str(c): k for c, k in ce.multiset},
@@ -353,23 +347,14 @@ def _run_verify(ns: argparse.Namespace) -> int:
         raise UsageError("--seed applies only to --sample")
     if ns.sample is not None and ns.max_windows is not None:
         raise UsageError("--max-windows does not apply to --sample, which has no window ceiling")
+    if ns.sample is not None and ns.seed is None:
+        raise UsageError("--sample requires --seed for reproducibility")
+    if ns.sample is not None and ns.sample < 1:
+        raise UsageError("--sample must be at least 1")
     ceiling = None if ns.sample is not None else _window_ceiling(ns.max_windows)
     cs = _load_subdivision(ns.file)
     try:
-        if ns.restrict is not None:
-            try:
-                keep = {int(tok) for tok in ns.restrict.split(",") if tok.strip()}
-            except ValueError as exc:
-                raise UsageError(f"--restrict expects comma-separated ints: {exc}")
-            try:
-                report = check_restriction(cs, keep, max_windows=ceiling)
-            except ValueError as exc:
-                raise UsageError(str(exc))
-        elif ns.sample is not None:
-            if ns.seed is None:
-                raise UsageError("--sample requires --seed for reproducibility")
-            if ns.sample < 1:
-                raise UsageError("--sample must be at least 1")
+        if ns.sample is not None:
             report = find_anagram_sampled(cs, ns.sample, ns.seed)
         else:
             report = find_anagram(cs, max_windows=ceiling)
@@ -379,8 +364,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
     if report.outcome == "counterexample" and not revalidate(report.counterexample, cs):
         raise SelfCheckFailed("the counterexample is not an anagram path of the input")
     _write_json(_report_payload(report))
-    # an anagram of a restricted word decides nothing about the file
-    return {"counterexample": EXIT_COUNTEREXAMPLE, "restricted_anagram": EXIT_CEILING}.get(report.outcome, EXIT_OK)
+    return EXIT_COUNTEREXAMPLE if report.outcome == "counterexample" else EXIT_OK
 
 
 def _run_payload(ns: argparse.Namespace) -> int:

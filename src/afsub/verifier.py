@@ -25,14 +25,11 @@ zero-count one; its SubdividedGraph's is_forest and max_degree_2, read
 off the base graph, choose the scanner.  find_anagram_sampled trades
 certainty for scale, and hands max-degree-2 graphs to their exhaustive
 scan; it and the maximal-path scan test each path's word by _path_anagram.
-check_restriction scans the keep-colour restrictions of the paths, over
-the maximal-path and degree-2 scans and the window ceiling, which can
-certify only that no anagram has a keep-coloured vertex, and
-check_discriminating audits the four structural conditions
-that make a sequence-subdivision colouring anagram-free from the
-bipartition, a construction's labels, in linear time: it recognises each
-division path's word as a refinement of a Keränen prefix, or of three
-disjoint ones, and scans only the words it cannot recognise.  Every
+check_discriminating audits the four structural conditions that make a
+sequence-subdivision colouring anagram-free from the bipartition, a
+construction's labels, in linear time: it recognises each division
+path's word as a refinement of a Keränen prefix, or of three disjoint
+ones, and scans only the words it cannot recognise.  Every
 counterexample records its first half's multiset_of, through
 Counterexample.of.  Only check_discriminating imports graph_constructions,
 so verify loads no builder.
@@ -44,7 +41,7 @@ import bisect
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -113,7 +110,7 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    outcome: str  # "anagram_free" | "counterexample", or check_restriction's two
+    outcome: str  # "anagram_free" | "counterexample"
     counterexample: Optional[Counterexample]
     paths_checked: int
     mode: str
@@ -197,7 +194,7 @@ def _path_anagram(path: Sequence[int], colours: Sequence[int], **order) -> Optio
 
 
 def _scan_maximal_paths(
-    graph: SubdividedGraph, colours: Sequence[int], budget: Optional[int], keep: Optional[set[int]], mode: str
+    graph: SubdividedGraph, colours: Sequence[int], budget: Optional[int], mode: str
 ) -> VerificationReport:
     """Scan the colour word of every maximal simple path, in canonical order.
 
@@ -205,10 +202,9 @@ def _scan_maximal_paths(
     path component's line, and a cycle of m vertices read as order +
     order[:-1] with windows capped at length m.  Each such window is a
     simple path and every simple path of the cycle is one of them.
-    With keep set, a path or cycle is first cut down to its keep-coloured
-    vertices.  budget caps the windows of the scanned words and, off max
-    degree 2, the DFS steps of the path enumeration at n + 4 * budget; None
-    lifts both caps.
+    budget caps the windows of the scanned words and, off max degree 2,
+    the DFS steps of the path enumeration at n + 4 * budget; None lifts
+    both caps.
 
     The step cap follows from the windows: each DFS step enters a distinct
     directed simple path, a window of some yielded maximal path read in one
@@ -225,8 +221,6 @@ def _scan_maximal_paths(
     paths_checked = 0
     try:
         for path, cyclic in paths:
-            if keep is not None:
-                path = [v for v in path if colours[v] in keep]
             cap = len(path) if cyclic else None
             if cyclic:
                 path = path + path[:-1]
@@ -560,7 +554,7 @@ def find_anagram(
     graph, colours = c.graph, c.colour
     if not graph.max_degree_2 and graph.is_forest:
         return _scan_forest(graph, colours, max_windows)
-    return _scan_maximal_paths(graph, colours, max_windows, None, "exhaustive")
+    return _scan_maximal_paths(graph, colours, max_windows, "exhaustive")
 
 
 def find_anagram_sampled(c: ColouredSubdivision, budget: int, seed: int) -> VerificationReport:
@@ -584,7 +578,7 @@ def find_anagram_sampled(c: ColouredSubdivision, budget: int, seed: int) -> Veri
     mode = f"sampled(budget={budget},seed={seed})"
     graph, colours = c.graph, c.colour
     if graph.max_degree_2:
-        return _scan_maximal_paths(graph, colours, None, None, f"{mode}:exhaustive")
+        return _scan_maximal_paths(graph, colours, None, f"{mode}:exhaustive")
     adj = graph.adjacency
     n = len(adj)
     rng = random.Random(seed)
@@ -609,39 +603,6 @@ def find_anagram_sampled(c: ColouredSubdivision, budget: int, seed: int) -> Veri
         if ce is not None:
             return VerificationReport("counterexample", ce, sample + 1, mode)
     return VerificationReport("anagram_free", None, budget, mode)
-
-
-def check_restriction(
-    c: ColouredSubdivision, keep: Iterable[int], *, max_windows: int = DEFAULT_MAX_WINDOWS
-) -> VerificationReport:
-    """Scan the keep-colour restriction of every maximal path for anagrams.
-
-    A window of a path restricts to a window of the path's restricted word,
-    and the restriction of an anagram is an anagram or empty.  So the
-    outcome "restriction_anagram_free" (no restricted word has an anagram)
-    certifies only that no anagram of c has a keep-coloured vertex.  The
-    outcome "restricted_anagram" proves nothing about c: its counterexample
-    is an anagram of a restricted word, whose vertices need not be a path
-    of c.  On a graph of maximum degree 2 each component is restricted and
-    scanned as find_anagram scans it.
-    Refuses to scan past max_windows windows of the restricted words, or
-    (off max degree 2) to take more than n + 4 * max_windows DFS steps
-    enumerating paths.  Forests are scanned by maximal paths too, not by
-    find_anagram's centre-edge scan, so a restriction can trip the ceiling
-    where find_anagram decides: on the binary-tree h=6 construction the
-    full palette trips the default ceiling after 10,066,084 path-windows.
-    Raises ValueError on an empty keep set, whose restriction is empty on
-    every path and so certifies nothing, and on colours outside c.palette,
-    which for a ColouredGraph is the set of its colours.
-    """
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep-colours are empty: an empty restriction certifies nothing")
-    extra = keep_set.difference(c.palette)
-    if extra:
-        raise ValueError(f"keep-colours {sorted(extra)} not in palette")
-    report = _scan_maximal_paths(c.graph, c.colour, max_windows, keep_set, f"restricted(keep={sorted(keep_set)})")
-    return replace(report, outcome="restriction_anagram_free" if report.is_anagram_free else "restricted_anagram")
 
 
 # Kept in src/, not tests/oracles.py: perfbench/workloads.py's set-up cross-check imports it.

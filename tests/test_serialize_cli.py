@@ -732,49 +732,24 @@ class TestCliConstructVerify:
         assert main(["verify", str(good), "--sample", "10"]) == 64
         assert main(["verify", str(good), "--sample", "10", "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("flags,err", [
+        (["--sample", "5"], "usage error: --sample requires --seed for reproducibility\n"),
+        (["--sample", "0", "--seed", "1"], "usage error: --sample must be at least 1\n"),
+    ], ids=["no-seed", "zero"])
+    def test_sample_flags_are_refused_before_the_file_is_read(self, tmp_path, capsys, flags, err):
+        # the file does not exist, so reading it first would exit 65
+        assert main(["verify", str(tmp_path / "nosuch.json"), *flags]) == 64
+        assert capsys.readouterr() == ("", err)
+
     def test_flags_outside_their_mode_exit_64(self, tmp_path, monkeypatch, capsys):
         good = alternating_path_file(tmp_path, (1, 2, 3))
-        for flags in (["--seed", "1"], ["--restrict", "1", "--seed", "1"],
-                      ["--sample", "10", "--seed", "1", "--max-windows", "0"]):
+        for flags in (["--seed", "1"], ["--sample", "10", "--seed", "1", "--max-windows", "0"]):
             assert main(["verify", str(good), *flags]) == 64
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("usage error:")
         # the environment ceiling is a default, not a flag given to --sample
         monkeypatch.setenv("AFSUB_MAX_WINDOWS", "0")
         assert main(["verify", str(good), "--sample", "10", "--seed", "1"]) == 0
-
-    def test_restrict(self, tmp_path, capsys):
-        # an anagram of a restricted word is evidence on no path of the
-        # file, so it decides nothing: exit 3, under its own key
-        bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
-        assert main(["verify", str(bad), "--restrict", "1"]) == 3
-        report = json.loads(capsys.readouterr().out)
-        assert (report["outcome"], report["restricted_anagram"]["vertices"]) == ("restricted_anagram", [0, 2])
-        assert "counterexample" not in report
-        free = alternating_path_file(tmp_path, (0, 1, 0))
-        assert main(["verify", str(free), "--restrict", "0"]) == 3
-        assert json.loads(capsys.readouterr().out)["restricted_anagram"]["vertices"] == [0, 2]
-        # 1 2 2 has the anagram 2 2, with no vertex of colour 1
-        bad = alternating_path_file(tmp_path, (1, 2, 2))
-        assert main(["verify", str(bad), "--restrict", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["outcome"] == "restriction_anagram_free"
-        assert main(["verify", str(bad)]) == 2
-
-    @pytest.mark.parametrize("keep", ["", ","])
-    def test_empty_restriction_exits_64(self, tmp_path, capsys, keep):
-        # an empty keep set certifies nothing: here a binary-tree h=3 file
-        # with a planted two-vertex anagram
-        cs = build_binary_tree_8(complete_dary_tree(2, 3)).coloured
-        colours = list(cs.colour)
-        colours[cs.graph.adjacency[0][0]] = colours[0]
-        bad = tmp_path / "bad.json"
-        bad.write_text(to_json_str(coloured_subdivision(cs.graph, colours, cs.provenance)))
-        assert main(["verify", str(bad)]) == 2
-        capsys.readouterr()
-        assert main(["verify", str(bad), "--restrict", keep]) == 64
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage error:") and "empty" in captured.err
 
     def test_construct_scans_a_forest_past_the_path_window_estimate(self, tmp_path, capsys):
         # 10,237 vertices: n^2/4 is 26.2M, above the default ceiling, but the
@@ -789,25 +764,6 @@ class TestCliConstructVerify:
         edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
         assert main(["construct", "graph14", "--edges", str(edges), "-o", str(tmp_path / "k4.json")]) == 0
         assert capsys.readouterr().err.endswith("verification=skipped(window ceiling)\n")
-
-    def test_restrict_with_sample_exit_64(self, tmp_path, capsys):
-        bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
-        assert main(["verify", str(bad), "--restrict", "1", "--sample", "5", "--seed", "1"]) == 64
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage error:") and "not allowed with" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_restrict_honours_the_ceiling(self, tmp_path, monkeypatch, capsys):
-        from afsub import words
-
-        good = alternating_path_file(tmp_path, tuple(words.keranen_symbols(60)))
-        assert main(["verify", str(good), "--restrict", "0,1,2,3", "--max-windows", "10"]) == 3
-        assert "raise the ceiling" in capsys.readouterr().err
-        monkeypatch.setenv("AFSUB_MAX_WINDOWS", "10")
-        assert main(["verify", str(good), "--restrict", "0,1,2,3"]) == 3
-        monkeypatch.delenv("AFSUB_MAX_WINDOWS")
-        assert main(["verify", str(good), "--restrict", "0,1,2,3"]) == 0
 
     @pytest.mark.parametrize("raw", ["abc", "1.5", "", "-1"])
     def test_malformed_ceiling_in_environment_exit_64(self, tmp_path, monkeypatch, capsys, raw):
@@ -1222,10 +1178,9 @@ class TestCliDispatchBytes:
          "503a035f5dc516777bf7c360e27cefa353e2bde93213a7b90bc48fa8f898ebf4", ""),
         (["verify", "TREE", "--sample", "50", "--seed", "3"], 0,
          "aba3e12de18286aa9984cb347586c0876c0752b9e9e900dd528dde5d0ebbd1cb", ""),
-        (["verify", "TREE", "--restrict", "0,1,2"], 0,
-         "464c74079959649189622553af979327fa05c79caaa944e81756934e6bae32ec", ""),
-        (["verify", "BAD", "--restrict", "1"], 3,
-         "d584ff3786a9cce5b904334be5cc2a3c02d39968b9b97ada6643d47095d1707d", ""),
+        (["verify", "BAD", "--restrict", "1"], 64,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "usage error: unrecognized arguments: --restrict 1\n"),
         (["bound", "kn", "--n", "100", "--c", "2"], 0,
          "8a404027567e1ee7bacf5b14a3dacc9e5884587bd8bc4a2a0fb319bdd543e837", ""),
         (["bound", "tree", "--d", "2", "--heff", "16", "--h", "16"], 0,
@@ -1249,7 +1204,7 @@ class TestCliDispatchBytes:
     ], ids=["word-3", "word-4", "construct-binary-tree", "construct-binary-tree-random",
             "construct-dary", "construct-dary-banded", "construct-graph14",
             "construct-graph8", "construct-graph-merged", "verify", "verify-counterexample",
-            "verify-sample", "verify-restrict", "verify-restrict-anagram",
+            "verify-sample", "verify-restrict-unrecognised",
             "bound-kn", "bound-tree", "bound-dary", "witness-kn", "witness-tree",
             "export", "verify-ceiling", "construct-height-0", "bound-dary-small-k",
             "witness-no-seed"])

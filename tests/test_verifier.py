@@ -38,13 +38,12 @@ from afsub.verifier import (
     VerificationReport,
     WindowCeilingExceeded,
     check_discriminating,
-    check_restriction,
     find_anagram,
     find_anagram_sampled,
     naive_find_anagram,
     revalidate,
 )
-from oracles import depth_scan_forest, is_anagram, scanned_check_discriminating
+from oracles import depth_scan_forest, scanned_check_discriminating
 
 
 def coloured_path(colours):
@@ -168,31 +167,11 @@ class TestDegree2Scan:
         ce = find_anagram(c).counterexample
         assert (ce and ce.vertices) == maximal_path_counterexample(c)
 
-    @given(degree2_graphs(kinds=("cycle",)), st.sets(st.integers(0, 3), min_size=1))
-    @settings(max_examples=100, deadline=None)
-    def test_restriction_agrees_with_every_restricted_rotation(self, c, keep):
-        keep &= set(c.colour)
-        if not keep:  # an empty restriction certifies nothing
-            with pytest.raises(ValueError, match="empty"):
-                check_restriction(c, keep)
-            return
-        expected = "restriction_anagram_free"
-        for path in enumerate_maximal_simple_paths(c.graph):  # every rotation
-            if words.find_abelian_square([c.colour[v] for v in path if c.colour[v] in keep]):
-                expected = "restricted_anagram"
-        report = check_restriction(c, keep)
-        assert report.outcome == expected
-        if report.counterexample is not None:
-            ce = report.counterexample
-            left, right = ce.vertices[: ce.split], ce.vertices[ce.split :]
-            assert verifier.multiset_of(c.colour, left) == verifier.multiset_of(c.colour, right)
-
     def test_scans_leave_the_adjacency_unbuilt(self):
         # on max degree 2 the scans read the base graph and the division runs
         cs = from_json_str(to_json_str(colour_14(path_graph(2)).coloured))
         assert find_anagram(cs).outcome == "anagram_free"
         assert find_anagram_sampled(cs, 5, 1).outcome == "anagram_free"
-        assert check_restriction(cs, cs.palette).outcome == "restriction_anagram_free"
         assert "adjacency" not in cs.graph.__dict__
 
     def test_cycle_counterexample_order(self):
@@ -909,7 +888,6 @@ class TestBaseGraphDispatch:
         assert report == find_anagram(plain)
         sampled = find_anagram_sampled(cs, 5, 3)
         assert sampled == find_anagram_sampled(plain, 5, 3)
-        assert check_restriction(cs, cs.palette) == check_restriction(plain, cs.palette)
         naive = naive_find_anagram(cs)
         assert naive == naive_find_anagram(plain)
         assert report.outcome == naive.outcome
@@ -1023,67 +1001,6 @@ class TestFindAnagramSampled:
         a = find_anagram_sampled(c, 500, 9)
         b = find_anagram_sampled(c, 500, 9)
         assert (a.outcome, a.counterexample) == (b.outcome, b.counterexample)
-
-
-class TestCheckRestriction:
-    def test_forward_witness(self):
-        # restriction of an anagram to one colour is an anagram
-        report = check_restriction(coloured_path([1, 2, 1, 2]), {1})
-        assert report.outcome == "restricted_anagram"
-        assert report.counterexample.vertices == (0, 2)
-
-    def test_outcomes_claim_only_what_a_restriction_shows(self):
-        # 0 1 0 is anagram-free, but its restriction to colour 0 is the
-        # anagram 0 0 on vertices 0 and 2, which are not a path
-        report = check_restriction(coloured_path([0, 1, 0]), {0})
-        assert (report.outcome, report.counterexample.vertices) == ("restricted_anagram", (0, 2))
-        # 1 2 2 has the anagram 2 2, which has no vertex of colour 1
-        report = check_restriction(coloured_path([1, 2, 2]), {1})
-        assert (report.outcome, report.counterexample) == ("restriction_anagram_free", None)
-        assert not report.is_anagram_free
-
-    def test_empty_keep_is_refused(self):
-        # an empty restriction is empty on every path, so it certifies
-        # nothing, even on a path that is itself an anagram
-        for keep in (set(), [], ()):
-            with pytest.raises(ValueError, match="empty"):
-                check_restriction(coloured_path([1, 2, 1, 2]), keep)
-
-    def test_rejects_colours_outside_palette(self):
-        with pytest.raises(ValueError):
-            check_restriction(coloured_path([1, 2]), {9})
-
-    def test_window_ceiling(self):
-        c = coloured_path(words.keranen_symbols(60))
-        with pytest.raises(WindowCeilingExceeded):
-            check_restriction(c, {0, 1, 2, 3}, max_windows=10)
-        # windows are counted on the restricted word: all 8 vertices of
-        # 0120 2321 give 16 windows, the three 2s only 2
-        c = coloured_path(words.keranen_symbols(8))
-        with pytest.raises(WindowCeilingExceeded) as full:
-            check_restriction(c, {0, 1, 2, 3}, max_windows=10)
-        assert (full.value.windows, full.value.steps) == (16, None)
-        report = check_restriction(c, {2}, max_windows=10)
-        assert report.counterexample.vertices == (2, 4)
-
-    def test_full_palette_restriction_certifies(self):
-        sym = words.keranen_symbols(40)
-        report = check_restriction(coloured_path(sym), {0, 1, 2, 3})
-        assert report.outcome == "restriction_anagram_free"
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_monotone_refutation(self, seed):
-        # a window whose restriction is non-empty and anagram-free is no anagram
-        rng = random.Random(seed)
-        colours = [rng.randrange(4) for _ in range(rng.randrange(4, 14))]
-        keep = set(rng.sample(range(4), rng.randrange(1, 4)))
-        n = len(colours)
-        for i in range(n):
-            for L in range(1, (n - i) // 2 + 1):
-                window = colours[i : i + 2 * L]
-                reduced = [c for c in window if c in keep]
-                if reduced and words.find_abelian_square(reduced) is None:
-                    assert not is_anagram(window)
 
 
 GALLERY_GRAPHS = {

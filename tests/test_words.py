@@ -434,6 +434,20 @@ class TestRestrictionOfAnagrams:
             reduced = restrict(word, keep)
             assert len(reduced) == 0 or is_anagram(reduced)
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_monotone_refutation(self, seed):
+        # a window whose restriction is non-empty and anagram-free is no anagram
+        rng = random.Random(seed)
+        colours = [rng.randrange(4) for _ in range(rng.randrange(4, 14))]
+        keep = set(rng.sample(range(4), rng.randrange(1, 4)))
+        n = len(colours)
+        for i in range(n):
+            for L in range(1, (n - i) // 2 + 1):
+                window = colours[i : i + 2 * L]
+                reduced = [c for c in window if c in keep]
+                if reduced and words.find_abelian_square(reduced) is None:
+                    assert not is_anagram(window)
+
 
 class TestLongestAnagramFree:
     def test_single_symbol(self):
