@@ -735,7 +735,12 @@ class TestCliConstructVerify:
     @pytest.mark.parametrize("flags,err", [
         (["--sample", "5"], "usage error: --sample requires --seed for reproducibility\n"),
         (["--sample", "0", "--seed", "1"], "usage error: --sample must be at least 1\n"),
-    ], ids=["no-seed", "zero"])
+        (["--sample", "-3", "--seed", "1"], "usage error: --sample must be at least 1\n"),
+        (["--seed", "1"], "usage error: --seed applies only to --sample\n"),
+        (["--sample", "5", "--seed", "1", "--max-windows", "9"],
+         "usage error: --max-windows does not apply to --sample, which has no window ceiling\n"),
+        (["--max-windows", "-1"], "usage error: the window ceiling must be non-negative, got -1\n"),
+    ], ids=["no-seed", "zero", "negative", "seed-without-sample", "ceiling-with-sample", "negative-ceiling"])
     def test_sample_flags_are_refused_before_the_file_is_read(self, tmp_path, capsys, flags, err):
         # the file does not exist, so reading it first would exit 65
         assert main(["verify", str(tmp_path / "nosuch.json"), *flags]) == 64
@@ -750,6 +755,43 @@ class TestCliConstructVerify:
         # the environment ceiling is a default, not a flag given to --sample
         monkeypatch.setenv("AFSUB_MAX_WINDOWS", "0")
         assert main(["verify", str(good), "--sample", "10", "--seed", "1"]) == 0
+
+    def test_restrict(self, tmp_path, capsys):
+        # --restrict is gone: it is refused before the file is read, and the
+        # plain scan decides the paths that a restriction misjudged
+        unrecognised = "usage error: unrecognized arguments: --restrict 1\n"
+        for colours, outcome, code in (((1, 2, 1, 2), "counterexample", 2),
+                                       ((0, 1, 0), "anagram_free", 0), ((1, 2, 2), "counterexample", 2)):
+            path = alternating_path_file(tmp_path, colours)
+            assert main(["verify", str(path), "--restrict", "1"]) == 64
+            assert capsys.readouterr() == ("", unrecognised)
+            assert main(["verify", str(path)]) == code
+            assert json.loads(capsys.readouterr().out)["outcome"] == outcome
+        assert main(["verify", str(tmp_path / "nosuch.json"), "--restrict", "1"]) == 64
+        assert capsys.readouterr() == ("", unrecognised)
+
+    @pytest.mark.parametrize("keep", ["", ","])
+    def test_empty_restriction_exits_64(self, tmp_path, capsys, keep):
+        # an empty keep set certifies nothing, and is now refused as an
+        # unknown option: here a binary-tree h=3 file with a planted
+        # two-vertex anagram
+        cs = build_binary_tree_8(complete_dary_tree(2, 3)).coloured
+        colours = list(cs.colour)
+        colours[cs.graph.adjacency[0][0]] = colours[0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(to_json_str(coloured_subdivision(cs.graph, colours, cs.provenance)))
+        assert main(["verify", str(bad)]) == 2
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--restrict", keep]) == 64
+        assert capsys.readouterr() == ("", f"usage error: unrecognized arguments: --restrict {keep}\n")
+
+    def test_restrict_with_sample_exit_64(self, tmp_path, capsys):
+        bad = alternating_path_file(tmp_path, (1, 2, 1, 2))
+        assert main(["verify", str(bad), "--restrict", "1", "--sample", "5", "--seed", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: unrecognized arguments: --restrict 1\n"
+        assert main(["verify", str(bad), "--sample", "5", "--seed", "1"]) == 2
 
     def test_construct_scans_a_forest_past_the_path_window_estimate(self, tmp_path, capsys):
         # 10,237 vertices: n^2/4 is 26.2M, above the default ceiling, but the

@@ -43,7 +43,7 @@ from afsub.verifier import (
     naive_find_anagram,
     revalidate,
 )
-from oracles import depth_scan_forest, scanned_check_discriminating
+from oracles import depth_scan_forest, is_anagram, scanned_check_discriminating
 
 
 def coloured_path(colours):
@@ -166,6 +166,19 @@ class TestDegree2Scan:
     def test_path_forest_counterexample_is_the_maximal_path_one(self, c):
         ce = find_anagram(c).counterexample
         assert (ce and ce.vertices) == maximal_path_counterexample(c)
+
+    @given(degree2_graphs(kinds=("cycle",)))
+    @settings(max_examples=100, deadline=None)
+    def test_cycle_counterexample_restricts_to_an_anagram_or_nothing(self, c):
+        # the restriction lemma on every witness the cycle scan reports
+        ce = find_anagram(c).counterexample
+        if ce is None:
+            return
+        word = [c.colour[v] for v in ce.vertices]
+        assert is_anagram(word)
+        for mask in range(1, 16):
+            reduced = [colour for colour in word if mask >> colour & 1]
+            assert not reduced or is_anagram(reduced)
 
     def test_scans_leave_the_adjacency_unbuilt(self):
         # on max degree 2 the scans read the base graph and the division runs
@@ -693,6 +706,22 @@ class TestFindAnagram:
         report = find_anagram(coloured_path([1, 2, 1, 2]))
         assert report.outcome == "counterexample"
         assert report.counterexample.vertices == (0, 1, 2, 3)
+
+    def test_forward_witness(self):
+        # the witness 1 2 1 2 restricted to either colour is an anagram
+        colours = [1, 2, 1, 2]
+        ce = find_anagram(coloured_path(colours)).counterexample
+        for keep, vertices in (({1}, (0, 2)), ({2}, (1, 3))):
+            assert tuple(v for v in ce.vertices if colours[v] in keep) == vertices
+            assert is_anagram([colours[v] for v in vertices])
+
+    def test_decides_what_a_restriction_misjudged(self):
+        # 0 1 0 restricted to colour 0 is the anagram 0 0, yet the path is
+        # anagram-free; 1 2 2 restricted to colour 1 is anagram-free, yet
+        # 2 2 is an anagram
+        assert find_anagram(coloured_path([0, 1, 0])).outcome == "anagram_free"
+        report = find_anagram(coloured_path([1, 2, 2]))
+        assert (report.outcome, report.counterexample.vertices) == ("counterexample", (1, 2))
 
     def test_odd_palindrome_is_fine(self):
         report = find_anagram(coloured_path([1, 2, 1]))
