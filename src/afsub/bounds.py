@@ -5,8 +5,14 @@ concrete anagram by grouping clique edges by division-multiset.
 extract_monochromatic_subtree and find_anagram_undercoloured_tree do the
 analogous job for subdivided trees coloured below tree_lower_bound.  Both
 witnesses key paths by verifier.multiset_of and build their Counterexample
-with Counterexample.of.  The closed forms live in closed_forms, which a
-bound loads alone; they are re-exported here.
+with Counterexample.of.  The tree witnesses read a tree's effective
+height from RootedTree.effective_height, derived once per tree.  The
+closed forms live in closed_forms, which a bound loads alone; they are
+re-exported here.
+
+The seeded colourings draw through _draws, which makes exactly the draws
+random.Random(seed).randrange makes, word for word, without its
+per-call overhead: their outputs are those of randrange and randint.
 """
 
 from __future__ import annotations
@@ -103,24 +109,7 @@ def effective_structure(t: RootedTree) -> EffectiveStructure:
     root = t.root
     while root not in eff:
         root = t.children[root][0]
-    height = _effective_height(t.children, t.root)
-    return EffectiveStructure(t, frozenset(eff), root, height)
-
-
-def _effective_height(children, root: int) -> int:
-    """Minimum number of branch vertices on any path from root down to a leaf.
-
-    children maps each vertex to its child list: a tree's children, or a
-    witness's child dict.
-    """
-    order = [root]
-    for u in order:
-        order.extend(children[u])
-    best: dict[int, int] = {}
-    for u in reversed(order):
-        kids = children[u]
-        best[u] = min(best[c] for c in kids) + (1 if len(kids) >= 2 else 0) if kids else 0
-    return best[root]
+    return EffectiveStructure(t, frozenset(eff), root, t.effective_height)
 
 
 def is_d_branch(t: RootedTree, d: int) -> bool:
@@ -155,7 +144,7 @@ def extract_monochromatic_subtree(
     targets = list(targets)
     if any(a < 0 for a in targets):
         raise PreconditionError("targets must be non-negative")
-    if effective_structure(t).effective_height < sum(targets):
+    if t.effective_height < sum(targets):
         raise PreconditionError("effective height below the sum of targets")
     for v in range(t.vertex_count):
         if not 0 <= colours[v] < len(targets):
@@ -214,8 +203,7 @@ def find_anagram_undercoloured_tree(
     """
     if t.height > h:
         raise PreconditionError(f"tree height {t.height} exceeds h = {h}")
-    eff = effective_structure(t)
-    h_eff = eff.effective_height
+    h_eff = t.effective_height
     bound = tree_lower_bound(d, h_eff, h)
     if x >= bound:
         raise PreconditionError(f"x = {x} is not below the bound {bound}")
@@ -264,9 +252,8 @@ def seeded_complete_subdivision_colouring(n: int, c: int, k: int, seed: int) -> 
         raise ValueError("need n >= 2, c >= 1, k >= 0")
     rng = random.Random(seed)
     g = complete_graph(n)
-    counts = [rng.randint(0, k) for _ in g.edges]
-    s = subdivide(g, counts)
-    colours = [rng.randrange(c) for _ in range(s.vertex_count)]
+    s = subdivide(g, _draws(rng, k + 1, len(g.edges)))  # randint(0, k) per edge
+    colours = _draws(rng, c, s.vertex_count)
     return coloured_subdivision(
         s, colours, {"construction": "seeded-kn", "n": n, "c": c, "k": k, "seed": seed}
     )
@@ -276,5 +263,20 @@ def seeded_tree_colouring(t: RootedTree, x: int, seed: int) -> tuple[int, ...]:
     """Uniform x-colouring of a tree's vertices."""
     if x < 1:
         raise ValueError("need at least one colour")
-    rng = random.Random(seed)
-    return tuple(rng.randrange(x) for _ in range(t.vertex_count))
+    return tuple(_draws(random.Random(seed), x, t.vertex_count))
+
+
+def _draws(rng: random.Random, n: int, count: int) -> list[int]:
+    """count draws of rng.randrange(n), n >= 1, leaving rng as they would:
+    randrange's own rejection loop, which draws n.bit_length() bits and
+    draws again at n or above, run inline."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out: list[int] = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(r)
+    return out

@@ -398,7 +398,7 @@ def _witness_tree(ns: argparse.Namespace) -> dict:
     colours = bounds.seeded_tree_colouring(tree, ns.x, ns.seed)
     ce = bounds.find_anagram_undercoloured_tree(tree, colours, ns.x, ns.d, ns.h)
     return {
-        "bound": bounds.tree_lower_bound(ns.d, bounds.effective_structure(tree).effective_height, ns.h),
+        "bound": bounds.tree_lower_bound(ns.d, tree.effective_height, ns.h),
         "witness": _witness(ce, ColouredGraph(tree_to_base_graph(tree), colours)),
     }
 

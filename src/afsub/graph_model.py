@@ -6,16 +6,18 @@ vertices after the originals, sequentially per edge in edge-list order.  A
 RootedTree is its ordered child lists and its root: RootedTree.parent is
 derived from the child lists.
 SubdividedGraph.chain_edges, SubdividedGraph.division_path_from,
-RootedTree.edges and RootedTree.sibling_labels are the one home of how the
-package lists a subdivision's edges, reads a division path from one end,
-orders a tree's edges and labels each by its child's place.
+RootedTree.edges, RootedTree.sibling_labels and RootedTree.effective_height
+are the one home of how the package lists a subdivision's edges, reads a
+division path from one end, orders a tree's edges, labels each by its
+child's place and counts a tree's effective height, once per tree.
 BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape, and
 a SubdividedGraph answers both from its base graph.
 
 Every builder allocates its vertices through complete_dary_tree and
 SubdividedGraph, which refuse more than MAX_VERTICES before allocating any;
 dary_tree_vertex_count refuses a tree from its height before its size is
-computed.
+computed, and complete_graph refuses more than MAX_VERTICES edges before it
+lists any.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 # Most vertices one complete_dary_tree, or one SubdividedGraph's division
-# paths, may hold; each checks its size before it allocates.
+# paths, may hold, and most edges one complete_graph may list; each checks
+# its size before it allocates.
 MAX_VERTICES = 10_000_000
 
 
@@ -103,6 +106,10 @@ def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
 
 
 def complete_graph(n: int) -> BaseGraph:
+    """K_n, refused before its edges are listed when they number more than
+    MAX_VERTICES."""
+    if (m := n * (n - 1) // 2) > MAX_VERTICES:
+        raise ValueError(f"complete graph on {n} vertices has {m} edges, more than {MAX_VERTICES}")
     return BaseGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -179,6 +186,27 @@ class RootedTree:
     @property
     def height(self) -> int:
         return max(self.depth)
+
+    @cached_property
+    def effective_height(self) -> int:
+        """_effective_height of the tree, derived once."""
+        return _effective_height(self.children, self.root)
+
+
+def _effective_height(children, root: int) -> int:
+    """Minimum number of branch vertices on any path from root down to a leaf.
+
+    children maps each vertex to its child list: a tree's children, or a
+    witness's child dict.
+    """
+    order = [root]
+    for u in order:
+        order.extend(children[u])
+    best: dict[int, int] = {}
+    for u in reversed(order):
+        kids = children[u]
+        best[u] = min(best[c] for c in kids) + (1 if len(kids) >= 2 else 0) if kids else 0
+    return best[root]
 
 
 def dary_tree_vertex_count(d: int, h: int) -> int:

@@ -38,6 +38,7 @@ so verify loads no builder.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from collections import Counter
@@ -660,15 +661,14 @@ def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
     beside it in its run, or the run's base endpoint at either end, and two
     base vertices are joined by a base edge with no division vertices.
     Each id must be a vertex of g, as revalidate checks first.  Only a
-    step onto a division vertex reads (and so builds) the runs."""
+    step onto a division vertex reads (and so builds) the runs.  The steps
+    between base vertices are gathered first and checked together at the
+    end."""
     n0 = g.base.vertex_count
-    undivided = None  # built at the first step between two base vertices
+    needed: set[tuple[int, int]] = set()  # base-to-base steps, as base edges
     for a, b in steps:
         if a < n0 and b < n0:
-            if undivided is None:
-                undivided = {e for e, k in zip(g.base.edges, g.counts) if not k}
-            if (min(a, b), max(a, b)) not in undivided:
-                return False
+            needed.add((a, b) if a < b else (b, a))
             continue
         x, y = (a, b) if a >= n0 else (b, a)  # x is a division vertex
         runs = g.division_paths
@@ -676,7 +676,11 @@ def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
         run, (u, v) = runs[i], g.base.edges[i]
         if y != (x - 1 if x > run.start else u) and y != (x + 1 if x < run.stop - 1 else v):
             return False
-    return True
+    # joined when a base edge and not a divided one: two C-level passes,
+    # hashing no edge into a new set
+    if needed and needed.isdisjoint(itertools.compress(g.base.edges, g.counts)):
+        needed.difference_update(g.base.edges)
+    return not needed
 
 
 @dataclass(frozen=True)

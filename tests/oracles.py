@@ -9,14 +9,20 @@ the maximal-path walker as two closures over [vertex, iterator, flag]
 frames, the reference of graph_model.enumerate_maximal_simple_paths,
 scanned_check_discriminating the discriminating audit with condition 2 by
 a quadratic scan of every division path, parent_map_tree a rooted tree
-stored as a parent map beside its child lists, and level_loop_children the
-complete d-ary tree's child lists built level by level.
+stored as a parent map beside its child lists, level_loop_children the
+complete d-ary tree's child lists built level by level, effective_height
+the effective-height rule as bounds held it before RootedTree cached it,
+joined_by_set the revalidate step check with its set of every undivided
+base edge, and randrange_kn_colouring and randrange_tree_colouring the
+seeded colourings drawn call by call through randint and randrange.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -24,9 +30,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from afsub import verifier, words
-from afsub.bounds import MonochromaticWitness, _effective_height, witness_children
+from afsub.bounds import MonochromaticWitness, witness_children
 from afsub.graph_constructions import _sequence_ranks, consecutive_thirds, oriented_division_path
-from afsub.graph_model import RootedTree, StepBudgetExceeded
+from afsub.graph_model import RootedTree, StepBudgetExceeded, SubdividedGraph, complete_graph
 from afsub.serialize import SchemaError
 from afsub.verifier import Counterexample, DiscriminatingReport, VerificationReport, WindowCeilingExceeded
 from afsub.words import _LETTERS, Word, find_abelian_square
@@ -112,7 +118,56 @@ def validate_monochromatic_witness(
         return False
     if any(len(kids[v]) < d for v in effective if kids[v]):
         return False
-    return _effective_height(kids, w.root) >= target
+    return effective_height(kids, w.root) >= target
+
+
+def effective_height(children, root: int) -> int:
+    """Minimum number of branch vertices on any path from root down to a
+    leaf; children is a tree's child lists or a witness's child dict."""
+    order = [root]
+    for u in order:
+        order.extend(children[u])
+    best: dict[int, int] = {}
+    for u in reversed(order):
+        kids = children[u]
+        best[u] = min(best[c] for c in kids) + (1 if len(kids) >= 2 else 0) if kids else 0
+    return best[root]
+
+
+def joined_by_set(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
+    """verifier._joined with the undivided base edges built into a set at
+    the first step between two base vertices, each such step looked up."""
+    n0 = g.base.vertex_count
+    undivided = None
+    for a, b in steps:
+        if a < n0 and b < n0:
+            if undivided is None:
+                undivided = {e for e, k in zip(g.base.edges, g.counts) if not k}
+            if (min(a, b), max(a, b)) not in undivided:
+                return False
+            continue
+        x, y = (a, b) if a >= n0 else (b, a)
+        runs = g.division_paths
+        i = bisect.bisect_right(runs, x, key=lambda run: run.start) - 1
+        run, (u, v) = runs[i], g.base.edges[i]
+        if y != (x - 1 if x > run.start else u) and y != (x + 1 if x < run.stop - 1 else v):
+            return False
+    return True
+
+
+def randrange_kn_colouring(n: int, c: int, k: int, seed: int) -> tuple[list[int], list[int]]:
+    """The division counts and colours of the seeded K_n colouring, drawn
+    one randint(0, k) per edge, then one randrange(c) per vertex."""
+    rng = random.Random(seed)
+    counts = [rng.randint(0, k) for _ in complete_graph(n).edges]
+    colours = [rng.randrange(c) for _ in range(n + sum(counts))]
+    return counts, colours
+
+
+def randrange_tree_colouring(t: RootedTree, x: int, seed: int) -> tuple[int, ...]:
+    """The seeded tree colouring, one randrange(x) per vertex."""
+    rng = random.Random(seed)
+    return tuple(rng.randrange(x) for _ in range(t.vertex_count))
 
 
 def leaves(t: RootedTree) -> tuple[int, ...]:

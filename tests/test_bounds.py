@@ -8,11 +8,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from afsub import graph_model
 from afsub.bounds import (
     EffectiveStructure,
     MonochromaticWitness,
     PreconditionError,
+    _draws,
     dary_two_sided,
     effective_structure,
     extract_monochromatic_subtree,
@@ -26,6 +30,7 @@ from afsub.bounds import (
     subdivision_tree_lower_bound,
     tree_lower_bound,
 )
+from afsub.cli import main
 from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
@@ -34,10 +39,17 @@ from afsub.graph_model import (
     complete_graph,
     coloured_subdivision,
     k_subdivision,
+    random_binary_tree,
     tree_to_base_graph,
 )
 from afsub.verifier import revalidate
-from oracles import multiset_count, validate_monochromatic_witness
+from oracles import (
+    effective_height,
+    multiset_count,
+    randrange_kn_colouring,
+    randrange_tree_colouring,
+    validate_monochromatic_witness,
+)
 
 
 class TestKnLowerBound:
@@ -189,6 +201,30 @@ class TestEffectiveStructure:
         assert eff.effective_root == 1
         assert eff.effective_height == 1
         assert is_d_branch(t, 2)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cached_height_is_the_rules_on_random_trees(self, seed):
+        t = random_binary_tree(1 + seed % 9, seed)
+        assert t.effective_height == effective_height(t.children, t.root)
+        assert effective_structure(t).effective_height == t.effective_height
+
+    @pytest.mark.parametrize("d, h", [(d, h) for d in (1, 2, 3, 5, 16) for h in range(4)])
+    def test_cached_height_is_the_rules_on_complete_trees(self, d, h):
+        t = complete_dary_tree(d, h)
+        assert t.effective_height == effective_height(t.children, t.root) == (0 if d == 1 else h)
+
+    def test_one_witness_tree_run_derives_it_once(self, monkeypatch, capsys):
+        calls = []
+        rule = graph_model._effective_height
+
+        def counted(children, root):
+            calls.append(root)
+            return rule(children, root)
+
+        monkeypatch.setattr(graph_model, "_effective_height", counted)
+        assert main(["witness", "tree", "--d", "16", "--h", "3", "--x", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert calls == [0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -350,6 +386,46 @@ class TestUndercolouredTree:
         t = complete_dary_tree(2, 2)
         with pytest.raises(PreconditionError):
             find_anagram_undercoloured_tree(t, (0,) * t.vertex_count, 5, 2, 2)
+
+
+class TestSeededDraws:
+    @given(
+        st.one_of(
+            st.integers(1, 4),
+            st.integers(1, 40).flatmap(lambda b: st.sampled_from([2**b - 1, 2**b, 2**b + 1])),
+            st.integers(1, 2**40),
+        ),
+        st.integers(0, 2000),
+        st.integers(),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(1, 2000, 0)
+    @example(2, 2000, 1)
+    def test_are_randranges_draws(self, n, count, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _draws(ours, n, count) == [theirs.randrange(n) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
+
+    @given(st.integers(0, 2**40), st.integers(0, 2000), st.integers())
+    @settings(max_examples=60, deadline=None)
+    @example(0, 2000, 0)
+    def test_shifted_draws_are_randints(self, k, count, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _draws(ours, k + 1, count) == [theirs.randint(0, k) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 7, 2**31 - 1])
+    @pytest.mark.parametrize("n, c, k", [(2, 1, 0), (30, 2, 1), (100, 2, 3), (12, 5, 9)])
+    def test_kn_colouring_is_the_randrange_colouring(self, n, c, k, seed):
+        counts, colours = randrange_kn_colouring(n, c, k, seed)
+        cs = seeded_complete_subdivision_colouring(n, c, k, seed)
+        assert (list(cs.graph.counts), list(cs.colour)) == (counts, colours)
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 7, 2**31 - 1])
+    @pytest.mark.parametrize("d, h, x", [(16, 3, 2), (2, 5, 3), (3, 2, 1), (1, 4, 7)])
+    def test_tree_colouring_is_the_randrange_colouring(self, d, h, x, seed):
+        t = complete_dary_tree(d, h)
+        assert seeded_tree_colouring(t, x, seed) == randrange_tree_colouring(t, x, seed)
 
 
 class TestBoundConsistencyWithConstructions:

@@ -285,6 +285,16 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match="needs 6 division vertices, more than 5"):
             subdivide(path_graph(3), [3, 3])
 
+    def test_complete_graph_refuses_before_listing_its_edges(self, monkeypatch):
+        # listing first would allocate 4,999,950,000 edge tuples
+        with pytest.raises(ValueError, match="^complete graph on 100000 vertices has 4999950000 edges, "
+                                             "more than 10000000$"):
+            complete_graph(100_000)
+        monkeypatch.setattr(graph_model, "MAX_VERTICES", 10)
+        assert len(complete_graph(5).edges) == 10
+        with pytest.raises(ValueError, match="^complete graph on 6 vertices has 15 edges, more than 10$"):
+            complete_graph(6)
+
     def test_complete_dary_tree_refuses_by_its_closed_form(self, monkeypatch):
         with pytest.raises(ValueError, match="height 40 has 2199023255551 vertices, more than 10000000"):
             complete_dary_tree(2, 40)

@@ -1279,9 +1279,12 @@ class TestCliBadParameters:
         ["construct", "binary-tree", "--height", str(10**20)],
         ["construct", "dary-banded", "--d", "2", "--height", str(10**20), "--k", "5"],
         ["witness", "tree", "--d", "2", "--h", str(10**20), "--x", "1", "--seed", "0"],
+        # refused before the clique's 4,999,950,000 edges are listed
+        ["witness", "kn", "--n", "100000", "--c", "2", "--k", "3", "--seed", "1"],
     ], ids=["dary-d1", "dary-negative-height", "banded-small-k", "merged-k0",
             "construct-output", "construct-dot", "word-output", "export-dot",
-            "dary-huge-height", "binary-tree-huge-height", "banded-huge-height", "witness-tree-huge-height"])
+            "dary-huge-height", "binary-tree-huge-height", "banded-huge-height", "witness-tree-huge-height",
+            "witness-kn-huge-n"])
     def test_usage_error_exit_64(self, tmp_path, capsys, argv):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n")

@@ -43,7 +43,7 @@ from afsub.verifier import (
     naive_find_anagram,
     revalidate,
 )
-from oracles import depth_scan_forest, is_anagram, scanned_check_discriminating
+from oracles import depth_scan_forest, is_anagram, joined_by_set, scanned_check_discriminating
 
 
 def coloured_path(colours):
@@ -766,6 +766,38 @@ class TestFindAnagram:
         for a, b in itertools.product(range(-1, n + 1), repeat=2):
             ce = Counterexample((a, b), 1, ((0, 1),))
             assert revalidate(ce, one_colour) == (0 <= a < n and 0 <= b < n and b in adj[a]), (a, b)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_steps_agree_with_the_set_of_undivided_edges(self, seed):
+        # walks on the flattened graph that now and then jump to any vertex,
+        # over a graph with no division vertices (as a ColouredGraph has) on
+        # even seeds and a subdivision on odd ones; both outcomes occur
+        rng = random.Random(seed)
+        n0 = rng.randint(1, 8)
+        edges = tuple((u, v) for u, v in itertools.combinations(range(n0), 2) if rng.random() < 0.5)
+        counts = [rng.choice((0, 0, 1, 2, 3)) if seed % 2 else 0 for _ in edges]
+        g = subdivide(BaseGraph(n0, edges), counts)
+        n = g.vertex_count
+        adj = g.flatten().adjacency
+        one_colour = ColouredSubdivision(g, (0,) * n, (0,))
+        seen = set()
+        for _ in range(30):
+            walk = [rng.randrange(n)]
+            for _ in range(rng.randrange(8)):
+                ways = adj[walk[-1]]
+                walk.append(rng.choice(ways) if ways and rng.random() < 0.9 else rng.randrange(n))
+            steps = list(zip(walk, walk[1:]))
+            joined = verifier._joined(g, steps)
+            assert joined == joined_by_set(g, steps), steps
+            seen.add(joined)
+            if len(walk) % 2 == 0 and len(set(walk)) == len(walk):
+                ce = Counterexample(tuple(walk), len(walk) // 2, ((0, len(walk) // 2),))
+                assert revalidate(ce, one_colour) == joined_by_set(g, steps), walk
+        assert seen == {True, False} or not edges
+        # a step straight across a base edge is joined exactly when the
+        # edge has no division vertices
+        for (u, v), k in zip(g.base.edges, g.counts):
+            assert verifier._joined(g, [(v, u)]) == joined_by_set(g, [(v, u)]) == (k == 0)
 
     @pytest.mark.parametrize("c", [
         ColouredGraph(path_graph(3), (0, 1, 1)),
