@@ -6,10 +6,11 @@ vertices after the originals, sequentially per edge in edge-list order.  A
 RootedTree is its ordered child lists and its root: RootedTree.parent is
 derived from the child lists.
 SubdividedGraph.chain_edges, SubdividedGraph.division_path_from,
-RootedTree.edges, RootedTree.sibling_labels and RootedTree.effective_height
-are the one home of how the package lists a subdivision's edges, reads a
-division path from one end, orders a tree's edges, labels each by its
-child's place and counts a tree's effective height, once per tree.
+SubdividedGraph.strands, RootedTree.edges, RootedTree.sibling_labels and
+RootedTree.effective_height are the one home of how the package lists a
+subdivision's edges, reads a division path from one end, lists its runs
+through base vertices of degree 2, orders a tree's edges, labels each by
+its child's place and counts a tree's effective height, once per tree.
 BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape, and
 a SubdividedGraph answers both from its base graph.
 
@@ -297,6 +298,40 @@ class SubdividedGraph:
             raise ValueError(f"vertex {end} is not an endpoint of edge {i}")
         path = self.division_paths[i]
         return path if end == u else path[::-1]
+
+    def strands(self) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
+        """Maximal runs of base edges joined at base vertices of degree 2, as
+        (steps, cycle): each step (base edge i, the end it is entered from)
+        in order, and whether all its component's vertices have degree 2.
+        Runs with ends come first, from each vertex of degree other than 2
+        in id order, edges in edge order; one back at its start is no cycle.
+        Each cycle then starts at its smallest id toward the smaller first
+        id.  Reads the base graph and counts in O(base edges)."""
+        edges = self.base.edges
+        incident: list[list[int]] = [[] for _ in range(self.base.vertex_count)]
+        for i, (u, v) in enumerate(edges):
+            incident[u].append(i)
+            incident[v].append(i)
+        taken = [False] * len(edges)
+
+        def walk(v: int, i: int) -> tuple[tuple[int, int], ...]:
+            steps = []
+            while not taken[i]:
+                taken[i] = True
+                steps.append((i, v))
+                v = sum(edges[i]) - v  # the far end
+                if len(incident[v]) == 2:  # else edge i, taken, ends the run
+                    i = sum(incident[v]) - i  # v's other edge
+            return tuple(steps)
+
+        def first_id(v: int, i: int) -> int:  # the first division vertex, or the other end
+            run = self.division_path_from(i, v)
+            return run[0] if run else sum(edges[i]) - v
+
+        strands = [(walk(v, i), False) for v, out in enumerate(incident) if len(out) != 2
+                   for i in out if not taken[i]]
+        return strands + [(walk(v, min(out, key=lambda i: first_id(v, i))), True)
+                          for v, out in enumerate(incident) if len(out) == 2 and not taken[out[0]]]
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -3,9 +3,9 @@
 find_anagram exhaustively scans every even-order simple path of a coloured
 graph, by one of three scanners:
 
-- a graph of maximum degree 2 is read as one word per component, and a
-  cycle's word is scanned cyclically with windows capped at the cycle's
-  length;
+- a graph of maximum degree 2 is read as one word per component, an
+  isolated vertex or a strand of SubdividedGraph.strands, and a cycle's
+  word is scanned cyclically with windows capped at the cycle's length;
 - any other forest is scanned from the centre edge of each even path:
   depth 1 compares the colours at the two ends of each edge, and after it
   a walk table read off the base graph grows the two halves of every
@@ -127,58 +127,22 @@ def _window_count(length: int, max_length: Optional[int] = None) -> int:
 
 
 def _degree2_components(graph: SubdividedGraph) -> list[tuple[list[int], bool]]:
-    """Components of a max-degree-2 graph as (vertex order, is_cycle).
-
-    A path component is read from its smaller endpoint, a cycle from its
-    smallest id toward that vertex's smaller neighbour.  Components are
-    ordered by the first vertex of their order.  Each order is built from
-    the base graph: base vertices joined by each base edge's division run,
-    read from the end the order reaches first (division_path_from).  Every
-    component holds a base vertex, the ends of a path are base vertices,
-    and a cycle's smallest id is one, since division vertices come after
-    the base vertices.
-    """
-    base = graph.base
-    incident: list[list[int]] = [[] for _ in range(base.vertex_count)]
-    for i, (u, v) in enumerate(base.edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    seen = [False] * base.vertex_count
-
-    def first_step(v: int, i: int) -> int:
-        """v's neighbour along base edge i."""
-        u, w = base.edges[i]
-        run = graph.division_path_from(i, v)
-        return run[0] if run else (w if v == u else u)
-
-    def read(v: int, i: int) -> list[int]:
-        """The order from base vertex v out along base edge i, to the other
-        end of a path or round to v."""
-        order = [v]
-        seen[v] = True
-        while True:
-            u, w = base.edges[i]
-            order.extend(graph.division_path_from(i, v))
-            v = w if v == u else u
-            if seen[v]:  # back at a cycle's first vertex
-                return order
+    """Components of a max-degree-2 graph as (vertex order, is_cycle),
+    ordered by their first vertex: isolated base vertices and the strands
+    of graph.strands(), a path from its smaller end and a cycle from its
+    smallest id toward that vertex's smaller neighbour.  Each strand step
+    is its base end, then its division run read from there
+    (division_path_from); a path then ends at its far end.  A first vertex
+    is a base vertex, as division vertices come after the base vertices."""
+    comps = [([v], False) for v, ns in enumerate(graph.base.adjacency) if not ns]
+    for steps, cycle in graph.strands():
+        order = []
+        for i, v in steps:
             order.append(v)
-            seen[v] = True
-            out = [j for j in incident[v] if j != i]
-            if not out:
-                return order
-            i = out[0]
-
-    comps: list[tuple[list[int], bool]] = []
-    for v in range(base.vertex_count):  # paths, each from its smaller end
-        if not incident[v]:
-            seen[v] = True
-            comps.append(([v], False))
-        elif len(incident[v]) == 1 and not seen[v]:
-            comps.append((read(v, incident[v][0]), False))
-    for v in range(base.vertex_count):  # what is left lies on cycles
-        if not seen[v]:
-            comps.append((read(v, min(incident[v], key=lambda i: first_step(v, i))), True))
+            order.extend(graph.division_path_from(i, v))
+        if not cycle:
+            order.append(sum(graph.base.edges[i]) - v)
+        comps.append((order, cycle))
     comps.sort(key=lambda comp: comp[0][0])
     return comps
 
@@ -519,12 +483,13 @@ def find_anagram(
     """Exhaustive anagram search over every simple path of c, by one of
     three scanners.
 
-    - A graph of maximum degree 2 is read as one word per component, in
-      order of the first vertex of each word: a path from its smaller
-      endpoint, so path forests give the same counterexample as the
-      maximal-path scan; a cycle of m vertices from its smallest id toward
-      that vertex's smaller neighbour, its windows (start, length) over
-      order + order[:-1] with length at most m.
+    - A graph of maximum degree 2 is read as one word per component, an
+      isolated vertex or a strand of the base graph with its division runs
+      (SubdividedGraph.strands), in order of the first vertex of each
+      word: a path from its smaller endpoint, so path forests give the
+      same counterexample as the maximal-path scan; a cycle of m vertices
+      from its smallest id toward that vertex's smaller neighbour, its
+      windows (start, length) over order + order[:-1], length at most m.
     - Any other forest is scanned from the centre edges of its even paths
       (_scan_forest), half-length by half-length, so the counterexample is
       a shortest anagram.  Depth 1 is read off the edges' end colours;
@@ -657,7 +622,7 @@ def revalidate(ce: Counterexample, c: ColouredSubdivision) -> bool:
 
 def _joined(g: SubdividedGraph, steps: Iterable[tuple[int, int]]) -> bool:
     """Whether every step (a, b) is an edge of g, read as
-    _degree2_components reads g: a division vertex's neighbours are the ids
+    division_path_from reads g: a division vertex's neighbours are the ids
     beside it in its run, or the run's base endpoint at either end, and two
     base vertices are joined by a base edge with no division vertices.
     Each id must be a vertex of g, as revalidate checks first.  Only a

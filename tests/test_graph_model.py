@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afsub import graph_model
+from afsub.graph_constructions import colour_14
 from afsub.graph_model import (
     BaseGraph,
     ColouredGraph,
@@ -257,6 +258,104 @@ class TestSubdivide:
     @settings(max_examples=50)
     def test_zero_count_adjacency_is_the_base_graphs(self, g):
         assert subdivide(g, [0] * len(g.edges)).adjacency is g.adjacency
+
+
+@st.composite
+def strand_graphs(draw):
+    """Stars, pure cycles, cycles hung back on a branch vertex, paths,
+    isolated vertices and sparse graphs side by side, with shuffled ids and
+    edge order, each edge divided 0 to 3 times."""
+    edges, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(["star", "cycle", "loop", "path", "isolated", "sparse"]),
+                              min_size=1, max_size=4)):
+        if kind == "sparse":
+            g = draw(sparse_graphs(max_vertices=6))
+            edges += [(n + u, n + v) for u, v in g.edges]
+            n += g.vertex_count
+            continue
+        size = {"star": 4, "cycle": 3, "loop": 4, "path": 2, "isolated": 1}[kind] + draw(st.integers(0, 3))
+        vs = range(n, n + size)
+        n += size
+        if kind == "star":  # branch vertex vs[0] with three legs, the last 1 to 4 edges long
+            edges += [(vs[0], v) for v in vs[1:4]] + list(zip(vs[3:], vs[4:]))
+        elif kind in ("cycle", "loop"):  # a loop also hangs vs[-1] off vs[0]
+            ring = vs if kind == "cycle" else vs[:-1]
+            edges += list(zip(ring, ring[1:])) + [(ring[-1], ring[0])]
+            if kind == "loop":
+                edges.append((vs[0], vs[-1]))
+        elif kind == "path":
+            edges += list(zip(vs, vs[1:]))
+    ids = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(ids[u], ids[v]) for u, v in edges]))
+    return subdivide(BaseGraph(n, tuple(edges)), draw(st.lists(st.integers(0, 3), min_size=len(edges),
+                                                              max_size=len(edges))))
+
+
+class TestStrands:
+    @given(strand_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_strands_cover_the_edges_along_degree_2_joins(self, s):
+        edges, adj = s.base.edges, s.base.adjacency
+        g = nx.Graph(edges)
+        g.add_nodes_from(range(s.base.vertex_count))
+        strands = s.strands()
+        assert sorted(i for steps, _ in strands for i, _ in steps) == list(range(len(edges)))
+        for steps, cycle in strands:
+            ends = []  # each step's far end
+            for i, v in steps:
+                assert v in edges[i] and (not ends or v == ends[-1])
+                ends.append(sum(edges[i]) - v)
+            assert all(len(adj[v]) == 2 for v in ends[:-1])
+            start = steps[0][1]
+            component = nx.node_connected_component(g, start)
+            assert cycle == all(len(adj[v]) == 2 for v in component)
+            if cycle:
+                assert ends[-1] == start == min(component)
+            else:
+                assert len(adj[start]) != 2 and len(adj[ends[-1]]) != 2
+        # runs with ends first, by start vertex; then cycles by start vertex
+        starts = [(cycle, steps[0][1]) for steps, cycle in strands]
+        assert starts == sorted(starts)
+
+    def test_paw_triangle_comes_back_to_its_branch_vertex(self):
+        paw = subdivide(BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3))), [0] * 4)
+        assert paw.strands() == [(((1, 2), (0, 1), (2, 0)), False), (((3, 2),), False)]
+
+    def test_graph14_k4_base_has_six_two_edge_strands(self):
+        s = colour_14(complete_graph(4)).coloured.graph
+        edges = s.base.edges
+        assert (s.base.vertex_count, len(edges)) == (10, 12)
+        strands = s.strands()
+        assert [(len(steps), cycle) for steps, cycle in strands] == [(2, False)] * 6
+        ends = set()
+        for steps, _ in strands:
+            (_, start), (i, v) = steps[0], steps[-1]
+            ends |= {start, sum(edges[i]) - v}
+        assert ends == {0, 1, 2, 3}
+
+    def test_cycle_starts_toward_the_smaller_first_id(self):
+        # C_3 with edge (0, 2) divided: 0 steps to 1 first; with (0, 1)
+        # divided instead, to 2 first
+        assert subdivide(cycle_graph(3), [0, 0, 1]).strands() == [(((0, 0), (1, 1), (2, 2)), True)]
+        assert subdivide(cycle_graph(3), [1, 0, 0]).strands() == [(((2, 0), (1, 2), (0, 1)), True)]
+        # both divided: edge 0's run holds the smaller ids
+        assert subdivide(cycle_graph(3), [1, 1, 1]).strands()[0][0][0] == (0, 0)
+
+
+class TestDivisionPathFrom:
+    def test_runs_forward_from_u_and_reversed_from_v(self):
+        s = subdivide(path_graph(3), [3, 0])
+        assert list(s.division_path_from(0, 0)) == [3, 4, 5]
+        assert list(s.division_path_from(0, 1)) == [5, 4, 3]
+
+    def test_undivided_edge_has_an_empty_run(self):
+        s = subdivide(path_graph(3), [3, 0])
+        assert list(s.division_path_from(1, 1)) == list(s.division_path_from(1, 2)) == []
+
+    def test_refuses_a_vertex_that_is_not_an_endpoint(self):
+        s = subdivide(path_graph(3), [3, 0])
+        with pytest.raises(ValueError, match="^vertex 2 is not an endpoint of edge 0$"):
+            s.division_path_from(0, 2)
 
 
 class TestColouredGraph:

@@ -186,6 +186,11 @@ class TestDegree2Scan:
         assert find_anagram(cs).outcome == "anagram_free"
         assert find_anagram_sampled(cs, 5, 1).outcome == "anagram_free"
         assert "adjacency" not in cs.graph.__dict__
+        # and on a cycle, read through its strand
+        cs = from_json_str(to_json_str(colour_merged(cycle_graph(4), 1).coloured))
+        assert find_anagram(cs).outcome == "anagram_free"
+        assert find_anagram_sampled(cs, 5, 1).outcome == "anagram_free"
+        assert "adjacency" not in cs.graph.__dict__
 
     def test_cycle_counterexample_order(self):
         # cycle 0-1-2-3 reads from 0 toward its smaller neighbour 1, as the
