@@ -6,7 +6,8 @@ extract_monochromatic_subtree and find_anagram_undercoloured_tree do the
 analogous job for subdivided trees coloured below tree_lower_bound.  Both
 witnesses key paths by verifier.multiset_of and build their Counterexample
 with Counterexample.of.  The tree witnesses read a tree's effective
-height from RootedTree.effective_height, derived once per tree.  The
+height from RootedTree.effective_height, derived once per tree, and its
+height from RootedTree.height, which keeps no depth per vertex.  The
 closed forms live in closed_forms, which a bound loads alone; they are
 re-exported here.
 
@@ -201,8 +202,8 @@ def find_anagram_undercoloured_tree(
     the half multisets because both are effective, hence share the
     monochromatic colour.  Refuses a tree of height above h.
     """
-    if t.height > h:
-        raise PreconditionError(f"tree height {t.height} exceeds h = {h}")
+    if (height := t.height) > h:
+        raise PreconditionError(f"tree height {height} exceeds h = {h}")
     h_eff = t.effective_height
     bound = tree_lower_bound(d, h_eff, h)
     if x >= bound:

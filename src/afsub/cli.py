@@ -2,7 +2,8 @@
 
 Each command loads only the modules it runs, so bound loads closed_forms
 alone: no witness search, builder, scanner, serialiser, dataclasses or
-numpy.
+numpy.  The verify report is written from a fixed template, byte for byte
+what json.dumps(payload, indent=2, sort_keys=True) would write.
 
 Exit codes: 0 success (or no counterexample found), 1 self-check failure
 (of word, verify or witness), 2 verification counterexample, recounted by
@@ -227,10 +228,6 @@ def _write(text: str, path: str | None) -> None:
         raise UsageError(f"cannot write output: {exc}") from None
 
 
-def _write_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _summary(cs: ColouredSubdivision, max_windows: int) -> str:
     """The construct summary line.  Off forests, n^2/4 estimates the
     path-windows of a scan that can run for seconds before it trips, so a
@@ -282,20 +279,23 @@ def _load_subdivision(path: str) -> ColouredSubdivision:
     return from_json_str(text)
 
 
-def _report_payload(report: VerificationReport) -> dict:
-    payload = {
-        "outcome": report.outcome,
-        "paths_checked": report.paths_checked,
-        "mode": report.mode,
-    }
-    if report.counterexample is not None:
-        ce = report.counterexample
-        payload["counterexample"] = {
-            "vertices": list(ce.vertices),
-            "split": ce.split,
-            "multiset": {str(c): k for c, k in ce.multiset},
-        }
-    return payload
+# The verify report as json.dumps(payload, indent=2, sort_keys=True) + "\n"
+# writes it, its keys in sorted order: mode is escaped by json.dumps, and a
+# counterexample's colour keys are sorted as strings, so "10" precedes "2".
+_REPORT = '{\n  %s"mode": %s,\n  "outcome": "%s",\n  "paths_checked": %d\n}\n'
+_COUNTEREXAMPLE = ('"counterexample": {\n    "multiset": {\n      %s\n    },\n    "split": %d,\n'
+                   '    "vertices": [\n      %s\n    ]\n  },\n  ')
+
+
+def _report_text(report: VerificationReport) -> str:
+    """The verify report's bytes.  A counterexample that revalidate passed
+    has vertices and a multiset, so neither list is empty."""
+    ce, found = report.counterexample, ""
+    if ce is not None:
+        multiset = sorted((str(c), k) for c, k in ce.multiset)
+        found = _COUNTEREXAMPLE % (",\n      ".join(map('"%s": %d'.__mod__, multiset)), ce.split,
+                                   ",\n      ".join(map(str, ce.vertices)))
+    return _REPORT % (found, json.dumps(report.mode), report.outcome, report.paths_checked)
 
 
 def _run_word(ns: argparse.Namespace) -> int:
@@ -363,7 +363,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
         return EXIT_CEILING
     if report.outcome == "counterexample" and not revalidate(report.counterexample, cs):
         raise SelfCheckFailed("the counterexample is not an anagram path of the input")
-    _write_json(_report_payload(report))
+    sys.stdout.write(_report_text(report))
     return EXIT_COUNTEREXAMPLE if report.outcome == "counterexample" else EXIT_OK
 
 
@@ -372,7 +372,7 @@ def _run_payload(ns: argparse.Namespace) -> int:
         payload = ns.payload(ns)
     except (ValueError, OverflowError) as exc:  # OverflowError: a value past float range
         raise UsageError(str(exc))
-    _write_json(payload)
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

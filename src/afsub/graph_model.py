@@ -10,9 +10,12 @@ SubdividedGraph.strands, RootedTree.edges, RootedTree.sibling_labels and
 RootedTree.effective_height are the one home of how the package lists a
 subdivision's edges, reads a division path from one end, lists its runs
 through base vertices of degree 2, orders a tree's edges, labels each by
-its child's place and counts a tree's effective height, once per tree.
-BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape, and
-a SubdividedGraph answers both from its base graph.
+its child's place and counts a tree's effective height, once per tree;
+RootedTree.height walks the tree level by level and keeps no depth per
+vertex.
+BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape from
+its edge list, by degree counts and one union-find pass, without building
+the adjacency; a SubdividedGraph answers both from its base graph.
 
 Every builder allocates its vertices through complete_dary_tree and
 SubdividedGraph, which refuse more than MAX_VERTICES before allocating any;
@@ -74,26 +77,30 @@ class BaseGraph:
 
     @cached_property
     def max_degree_2(self) -> bool:
-        return all(len(ns) <= 2 for ns in self.adjacency)
+        """Whether no vertex has three or more edges, by degree counts."""
+        degree = [0] * self.vertex_count
+        for u, v in self.edges:
+            degree[u] += 1
+            degree[v] += 1
+        return max(degree, default=0) <= 2
 
     @cached_property
     def is_forest(self) -> bool:
-        adj = self.adjacency
-        seen = [False] * len(adj)
-        for root in range(len(adj)):
-            if seen[root]:
-                continue
-            seen[root] = True
-            stack = [(root, -1)]
-            while stack:
-                v, parent = stack.pop()
-                for w in adj[v]:
-                    if w == parent:  # simple graph: at most one edge back up
-                        continue
-                    if seen[w]:
-                        return False
-                    seen[w] = True
-                    stack.append((w, v))
+        """Whether no edge closes a cycle: one union-find pass over the
+        edges, with path halving, that stops at the first edge whose ends
+        are already joined.  A forest on n vertices has fewer than n edges,
+        so more are refused before the pass."""
+        if len(self.edges) >= self.vertex_count > 0:
+            return False
+        root = list(range(self.vertex_count))
+        for u, v in self.edges:
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            if u == v:
+                return False
+            root[v] = u
         return True
 
 
@@ -184,9 +191,15 @@ class RootedTree:
         """Per edge of edges, its child's 1-based place among its siblings."""
         return tuple(i for cs in self.children for i in range(1, len(cs) + 1))
 
-    @property
+    @cached_property
     def height(self) -> int:
-        return max(self.depth)
+        """Edges on the longest root path: the tree is walked level by level,
+        holding one level at a time and no depth per vertex."""
+        children, level, h = self.children, [self.root], -1
+        while level:
+            level = list(itertools.chain.from_iterable(map(children.__getitem__, level)))
+            h += 1
+        return h
 
     @cached_property
     def effective_height(self) -> int:

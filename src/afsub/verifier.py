@@ -7,8 +7,9 @@ graph, by one of three scanners:
   isolated vertex or a strand of SubdividedGraph.strands, and a cycle's
   word is scanned cyclically with windows capped at the cycle's length;
 - any other forest is scanned from the centre edge of each even path:
-  depth 1 compares the colours at the two ends of each edge, and after it
-  a walk table read off the base graph grows the two halves of every
+  depth 1 compares the colours at the two ends of each edge, and is
+  decided before any rank, hash weight or table is built; after it a walk
+  table read off the base graph grows the two halves of every
   path, every live edge's frontier at once in flat numpy arrays, by a
   block of depths per round of at most _BLOCK_ELEMENTS keys.  Each hash
   key carries its depth in its top bits, so one sort matches a whole block
@@ -215,12 +216,13 @@ def _chain_ends(graph: SubdividedGraph) -> tuple[np.ndarray, np.ndarray]:
     division run, v takes the ids after chain i - 1's, and its j-th edge
     joins chain[j] to chain[j + 1].  So the division vertex before edge e
     of chain i is n0 + e - i - 1; an undivided base edge is a chain of one
-    edge."""
+    edge.  The base edges' ends are read by one np.fromiter over their
+    chained (u, v) pairs."""
     import numpy as np
 
     base, counts = graph.base, np.array(graph.counts, dtype=np.intp)
     n0 = base.vertex_count
-    uv = np.array(base.edges, dtype=np.intp).reshape(-1, 2)
+    uv = np.fromiter(itertools.chain.from_iterable(base.edges), np.intp, 2 * len(counts)).reshape(-1, 2)
     last = np.cumsum(counts + 1) - 1
     chain = np.repeat(np.arange(len(counts)), counts + 1)
     x = np.arange(n0 - 1, n0 - 1 + len(chain)) - chain
@@ -325,11 +327,15 @@ def _scan_forest(
     have halves, and budget caps the half-paths of live edges, summed over
     all depths.
 
-    Depth 1 needs no tables: a half is one vertex, so edge (a, b) is an
-    anagram exactly when a and b share a colour.  Edge (a, b) is live at
-    depth 2 exactly when a and b both have degree 2 or more; where no edge
-    is, as in a star, the scan ends after depth 1.  Otherwise it builds its
-    tables from the base graph (_chain_ends, _next_edges, _walk_table).
+    Depth 1 needs no tables and no ranks: a half is one vertex, so edge
+    (a, b) is an anagram exactly when a and b share a colour, compared in
+    one flat int64 array of the colours (of their ranks, when a colour lies
+    outside int64) at the edge ends that _chain_ends reads.  Edge (a, b) is
+    live at depth 2 exactly when a and b both have degree 2 or more; where
+    no edge is, as in a star, the scan ends after depth 1.  Otherwise it ranks the
+    colours (np.unique of the flat array, or _ranks past int64), draws the
+    hash weights and builds its tables from the base graph (_next_edges,
+    _walk_table).
     No output depends on the order of the ways on within a row: rounds
     sort their keys, candidates go in (step, lo, hi) order, each signature
     keeps its smallest end vertex, and in a forest each vertex has one
@@ -368,25 +374,31 @@ def _scan_forest(
 
     x, y = _chain_ends(graph)
     edges, n = len(x), graph.vertex_count
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    every = np.arange(edges)
-    rank, distinct = _ranks(colours)
-    base = n // 2 + 1
-
     halves = 2 * edges
     if not edges:
         return VerificationReport("anagram_free", None, halves, "exhaustive")
     if budget is not None and halves > budget:
         raise WindowCeilingExceeded(halves, budget, unit="half-paths")
-    same = np.flatnonzero(rank[x] == rank[y])
+    try:  # depth 1 compares the colours themselves, or their ranks past int64
+        flat, rank = np.fromiter(colours, np.int64, n), None
+    except OverflowError:
+        rank, distinct = _ranks(colours)
+        flat = rank
+    same = np.flatnonzero(flat[x] == flat[y])
     if same.size:
-        e = int(same[np.lexsort((hi[same], lo[same]))[0]])
+        lo, hi = np.minimum(x[same], y[same]), np.maximum(x[same], y[same])
+        e = int(np.lexsort((hi, lo))[0])
         ce = Counterexample.of((int(lo[e]), int(hi[e])), 1, colours)
         return VerificationReport("counterexample", ce, halves, "exhaustive")
     degree = np.bincount(np.concatenate((x, y)), minlength=n)
     if not np.any((degree[x] > 1) & (degree[y] > 1)):  # no edge is live at depth 2
         return VerificationReport("anagram_free", None, halves, "exhaustive")
 
+    if rank is None:  # the colours fit int64: rank them in one sort
+        distinct, rank = np.unique(flat, return_inverse=True)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    every = np.arange(edges)
+    base = n // 2 + 1
     nxt, start, count = _next_edges(x, y, n)
     nbits = n.bit_length()
     most = max(1, min(math.isqrt(n // 2), (1 << max(31 - nbits, 0)) // edges))

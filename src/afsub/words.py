@@ -9,12 +9,12 @@ Abelian squares are found by one scanner for every length: prefix sums of
 one wrapping uint64 hash weight per symbol rank select candidate windows,
 and each candidate is confirmed by exact counts of its two halves, so the
 result is exact and deterministic.  _ranks and _hash_weights serve this
-scanner and the forest scan in verifier alike, and _ranks serves the
-discriminating audit too.  Squares are found exactly, from runs of
-matching positions.  Both scanners compare a block of
-consecutive half-lengths in one numpy call, one row per half-length read
-from a strided view of the padded word or prefix array, with at most
-_BLOCK_ELEMENTS elements a block.
+scanner and the forest scan in verifier alike (which ranks by _ranks only
+colours outside int64), and _ranks serves the discriminating audit too.
+Squares are found exactly, from runs of matching positions.  Both
+scanners compare a block of consecutive half-lengths in one numpy call,
+one row per half-length read from a strided view of the padded word or
+prefix array, with at most _BLOCK_ELEMENTS elements a block.
 
 Symbols are 0-based integers; rendering as letters happens only at the CLI
 boundary.
@@ -26,7 +26,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -116,7 +116,9 @@ def find_abelian_square(
     half-length L, starting at H[L] and at H[2L].  One comparison tests a
     block of consecutive half-lengths, rows x m with m the starts still in
     play and rows = max(1, _BLOCK_ELEMENTS // m).  The block's candidates
-    are taken in the scan order, (length, start) or (start, length).
+    are taken in the scan order, (length, start) or (start, length); in
+    the latter, one any over the block finds the starts with a hit, and
+    each one's lengths are read only when reached (_start_major_hits).
     Unequal multisets may collide too, so each candidate is confirmed by
     exact counts of its two halves, and one that fails is skipped: the
     result is exact and deterministic.  A candidate that runs past the word
@@ -152,7 +154,7 @@ def find_abelian_square(
             if length_major:
                 found = zip(*(a.tolist() for a in np.nonzero(block)))
             else:
-                found = ((r, i) for i, r in zip(*(a.tolist() for a in np.nonzero(block.T))))
+                found = _start_major_hits(block)
             for r, i in found:
                 half = L + r
                 if np.array_equal(
@@ -165,6 +167,17 @@ def find_abelian_square(
                 break
         L += rows
     return best
+
+
+def _start_major_hits(block: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The (row, column) of every True of block, column by column and down
+    each column: the columns with a hit are found at once, and each one's
+    rows are read only when the scan reaches it."""
+    import numpy as np
+
+    for i in np.flatnonzero(block.any(axis=0)).tolist():
+        for r in np.flatnonzero(block[:, i]).tolist():
+            yield r, i
 
 
 def find_square(w: WordLike) -> Optional[tuple[int, int]]:

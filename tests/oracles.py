@@ -13,14 +13,19 @@ stored as a parent map beside its child lists, level_loop_children the
 complete d-ary tree's child lists built level by level, effective_height
 the effective-height rule as bounds held it before RootedTree cached it,
 joined_by_set the revalidate step check with its set of every undivided
-base edge, and randrange_kn_colouring and randrange_tree_colouring the
-seeded colourings drawn call by call through randint and randrange.
+base edge, randrange_kn_colouring and randrange_tree_colouring the
+seeded colourings drawn call by call through randint and randrange,
+adjacency_max_degree_2 and adjacency_is_forest a graph's shape read off
+its adjacency by a DFS, report_json the verify report through json.dumps,
+and start_major_nonzero a block's hits in (start, length) order from one
+nonzero of the transposed block.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -328,9 +333,10 @@ def depth_scan_forest(adj, colours: Sequence[int], budget: Optional[int]) -> Ver
     code = tail * n + head
     by_code = np.argsort(code)
     backward = by_code[np.searchsorted(code, head[forward] * n + tail[forward], sorter=by_code)]
-    # the next directed edges of u -> v are v's other edges
+    # the next directed edges of u -> v are v's other edges (none on a
+    # graph without edges, where the ragged gather has no ranges to join)
     fan = deg[head]
-    nxt = verifier._ragged_arange((np.cumsum(deg) - deg)[head], fan, fan.cumsum())
+    nxt = verifier._ragged_arange((np.cumsum(deg) - deg)[head], fan, fan.cumsum()) if len(head) else head
     nxt = nxt[head[nxt] != np.repeat(tail, fan)]
     nxt_count = fan - 1
     nxt_start = np.cumsum(nxt_count) - nxt_count
@@ -593,3 +599,55 @@ def scanned_check_discriminating(s, bipartition: Sequence[int], colouring: Seque
             break
 
     return DiscriminatingReport(witnesses, exclusive)
+
+
+def adjacency_max_degree_2(adj: Sequence[Sequence[int]]) -> bool:
+    """Whether no vertex of the sorted neighbour tuples adj has three or
+    more neighbours: how BaseGraph.max_degree_2 read the adjacency before
+    it counted degrees off the edge list."""
+    return all(len(ns) <= 2 for ns in adj)
+
+
+def adjacency_is_forest(adj: Sequence[Sequence[int]]) -> bool:
+    """Whether the graph of the sorted neighbour tuples adj has no cycle, by
+    a DFS from every unseen vertex that meets a seen vertex only on a
+    cycle: how BaseGraph.is_forest walked the adjacency before its
+    union-find pass over the edges."""
+    seen = [False] * len(adj)
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, -1)]
+        while stack:
+            v, parent = stack.pop()
+            for w in adj[v]:
+                if w == parent:  # simple graph: at most one edge back up
+                    continue
+                if seen[w]:
+                    return False
+                seen[w] = True
+                stack.append((w, v))
+    return True
+
+
+def report_json(report: VerificationReport) -> str:
+    """The verify report as json.dumps writes its payload: the oracle of
+    the fixed template in cli, which must give the same bytes."""
+    payload = {"outcome": report.outcome, "paths_checked": report.paths_checked, "mode": report.mode}
+    if report.counterexample is not None:
+        ce = report.counterexample
+        payload["counterexample"] = {
+            "vertices": list(ce.vertices),
+            "split": ce.split,
+            "multiset": {str(c): k for c, k in ce.multiset},
+        }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def start_major_nonzero(block: np.ndarray) -> list[tuple[int, int]]:
+    """The (row, column) of every True of block, column by column and down
+    each column, read from one nonzero of the transposed block: how
+    words.find_abelian_square listed a block's hits in (start, length)
+    order before it read only the columns it reaches."""
+    return [(r, i) for i, r in zip(*(a.tolist() for a in np.nonzero(block.T)))]

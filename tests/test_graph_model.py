@@ -29,7 +29,15 @@ from afsub.graph_model import (
     subdivide,
     tree_to_base_graph,
 )
-from oracles import leaves, level_loop_children, maximal_paths_by_frames, parent_map_tree, root_path
+from oracles import (
+    adjacency_is_forest,
+    adjacency_max_degree_2,
+    leaves,
+    level_loop_children,
+    maximal_paths_by_frames,
+    parent_map_tree,
+    root_path,
+)
 
 
 def enumerate_simple_paths(g):
@@ -202,6 +210,74 @@ class TestBaseGraph:
     def test_empty_graph_allowed(self):
         g = BaseGraph(0, ())
         assert g.vertex_count == 0 and g.adjacency == ()
+
+
+@st.composite
+def shaped_graphs(draw):
+    """A disjoint union of up to five pieces, each an isolated vertex, a
+    star, a cycle, a path or a random tree, with shuffled ids, edge order
+    and edge orientation, and on one draw in three an extra edge between
+    two drawn vertices, which may close a cycle or join two pieces."""
+    pieces = draw(st.lists(st.sampled_from(["isolated", "star", "cycle", "path", "tree"]), max_size=5))
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for piece in pieces:
+        size = 1 if piece == "isolated" else draw(st.integers(3 if piece == "cycle" else 2, 7))
+        ids = range(n, n + size)
+        if piece == "star":
+            edges += [(ids[0], v) for v in ids[1:]]
+        elif piece in ("cycle", "path"):
+            edges += list(zip(ids, ids[1:]))
+            if piece == "cycle":
+                edges.append((ids[-1], ids[0]))
+        elif piece == "tree":
+            edges += [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, size)]
+        n += size
+    if n >= 2 and draw(st.integers(0, 2)) == 0:
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    rename = draw(st.permutations(range(n)))
+    edges = [(rename[u], rename[v]) if draw(st.booleans()) else (rename[v], rename[u]) for u, v in edges]
+    return BaseGraph(n, tuple(draw(st.permutations(edges))))
+
+
+def networkx_shape(g):
+    """(max_degree_2, is_forest) of g by networkx; the graph on no vertices
+    is a forest, which networkx refuses to decide."""
+    G = nx.Graph()
+    G.add_nodes_from(range(g.vertex_count))
+    G.add_edges_from(g.edges)
+    return max(dict(G.degree).values(), default=0) <= 2, not g.vertex_count or nx.is_forest(G)
+
+
+class TestShape:
+    """BaseGraph.max_degree_2 and is_forest, read from the edge list,
+    against networkx and against the adjacency DFS they replaced."""
+
+    @given(shaped_graphs() | sparse_graphs())
+    @settings(max_examples=400, deadline=None)
+    def test_against_networkx_and_the_adjacency_dfs(self, g):
+        shape = (g.max_degree_2, g.is_forest)
+        assert "adjacency" not in g.__dict__
+        assert shape == networkx_shape(g)
+        assert shape == (adjacency_max_degree_2(g.adjacency), adjacency_is_forest(g.adjacency))
+
+    @pytest.mark.parametrize("g,shape", [
+        (BaseGraph(0, ()), (True, True)),
+        (BaseGraph(5, ()), (True, True)),  # isolated vertices only
+        (BaseGraph(7, ((0, 1), (2, 3), (3, 4), (5, 6))), (True, True)),  # paths and an isolated pair
+        (cycle_graph(3), (True, False)),
+        (BaseGraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))), (True, False)),  # two triangles
+        (BaseGraph(6, ((0, 1), (0, 2), (0, 3), (4, 5))), (False, True)),  # a star beside an edge
+        (BaseGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3))), (False, False)),  # the paw, with an isolated vertex
+        (BaseGraph(4, ((3, 2), (2, 1), (1, 0), (0, 3))), (True, False)),  # a cycle listed backwards
+        (tree_to_base_graph(complete_dary_tree(2, 5)), (False, True)),
+        (complete_graph(4), (False, False)),
+    ])
+    def test_pins(self, g, shape):
+        assert (g.max_degree_2, g.is_forest) == shape == networkx_shape(g)
+        assert "adjacency" not in g.__dict__
 
 
 class TestSubdivide:
@@ -482,6 +558,23 @@ class TestRootedTree:
             return
         assert old is not None and not negative
         assert tree_facts(t) == tree_facts(old)
+
+    @given(child_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_height_is_the_deepest_depth_without_the_depth_tuple(self, case):
+        children, root = case
+        try:
+            t = RootedTree(children, root)
+        except ValueError:
+            return
+        assert t.height == max(parent_map_tree(children, root).depth)
+        assert "depth" not in t.__dict__
+
+    @pytest.mark.parametrize("d,h", [(1, 0), (1, 9), (2, 6), (16, 3)])
+    def test_height_of_complete_trees(self, d, h):
+        t = complete_dary_tree(d, h)
+        assert t.height == h
+        assert "depth" not in t.__dict__ and max(t.depth) == h
 
     @pytest.mark.parametrize("d,h", [*itertools.product(range(1, 6), range(6)), (16, 3)])
     def test_complete_dary_tree_matches_the_level_loop(self, d, h):

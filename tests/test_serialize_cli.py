@@ -34,7 +34,7 @@ from afsub.tree_constructions import (
     prune_to_subtree,
 )
 from afsub.graph_model import complete_dary_tree, random_binary_tree
-from oracles import checked_parts
+from oracles import checked_parts, report_json
 
 
 PAW = BaseGraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))  # a triangle and a pendant edge
@@ -530,6 +530,48 @@ class TestWriterOracles:
     @settings(max_examples=200)
     def test_to_dot_matches_oracle(self, cs):
         assert to_dot(cs) == oracle_to_dot(cs)
+
+
+@st.composite
+def verification_reports(draw):
+    """A report as verify writes it: anagram_free, or a counterexample of an
+    even vertex list halved in the middle whose multiset holds colours of
+    any size and sign, so that keys of several digits sort as strings; the
+    exhaustive mode or a sampled one, with or without its exhaustive
+    hand-over; paths_checked from 0 up."""
+    mode = draw(st.just("exhaustive") | st.builds(
+        "sampled(budget={},seed={}){}".format, st.integers(1, 10**6), st.integers(-(10**6), 10**6),
+        st.sampled_from(["", ":exhaustive"])))
+    checked = draw(st.just(0) | st.integers(0, 10**12))
+    if draw(st.booleans()):
+        return VerificationReport("anagram_free", None, checked, mode)
+    half = draw(st.integers(1, 6))
+    vertices = tuple(draw(st.lists(st.integers(0, 10**7), min_size=2 * half, max_size=2 * half, unique=True)))
+    colours = draw(st.lists(st.integers(-(2**70), 2**70) | st.integers(0, 120), min_size=1, max_size=half,
+                            unique=True))
+    counts = draw(st.lists(st.integers(1, 99), min_size=len(colours), max_size=len(colours)))
+    multiset = tuple(sorted(zip(colours, counts)))
+    return VerificationReport("counterexample", Counterexample(vertices, half, multiset), checked, mode)
+
+
+class TestReportTemplate:
+    """verify writes its report from a fixed template, byte for byte what
+    json.dumps writes of its payload (oracles.report_json)."""
+
+    @given(verification_reports())
+    @example(VerificationReport("counterexample", Counterexample((4, 9, 11, 30), 2, ((2, 1), (10, 1))), 0,
+                                "exhaustive"))
+    @example(VerificationReport("anagram_free", None, 0, "sampled(budget=3,seed=1):exhaustive"))
+    @settings(max_examples=300)
+    def test_against_json_dumps(self, report):
+        assert cli._report_text(report) == report_json(report)
+
+    def test_multi_digit_keys_sort_as_strings(self):
+        report = VerificationReport("counterexample", Counterexample((0, 1, 2, 3), 2, ((2, 1), (10, 1))), 8,
+                                    "exhaustive")
+        text = cli._report_text(report)
+        assert text.index('"10": 1') < text.index('"2": 1')
+        assert json.loads(text)["counterexample"]["multiset"] == {"10": 1, "2": 1}
 
 
 class TestArtifactBytes:

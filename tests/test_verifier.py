@@ -706,6 +706,72 @@ class TestForestScan:
         assert "adjacency" not in planted.graph.__dict__
 
 
+def same_colour_edges(graph, colours):
+    """Every edge of graph whose ends share a colour, as (min id, max id)."""
+    return sorted((min(a, b), max(a, b)) for a, b in graph.chain_edges() if colours[a] == colours[b])
+
+
+class TestDepthOne:
+    """_scan_forest decides depth 1 on the colours themselves, before it
+    ranks them or builds a table, and ranks colours outside int64 instead."""
+
+    @pytest.mark.parametrize("name", sorted(PLANTED_BUILDS))
+    def test_tied_plants_against_the_oracle(self, name):
+        # one to four colours copied onto a neighbour each: the smallest
+        # centre edge by (min id, max id) wins, and the scan ranks nothing
+        c = PLANTED_BUILDS[name]().coloured
+        adj = c.graph.adjacency
+        for seed in range(8):
+            rng = random.Random(seed)
+            colours = list(c.colour)
+            for _ in range(1 + seed % 4):
+                v = rng.randrange(len(adj))
+                colours[rng.choice(adj[v])] = colours[v]
+            colours = tuple(colours)
+            with mock.patch.object(verifier, "_ranks", wraps=verifier._ranks) as ranks, \
+                    mock.patch.object(verifier, "_hash_weights", wraps=verifier._hash_weights) as weights, \
+                    mock.patch.object(verifier, "_next_edges", wraps=verifier._next_edges) as next_edges:
+                report = verifier._scan_forest(c.graph, colours, None)
+            for built in (ranks, weights, next_edges):
+                built.assert_not_called()
+            assert report == depth_scan_forest(adj, colours, None)
+            assert report.counterexample.vertices == same_colour_edges(c.graph, colours)[0]
+            assert report.paths_checked == 2 * (c.graph.vertex_count - 1)
+            assert_matches(depth_scan_forest, c.graph, colours)
+
+    @pytest.mark.parametrize("shift,past", [(2**63, True), (-(2**64), True), (2**70, True), (-(2**62), False),
+                                            (2**62, False)])
+    def test_shifted_colours(self, shift, past):
+        # an order-keeping shift gives the same paths; colours past int64
+        # are ranked by _ranks, once, depth 1 included, and others by a sort
+        for graph, colours in planted_copies(PLANTED_BUILDS["binary-tree-h5"], range(6)):
+            far = tuple(colour + shift for colour in colours)
+            with mock.patch.object(verifier, "_ranks", wraps=verifier._ranks) as ranks:
+                report = verifier._scan_forest(graph, far, None)
+            assert ranks.call_count == past
+            assert report == depth_scan_forest(graph.adjacency, far, None)
+            near = verifier._scan_forest(graph, colours, None)
+            assert (report.counterexample.vertices, report.counterexample.split, report.paths_checked) == (
+                near.counterexample.vertices, near.counterexample.split, near.paths_checked)
+            assert_matches(depth_scan_forest, graph, far)
+
+    def test_one_colour_past_int64(self):
+        # colour 0 of the construction becomes 2 ** 63, now the largest
+        c = PLANTED_BUILDS["dary-2-4"]().coloured
+        colours = tuple(2**63 if colour == 0 else colour for colour in c.colour)
+        assert_matches(depth_scan_forest, c.graph, colours)
+        for graph, planted in planted_copies(PLANTED_BUILDS["dary-2-4"], range(6)):
+            assert_matches(depth_scan_forest, graph, tuple(2**63 if colour == 0 else colour for colour in planted))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless_graph(self, n):
+        graph, colours = subdivide(BaseGraph(n, ()), []), tuple(range(n))
+        free = VerificationReport("anagram_free", None, 0, "exhaustive")
+        for budget in (None, 0):
+            assert verifier._scan_forest(graph, colours, budget) == free == depth_scan_forest(
+                graph.adjacency, colours, budget)
+
+
 class TestFindAnagram:
     def test_alternating_square(self):
         report = find_anagram(coloured_path([1, 2, 1, 2]))

@@ -16,7 +16,7 @@ from afsub.words import (
     keranen_word,
     thue_word,
 )
-from oracles import is_anagram, longest_anagram_free, restrict, word_from_string
+from oracles import is_anagram, longest_anagram_free, restrict, start_major_nonzero, word_from_string
 
 
 def naive_abelian_square(symbols, max_length=None):
@@ -271,6 +271,55 @@ class TestBlocksOfHalfLengths:
             assert find_square(words.thue_symbols(300)) is None
             assert find_abelian_square(words.keranen_symbols(300)) is None
             assert find_abelian_square(words.keranen_symbols(300), length_major=True) is None
+
+
+def abelian_block(symbols, first, rows):
+    """Row r, column i: whether the window (i, 2 * (first + r)) of symbols
+    is an abelian square, for every start that leaves the shortest row's
+    window inside the word."""
+    width = len(symbols) - 2 * first + 1
+    return np.array([[is_anagram(symbols[i : i + 2 * (first + r)]) for i in range(width)]
+                     for r in range(rows)], dtype=bool)
+
+
+class TestStartMajorHits:
+    """The (start, length) order of a block's hits, against the transposed
+    nonzero it replaced."""
+
+    @given(st.integers(1, 6).flatmap(lambda rows: st.lists(
+        st.lists(st.booleans(), min_size=rows, max_size=rows), min_size=1, max_size=30)))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_blocks(self, columns):
+        block = np.array(columns, dtype=bool).T
+        assert list(words._start_major_hits(block)) == start_major_nonzero(block)
+
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_small_alphabet_blocks_with_many_hits(self, symbols, data):
+        # a binary word has an abelian square at most starts and lengths
+        first = data.draw(st.integers(1, len(symbols) // 2))
+        block = abelian_block(symbols, first, data.draw(st.integers(1, len(symbols) // 2 - first + 1)))
+        assert list(words._start_major_hits(block)) == start_major_nonzero(block)
+
+    @given(st.lists(st.integers(0, 2), max_size=60), small_blocks)
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_the_scan_builds(self, symbols, block):
+        # every block the start-major scan builds, under weights that make
+        # every window a candidate, gives the old order; the scan still
+        # finds the naive first square
+        seen = []
+
+        def checked(hits):
+            seen.append(start_major_nonzero(hits))
+            assert list(real(hits)) == seen[-1]
+            return real(hits)
+
+        real = words._start_major_hits
+        with mock.patch.object(words, "_BLOCK_ELEMENTS", block), mock.patch.object(
+            words, "_hash_weights", equal_weights
+        ), mock.patch.object(words, "_start_major_hits", checked):
+            assert find_abelian_square(symbols) == naive_abelian_square(symbols)
+        assert len(symbols) < 2 or seen
 
 
 class TestHashWeights:
