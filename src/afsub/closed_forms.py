@@ -93,6 +93,8 @@ def subdivision_tree_lower_bound(d: int, h: int, k: int) -> float:
     if d < 2 or h < 1 or k < 0:
         raise ValueError("need d >= 2, h >= 1, k >= 0")
     target = h * (k + 1)
+    if target < 2:  # log base min(d, 1) would be 1
+        raise ValueError("need h * (k + 1) >= 2")
     base = min(d, target**2)
     return math.sqrt(h / math.log(target, base))
 

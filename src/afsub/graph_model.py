@@ -11,8 +11,11 @@ RootedTree.effective_height are the one home of how the package lists a
 subdivision's edges, reads a division path from one end, lists its runs
 through base vertices of degree 2, orders a tree's edges, labels each by
 its child's place and counts a tree's effective height, once per tree;
-RootedTree.height walks the tree level by level and keeps no depth per
-vertex.
+RootedTree.height and RootedTree.effective_height each walk the tree level
+by level and keep no depth per vertex, and random_binary_tree grows its
+tree the same way.
+A BaseGraph that breaks a rule names the first bad edge by one ordered
+walk over its edges.
 BaseGraph.is_forest and BaseGraph.max_degree_2 answer a graph's shape from
 its edge list, by degree counts and one union-find pass, without building
 the adjacency; a SubdividedGraph answers both from its base graph.
@@ -52,23 +55,19 @@ class BaseGraph:
         n, edges = self.vertex_count, tuple(self.edges)
         norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
         lo, hi = [u for u, _ in norm], [v for _, v in norm]
-        first: dict[tuple[int, int], int] = {}  # each edge's first place
-        # per rule, in the order an edge is checked: whether every edge
-        # keeps it, tested at once, and whether edge i breaks it.  A failed
-        # rule is walked for its first breach; the earliest breach, by the
-        # first rule broken there, names the error, as edge by edge
-        rules = (
-            (all(map(operator.ne, lo, hi)), lambda i: lo[i] == hi[i]),
-            (min(lo, default=0) >= 0 and max(hi, default=-1) < n, lambda i: not (0 <= lo[i] and hi[i] < n)),
-            (len(set(norm)) == len(norm), lambda i: first.setdefault(norm[i], i) != i),
-        )
-        breaches = [(next(filter(breaks, range(len(norm)))), rule)
-                    for rule, (keeps, breaks) in enumerate(rules) if not keeps]
-        if breaches:
-            i, rule = min(breaches)
-            (u, v), key = edges[i], norm[i]
-            raise ValueError((f"self-loop at vertex {u}", f"edge ({u}, {v}) outside vertex range",
-                              f"duplicate edge {key}")[rule])
+        if not (all(map(operator.ne, lo, hi)) and min(lo, default=0) >= 0 and max(hi, default=-1) < n
+                and len(set(norm)) == len(norm)):
+            # a rule is broken: the first edge to break one names the error,
+            # each edge tested for a self-loop, its range, then a repeat
+            seen: set[tuple[int, int]] = set()
+            for (u, v), key in zip(edges, norm):
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= key[0] and key[1] < n):
+                    raise ValueError(f"edge ({u}, {v}) outside vertex range")
+                if key in seen:
+                    raise ValueError(f"duplicate edge {key}")
+                seen.add(key)
         object.__setattr__(self, "edges", norm)
 
     @cached_property
@@ -203,24 +202,14 @@ class RootedTree:
 
     @cached_property
     def effective_height(self) -> int:
-        """_effective_height of the tree, derived once."""
-        return _effective_height(self.children, self.root)
-
-
-def _effective_height(children, root: int) -> int:
-    """Minimum number of branch vertices on any path from root down to a leaf.
-
-    children maps each vertex to its child list: a tree's children, or a
-    witness's child dict.
-    """
-    order = [root]
-    for u in order:
-        order.extend(children[u])
-    best: dict[int, int] = {}
-    for u in reversed(order):
-        kids = children[u]
-        best[u] = min(best[c] for c in kids) + (1 if len(kids) >= 2 else 0) if kids else 0
-    return best[root]
+        """Least number of branch vertices (two or more children) on a path
+        from the root down to a leaf: the tree is walked level by level, each
+        vertex carrying the number of branch vertices above it."""
+        children, level, least = self.children, [(self.root, 0)], self.vertex_count
+        while level:
+            least = min([least] + [b for v, b in level if not children[v]])
+            level = [(c, b + (len(cs) >= 2)) for v, b in level if (cs := children[v]) for c in cs]
+        return least
 
 
 def dary_tree_vertex_count(d: int, h: int) -> int:
@@ -251,19 +240,16 @@ def random_binary_tree(max_height: int, seed: int) -> RootedTree:
         raise ValueError("max_height must be >= 1")
     rng = random.Random(seed)
     children: list[list[int]] = [[]]
-    depth = [0]
-    frontier = [0]
-    while frontier:
-        v = frontier.pop(0)
-        if depth[v] >= max_height:
-            continue
-        k = rng.choice((1, 2, 2)) if v == 0 else rng.choice((0, 0, 1, 2, 2))
-        for _ in range(k):
-            c = len(children)
-            children.append([])
-            depth.append(depth[v] + 1)
-            children[v].append(c)
-            frontier.append(c)
+    # grown breadth first, one level at a time: each level's vertices hold
+    # the consecutive ids after the level above
+    level, height = range(1), 0
+    while level and height < max_height:
+        for v in level:
+            k = rng.choice((1, 2, 2)) if v == 0 else rng.choice((0, 0, 1, 2, 2))
+            for _ in range(k):
+                children[v].append(len(children))
+                children.append([])
+        level, height = range(level.stop, len(children)), height + 1
     return RootedTree(children)
 
 

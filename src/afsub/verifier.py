@@ -19,7 +19,8 @@ graph, by one of three scanners:
 - every other graph has its maximal simple paths enumerated, since every
   simple path is a contiguous window of one, and their even windows tested
   by words.find_abelian_square: hashed prefix sums, with weights drawn by
-  the forest scan's _hash_weights, each candidate confirmed by exact counts.
+  words._hash_weights, which the forest scan shares, each candidate
+  confirmed by exact counts.
 
 Every entry point takes a ColouredSubdivision, a ColouredGraph being the
 zero-count one; its SubdividedGraph's is_forest and max_degree_2, read

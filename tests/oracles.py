@@ -10,8 +10,10 @@ frames, the reference of graph_model.enumerate_maximal_simple_paths,
 scanned_check_discriminating the discriminating audit with condition 2 by
 a quadratic scan of every division path, parent_map_tree a rooted tree
 stored as a parent map beside its child lists, level_loop_children the
-complete d-ary tree's child lists built level by level, effective_height
-the effective-height rule as bounds held it before RootedTree cached it,
+complete d-ary tree's child lists built level by level,
+fifo_random_binary_tree the random binary tree drawn through a FIFO of
+vertices and depths, effective_height the effective-height rule as
+bounds held it before RootedTree cached it,
 joined_by_set the revalidate step check with its set of every undivided
 base edge, randrange_kn_colouring and randrange_tree_colouring the
 seeded colourings drawn call by call through randint and randrange,
@@ -260,6 +262,27 @@ def level_loop_children(d: int, h: int) -> list[tuple[int, ...]]:
             new_level.extend(kids)
         level = new_level
     children.extend(() for _ in level)
+    return children
+
+
+def fifo_random_binary_tree(max_height: int, seed: int) -> list[list[int]]:
+    """The child lists of graph_model.random_binary_tree as it drew them:
+    one FIFO of vertices, each with its depth, drained by pop(0)."""
+    rng = random.Random(seed)
+    children: list[list[int]] = [[]]
+    depth = [0]
+    frontier = [0]
+    while frontier:
+        v = frontier.pop(0)
+        if depth[v] >= max_height:
+            continue
+        k = rng.choice((1, 2, 2)) if v == 0 else rng.choice((0, 0, 1, 2, 2))
+        for _ in range(k):
+            c = len(children)
+            children.append([])
+            depth.append(depth[v] + 1)
+            children[v].append(c)
+            frontier.append(c)
     return children
 
 

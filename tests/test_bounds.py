@@ -215,13 +215,13 @@ class TestEffectiveStructure:
 
     def test_one_witness_tree_run_derives_it_once(self, monkeypatch, capsys):
         calls = []
-        rule = graph_model._effective_height
+        rule = graph_model.RootedTree.effective_height.func
 
-        def counted(children, root):
-            calls.append(root)
-            return rule(children, root)
+        def counted(tree):
+            calls.append(tree.root)
+            return rule(tree)
 
-        monkeypatch.setattr(graph_model, "_effective_height", counted)
+        monkeypatch.setattr(graph_model.RootedTree.effective_height, "func", counted)
         assert main(["witness", "tree", "--d", "16", "--h", "3", "--x", "2", "--seed", "1"]) == 0
         capsys.readouterr()
         assert calls == [0]
@@ -501,3 +501,11 @@ class TestDaryTwoSided:
         assert subdivision_tree_lower_bound(2, 16, 12) == pytest.approx(
             math.sqrt(16 / math.log(208, 2)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_lower_form_refuses_a_one_vertex_path(self, d):
+        # h * (k + 1) == 1 would take its log to base min(d, 1) == 1
+        with pytest.raises(ValueError, match=r"h \* \(k \+ 1\) >= 2"):
+            subdivision_tree_lower_bound(d, 1, 0)
+        assert subdivision_tree_lower_bound(d, 1, 1) == pytest.approx(math.sqrt(1 / math.log(2, min(d, 4))))
+        assert subdivision_tree_lower_bound(d, 2, 0) == pytest.approx(math.sqrt(2 / math.log(2, min(d, 4))))

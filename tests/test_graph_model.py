@@ -32,6 +32,8 @@ from afsub.graph_model import (
 from oracles import (
     adjacency_is_forest,
     adjacency_max_degree_2,
+    effective_height,
+    fifo_random_binary_tree,
     leaves,
     level_loop_children,
     maximal_paths_by_frames,
@@ -598,6 +600,41 @@ class TestRootedTree:
         assert a == b
         assert all(len(cs) <= 2 for cs in a.children)
         assert 1 <= a.height <= 4
+
+    @pytest.mark.parametrize("h", range(1, 16))
+    def test_random_binary_tree_draws_what_the_fifo_drew(self, h):
+        for seed in range(300):
+            assert random_binary_tree(h, seed).children == tuple(map(tuple, fifo_random_binary_tree(h, seed)))
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_random_binary_tree_stops_at_its_first_empty_level(self, seed):
+        # a height no tree reaches: growth ends where the FIFO emptied
+        t = random_binary_tree(10**20, seed)
+        assert t.children == tuple(map(tuple, fifo_random_binary_tree(10**20, seed)))
+        if seed == 3:
+            assert (t.vertex_count, t.height) == (1221, 79)
+
+    @given(child_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_effective_height_is_the_bottom_up_rule(self, case):
+        children, root = case
+        try:
+            t = RootedTree(children, root)
+        except ValueError:
+            return
+        assert t.effective_height == effective_height(t.children, t.root)
+
+    @pytest.mark.parametrize("children, expected", [
+        ([()], 0),
+        ([(1,), (2,), (3,), ()], 0),  # a chain has no branch vertex
+        ([(1, 2, 3), (), (), ()], 1),  # a star
+        ([(1,), (2,), (3, 4, 5), (), (), ()], 1),  # a chain into a star
+        ([(1, 2), (), (3,), (4, 5), (), ()], 1),  # the leaf under the root is nearest
+        ([(1, 2), (3, 4), (5,), (), (), (6, 7), (), ()], 2),
+    ])
+    def test_effective_height_of_chains_and_stars(self, children, expected):
+        t = RootedTree(children)
+        assert t.effective_height == effective_height(t.children, t.root) == expected
 
 
 class TestEnumerateSimplePaths:
