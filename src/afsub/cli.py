@@ -11,8 +11,9 @@ revalidate, 3 undecided (a window ceiling hit), 64 usage error
 (including construction parameters a builder rejects, a word longer than
 graph_model.MAX_VERTICES, a bound past float range, running out of
 memory, a malformed window ceiling, and an output path that cannot be
-written), 65 malformed input file (including an edge file with a vertex
-id of MAX_VERTICES or more).
+written), 65 malformed input file (including a file that is not UTF-8,
+a JSON integer past Python's int-string limit, and an edge file with a
+vertex id of MAX_VERTICES or more).
 """
 
 from __future__ import annotations
@@ -245,12 +246,20 @@ def _summary(cs: ColouredSubdivision, max_windows: int) -> str:
     return f"palette={len(cs.palette)} max_division={cs.max_division_count} verification={outcome}"
 
 
-def _read_edge_file(path: str) -> BaseGraph:
+def _read_text(path: str, what: str) -> str:
+    """The text of the file at path, read as UTF-8; what names the file in
+    the SchemaError raised when it cannot be read or decoded."""
     try:
-        with open(path) as fh:
-            tokens = fh.read().split()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise SchemaError(f"cannot read edge file: {exc}") from exc
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {what}: not UTF-8 at byte {exc.start}") from exc
+
+
+def _read_edge_file(path: str) -> BaseGraph:
+    tokens = _read_text(path, "edge file").split()
     if len(tokens) % 2:
         raise SchemaError("edge file must contain an even number of vertex ids")
     try:
@@ -271,12 +280,7 @@ def _read_edge_file(path: str) -> BaseGraph:
 
 
 def _load_subdivision(path: str) -> ColouredSubdivision:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}") from exc
-    return from_json_str(text)
+    return from_json_str(_read_text(path, "file"))
 
 
 # The verify report as json.dumps(payload, indent=2, sort_keys=True) + "\n"

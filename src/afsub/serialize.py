@@ -7,13 +7,22 @@ Schema:
 
 Serialisation is canonical (sorted keys, 2-space indent, one scalar per
 line, [] for an empty list, ASCII escapes, a trailing newline), so parse
-followed by serialise is byte-identical.  There is one reader: its checks
+followed by serialise is byte-identical.  The vertices section, the
+document's last and largest member, is written _CHUNK entries at a time
+by one renderer (_vertex_chunks).  from_json_str first reads a canonical
+vertices section by rendering it again: it takes the colours out with one
+regex, renders the section from them, and compares each chunk with the
+file's bytes in place; when all match, only the rest of the document goes
+through json.loads.  Every other file (reordered, hand-written, written by
+json.dump, or with a defect) goes through the general reader.  Its checks
 run in a fixed order, each as one test over a whole list, and only a
 failed test walks its list for the first offending entry, whose message
 it raises.  So a file with several defects gets the first failed check's
-message.  Vertex entries may come in any order; division ids must run
-from the originals' count in edge order, and an edge with two or more
-division vertices must be written u < v, since they run from u to v.
+message, and both readers build the same subdivision from a file or
+refuse it with the same message.  Vertex entries may come in any order;
+division ids must run from the originals' count in edge order, and an
+edge with two or more division vertices must be written u < v, since they
+run from u to v.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ import colorsys
 import itertools
 import json
 import operator
-from typing import Any, Iterable
+import re
+from typing import Any, Iterable, Iterator, Sequence
 
 from .graph_model import BaseGraph, ColouredSubdivision, SubdividedGraph
 
@@ -34,7 +44,10 @@ class SchemaError(ValueError):
 _ORIGINAL = '{\n      "colour": %d,\n      "id": %d,\n      "kind": "original"\n    }'
 _DIVISION = '{\n      "colour": %d,\n      "id": %d,\n      "kind": "division"\n    }'
 _EDGE = '{\n      "division": %s,\n      "u": %d,\n      "v": %d\n    }'
-_DOCUMENT = '{\n  "base_edges": %s,\n  "palette": %s,\n  "provenance": %s,\n  "vertices": %s\n}\n'
+_VERTICES = '\n  "vertices": '
+_DOCUMENT = '{\n  "base_edges": %s,\n  "palette": %s,\n  "provenance": %s,' + _VERTICES + '%s\n}\n'
+_CHUNK = 4096  # vertex entries rendered at a time, by the writer and the reader alike
+_COLOUR = re.compile(r'"colour": (-?[0-9]+),')
 
 
 def _json_list(items: list[str], indent: int) -> str:
@@ -46,24 +59,40 @@ def _json_list(items: list[str], indent: int) -> str:
     return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[2:] + "]"
 
 
+def _vertex_chunks(colours: Sequence[int], n_original: int) -> Iterator[str]:
+    """The vertices list as _json_list(entries, 4) writes it, in pieces:
+    "[", then _CHUNK entries at a time, each piece ending in the comma
+    before the next or in the list's close.  The first n_original entries
+    are originals, and entry i has id i."""
+    n = len(colours)
+    if not n:
+        yield "[]"
+        return
+    yield "["
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        mid = min(max(n_original, start), stop)  # originals end here
+        entries = ",\n    ".join([_ORIGINAL] * (mid - start) + [_DIVISION] * (stop - mid))
+        template = "\n    " + entries + ("," if stop < n else "\n  ]")
+        yield template % tuple(itertools.chain.from_iterable(zip(colours[start:stop], range(start, stop))))
+
+
 def to_json_str(cs: ColouredSubdivision) -> str:
     """The canonical bytes: sorted keys, 2-space indent, ASCII escapes and a
     trailing newline, as json.dumps(..., indent=2, sort_keys=True) + "\\n"
     writes the schema's document.  Every field but provenance has a fixed
-    layout, so it is written from templates; provenance goes through
+    layout, so it is written from templates, the vertices by the renderer
+    that from_json_str checks them with; provenance goes through
     json.dumps and is re-indented one level, which is safe because every
     newline inside a JSON string is escaped."""
-    g, colour = cs.graph, cs.colour
-    n0, n = g.base.vertex_count, g.vertex_count
-    vertices = list(map(_ORIGINAL.__mod__, zip(colour[:n0], range(n0))))
-    vertices += map(_DIVISION.__mod__, zip(colour[n0:], range(n0, n)))
+    g = cs.graph
     edges = [
         _EDGE % (_json_list(list(map(str, path)), 8), u, v)
         for (u, v), path in zip(g.base.edges, g.division_paths)
     ]
     provenance = json.dumps(cs.provenance, indent=2, sort_keys=True).replace("\n", "\n  ")
     return _DOCUMENT % (_json_list(edges, 4), _json_list(list(map(str, cs.palette)), 4), provenance,
-                        _json_list(vertices, 4))
+                        "".join(_vertex_chunks(cs.colour, g.base.vertex_count)))
 
 
 def from_json_dict(data: Any) -> ColouredSubdivision:
@@ -75,12 +104,21 @@ def from_json_dict(data: Any) -> ColouredSubdivision:
     that fails raises SchemaError with its own message, naming the first
     entry that breaks it (_parts).  Vertex entries may come in any order.
     """
+    _check_top(data)
+    return _subdivision(data, _parts(data))
+
+
+def _check_top(data: Any) -> None:
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
     for key in ("vertices", "base_edges", "palette"):
         if key not in data:
             raise SchemaError(f"missing key {key!r}")
-    n_original, edges, counts, colours = _parts(data)
+
+
+def _subdivision(data: dict, parts: tuple) -> ColouredSubdivision:
+    """The subdivision of a document whose checked parts are parts."""
+    n_original, edges, counts, colours = parts
     provenance = data.get("provenance", {})
     if not isinstance(provenance, dict):
         raise SchemaError("provenance must be an object")
@@ -141,7 +179,13 @@ def _parts(data: dict) -> tuple:
                 if not (c is None or type(c) is int))
     if "division" in kinds[:n_original]:
         raise SchemaError("original vertices must occupy the low id range")
+    return _edge_parts(data, n, n_original, colours)
 
+
+def _edge_parts(data: dict, n: int, n_original: int, colours: list) -> tuple:
+    """_parts after its vertex checks: the n vertices' entries have passed
+    them, the first n_original are originals, and colours lists each
+    vertex's colour (an int or None) by id."""
     base_edges = data["base_edges"]
     if not isinstance(base_edges, list):
         raise SchemaError("base_edges must be a list")
@@ -181,11 +225,53 @@ def _parts(data: dict) -> tuple:
 
 
 def from_json_str(text: str) -> ColouredSubdivision:
+    """The subdivision of a JSON document, as from_json_dict builds it.
+    A canonical vertices section is checked by rendering it again
+    (_canonical_vertices), and the rest of the document goes through the
+    same checks; any other text goes through json.loads whole."""
+    canonical = _canonical_vertices(text)
+    if canonical is not None:
+        data, n_original, colours = canonical
+        _check_top(data)
+        return _subdivision(data, _edge_parts(data, len(colours), n_original, colours))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer past Python's int-string limit
+        raise SchemaError(f"not valid JSON: {exc}") from exc
     return from_json_dict(data)
+
+
+def _canonical_vertices(text: str) -> tuple[dict, int, list[int]] | None:
+    """(the document without its vertices, originals, colours) when text
+    ends in a top-level vertices member that _vertex_chunks renders again
+    from its colours byte for byte, else None.
+
+    A JSON string holds no raw newline, so the last line that opens with
+    the member's key is found by rfind, and the document parses with that
+    member emptied only if it is at the top level; a duplicate key keeps
+    its last value in both parses.  The colours are read by a regex and
+    rendered with %d, so a colour json.loads would refuse or read as
+    another spelling (07, -0, 1.0) fails the compare; a render that
+    matches proves the ids run 0 .. n - 1 and the originals come first."""
+    at = text.rfind(_VERTICES)
+    if at < 0 or not text.endswith("\n  ]\n}\n"):
+        return None
+    start = at + len(_VERTICES)
+    try:
+        data = json.loads(text[:at] + _VERTICES + "[]\n}\n")
+        found = _COLOUR.findall(text, start)
+        ints = {s: int(s) for s in set(found)}
+    except ValueError:  # not JSON, or a colour past the int-string limit
+        return None
+    colours = list(map(ints.__getitem__, found))
+    n_original = text.count('"kind": "original"', start)
+    for chunk in _vertex_chunks(colours, n_original):
+        if not text.startswith(chunk, start):
+            return None
+        start += len(chunk)
+    return (data, n_original, colours) if start == len(text) - len("\n}\n") else None
 
 
 def _fill(index: int, size: int) -> str:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import graph_model
 from .graph_model import (
     ColouredSubdivision,
     RootedTree,
@@ -95,6 +96,11 @@ def build_binary_tree_8(tree: RootedTree) -> LabelledTreeSubdivision:
     h = tree.height
     if h == 0:
         return _trivial_vertex(tree, "binary-tree-8")
+    # the root edges alone have 3^(h-1) - 1 each: refused before every
+    # edge's count is computed, and without printing that count
+    if 3 ** (h - 1) - 1 > graph_model.MAX_VERTICES:
+        raise ValueError(f"binary tree of height {h} needs more than {graph_model.MAX_VERTICES} "
+                         "division vertices on a root edge")
 
     edges = tree.edges
     s = subdivide(tree_to_base_graph(tree), [3 ** (h - tree.depth[u] - 1) - 1 for u, _c in edges])

@@ -2,6 +2,7 @@ import colorsys
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -532,6 +533,119 @@ class TestWriterOracles:
         assert to_dot(cs) == oracle_to_dot(cs)
 
 
+def read_both_ways(text):
+    """(what from_json_str makes of text, what the general reader makes of
+    it, whether from_json_str took the canonical path): a subdivision or the
+    text of the SchemaError raised."""
+    def read():
+        try:
+            return from_json_str(text)
+        except SchemaError as exc:
+            return "error", str(exc)
+
+    taken = []
+    canonical_vertices = serialize._canonical_vertices
+
+    def spy(text):
+        taken.append(canonical_vertices(text))
+        return taken[-1]
+
+    with mock.patch.object(serialize, "_canonical_vertices", spy):
+        fast = read()
+    with mock.patch.object(serialize, "_canonical_vertices", lambda _t: None):
+        general = read()
+    return fast, general, taken[0] is not None
+
+
+def vertex_section_edit(pattern, replacement):
+    """An edit of a canonical file that makes one regex substitution in
+    its vertices section, at the first match."""
+    def apply(text):
+        at = text.rindex('\n  "vertices": ')
+        return text[:at] + re.sub(pattern, replacement, text[at:], count=1)
+
+    return apply
+
+
+def swap_ids(text):
+    at = text.rindex('\n  "vertices": ')
+    section = text[at:].replace('"id": 0,', '"id": X,').replace('"id": 1,', '"id": 0,').replace('"id": X,', '"id": 1,')
+    return text[:at] + section
+
+
+CANONICAL_EDITS = {
+    **{f"colour-{spelling[:8]}": vertex_section_edit(r'"colour": -?\d+,', f'"colour": {spelling},')
+       for spelling in ("07", "-0", "1.0", "true", "null", "9" * 5000)},
+    "ids-swapped": swap_ids,
+    "kind-changed": vertex_section_edit(r'"kind": "original"', '"kind": "division"'),
+    "extra-space": vertex_section_edit(r'"id": ', '"id":  '),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "bom": lambda text: "\ufeff" + text,
+    "earlier-duplicate-vertices": lambda text: text.replace('{\n  "base_edges"', '{\n  "vertices": 5,\n  "base_edges"', 1),
+    "vertices-in-provenance": lambda text: text.replace('"provenance": {', '"provenance": {\n  "vertices": [],', 1),
+    "cut-short": lambda text: text[:-1],
+    "list-closed-twice": lambda text: text[:-3] + "\n  ]\n}\n",
+}
+
+
+class TestCanonicalReader:
+    """from_json_str reads a canonical vertices section by rendering it
+    again, and gives what the general reader gives on every file."""
+
+    @given(canonical_documents())
+    @settings(max_examples=150)
+    def test_canonical_documents_take_the_canonical_path(self, data):
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        fast, general, taken = read_both_ways(text)
+        # a subdivision's equality compares its graph, colours, palette and provenance
+        assert fast == general == from_json_dict(json.loads(text))
+        # an empty list is written [], which leaves nothing to render
+        assert taken == bool(data["vertices"])
+
+    @pytest.mark.parametrize("make", [
+        lambda: colour_14(path_graph(2)).coloured,
+        lambda: build_binary_tree_8(complete_dary_tree(2, 2)).coloured,
+        lambda: colour_merged(path_graph(3), 1).coloured,
+    ], ids=["graph14-P2", "binary-tree-h2", "merged-P3-k1"])
+    @pytest.mark.parametrize("name", CANONICAL_EDITS)
+    def test_edited_files_read_as_the_general_reader_reads_them(self, make, name):
+        text = to_json_str(make())
+        edited = CANONICAL_EDITS[name](text)
+        assert edited != text
+        fast, general, taken = read_both_ways(edited)
+        assert fast == general
+        # a duplicate member before the section, or one nested elsewhere,
+        # leaves a canonical section that the canonical path reads
+        assert taken == (name in ("earlier-duplicate-vertices", "vertices-in-provenance"))
+
+    def test_edited_files_keep_their_messages(self):
+        text = to_json_str(colour_14(path_graph(2)).coloured)
+        outcomes = {name: read_both_ways(CANONICAL_EDITS[name](text))[0] for name in CANONICAL_EDITS}
+        assert outcomes["colour-07"] == ("error", "not valid JSON: line 43, column 18")
+        assert outcomes["colour-1.0"] == ("error", "vertex 0: colour must be int or null")
+        assert outcomes["colour-true"] == ("error", "vertex 0: colour must be int or null")
+        assert outcomes["colour-null"] == ("error", "all vertices must be coloured")
+        assert outcomes["colour-99999999"][1].startswith("not valid JSON: Exceeds the limit")
+        assert outcomes["kind-changed"] == ("error", "original vertices must occupy the low id range")
+        assert outcomes["bom"] == ("error", "not valid JSON: line 1, column 1")
+        assert outcomes["list-closed-twice"][0] == "error"
+        assert outcomes["vertices-in-provenance"].provenance["vertices"] == []
+        for name in ("colour--0", "ids-swapped", "extra-space", "crlf", "earlier-duplicate-vertices", "cut-short"):
+            assert isinstance(outcomes[name], ColouredSubdivision), name
+
+    @given(coloured_subdivisions())
+    @edge_cases
+    @settings(max_examples=100)
+    def test_small_chunks_write_and_read_alike(self, cs):
+        text = to_json_str(cs)
+        for chunk in (1, 2, 3):
+            with mock.patch.object(serialize, "_CHUNK", chunk):
+                assert to_json_str(cs) == text
+                fast, general, taken = read_both_ways(text)
+            assert fast == general == cs
+            assert taken == bool(cs.colour)
+
+
 @st.composite
 def verification_reports(draw):
     """A report as verify writes it: anagram_free, or a counterexample of an
@@ -939,6 +1053,28 @@ class TestCliConstructVerify:
         assert capsys.readouterr().err == "input error: vertex ids must be below 10000000\n"
         edges.write_text("0 1\n")
         assert main(["construct", "graph14", "--edges", str(edges), "-o", str(tmp_path / "p2.json")]) == 0
+
+    @pytest.mark.parametrize("argv, what", [
+        (["verify", "FILE"], "file"),
+        (["export", "FILE", "--dot", "OUT"], "file"),
+        (["construct", "graph14", "--edges", "FILE"], "edge file"),
+    ], ids=["verify", "export", "construct-edges"])
+    def test_file_that_is_not_utf8_exit_65(self, tmp_path, capsys, argv, what):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"0 1\n1 \xff2\n")
+        files = {"FILE": str(bad), "OUT": str(tmp_path / "out.dot")}
+        assert main([files.get(arg, arg) for arg in argv]) == 65
+        assert capsys.readouterr().err == f"input error: cannot read {what}: not UTF-8 at byte 6\n"
+        assert not (tmp_path / "out.dot").exists()
+
+    def test_integer_past_the_int_string_limit_exit_65(self, tmp_path, capsys):
+        data = small_document()
+        data["provenance"]["seed"] = 0
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data).replace('"seed": 0', '"seed": ' + "9" * 5000))
+        assert main(["verify", str(path)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("input error: not valid JSON: ") and "Traceback" not in err
 
 
 class TestCliBoundWitness:
@@ -1368,6 +1504,22 @@ class TestCliBadParameters:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {refused}") and err.endswith("more than 100000\n")
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv, err", [
+        # height 1,918: refused from its root edges, before every edge's
+        # 3 ** (h - depth - 1) - 1 is computed or any total is printed
+        (["--height", str(10**20), "--random", "280"],
+         "binary tree of height 1918 needs more than 10000000 division vertices on a root edge"),
+        # under a cap of 1,000,000 a root edge of 3 ** 12 - 1 fits, so the
+        # total is refused as before, and one of 3 ** 13 - 1 does not
+        (["--height", "13"], "subdivision needs 3155880 division vertices, more than 1000000"),
+        (["--height", "14"], "binary tree of height 14 needs more than 1000000 division vertices on a root edge"),
+    ], ids=["random-huge-height", "total", "root-edge"])
+    def test_binary_tree_refused_from_its_root_edges(self, monkeypatch, capsys, argv, err):
+        if "--random" not in argv:
+            monkeypatch.setattr(graph_model, "MAX_VERTICES", 1_000_000)
+        assert main(["construct", "binary-tree", *argv]) == 64
+        assert capsys.readouterr().err == f"usage error: {err}\n"
 
 
 class TestCliExport:
